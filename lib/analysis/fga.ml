@@ -453,6 +453,9 @@ let audit_env catalog ~sensitive_table ~(definition : Sql.Ast.query) :
                let n = norm c.Schema.name in
                (n, lookup (s.alias ^ "." ^ n))))
 
+let audit_env_tables (definition : Sql.Ast.query) =
+  List.map (fun s -> s.table) (sources_of_from definition.Sql.Ast.from)
+
 let analyze catalog ~sensitive_table ~(definition : Sql.Ast.query)
     (q : Sql.Ast.query) : verdict =
   let components =

@@ -39,6 +39,10 @@ val audit_env :
   definition:Sql.Ast.query ->
   (string * Abstract_domain.t) list
 
+(** The tables whose schemas {!audit_env} resolves columns against: the
+    definition's top-level FROM (lowercase). *)
+val audit_env_tables : Sql.Ast.query -> string list
+
 (** The pre-abstract-domain analyzer, kept verbatim as the comparison
     baseline: top-level WHERE atoms only, opaque on LIKE, disjunction,
     arithmetic and join-transferred constraints. *)

@@ -580,6 +580,82 @@ let probes_preorder (plan : P.t) : P.t list =
 let partition_index schema name =
   match Schema.find_all schema name with i :: _ -> Some i | [] -> None
 
+(* What an audit expression requires of its sensitive rows, over the
+   sensitive table's column positions: the audit side of every
+   intersection. *)
+type audit_side = {
+  schema : Schema.t;
+  ppos : int;  (** partition-key position *)
+  key_unique : bool;
+  aenv : AD.t array;
+}
+
+(* A built audit side, valid while every table it was derived from is
+   still the catalog entry it was built against. *)
+type cached_side = {
+  info : audit_info;  (** compared by physical identity *)
+  deps : (string * Table.t option) list;
+  side : (audit_side, string) result;  (** [Error] = reason for Unknown *)
+}
+
+let build_side ~catalog (info : audit_info) : (audit_side, string) result =
+  match Catalog.find_opt catalog info.sensitive_table with
+  | None ->
+    Error (Printf.sprintf "sensitive table %s not in catalog" info.sensitive_table)
+  | Some table -> (
+    let schema = Table.schema table in
+    match partition_index schema info.partition_by with
+    | None ->
+      Error
+        (Printf.sprintf "partition key %s not in schema of %s" info.partition_by
+           info.sensitive_table)
+    | Some ppos ->
+      let aenv = Array.make (Schema.arity schema) AD.Top in
+      List.iter
+        (fun (name, d) ->
+          match partition_index schema name with
+          | Some i -> aenv.(i) <- AD.meet aenv.(i) d
+          | None -> ())
+        (Fga.audit_env catalog ~sensitive_table:info.sensitive_table
+           ~definition:info.definition);
+      Ok { schema; ppos; key_unique = Table.key table = Some ppos; aenv })
+
+(* Abstract-interpreting the definition costs more than analysing a small
+   statement, so each audit expression's side is built once and reused.
+   The key is the [audit_info] itself (callers keep one per expression; a
+   dropped and re-created expression gets a new one). A table that is
+   dropped and re-created (possibly with another column order) is a new
+   catalog entry, which rebuilds the side. Bounded, newest first. *)
+let side_cache : cached_side list ref = ref []
+let side_cache_size = 16
+
+let audit_side ~catalog (info : audit_info) : (audit_side, string) result =
+  let current c =
+    c.info == info
+    && List.for_all
+         (fun (name, t) ->
+           match (Catalog.find_opt catalog name, t) with
+           | Some a, Some b -> a == b
+           | None, None -> true
+           | _ -> false)
+         c.deps
+  in
+  match List.find_opt current !side_cache with
+  | Some c -> c.side
+  | None ->
+    let deps =
+      List.map
+        (fun name -> (name, Catalog.find_opt catalog name))
+        (info.sensitive_table :: Fga.audit_env_tables info.definition)
+    in
+    let c = { info; deps; side = build_side ~catalog info } in
+    side_cache :=
+      c
+      :: List.filteri
+           (fun i c' -> i < side_cache_size - 1 && c'.info != info)
+           !side_cache;
+    c.side
+
 let analyze_plan ~catalog ~(audits : audit_info list) (plan : P.t) :
     decision list =
   let next_id = ref 0 in
@@ -595,129 +671,109 @@ let analyze_plan ~catalog ~(audits : audit_info list) (plan : P.t) :
     match List.find_opt (fun a -> norm a.name = norm audit_name) audits with
     | None -> unknown "audit expression not declared to the analysis"
     | Some info -> (
-      match Catalog.find_opt catalog info.sensitive_table with
-      | None ->
-        unknown
-          (Printf.sprintf "sensitive table %s not in catalog"
-             info.sensitive_table)
-      | Some table -> (
-        let schema = Table.schema table in
-        match partition_index schema info.partition_by with
-        | None ->
+      match audit_side ~catalog info with
+      | Error detail -> unknown detail
+      | Ok { schema; ppos; key_unique; aenv } -> (
+        let sensitive = norm info.sensitive_table in
+        let matching =
+          walk ~sensitive child
+          |> List.filter (fun t -> t.colmap id_col <> None)
+        in
+        match matching with
+        | [] ->
           unknown
-            (Printf.sprintf "partition key %s not in schema of %s"
-               info.partition_by info.sensitive_table)
-        | Some ppos -> (
-          let key_unique = Table.key table = Some ppos in
-          (* Audit side: what the definition requires of sensitive rows. *)
-          let aenv = Array.make (Schema.arity schema) AD.Top in
-          List.iter
-            (fun (name, d) ->
-              match partition_index schema name with
-              | Some i -> aenv.(i) <- AD.meet aenv.(i) d
-              | None -> ())
-            (Fga.audit_env catalog ~sensitive_table:info.sensitive_table
-               ~definition:info.definition);
-          let sensitive = norm info.sensitive_table in
-          let matching =
-            walk ~sensitive child
-            |> List.filter (fun t -> t.colmap id_col <> None)
-          in
-          match matching with
-          | [] ->
+            (Printf.sprintf
+               "ID column does not trace to a scan of %s below the probe"
+               info.sensitive_table)
+        | _ :: _ :: _ ->
+          unknown "ID column traces to more than one sensitive scan"
+        | [ t ] -> (
+          if t.colmap id_col <> Some ppos then
             unknown
               (Printf.sprintf
-                 "ID column does not trace to a scan of %s below the probe"
-                 info.sensitive_table)
-          | _ :: _ :: _ ->
-            unknown "ID column traces to more than one sensitive scan"
-          | [ t ] -> (
-            if t.colmap id_col <> Some ppos then
-              unknown
-                (Printf.sprintf
-                   "ID column traces to base column %s, not partition key %s"
-                   (match t.colmap id_col with
-                    | Some b -> colname schema b
-                    | None -> "?")
-                   info.partition_by)
-            else
-              (* Witness search: the partition column is unconditionally
-                 sound; other columns only under a unique key. *)
-              let candidates =
-                ppos
-                :: (if key_unique then
-                      List.init (Array.length aenv) Fun.id
-                      |> List.filter (fun i -> i <> ppos)
-                    else [])
+                 "ID column traces to base column %s, not partition key %s"
+                 (match t.colmap id_col with
+                  | Some b -> colname schema b
+                  | None -> "?")
+                 info.partition_by)
+          else
+            (* Witness search: the partition column is unconditionally
+               sound; other columns only under a unique key. *)
+            let candidates =
+              ppos
+              :: (if key_unique then
+                    List.init (Array.length aenv) Fun.id
+                    |> List.filter (fun i -> i <> ppos)
+                  else [])
+            in
+            let witness =
+              List.find_opt
+                (fun i ->
+                  AD.is_bot (AD.meet (safe t.src.base_env i) (safe aenv i)))
+                candidates
+            in
+            match witness with
+            | None ->
+              {
+                probe;
+                audit_name;
+                verdict = Overlapping;
+                certificate = None;
+                detail =
+                  Printf.sprintf
+                    "no empty intersection (partition key: %s /\\ %s)"
+                    (AD.to_string (safe t.src.base_env ppos))
+                    (AD.to_string (safe aenv ppos));
+              }
+            | Some w ->
+              incr next_id;
+              let scan_table, scan_alias =
+                match t.src.scan.P.op with
+                | P.Seq_scan { table; alias; _ } -> (norm table, alias)
+                | _ -> (sensitive, t.src.alias)
               in
-              let witness =
-                List.find_opt
-                  (fun i ->
-                    AD.is_bot (AD.meet (safe t.src.base_env i) (safe aenv i)))
-                  candidates
+              let steps =
+                List.init (Array.length t.src.base_env) (fun i ->
+                    let q = t.src.base_env.(i) and a = safe aenv i in
+                    {
+                      Certificate.column = colname schema i;
+                      query_side = q;
+                      audit_side = a;
+                      meet = AD.meet q a;
+                    })
               in
-              match witness with
-              | None ->
+              let derivation =
+                List.rev t.src.log
+                @ [
+                    Printf.sprintf "witness %s: %s /\\ %s = Bot"
+                      (colname schema w)
+                      (AD.to_string (safe t.src.base_env w))
+                      (AD.to_string (safe aenv w));
+                  ]
+              in
+              let cert =
                 {
-                  probe;
+                  Certificate.id = !next_id;
                   audit_name;
-                  verdict = Overlapping;
-                  certificate = None;
-                  detail =
-                    Printf.sprintf
-                      "no empty intersection (partition key: %s /\\ %s)"
-                      (AD.to_string (safe t.src.base_env ppos))
-                      (AD.to_string (safe aenv ppos));
+                  sensitive_table = sensitive;
+                  partition_by = norm info.partition_by;
+                  key_unique;
+                  scan_table;
+                  scan_alias;
+                  scan_ordinal =
+                    Option.value ~default:(-1)
+                      (scan_ordinal plan ~scan:t.src.scan);
+                  witness = colname schema w;
+                  steps;
+                  derivation;
                 }
-              | Some w ->
-                incr next_id;
-                let scan_table, scan_alias =
-                  match t.src.scan.P.op with
-                  | P.Seq_scan { table; alias; _ } -> (norm table, alias)
-                  | _ -> (sensitive, t.src.alias)
-                in
-                let steps =
-                  List.init (Array.length t.src.base_env) (fun i ->
-                      let q = t.src.base_env.(i) and a = safe aenv i in
-                      {
-                        Certificate.column = colname schema i;
-                        query_side = q;
-                        audit_side = a;
-                        meet = AD.meet q a;
-                      })
-                in
-                let derivation =
-                  List.rev t.src.log
-                  @ [
-                      Printf.sprintf "witness %s: %s /\\ %s = Bot"
-                        (colname schema w)
-                        (AD.to_string (safe t.src.base_env w))
-                        (AD.to_string (safe aenv w));
-                    ]
-                in
-                let cert =
-                  {
-                    Certificate.id = !next_id;
-                    audit_name;
-                    sensitive_table = sensitive;
-                    partition_by = norm info.partition_by;
-                    key_unique;
-                    scan_table;
-                    scan_alias;
-                    scan_ordinal =
-                      Option.value ~default:(-1)
-                        (scan_ordinal plan ~scan:t.src.scan);
-                    witness = colname schema w;
-                    steps;
-                    derivation;
-                  }
-                in
-                {
-                  probe;
-                  audit_name;
-                  verdict = Independent;
-                  certificate = Some cert;
-                  detail = Certificate.summary cert;
-                }))))
+              in
+              {
+                probe;
+                audit_name;
+                verdict = Independent;
+                certificate = Some cert;
+                detail = Certificate.summary cert;
+              })))
   in
   List.map classify (probes_preorder plan)

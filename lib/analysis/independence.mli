@@ -38,7 +38,11 @@ val string_of_verdict : verdict -> string
 
 (** What the analysis needs to know about one audit expression — the
     same fields {!Fga} takes, passed explicitly so this library stays
-    below [audit_core]. *)
+    below [audit_core]. Keep one record per audit expression: the
+    expression's audit side (its {!Fga.audit_env}, mapped to column
+    positions) is built the first time a record is analysed and reused
+    for that same record, until a table it was derived from is replaced
+    in the catalog. *)
 type audit_info = {
   name : string;
   sensitive_table : string;

@@ -29,6 +29,9 @@ let err fmt = Fmt.kstr (fun s -> raise (Db_error s)) fmt
 type audit_entry = {
   expr : Audit_core.Audit_expr.t;
   view : Audit_core.Sensitive_view.t;
+  info : Analysis.Independence.audit_info;
+      (** the expression as the independence analysis sees it; one record
+          per expression, so the analysis builds its audit side once *)
 }
 
 exception Deny_signal of string
@@ -471,17 +474,6 @@ let audit_specs entries =
 (* Certified static probe elision (lib/analysis)                       *)
 (* ------------------------------------------------------------------ *)
 
-let audit_infos entries =
-  List.map
-    (fun e ->
-      {
-        Analysis.Independence.name = e.expr.Audit_core.Audit_expr.name;
-        sensitive_table = e.expr.Audit_core.Audit_expr.sensitive_table;
-        partition_by = e.expr.Audit_core.Audit_expr.partition_by;
-        definition = e.expr.Audit_core.Audit_expr.definition;
-      })
-    entries
-
 (** Run the independence analysis over an instrumented physical plan and
     strip the probes whose certificates replay. Returns the (possibly
     rewritten) plan plus the certificates consumed — these must reach the
@@ -497,7 +489,7 @@ let elide_phys db ?audits (phys : Plan.Physical.t) :
     else begin
       let decisions =
         Analysis.Independence.analyze_plan ~catalog:db.catalog
-          ~audits:(audit_infos entries) phys
+          ~audits:(List.map (fun e -> e.info) entries) phys
       in
       db.last_elision <- decisions;
       let r = Analysis.Elide.apply ~decisions phys in
@@ -653,7 +645,15 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
         ~sensitive_table ~partition_by
     in
     let view = Audit_core.Sensitive_view.create db.catalog expr in
-    Hashtbl.replace db.audits (norm audit_name) { expr; view };
+    let info =
+      {
+        Analysis.Independence.name = expr.Audit_core.Audit_expr.name;
+        sensitive_table = expr.Audit_core.Audit_expr.sensitive_table;
+        partition_by = expr.Audit_core.Audit_expr.partition_by;
+        definition = expr.Audit_core.Audit_expr.definition;
+      }
+    in
+    Hashtbl.replace db.audits (norm audit_name) { expr; view; info };
     Done
       (Printf.sprintf "audit expression %s created (%d sensitive IDs)"
          audit_name

@@ -409,44 +409,18 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : bfactory =
   | Physical.Set_op { op; left; right } -> compile_set_op ctx op left right
   | Physical.Audit_probe { audit_name; id_col; child } ->
     let cf = compile ctx child in
-    let name = String.lowercase_ascii audit_name in
     let st = Metrics.find ctx.Exec_ctx.metrics plan in
     fun () ->
-      let sensitive =
-        match Exec_ctx.audit_ids ctx ~audit_name:name with
-        | Some s -> s
-        | None ->
-          raise
-            (Executor.Exec_error
-               (Printf.sprintf
-                  "audit operator for %s: sensitive-ID set not installed"
-                  audit_name))
-      in
+      let slot = Executor.audit_slot ctx audit_name in
       let c = cf () in
       fun () ->
         match c () with
         | None -> None
         | Some b ->
-          (* The probe loop runs over the whole chunk: one hash probe per
-             selected row, marking hits with the query generation. The
-             batch passes through unmodified — the no-filtering invariant
-             (§IV-A2) holds per chunk exactly as it does per row. *)
-          Batch.iter
-            (fun row ->
-              ctx.Exec_ctx.audit_probes <- ctx.Exec_ctx.audit_probes + 1;
-              (match st with
-              | Some s -> s.Metrics.probes <- s.Metrics.probes + 1
-              | None -> ());
-              match Value.Hashtbl_v.find_opt sensitive row.(id_col) with
-              | Some mark ->
-                ctx.Exec_ctx.audit_hits <- ctx.Exec_ctx.audit_hits + 1;
-                (match st with
-                | Some s -> s.Metrics.hits <- s.Metrics.hits + 1
-                | None -> ());
-                if !mark <> ctx.Exec_ctx.generation then
-                  mark := ctx.Exec_ctx.generation
-              | None -> ())
-            b;
+          (* One probe per selected row; the batch passes through
+             unmodified — the no-filtering invariant (§IV-A2) holds per
+             chunk exactly as it does per row. *)
+          Batch.iter (fun row -> Exec_ctx.probe ctx slot st row.(id_col)) b;
           Some b
 
 and compile_scan ctx table cols : bfactory =

@@ -13,8 +13,8 @@
     - {e budget accounting}: [note_scanned] per base-table row before the
       row is pushed, [note_materialized] at exactly the row engine's
       buffering points;
-    - {e audit evidence}: the probe is the same single hash lookup and
-      generation-mark store, inlined into the pipeline body;
+    - {e audit evidence}: the pipeline body calls the same
+      {!Exec_ctx.probe} the row engine does;
     - {e metrics}: nodes are registered in the row engine's registration
       order (pre-order; delegated subtrees register through
       {!Executor.compile} at the same traversal position) and per-node
@@ -323,38 +323,14 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
                 sink row
               end))
   | Physical.Audit_probe { audit_name; id_col; child } ->
-    let name = String.lowercase_ascii audit_name in
     let st = Metrics.find ctx.Exec_ctx.metrics plan in
     let cfact = compile ctx child in
     fun () ->
-      let sensitive =
-        match Exec_ctx.audit_ids ctx ~audit_name:name with
-        | Some s -> s
-        | None ->
-          raise
-            (Executor.Exec_error
-               (Printf.sprintf
-                  "audit operator for %s: sensitive-ID set not installed"
-                  audit_name))
-      in
+      let slot = Executor.audit_slot ctx audit_name in
       let csrc = cfact () in
       fun sink ->
         csrc (fun row ->
-            (* The inlined probe: one hash lookup, a hit stores the query
-               generation into the mark — never filters (§IV-A2). *)
-            ctx.Exec_ctx.audit_probes <- ctx.Exec_ctx.audit_probes + 1;
-            (match st with
-            | Some s -> s.Metrics.probes <- s.Metrics.probes + 1
-            | None -> ());
-            (match Value.Hashtbl_v.find_opt sensitive row.(id_col) with
-            | Some mark ->
-              ctx.Exec_ctx.audit_hits <- ctx.Exec_ctx.audit_hits + 1;
-              (match st with
-              | Some s -> s.Metrics.hits <- s.Metrics.hits + 1
-              | None -> ());
-              if !mark <> ctx.Exec_ctx.generation then
-                mark := ctx.Exec_ctx.generation
-            | None -> ());
+            Exec_ctx.probe ctx slot st row.(id_col);
             sink row)
 
 (* The base-table scan loop driving a pipeline: chunked row fills (no

@@ -15,6 +15,19 @@
 
 open Storage
 
+type audit_slot = {
+  mutable marks : int ref Value.Hashtbl_v.t;
+      (** sensitive ID -> generation mark, shared by every session of an
+          engine. The mark only deduplicates: it holds the generation of
+          the last statement that logged the ID. *)
+  mutable log : Value.t list;
+      (** IDs this statement accessed, newest first: a probe appends an
+          ID the first time the statement marks it, DML read-accesses
+          append the IDs they capture. Duplicates are possible (an ID that
+          left the view and re-entered it is marked afresh); the harvest
+          removes them. *)
+}
+
 type t = {
   catalog : Catalog.t;
   mutable session_id : int;
@@ -27,18 +40,12 @@ type t = {
   mutable hide : (string * int * Value.t) option;
       (** (table, column index, value): scans of that table skip matching
           rows — the virtual deletion behind Definition 2.3 *)
-  audit_sets : (string, int ref Value.Hashtbl_v.t) Hashtbl.t;
-      (** per audit expression: sensitive ID -> generation mark. A probe is
-          a single hash lookup; marking an accessed ID is an int store into
-          the probe table itself, exactly the paper's "IDs that are joined
-          are marked as auditIDs" (§IV-A2). *)
+  audit_sets : (string, audit_slot) Hashtbl.t;
+      (** per audit expression: the shared probe table plus this
+          session's ACCESSED log *)
   mutable generation : int;
-      (** current query generation; an ID is in ACCESSED iff its mark
-          equals this *)
-  extra_accessed : (string, unit Value.Hashtbl_v.t) Hashtbl.t;
-      (** accesses that cannot live as marks because the ID left the
-          sensitive view during the statement (e.g. DELETE of a sensitive
-          row, which *read* it first — §II-B) *)
+      (** current statement's generation, unique across every context in
+          the process; a mark equal to it means "already logged" *)
   mutable params : Tuple.t list;
   mutable interpret_exprs : bool;
       (** evaluate scalars with the {!Eval} reference interpreter instead
@@ -70,6 +77,13 @@ type t = {
           and audit log *)
 }
 
+(* Generations come from one process-wide counter: the probe tables are
+   shared across sessions, so a per-session count would let a mark left by
+   one session equal another session's current generation and hide a real
+   access from it. Marks start at 0, below every generation. *)
+let generations = Atomic.make 0
+let fresh_generation () = 1 + Atomic.fetch_and_add generations 1
+
 let create ?(session_id = 0) catalog =
   {
     catalog;
@@ -79,8 +93,7 @@ let create ?(session_id = 0) catalog =
     sql = "";
     hide = None;
     audit_sets = Hashtbl.create 4;
-    generation = 1;
-    extra_accessed = Hashtbl.create 4;
+    generation = fresh_generation ();
     params = [];
     interpret_exprs = false;
     audit_probes = 0;
@@ -98,18 +111,43 @@ let create ?(session_id = 0) catalog =
 
 let norm = String.lowercase_ascii
 
-(** Install the sensitive-ID mark table an audit operator probes. *)
-let set_audit_ids ctx ~audit_name ids =
-  Hashtbl.replace ctx.audit_sets (norm audit_name) ids
+let slot ctx key =
+  match Hashtbl.find_opt ctx.audit_sets key with
+  | Some s -> s
+  | None ->
+    let s = { marks = Value.Hashtbl_v.create 1; log = [] } in
+    Hashtbl.replace ctx.audit_sets key s;
+    s
 
-let audit_ids ctx ~audit_name =
-  Hashtbl.find_opt ctx.audit_sets (norm audit_name)
+(** Install the sensitive-ID mark table an audit operator probes. A
+    re-install mid-statement (trigger bodies re-install before running)
+    keeps the log. *)
+let set_audit_ids ctx ~audit_name marks = (slot ctx (norm audit_name)).marks <- marks
 
-(** Start a fresh query: bumping the generation invalidates every ACCESSED
-    mark in O(1). *)
+let audit_slot ctx ~audit_name = Hashtbl.find_opt ctx.audit_sets (norm audit_name)
+
+(** The audit operator's per-row body, shared by the row, batch and
+    compiled engines: one hash probe; a hit marks the ID and, the first
+    time this statement marks it, appends it to the log. Never filters
+    (§IV-A2). *)
+let probe ctx slot (st : Metrics.op_stats option) v =
+  ctx.audit_probes <- ctx.audit_probes + 1;
+  (match st with Some s -> s.Metrics.probes <- s.Metrics.probes + 1 | None -> ());
+  match Value.Hashtbl_v.find_opt slot.marks v with
+  | None -> ()
+  | Some mark ->
+    ctx.audit_hits <- ctx.audit_hits + 1;
+    (match st with Some s -> s.Metrics.hits <- s.Metrics.hits + 1 | None -> ());
+    if !mark <> ctx.generation then begin
+      mark := ctx.generation;
+      slot.log <- v :: slot.log
+    end
+
+(** Start a fresh query: a new generation turns every mark stale in O(1)
+    and the logs are emptied. *)
 let reset_query_state ctx =
-  ctx.generation <- ctx.generation + 1;
-  Hashtbl.reset ctx.extra_accessed;
+  ctx.generation <- fresh_generation ();
+  Hashtbl.iter (fun _ s -> s.log <- []) ctx.audit_sets;
   ctx.params <- [];
   ctx.audit_probes <- 0;
   ctx.audit_hits <- 0;
@@ -123,37 +161,15 @@ let reset_query_state ctx =
 (** Record an access for an ID that may no longer be in the sensitive view
     (DML read-accesses, §II-B). *)
 let add_extra_accessed ctx ~audit_name v =
-  let key = norm audit_name in
-  let tbl =
-    match Hashtbl.find_opt ctx.extra_accessed key with
-    | Some t -> t
-    | None ->
-      let t = Value.Hashtbl_v.create 8 in
-      Hashtbl.replace ctx.extra_accessed key t;
-      t
-  in
-  if not (Value.Hashtbl_v.mem tbl v) then Value.Hashtbl_v.add tbl v ()
+  let s = slot ctx (norm audit_name) in
+  s.log <- v :: s.log
 
-(** Sorted list of accessed IDs for an audit expression (current query). *)
+(** Sorted, duplicate-free ACCESSED IDs of an audit expression for the
+    current query: the log, never the whole probe table. *)
 let accessed_list ctx ~audit_name =
-  let marked =
-    match Hashtbl.find_opt ctx.audit_sets (norm audit_name) with
-    | None -> []
-    | Some marks ->
-      Value.Hashtbl_v.fold
-        (fun v r acc -> if !r = ctx.generation then v :: acc else acc)
-        marks []
-  in
-  let extra =
-    match Hashtbl.find_opt ctx.extra_accessed (norm audit_name) with
-    | None -> []
-    | Some tbl ->
-      Value.Hashtbl_v.fold
-        (fun v () acc ->
-          if List.exists (Value.equal v) marked then acc else v :: acc)
-        tbl []
-  in
-  List.sort Value.compare_total (extra @ marked)
+  match audit_slot ctx ~audit_name with
+  | None -> []
+  | Some s -> List.sort_uniq Value.compare_total s.log
 
 let accessed_count ctx ~audit_name =
   List.length (accessed_list ctx ~audit_name)

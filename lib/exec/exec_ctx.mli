@@ -5,11 +5,18 @@
 
     ACCESSED representation (§IV-A2): each audit expression's sensitive-ID
     table maps IDs to {e generation marks}. The audit operator records an
-    access by storing the current query generation into the probed entry —
-    probe-and-mark is one hash lookup — and bumping the generation
-    invalidates every mark in O(1). *)
+    access by storing the current statement's generation into the probed
+    entry — probe-and-mark is one hash lookup — and the first time a
+    statement marks an ID it also appends the ID to the statement's
+    ACCESSED log. The log, not the table, is what gets harvested, so the
+    harvest costs what the statement hit. Generations are unique across
+    every context in the process, so the shared tables never hide one
+    session's access behind another session's mark. *)
 
 open Storage
+
+(** An installed probe table plus this context's ACCESSED log for it. *)
+type audit_slot
 
 type t = {
   catalog : Catalog.t;
@@ -24,12 +31,12 @@ type t = {
       (** virtually delete the rows of [table] whose column equals the
           value — evaluates Q(D - t) for Definition 2.3 without mutating
           the database *)
-  audit_sets : (string, int ref Value.Hashtbl_v.t) Hashtbl.t;
-      (** per audit expression: sensitive ID -> generation mark *)
+  audit_sets : (string, audit_slot) Hashtbl.t;
+      (** per audit expression: the shared probe table and this context's
+          ACCESSED log *)
   mutable generation : int;
-  extra_accessed : (string, unit Value.Hashtbl_v.t) Hashtbl.t;
-      (** accesses whose ID left the sensitive view mid-statement (DML
-          read-accesses, §II-B) *)
+      (** the current statement's generation, drawn from a process-wide
+          counter *)
   mutable params : Tuple.t list;
       (** correlation stack: the nearest enclosing Apply's outer row is the
           head *)
@@ -60,22 +67,29 @@ type t = {
 val create : ?session_id:int -> Catalog.t -> t
 
 (** Install the sensitive-ID mark table an audit operator probes
-    (normally via [Db.Database.install_audit_sets]). *)
-val set_audit_ids :
-  t -> audit_name:string -> int ref Value.Hashtbl_v.t -> unit
+    (normally via [Db.Database.install_audit_sets]). Re-installing keeps
+    the statement's log. *)
+val set_audit_ids : t -> audit_name:string -> int ref Value.Hashtbl_v.t -> unit
 
-val audit_ids : t -> audit_name:string -> int ref Value.Hashtbl_v.t option
+val audit_slot : t -> audit_name:string -> audit_slot option
+
+(** The audit operator's per-row body, the one copy the row, batch and
+    compiled engines all call: count the probe (and in [stats]), look the
+    ID up, and on a hit mark it, logging it the first time this statement
+    marks it. Never filters. *)
+val probe : t -> audit_slot -> Metrics.op_stats option -> Value.t -> unit
 
 (** Record an access for an ID that may no longer be in the sensitive view
     (DML read-accesses, §II-B). *)
 val add_extra_accessed : t -> audit_name:string -> Value.t -> unit
 
-(** Start a fresh query: bumps the generation (clearing ACCESSED in O(1))
-    and resets the correlation stack and counters. *)
+(** Start a fresh query: draws a new generation (every mark turns stale
+    in O(1)), empties the logs and resets the correlation stack and
+    counters. *)
 val reset_query_state : t -> unit
 
-(** Sorted ACCESSED IDs of the current generation for an audit
-    expression. *)
+(** Sorted, duplicate-free ACCESSED IDs of the current statement for an
+    audit expression, read from the log. *)
 val accessed_list : t -> audit_name:string -> Value.t list
 
 val accessed_count : t -> audit_name:string -> int

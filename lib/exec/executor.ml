@@ -22,6 +22,17 @@ open Plan
 
 exception Exec_error of string
 
+(** The installed probe table and log an audit operator marks into,
+    resolved when its cursor opens. *)
+let audit_slot ctx audit_name =
+  match Exec_ctx.audit_slot ctx ~audit_name with
+  | Some s -> s
+  | None ->
+    raise
+      (Exec_error
+         (Printf.sprintf "audit operator for %s: sensitive-ID set not installed"
+            audit_name))
+
 type cursor = unit -> Tuple.t option
 type factory = unit -> cursor
 
@@ -290,39 +301,15 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
         next)
   | Physical.Audit_probe { audit_name; id_col; child } ->
     let cf = compile ctx child in
-    let name = String.lowercase_ascii audit_name in
     let st = Metrics.find ctx.Exec_ctx.metrics plan in
     fun () ->
-      let sensitive =
-        match Exec_ctx.audit_ids ctx ~audit_name:name with
-        | Some s -> s
-        | None ->
-          raise
-            (Exec_error
-               (Printf.sprintf
-                  "audit operator for %s: sensitive-ID set not installed"
-                  audit_name))
-      in
+      let slot = audit_slot ctx audit_name in
       let c = cf () in
       fun () ->
         match c () with
         | None -> None
         | Some row ->
-          ctx.Exec_ctx.audit_probes <- ctx.Exec_ctx.audit_probes + 1;
-          (match st with
-          | Some s -> s.Metrics.probes <- s.Metrics.probes + 1
-          | None -> ());
-          (* One hash probe per row; a hit marks the ID as accessed by
-             storing the query generation into the probe table entry. *)
-          (match Value.Hashtbl_v.find_opt sensitive row.(id_col) with
-          | Some mark ->
-            ctx.Exec_ctx.audit_hits <- ctx.Exec_ctx.audit_hits + 1;
-            (match st with
-            | Some s -> s.Metrics.hits <- s.Metrics.hits + 1
-            | None -> ());
-            if !mark <> ctx.Exec_ctx.generation then
-              mark := ctx.Exec_ctx.generation
-          | None -> ());
+          Exec_ctx.probe ctx slot st row.(id_col);
           Some row
 
 and compile_scan ctx table cols : factory =
@@ -505,34 +492,14 @@ and compile_inl_join ctx kind ~left ~left_key ~table ~base_col ~cols ~chain
       (fun cop ->
         match cop with
         | `Static f -> f
-        | `Audit (audit_name, id_col, st) -> (
-          let name = String.lowercase_ascii audit_name in
-          match Exec_ctx.audit_ids ctx ~audit_name:name with
-          | None ->
-            raise
-              (Exec_error
-                 (Printf.sprintf
-                    "audit operator for %s: sensitive-ID set not installed"
-                    audit_name))
-          | Some sensitive ->
-            fun row ->
-              ctx.Exec_ctx.audit_probes <- ctx.Exec_ctx.audit_probes + 1;
-              (match st with
-              | Some s -> s.Metrics.probes <- s.Metrics.probes + 1
-              | None -> ());
-              (match Value.Hashtbl_v.find_opt sensitive row.(id_col) with
-              | Some mark ->
-                ctx.Exec_ctx.audit_hits <- ctx.Exec_ctx.audit_hits + 1;
-                (match st with
-                | Some s -> s.Metrics.hits <- s.Metrics.hits + 1
-                | None -> ());
-                if !mark <> ctx.Exec_ctx.generation then
-                  mark := ctx.Exec_ctx.generation
-              | None -> ());
-              (match st with
-              | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
-              | None -> ());
-              Some row))
+        | `Audit (audit_name, id_col, st) ->
+          let slot = audit_slot ctx audit_name in
+          fun row ->
+            Exec_ctx.probe ctx slot st row.(id_col);
+            (match st with
+            | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
+            | None -> ());
+            Some row)
       compiled_ops
   in
   let through_chain base_row =

@@ -5,14 +5,18 @@
     {!Plan.Physical.plan_of_logical} — and compiles each plan's scalar
     expressions once via {!Expr_compile}. [compile] returns a cursor
     {e factory}; invoking it opens a fresh execution. The physical audit
-    operator (§IV-A2) lives here: a single hash probe per row into the
-    audit expression's sensitive-ID table, marking hits with the current
-    query generation — it never filters, so instrumented plans return
-    exactly the plain plan's rows. *)
+    operator (§IV-A2) calls {!Exec_ctx.probe} once per row: a single hash
+    probe into the audit expression's sensitive-ID table that marks and
+    logs hits — it never filters, so instrumented plans return exactly
+    the plain plan's rows. *)
 
 open Storage
 
 exception Exec_error of string
+
+(** The installed probe table an audit operator marks into; raises
+    {!Exec_error} when the audit's sensitive-ID set is not installed. *)
+val audit_slot : Exec_ctx.t -> string -> Exec_ctx.audit_slot
 
 type cursor = unit -> Tuple.t option
 type factory = unit -> cursor

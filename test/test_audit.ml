@@ -170,6 +170,42 @@ let prop_maintenance_matches_recompute =
       let recomputed = Audit_core.Sensitive_view.to_list v in
       maintained = recomputed)
 
+(* --------------------------------------------------------------- *)
+(* Sessions sharing one engine                                      *)
+(* --------------------------------------------------------------- *)
+
+(* Sessions share every audit's probe table. A mark one session leaves
+   must never count as another session's access (B's trigger firing on a
+   row B never read), nor hide one (B's read of a row A marked going
+   unrecorded). Both sessions run the same number of statements, so
+   per-session generation counters would collide. *)
+let test_sessions_keep_accessed_apart () =
+  let root = Fixtures.healthcare_with_alice () in
+  ignore
+    (Db.Database.exec root
+       "CREATE TRIGGER w ON ACCESS TO audit_alice AS NOTIFY 'seen'");
+  let a = Db.Database.create_session ~session_id:1 root in
+  let b = Db.Database.create_session ~session_id:2 root in
+  let read db id =
+    ignore
+      (Db.Database.exec db
+         (Printf.sprintf "SELECT name FROM patients WHERE patientid = %d" id))
+  in
+  let accessed = Alcotest.(list (pair string Fixtures.values)) in
+  let alice = [ ("audit_alice", [ vi 1 ]) ] in
+  read a 1;
+  check accessed "A read Alice" alice (Db.Database.last_accessed a);
+  read b 3;
+  check accessed "B read only Carol" [] (Db.Database.last_accessed b);
+  check Alcotest.(list string) "B's trigger did not fire" []
+    (Db.Database.notifications b);
+  read a 1;
+  read b 1;
+  check accessed "B's read of Alice is audited" alice
+    (Db.Database.last_accessed b);
+  check Alcotest.(list string) "B's trigger fired" [ "seen" ]
+    (Db.Database.notifications b)
+
 let suite =
   [
     Alcotest.test_case "validation rules" `Quick test_validation;
@@ -185,4 +221,6 @@ let suite =
     Alcotest.test_case "join view refreshes on other tables" `Quick
       test_join_view_refresh_on_other_table;
     QCheck_alcotest.to_alcotest prop_maintenance_matches_recompute;
+    Alcotest.test_case "sessions keep ACCESSED apart" `Quick
+      test_sessions_keep_accessed_apart;
   ]

@@ -292,6 +292,160 @@ let test_notification_parity () =
     dbs
 
 (* --------------------------------------------------------------- *)
+(* Evidence parity: ACCESSED is harvested from the statement's log  *)
+(* --------------------------------------------------------------- *)
+
+(* Two audits over [patients]: audit_old is single-table (maintained
+   incrementally, so DELETE/UPDATE drop IDs from its probe table), and
+   audit_consent joins [consent] (a change there recomputes its probe
+   table, resetting every mark). [cascade] reads more sensitive rows from
+   a trigger body; [revoke] takes marked IDs out of both views in the
+   middle of the statement that marked them. *)
+let evidence_stmts ~ages ~zips ~oks =
+  let n = Array.length ages in
+  [
+    "CREATE TABLE patients (pid INT PRIMARY KEY, age INT, zip INT)";
+    "CREATE TABLE consent (pid INT PRIMARY KEY, ok INT)";
+    "CREATE TABLE trail (pid INT)";
+  ]
+  @ List.init n (fun i ->
+        Printf.sprintf "INSERT INTO patients VALUES (%d,%d,%d)" (i + 1)
+          ages.(i) zips.(i))
+  @ List.init n (fun i ->
+        Printf.sprintf "INSERT INTO consent VALUES (%d,%d)" (i + 1) oks.(i))
+  @ [
+      "CREATE AUDIT EXPRESSION audit_old AS SELECT * FROM patients WHERE \
+       age >= 5 FOR SENSITIVE TABLE patients, PARTITION BY pid";
+      "CREATE AUDIT EXPRESSION audit_consent AS SELECT p.* FROM patients p, \
+       consent c WHERE p.pid = c.pid AND c.ok = 1 FOR SENSITIVE TABLE \
+       patients, PARTITION BY pid";
+      "CREATE TRIGGER cascade ON ACCESS TO audit_old AS INSERT INTO trail \
+       SELECT pid FROM patients WHERE zip = 2";
+      "CREATE TRIGGER revoke ON ACCESS TO audit_consent AS BEGIN UPDATE \
+       consent SET ok = 0 WHERE pid <= 6; DELETE FROM patients WHERE pid = \
+       3; INSERT INTO trail SELECT pid FROM patients WHERE pid = 12; END";
+    ]
+
+let evidence_queries =
+  [
+    "SELECT pid, age FROM patients WHERE zip = 1";
+    "SELECT p.pid FROM patients p, consent c WHERE p.pid = c.pid AND c.ok = 1";
+    "UPDATE patients SET age = 1 WHERE pid = 7";
+    "DELETE FROM patients WHERE pid = 8";
+    "SELECT count(*) FROM patients WHERE age > 2";
+  ]
+
+let evidence_audits = [ "audit_old"; "audit_consent" ]
+
+(* What the pre-log harvest reported for the statement that just ran: the
+   probe-table entries whose mark carries the statement's generation. *)
+let marked_now db name =
+  let gen = (Db.Database.context db).Exec.Exec_ctx.generation in
+  Storage.Value.Hashtbl_v.fold
+    (fun id mark acc -> if !mark = gen then id :: acc else acc)
+    (Db.Database.audit_view db name).Audit_core.Sensitive_view.ids []
+  |> List.sort Storage.Value.compare_total
+
+(** Replay [evidence_queries] through [exec] with deferred evidence; per
+    statement, the rendered evidence records plus, per audit, the
+    harvested ACCESSED and what the mark-table scan would have said. *)
+let evidence_outcome db mode =
+  Db.Database.set_exec_mode db mode;
+  Db.Database.set_deferred_evidence db true;
+  List.map
+    (fun sql ->
+      let status =
+        match Db.Database.exec db sql with
+        | _ -> "ok"
+        | exception e -> Printexc.to_string e
+      in
+      let records =
+        List.map Audit_log.Wal.record_to_string
+          (Db.Database.take_pending_evidence db)
+      in
+      let ctx = Db.Database.context db in
+      let per_audit =
+        List.map
+          (fun a ->
+            (a, Exec.Exec_ctx.accessed_list ctx ~audit_name:a, marked_now db a))
+          evidence_audits
+      in
+      (status :: records, per_audit))
+    evidence_queries
+
+(** Every engine x storage against row/heap: byte-equal evidence, and no
+    ID the mark-table scan would have reported missing from ACCESSED.
+    Returns the oracle's per-statement outcome. *)
+let check_evidence_matrix ~label stmts =
+  let oracle = evidence_outcome (mk_db Storage.Table.Heap stmts) `Row in
+  List.iter
+    (fun (sname, storage) ->
+      List.iter
+        (fun (mname, mode) ->
+          let got = evidence_outcome (mk_db storage stmts) mode in
+          List.iteri
+            (fun i ((records, per_audit), (oracle_records, _)) ->
+              let q = List.nth evidence_queries i in
+              let l = Printf.sprintf "%s [%s %s] %s" label sname mname q in
+              Alcotest.(check (list string))
+                ("evidence " ^ l) oracle_records records;
+              List.iter
+                (fun (a, accessed, scanned) ->
+                  List.iter
+                    (fun id ->
+                      if not (List.exists (Storage.Value.equal id) accessed)
+                      then
+                        Alcotest.failf "%s: %s lost %s reported by the scan" l
+                          a (Storage.Value.to_string id))
+                    scanned)
+                per_audit)
+            (List.combine got oracle))
+        modes)
+    [ ("heap", Storage.Table.Heap); ("columnar", Storage.Table.Columnar) ];
+  oracle
+
+let test_evidence_parity () =
+  let ages = Array.init 12 (fun i -> (i + 1) * 7 mod 10) in
+  let zips = Array.init 12 (fun i -> (i + 1) mod 3) in
+  let oks = Array.init 12 (fun i -> (i + 1) mod 2) in
+  let oracle = check_evidence_matrix ~label:"fixed" (evidence_stmts ~ages ~zips ~oks) in
+  let per_audit i a =
+    let _, per = List.nth oracle i in
+    let _, accessed, scanned = List.find (fun (a', _, _) -> a' = a) per in
+    (accessed, scanned)
+  in
+  let ints = List.map (fun i -> Storage.Value.Int i) in
+  (* zip = 1 reads 1, 4, 7, 10; the cascade's zip = 2 read adds 5, 8, 11
+     (age >= 5), which only the trigger body touched. *)
+  Alcotest.(check Fixtures.values)
+    "audit_old evidence includes the cascade's reads" (ints [ 1; 4; 5; 7; 8; 11 ])
+    (fst (per_audit 0 "audit_old"));
+  (* revoke recomputes audit_consent's probe table mid-statement, so the
+     marks of 1 and 7 (read by the query) and 5 and 11 (read by the
+     cascade) are gone; the log still has them. *)
+  Alcotest.(check Fixtures.values)
+    "audit_consent keeps IDs whose marks were reset" (ints [ 1; 5; 7; 11 ])
+    (fst (per_audit 0 "audit_consent"));
+  Alcotest.(check bool) "the scan would have lost some of them" true
+    (List.length (snd (per_audit 0 "audit_consent")) < 4);
+  (* The DML read-accesses (§II-B): UPDATE and DELETE take 7 and 8 out of
+     audit_old's view, and still report them. *)
+  Alcotest.(check bool) "UPDATE reports the row it moved out" true
+    (List.mem (Storage.Value.Int 7) (fst (per_audit 2 "audit_old")));
+  Alcotest.(check bool) "DELETE reports the row it removed" true
+    (List.mem (Storage.Value.Int 8) (fst (per_audit 3 "audit_old")));
+  for seed = 1 to 12 do
+    let st = Random.State.make [| 0xacce55; seed |] in
+    let n = 4 + Random.State.int st 9 in
+    let rand k = Array.init n (fun _ -> Random.State.int st k) in
+    let ages = rand 10 and zips = rand 3 and oks = rand 2 in
+    ignore
+      (check_evidence_matrix
+         ~label:(Printf.sprintf "seed %d" seed)
+         (evidence_stmts ~ages ~zips ~oks))
+  done
+
+(* --------------------------------------------------------------- *)
 (* Budget parity: batch mode charges budgets per row within a chunk *)
 (* --------------------------------------------------------------- *)
 
@@ -368,6 +522,10 @@ let suite =
     Alcotest.test_case
       "notifications byte-equal through exec in every engine x storage" `Quick
       test_notification_parity;
+    Alcotest.test_case
+      "ACCESSED evidence byte-equal in every engine x storage, through \
+       trigger cascades and mid-statement DML, never below the mark scan"
+      `Quick test_evidence_parity;
     Alcotest.test_case "row budget cancels at the same row in every mode"
       `Quick test_row_budget_parity;
     Alcotest.test_case "memory budget cancels at the same tuple in every mode"

@@ -469,9 +469,79 @@ let prop_certificates_replay =
             <> Analysis.Independence.Independent)
         (Db.Database.last_elision db))
 
+(* --------------------------------------------------------------- *)
+(* The cached audit side                                            *)
+(* --------------------------------------------------------------- *)
+
+(** The analysis builds each audit expression's side once and reuses it.
+    A re-created expression, or a sensitive table re-created with another
+    column order, must rebuild it: a stale side would certify a probe on
+    rows that are sensitive — a false negative. *)
+let test_cached_audit_side_invalidated () =
+  let db = Db.Database.create () in
+  Db.Database.set_elision_mode db Db.Database.Elide_certified;
+  Db.Database.set_verify_plans db Db.Database.Strict;
+  let e sql = ignore (Db.Database.exec db sql) in
+  let load columns row =
+    e (Printf.sprintf "CREATE TABLE customer (%s)" columns);
+    List.iter
+      (fun (k, name, seg) -> e (Printf.sprintf "INSERT INTO customer VALUES %s" (row k name seg)))
+      [ (1, "a", "BUILDING"); (2, "b", "AUTOMOBILE"); (3, "c", "MACHINERY") ]
+  in
+  load "c_custkey INT PRIMARY KEY, c_name VARCHAR, c_mktsegment VARCHAR"
+    (Printf.sprintf "(%d, '%s', '%s')");
+  e (Tpch.Queries.audit_segment ());
+  e "CREATE TRIGGER w ON ACCESS TO audit_customer AS NOTIFY 'seen'";
+  let vt =
+    testable (Fmt.of_to_string Analysis.Independence.string_of_verdict) ( = )
+  in
+  let run sql =
+    Db.Database.clear_notifications db;
+    e sql;
+    let verdicts =
+      List.map
+        (fun d -> d.Analysis.Independence.verdict)
+        (Db.Database.last_elision db)
+    in
+    (verdicts, accessed db "audit_customer", Db.Database.notifications db)
+  in
+  let automobile = "SELECT * FROM customer WHERE c_mktsegment = 'AUTOMOBILE'" in
+  let v, acc, _ = run automobile in
+  check (list vt) "BUILDING audit: AUTOMOBILE read certified"
+    [ Analysis.Independence.Independent ] v;
+  check Fixtures.values "nothing accessed" [] acc;
+  e "DROP AUDIT EXPRESSION audit_customer";
+  e (Tpch.Queries.audit_segment ~segment:"AUTOMOBILE" ());
+  let v, acc, notes = run automobile in
+  check (list vt) "re-created audit: the probe is kept"
+    [ Analysis.Independence.Overlapping ] v;
+  check Fixtures.values "customer 2 accessed" [ Value.Int 2 ] acc;
+  check (list string) "trigger fired" [ "seen" ] notes;
+  (* Same expression, sensitive table re-created with c_mktsegment and
+     c_name swapped. Against the old positions, c_name = 'b' would meet
+     the audit's {AUTOMOBILE} and certify the probe. *)
+  e "DROP TABLE customer";
+  load "c_custkey INT PRIMARY KEY, c_mktsegment VARCHAR, c_name VARCHAR"
+    (fun k name seg -> Printf.sprintf "(%d, '%s', '%s')" k seg name);
+  let v, acc, notes =
+    run
+      "SELECT * FROM customer WHERE c_mktsegment = 'AUTOMOBILE' AND c_name \
+       = 'b'"
+  in
+  check (list vt) "re-created table: the probe is kept"
+    [ Analysis.Independence.Overlapping ] v;
+  check Fixtures.values "customer 2 accessed again" [ Value.Int 2 ] acc;
+  check (list string) "trigger fired again" [ "seen" ] notes;
+  let v, acc, _ = run "SELECT * FROM customer WHERE c_mktsegment = 'BUILDING'" in
+  check (list vt) "new layout still certifies a disjoint read"
+    [ Analysis.Independence.Independent ] v;
+  check Fixtures.values "and it accessed nothing" [] acc
+
 let suite =
   [
     test_case "analyzer verdicts" `Quick test_verdicts;
+    test_case "cached audit side is rebuilt on re-creation" `Quick
+      test_cached_audit_side_invalidated;
     test_case "certificates replay" `Quick test_certificate_replays;
     test_case "rewrite strips only certified probes" `Quick
       test_elide_strips_certified;
