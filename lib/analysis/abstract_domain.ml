@@ -1,4 +1,4 @@
-(** Per-column abstract domain for the static (FGA-style) analyzer.
+(** Per-column abstract domain for the independence analysis.
 
     An abstract value over-approximates the set of SQL values a column may
     take in any row satisfying a predicate. The lattice is
@@ -83,7 +83,6 @@ let lt v = range ~hi:(v, false) ()
 let le v = range ~hi:(v, true) ()
 let gt v = range ~lo:(v, false) ()
 let ge v = range ~lo:(v, true) ()
-let between l h = range ~lo:(l, true) ~hi:(h, true) ()
 
 (** Successor of a string prefix: the least string that is not
     prefix-extended from [p] — ["abc"] -> ["abd"]. [None] when every byte
@@ -192,10 +191,6 @@ let join a b =
     | _ -> assert false (* Bot handled above *))
 
 let is_bot = function Bot -> true | _ -> false
-
-(** Does the abstract value admit at least one concrete value? ([Range]
-    normalization guarantees non-[Bot] values are satisfiable.) *)
-let satisfiable a = not (is_bot a)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

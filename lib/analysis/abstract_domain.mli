@@ -1,4 +1,4 @@
-(** Per-column abstract domain for the static (FGA-style) analyzer: finite
+(** Per-column abstract domain for the independence analysis: finite
     sets, intervals over the total value order, and constant-LIKE prefix
     ranges, with exact meet (conjunction) and hull-widened join
     (disjunction). Everything uninterpretable must map to [Top] —
@@ -16,17 +16,15 @@ type t =
       (** interval minus finitely many excluded points *)
 
 (** {1 Constructors} (all normalizing: empty sets and crossed bounds
-    collapse to [Bot], the degenerate interval to a singleton) *)
+    collapse to [Bot]) *)
 
 val fin : Value.t list -> t
-val range : ?lo:bound -> ?hi:bound -> ?excl:Value.t list -> unit -> t
 val eq : Value.t -> t
 val neq : Value.t -> t
 val lt : Value.t -> t
 val le : Value.t -> t
 val gt : Value.t -> t
 val ge : Value.t -> t
-val between : Value.t -> Value.t -> t
 
 (** Constant [LIKE 'p%']: the string interval [\[p, next_prefix p)]. *)
 val prefix : string -> t
@@ -40,5 +38,4 @@ val meet : t -> t -> t
 val join : t -> t -> t
 
 val is_bot : t -> bool
-val satisfiable : t -> bool
 val to_string : t -> string

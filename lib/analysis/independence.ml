@@ -1,8 +1,9 @@
 (** Per-probe trigger–query independence on the physical plan. See the
-    interface for the soundness argument; the shape mirrors {!Fga}'s
-    AST-level abstraction, re-done over compiled {!Plan.Scalar.t}
-    predicates with positional columns, plus a scan-to-probe walk that
-    projects every constraint back onto the covered scan's base schema. *)
+    interface for the soundness argument: compiled {!Plan.Scalar.t}
+    predicates are abstracted with positional columns, and a
+    scan-to-probe walk projects every constraint back onto the covered
+    scan's base schema. The same walk over the audit definition's own
+    plan yields the audit side. *)
 
 open Storage
 module AD = Abstract_domain
@@ -35,7 +36,7 @@ type decision = {
 let norm = String.lowercase_ascii
 
 (* ------------------------------------------------------------------ *)
-(* Scalar predicate abstraction (positional mirror of Fga.eval_pred)    *)
+(* Scalar predicate abstraction                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Imap = Map.Make (Int)
@@ -76,7 +77,8 @@ let rec const_of (e : Scalar.t) : Value.t option =
   | _ -> None
 
 (* [col_side e = Some (i, inv)] means  e cmp k ⟺ Col i cmp (inv k) —
-   integer shifts only, as in {!Fga.col_side} (monotone, order-preserving). *)
+   integer shifts only: adding an integer constant is injective and
+   order-preserving, so every comparison transfers unchanged. *)
 let rec col_side (e : Scalar.t) : (int * (Value.t -> Value.t option)) option =
   let shift op a b =
     match (col_side a, const_of b) with
@@ -590,15 +592,30 @@ type audit_side = {
   aenv : AD.t array;
 }
 
-(* A built audit side, valid while every table it was derived from is
-   still the catalog entry it was built against. *)
-type cached_side = {
-  info : audit_info;  (** compared by physical identity *)
-  deps : (string * Table.t option) list;
-  side : (audit_side, string) result;  (** [Error] = reason for Unknown *)
-}
+(* Plan the audit definition through the statement pipeline. A definition
+   that no longer binds (one of its tables was dropped, or re-created
+   without a column it names) has no side: its probes stay. *)
+let plan_definition ~catalog (info : audit_info) : (P.t, string) result =
+  match
+    Plan.Binder.query catalog info.definition
+    |> Plan.Optimizer.logical_optimize ~catalog
+    |> P.plan_of_logical ~catalog
+  with
+  | def -> Ok def
+  | exception
+      ( Plan.Binder.Bind_error m
+      | Catalog.Unknown_table m
+      | Schema.Unknown_column m
+      | Schema.Ambiguous_column m ) ->
+    Error (Printf.sprintf "definition of %s does not plan: %s" info.name m)
 
-let build_side ~catalog (info : audit_info) : (audit_side, string) result =
+(* The side, and the catalog entries it was derived from: every table
+   the definition's plan scans. The constraints are those the scan walk
+   proves of the rows of the definition's one sensitive scan that reach
+   its output — exactly the rows whose keys are sensitive. Any other
+   number of sensitive scans leaves the side all-Top. *)
+let build_side ~catalog (info : audit_info) :
+    (audit_side * (string * Table.t) list, string) result =
   match Catalog.find_opt catalog info.sensitive_table with
   | None ->
     Error (Printf.sprintf "sensitive table %s not in catalog" info.sensitive_table)
@@ -610,22 +627,42 @@ let build_side ~catalog (info : audit_info) : (audit_side, string) result =
         (Printf.sprintf "partition key %s not in schema of %s" info.partition_by
            info.sensitive_table)
     | Some ppos ->
-      let aenv = Array.make (Schema.arity schema) AD.Top in
-      List.iter
-        (fun (name, d) ->
-          match partition_index schema name with
-          | Some i -> aenv.(i) <- AD.meet aenv.(i) d
-          | None -> ())
-        (Fga.audit_env catalog ~sensitive_table:info.sensitive_table
-           ~definition:info.definition);
-      Ok { schema; ppos; key_unique = Table.key table = Some ppos; aenv })
+      Result.map
+        (fun def ->
+          let aenv =
+            match walk ~sensitive:(norm info.sensitive_table) def with
+            | [ t ] -> t.src.base_env
+            | _ -> Array.make (Schema.arity schema) AD.Top
+          in
+          let scanned =
+            List.filter_map
+              (fun (s : P.t) ->
+                match s.P.op with
+                | P.Seq_scan { table; _ } -> Some (norm table)
+                | _ -> None)
+              (scans_preorder def)
+          in
+          ( { schema; ppos; key_unique = Table.key table = Some ppos; aenv },
+            List.sort_uniq String.compare (norm info.sensitive_table :: scanned)
+            |> List.map (fun name -> (name, Catalog.find catalog name)) ))
+        (plan_definition ~catalog info))
 
-(* Abstract-interpreting the definition costs more than analysing a small
-   statement, so each audit expression's side is built once and reused.
-   The key is the [audit_info] itself (callers keep one per expression; a
-   dropped and re-created expression gets a new one). A table that is
-   dropped and re-created (possibly with another column order) is a new
-   catalog entry, which rebuilds the side. Bounded, newest first. *)
+(* A built audit side, valid while every table it was derived from is
+   still the catalog entry it was built against. *)
+type cached_side = {
+  info : audit_info;  (** compared by physical identity *)
+  deps : (string * Table.t) list;
+  side : audit_side;
+}
+
+(* Planning and abstract-interpreting the definition costs more than
+   analysing a small statement, so each audit expression's side is built
+   once and reused. The key is the [audit_info] itself (callers keep one
+   per expression; a dropped and re-created expression gets a new one). A
+   table that is dropped and re-created (possibly with another column
+   order) is a new catalog entry, which rebuilds the side. A failed build
+   is not cached: it is retried until the catalog lets it succeed.
+   Bounded, newest first. *)
 let side_cache : cached_side list ref = ref []
 let side_cache_size = 16
 
@@ -634,27 +671,23 @@ let audit_side ~catalog (info : audit_info) : (audit_side, string) result =
     c.info == info
     && List.for_all
          (fun (name, t) ->
-           match (Catalog.find_opt catalog name, t) with
-           | Some a, Some b -> a == b
-           | None, None -> true
-           | _ -> false)
+           match Catalog.find_opt catalog name with
+           | Some t' -> t' == t
+           | None -> false)
          c.deps
   in
   match List.find_opt current !side_cache with
-  | Some c -> c.side
+  | Some c -> Ok c.side
   | None ->
-    let deps =
-      List.map
-        (fun name -> (name, Catalog.find_opt catalog name))
-        (info.sensitive_table :: Fga.audit_env_tables info.definition)
-    in
-    let c = { info; deps; side = build_side ~catalog info } in
-    side_cache :=
-      c
-      :: List.filteri
-           (fun i c' -> i < side_cache_size - 1 && c'.info != info)
-           !side_cache;
-    c.side
+    Result.map
+      (fun (side, deps) ->
+        side_cache :=
+          { info; deps; side }
+          :: List.filteri
+               (fun i c' -> i < side_cache_size - 1 && c'.info != info)
+               !side_cache;
+        side)
+      (build_side ~catalog info)
 
 let analyze_plan ~catalog ~(audits : audit_info list) (plan : P.t) :
     decision list =

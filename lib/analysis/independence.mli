@@ -1,8 +1,8 @@
-(** Per-probe trigger–query independence analysis.
-
-    {!Fga} decides whole queries at the AST level; elision needs a finer
-    and placement-aware question: {e can this particular audit operator,
-    at its position in the physical plan, ever record evidence?} Only the
+(** Per-probe trigger–query independence analysis — the repository's one
+    abstract interpreter. Elision and the static FGA baseline
+    ([Db.Database.fga_verdict]) both ask it the same placement-aware
+    question: {e can this particular audit operator, at its position in
+    the physical plan, ever record evidence?} Only the
     predicates enforced {b below} the probe on the path to its covered
     scan restrict the rows that reach it — a leaf probe sits under the
     join constraints a higher probe would benefit from — so the analysis
@@ -11,8 +11,8 @@
     {!Abstract_domain} values over the covered scan's base schema
     (propagating constraints across equi-join keys, semi-join membership
     and index-lookup equalities), intersects them with the audit
-    expression's own abstraction of the sensitive rows
-    ({!Fga.audit_env}), and classifies the probe:
+    expression's own abstraction of the sensitive rows, and classifies
+    the probe:
 
     - [Independent] — some column's intersection is [Bot] along every
       path feeding the probe, so no sensitive row can reach it; a
@@ -27,7 +27,15 @@
     column itself is unconditionally sound; any {e other} column may
     witness only when the partition key is the table's primary key
     (recorded in the certificate as [key_unique]), since otherwise two
-    different sensitive rows can share an ID. *)
+    different sensitive rows can share an ID.
+
+    The audit side comes from the same machinery: the definition is
+    planned (bind, logical optimization, lowering) and the scan walk's
+    constraints on its single sensitive scan, over the base schema, are
+    what every sensitive row satisfies. A definition that scans the
+    sensitive table more than once leaves the side unconstrained; one
+    that no longer plans against the catalog makes its probes
+    [Unknown]. *)
 
 module AD = Abstract_domain
 module P = Plan.Physical
@@ -36,13 +44,13 @@ type verdict = Independent | Overlapping | Unknown
 
 val string_of_verdict : verdict -> string
 
-(** What the analysis needs to know about one audit expression — the
-    same fields {!Fga} takes, passed explicitly so this library stays
-    below [audit_core]. Keep one record per audit expression: the
-    expression's audit side (its {!Fga.audit_env}, mapped to column
-    positions) is built the first time a record is analysed and reused
-    for that same record, until a table it was derived from is replaced
-    in the catalog. *)
+(** What the analysis needs to know about one audit expression, passed
+    explicitly so this library stays below [audit_core]. Keep one record
+    per audit expression: the expression's audit side is built the first
+    time a record is analysed and reused for that same record, until a
+    table its definition's plan scans is replaced in the catalog. A side
+    that fails to build is not kept, so it is retried on the next
+    analysis. *)
 type audit_info = {
   name : string;
   sensitive_table : string;

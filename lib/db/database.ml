@@ -549,6 +549,36 @@ let verify_query db ?heuristic ?audits (q : Sql.Ast.query) :
 let verify_sql db ?heuristic ?audits sql =
   verify_query db ?heuristic ?audits (Sql.Parser.query sql)
 
+(* ------------------------------------------------------------------ *)
+(* Static auditing baseline (Oracle FGA style, §VI)                   *)
+(* ------------------------------------------------------------------ *)
+
+type fga_verdict = May_access | No_access
+
+let string_of_fga_verdict = function
+  | May_access -> "MAY-ACCESS"
+  | No_access -> "NO-ACCESS"
+
+(* Hcn, not the session heuristic: a Leaf probe sits below the equi-join
+   whose key transfer rules some reads out. *)
+let fga_verdict db ~audit (q : Sql.Ast.query) : fga_verdict =
+  let phys =
+    physical db
+      (plan_query db ~heuristic:Audit_core.Placement.Hcn ~audits:[ audit ]
+         ~prune:false q)
+  in
+  let decisions =
+    Analysis.Independence.analyze_plan ~catalog:db.catalog
+      ~audits:[ (audit_entry db audit).info ] phys
+  in
+  if
+    List.for_all
+      (fun (d : Analysis.Independence.decision) ->
+        d.verdict = Analysis.Independence.Independent)
+      decisions
+  then No_access
+  else May_access
+
 (* Apply the session verification policy to an already-compiled statement
    (both trees are at hand in the execution paths, so nothing is planned
    twice). *)

@@ -268,6 +268,20 @@ val verify_sql :
   string ->
   Analysis.Plan_verify.violation list
 
+(** {1 Static auditing baseline (Oracle FGA style, §VI / Example 6.1)} *)
+
+type fga_verdict = May_access | No_access
+
+val string_of_fga_verdict : fga_verdict -> string
+
+(** Instance-independent verdict: can [q] read a row of [audit]'s
+    sensitive rows? [q] is planned with that one audit expression at
+    [Hcn] placement, without column pruning, and lowered; the verdict is
+    [No_access] iff the independence analysis classifies every probe
+    [Independent]. A query that never reads the sensitive table has no
+    probes and gets [No_access]. Nothing is executed. *)
+val fga_verdict : t -> audit:string -> Sql.Ast.query -> fga_verdict
+
 (** Install every audit expression's sensitive-ID table into the execution
     context (required before running an instrumented plan directly). *)
 val install_audit_sets : t -> unit

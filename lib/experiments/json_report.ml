@@ -220,9 +220,7 @@ let ablation_static_json (rows : Figures.static_row list) : Json.t =
            [
              ("query", Json.Str r.Figures.st_query);
              ( "static_verdict",
-               Json.Str
-                 (Audit_core.Static_analyzer.string_of_verdict r.st_verdict)
-             );
+               Json.Str (Db.Database.string_of_fga_verdict r.st_verdict) );
              ("offline_accessed_ids", Json.Int r.st_offline);
              ("hcn_audit_ids", Json.Int r.st_hcn);
            ])
@@ -488,15 +486,16 @@ let micro_json (rows : (string * float option) list) : Json.t =
        rows)
 
 (* --------------------------------------------------------------- *)
-(* FGA precision: abstract-domain analyzer vs the legacy baseline   *)
+(* FGA precision: plan-based analysis vs the legacy baseline       *)
 (* --------------------------------------------------------------- *)
 
-(** Per-query verdicts plus the summary CI gates on: the abstract-domain
-    analyzer's false-positive rate must sit strictly below the legacy
-    analyzer's, with zero false negatives for either (a NO-ACCESS verdict
-    on a query whose audit operator accessed rows would be unsound). *)
+(** Per-query verdicts plus the summary CI gates on: the plan-based
+    analysis's false-positive rate must sit strictly below the legacy
+    analyzer's (recorded in {!Figures.fga_legacy_verdicts}), with zero
+    false negatives for either (a NO-ACCESS verdict on a query whose audit
+    operator accessed rows would be unsound). *)
 let fga_precision_json (rows : Figures.fga_row list) : Json.t =
-  let may v = v = Audit_core.Static_analyzer.May_access in
+  let may v = v = Db.Database.May_access in
   let truth_zero = List.filter (fun r -> r.Figures.fga_truth = 0) rows in
   let fps verdict = List.length (List.filter (fun r -> may (verdict r)) truth_zero) in
   let fns verdict =
@@ -518,12 +517,10 @@ let fga_precision_json (rows : Figures.fga_row list) : Json.t =
                    ("query", Json.Str r.Figures.fga_query);
                    ("description", Json.Str r.fga_desc);
                    ( "legacy_verdict",
-                     Json.Str
-                       (Audit_core.Static_analyzer.string_of_verdict r.fga_legacy) );
+                     Json.Str (Db.Database.string_of_fga_verdict r.fga_legacy) );
                    ( "abstract_verdict",
                      Json.Str
-                       (Audit_core.Static_analyzer.string_of_verdict r.fga_abstract)
-                   );
+                       (Db.Database.string_of_fga_verdict r.fga_abstract) );
                    ("hcn_audit_ids", Json.Int r.fga_truth);
                  ])
              rows) );

@@ -537,11 +537,119 @@ let test_cached_audit_side_invalidated () =
     [ Analysis.Independence.Independent ] v;
   check Fixtures.values "and it accessed nothing" [] acc
 
+(* --------------------------------------------------------------- *)
+(* The audit side, read off the definition's plan                  *)
+(* --------------------------------------------------------------- *)
+
+let vt =
+  testable (Fmt.of_to_string Analysis.Independence.string_of_verdict) ( = )
+
+(** (definition over the healthcare schema, query, verdict of its one
+    probe). The audit side is what the scan walk proves of the
+    definition's sensitive scan, so constraints reach it through
+    equi-join keys, arithmetic, pushed negation and BETWEEN, and a
+    disjunction whose arms constrain different columns widens to Top.
+    Definitions cannot hold a subquery ([Audit_expr] rejects one), so the
+    joined table below is how the side comes to depend on a table other
+    than the sensitive one. *)
+let side_cases =
+  let module I = Analysis.Independence in
+  let join_def =
+    "SELECT * FROM patients p, disease c WHERE p.patientid = c.patientid \
+     AND c.patientid < 5 AND p.age >= 30"
+  in
+  let arith_def =
+    "SELECT * FROM patients WHERE age + 3 > 10 AND NOT (zip <> 5)"
+  in
+  let between_def = "SELECT * FROM patients WHERE age BETWEEN 20 AND 40" in
+  [
+    (* c.patientid < 5 crosses the equi-join onto the partition key. *)
+    (join_def, "SELECT name FROM patients WHERE patientid = 7", I.Independent);
+    (join_def, "SELECT name FROM patients WHERE patientid = 2", I.Overlapping);
+    (join_def, "SELECT name FROM patients WHERE age < 30", I.Independent);
+    (arith_def, "SELECT name FROM patients WHERE zip = 48109", I.Independent);
+    (arith_def, "SELECT name FROM patients WHERE age < 7", I.Independent);
+    (arith_def, "SELECT name FROM patients WHERE age >= 5", I.Overlapping);
+    (between_def, "SELECT name FROM patients WHERE age > 40", I.Independent);
+    ( between_def,
+      "SELECT name FROM patients WHERE age BETWEEN 40 AND 50",
+      I.Overlapping );
+    ( "SELECT * FROM patients WHERE name LIKE 'A%'",
+      "SELECT name FROM patients WHERE name = 'Bob'",
+      I.Independent );
+    ( "SELECT * FROM patients WHERE name LIKE 'A%' OR zip = 3",
+      "SELECT name FROM patients WHERE name = 'Bob'",
+      I.Overlapping );
+  ]
+
+let test_plan_derived_side () =
+  List.iter
+    (fun (def, sql, expect) ->
+      let db = Fixtures.healthcare () in
+      ignore
+        (Db.Database.exec db
+           (Printf.sprintf
+              "CREATE AUDIT EXPRESSION audit_t AS %s FOR SENSITIVE TABLE \
+               patients, PARTITION BY patientid"
+              def));
+      match snd (decisions_of db ~audits:[ "audit_t" ] sql) with
+      | [ d ] ->
+        check vt (def ^ " | " ^ sql) expect d.Analysis.Independence.verdict
+      | ds -> failf "%s: expected one probe, got %d" sql (List.length ds))
+    side_cases
+
+(** The side depends on every table the definition's plan scans, not only
+    the sensitive one. Dropping a joined table leaves a definition that no
+    longer plans: its probes must stay ([Unknown]) and reads must still
+    run. Re-creating the table, even with another layout, rebuilds the
+    side. *)
+let test_dropped_definition_table () =
+  let db = Fixtures.healthcare () in
+  Db.Database.set_elision_mode db Db.Database.Elide_certified;
+  let e sql = ignore (Db.Database.exec db sql) in
+  e
+    "CREATE AUDIT EXPRESSION audit_cancer AS SELECT * FROM patients p, \
+     disease d WHERE p.patientid = d.patientid AND d.disease = 'cancer' AND \
+     p.age >= 40 FOR SENSITIVE TABLE patients, PARTITION BY patientid";
+  e "CREATE TRIGGER w ON ACCESS TO audit_cancer AS NOTIFY 'cancer'";
+  let run sql =
+    match Db.Database.exec db sql with
+    | Db.Database.Rows { rows; _ } ->
+      ( List.length rows,
+        List.map
+          (fun d -> d.Analysis.Independence.verdict)
+          (Db.Database.last_elision db) )
+    | _ -> fail "expected rows"
+  in
+  let young = "SELECT * FROM patients WHERE age < 30" in
+  check (pair int (list vt)) "side built: young read certified"
+    (2, [ Analysis.Independence.Independent ])
+    (run young);
+  e "DROP TABLE disease";
+  check (pair int (list vt)) "definition table dropped: the read still runs"
+    (1, [ Analysis.Independence.Unknown ])
+    (run "SELECT * FROM patients WHERE patientid = 1");
+  check (pair int (list vt)) "no stale side certifies the young read"
+    (2, [ Analysis.Independence.Unknown ])
+    (run young);
+  check bool "the reason names the definition" true
+    (List.exists
+       (fun d -> contains d.Analysis.Independence.detail "does not plan")
+       (Db.Database.last_elision db));
+  e "CREATE TABLE disease (patientid INT, since INT, disease VARCHAR)";
+  check (pair int (list vt)) "re-created with an extra column: side rebuilt"
+    (2, [ Analysis.Independence.Independent ])
+    (run young)
+
 let suite =
   [
     test_case "analyzer verdicts" `Quick test_verdicts;
     test_case "cached audit side is rebuilt on re-creation" `Quick
       test_cached_audit_side_invalidated;
+    test_case "audit side from the definition's plan" `Quick
+      test_plan_derived_side;
+    test_case "dropped definition table keeps probes" `Quick
+      test_dropped_definition_table;
     test_case "certificates replay" `Quick test_certificate_replays;
     test_case "rewrite strips only certified probes" `Quick
       test_elide_strips_certified;

@@ -237,6 +237,123 @@ let test_shell_errors_are_db_errors () =
   expect_prefix "bind error" "SELECT * FROM no_such_table";
   check_clean_query db
 
+(* ------------------------------------------------------------------ *)
+(* Untrusted SQL text                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One statement of every kind the front end accepts, over the healthcare
+   schema. *)
+let fuzz_seeds =
+  [|
+    "SELECT p.name, d.disease FROM patients p JOIN disease d ON p.patientid \
+     = d.patientid WHERE p.age BETWEEN 20 AND 40 ORDER BY p.name LIMIT 3";
+    "SELECT zip, count(*), avg(age) FROM patients GROUP BY zip HAVING \
+     count(*) > 1";
+    "SELECT name FROM patients WHERE patientid IN (SELECT patientid FROM \
+     disease WHERE disease LIKE 'c%') UNION SELECT name FROM patients WHERE \
+     NOT (age <> 22)";
+    "SELECT TOP 2 name, CASE WHEN age > 30 THEN 'old' ELSE 'young' END FROM \
+     patients WHERE EXISTS (SELECT * FROM departments t WHERE t.patientid = \
+     patients.patientid) AND zip IS NOT NULL";
+    "SELECT DISTINCT -age * 2 + 1 FROM patients WHERE name NOT IN ('Bob', \
+     'Eve') AND age / 2 < 40";
+    "INSERT INTO disease VALUES (6, 'flu'), (7, NULL)";
+    "UPDATE patients SET age = age + 1, zip = 48109 WHERE name = 'Carol'";
+    "DELETE FROM departments WHERE deptid >= 20";
+    "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR, d DATE)";
+    "CREATE AUDIT EXPRESSION audit_young AS SELECT * FROM patients WHERE \
+     age < 30 FOR SENSITIVE TABLE patients, PARTITION BY patientid";
+    "CREATE TRIGGER t2 ON ACCESS TO audit_alice BEFORE RETURN AS DENY 'no'";
+    "CREATE TRIGGER t3 ON ACCESS TO audit_alice AS INSERT INTO disease \
+     SELECT patientid, 'seen' FROM accessed";
+    "EXPLAIN ANALYZE SELECT * FROM patients WHERE age > DATE '2020-01-01'";
+    "DROP TABLE departments";
+  |]
+
+(* Tokens a mutation splices in: keywords, punctuation, and literals at
+   the edges of what the lexer and the evaluator accept. *)
+let fuzz_tokens =
+  [|
+    "SELECT"; "FROM"; "WHERE"; "JOIN"; "ON"; "AND"; "OR"; "NOT"; "IN";
+    "EXISTS"; "UNION"; "GROUP"; "BY"; "HAVING"; "ORDER"; "LIMIT"; "TOP";
+    "NULL"; "AS"; "CASE"; "END"; "AUDIT"; "TRIGGER"; "ACCESS"; "DENY";
+    "("; ")"; ","; "*"; "/"; "-"; "="; "<>"; "'"; ";"; "."; "0"; "-1";
+    "99999999999999999999"; "1e308"; "'x'"; "DATE '2020-13-45'";
+    "INTERVAL '1' DAY"; "patients"; "disease"; "age"; "accessed";
+  |]
+
+let mutate_sql =
+  let open QCheck.Gen in
+  let byte_mutation s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      int_bound (n - 1) >>= fun i ->
+      frequency [ (4, printable); (1, char) ] >>= fun c ->
+      oneofl
+        [
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1);
+          String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1);
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+          String.sub s 0 i;
+        ]
+  in
+  let token_mutation s =
+    let toks = Array.of_list (String.split_on_char ' ' s) in
+    let n = Array.length toks in
+    int_bound (n - 1) >>= fun i ->
+    int_bound (n - 1) >>= fun j ->
+    oneofa fuzz_tokens >>= fun t ->
+    let l = Array.to_list toks in
+    oneofl
+      [
+        List.mapi (fun k x -> if k = i then t else x) l;
+        List.filteri (fun k _ -> k <> i) l;
+        List.concat (List.mapi (fun k x -> if k = i then [ t; x ] else [ x ]) l);
+        List.mapi
+          (fun k x ->
+            if k = i then toks.(j) else if k = j then toks.(i) else x)
+          l;
+      ]
+    >|= String.concat " "
+  in
+  let rec mutations k s =
+    if k = 0 then return s
+    else
+      frequency [ (1, byte_mutation s); (3, token_mutation s) ]
+      >>= mutations (k - 1)
+  in
+  let statement =
+    oneofa fuzz_seeds >>= fun seed ->
+    frequency [ (2, return 0); (5, return 1); (2, return 2) ] >>= fun k ->
+    mutations k seed
+  in
+  list_size (int_range 1 3) statement
+
+(* The server hands [exec] whatever arrives on the wire: every statement
+   either runs or fails with one of the engine's typed errors. A case is a
+   short script on one database, so a mutated trigger or table can meet
+   the statements after it. *)
+let prop_mutated_sql_typed_errors =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated SQL raises only typed errors"
+    (QCheck.make ~print:(String.concat ";\n") mutate_sql)
+    (fun script ->
+      let db = Fixtures.healthcare_with_alice () in
+      ignore
+        (Db.Database.exec db
+           "CREATE TRIGGER watch ON ACCESS TO audit_alice AS NOTIFY 'seen'");
+      Db.Database.set_timeout db (Some 2.0);
+      List.for_all
+        (fun sql ->
+          match Db.Database.exec db sql with
+          | _ -> true
+          | exception
+              ( Db.Database.Db_error _ | E.Error _
+              | Db.Database.Access_denied _ ) ->
+            true)
+        script)
+
 let suite =
   [
     Alcotest.test_case "fail-closed withholds results" `Quick
@@ -256,3 +373,4 @@ let suite =
     Alcotest.test_case "errors are classified Db_error values" `Quick
       test_shell_errors_are_db_errors;
   ]
+  @ [ QCheck_alcotest.to_alcotest prop_mutated_sql_typed_errors ]

@@ -1,12 +1,11 @@
-(** Static-analysis baseline tests — Example 6.1 and the predicate
-    intersection cases. *)
+(** Static-analysis baseline tests ({!Db.Database.fga_verdict}) — Example
+    6.1 and the predicate intersection cases. *)
 
 let check = Alcotest.check
 
-let verdict : Audit_core.Static_analyzer.verdict Alcotest.testable =
+let verdict : Db.Database.fga_verdict Alcotest.testable =
   Alcotest.testable
-    (fun ppf v ->
-      Fmt.string ppf (Audit_core.Static_analyzer.string_of_verdict v))
+    (fun ppf v -> Fmt.string ppf (Db.Database.string_of_fga_verdict v))
     ( = )
 
 let dept_db () =
@@ -27,21 +26,18 @@ let dept_db () =
   db
 
 let analyze db sql =
-  Audit_core.Static_analyzer.analyze
-    (Db.Database.catalog db)
-    ~audit:(Db.Database.audit_expr db "audit_derm")
-    (Sql.Parser.query sql)
+  Db.Database.fga_verdict db ~audit:"audit_derm" (Sql.Parser.query sql)
 
 let test_example_6_1 () =
   let db = dept_db () in
   (* First query: same column, different constant — provably disjoint. *)
   check verdict "deptname = 'Oncology' is ruled out"
-    Audit_core.Static_analyzer.No_access
+    Db.Database.No_access
     (analyze db "SELECT * FROM departmentnames WHERE deptname = 'Oncology'");
   (* Second query: semantically identical but via DeptID — static analysis
      cannot rule it out and false-positives. *)
   check verdict "deptid = 10 cannot be ruled out (FGA false positive)"
-    Audit_core.Static_analyzer.May_access
+    Db.Database.May_access
     (analyze db "SELECT * FROM departmentnames WHERE deptid = 10");
   (* The execution-based auditors do not share the false positive. *)
   let exact =
@@ -52,45 +48,45 @@ let test_example_6_1 () =
 
 let test_ranges_and_in () =
   let db = dept_db () in
-  check verdict "overlapping range" Audit_core.Static_analyzer.May_access
+  check verdict "overlapping range" Db.Database.May_access
     (analyze db "SELECT * FROM departmentnames WHERE deptname >= 'D'");
-  check verdict "disjoint range" Audit_core.Static_analyzer.No_access
+  check verdict "disjoint range" Db.Database.No_access
     (analyze db "SELECT * FROM departmentnames WHERE deptname < 'B'");
   check verdict "IN list containing the value"
-    Audit_core.Static_analyzer.May_access
+    Db.Database.May_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname IN ('Dermatology', \
         'Oncology')");
   check verdict "IN list without the value"
-    Audit_core.Static_analyzer.No_access
+    Db.Database.No_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname IN ('Oncology', \
         'Radiology')");
   check verdict "inequality on the audited value"
-    Audit_core.Static_analyzer.No_access
+    Db.Database.No_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname <> 'Dermatology' AND \
         deptname = 'Dermatology'")
 
 let test_unconstrained_flags () =
   let db = dept_db () in
-  check verdict "no predicate: flagged" Audit_core.Static_analyzer.May_access
+  check verdict "no predicate: flagged" Db.Database.May_access
     (analyze db "SELECT * FROM departmentnames");
   check verdict "opaque predicate (LIKE): flagged"
-    Audit_core.Static_analyzer.May_access
+    Db.Database.May_access
     (analyze db "SELECT * FROM departmentnames WHERE deptname LIKE 'Derm%'");
   check verdict "disjunction: flagged (conservative)"
-    Audit_core.Static_analyzer.May_access
+    Db.Database.May_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname = 'Oncology' OR deptid \
         = 3")
 
 let test_between () =
   let db = dept_db () in
-  check verdict "between covering" Audit_core.Static_analyzer.May_access
+  check verdict "between covering" Db.Database.May_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname BETWEEN 'A' AND 'Z'");
-  check verdict "between disjoint" Audit_core.Static_analyzer.No_access
+  check verdict "between disjoint" Db.Database.No_access
     (analyze db
        "SELECT * FROM departmentnames WHERE deptname BETWEEN 'E' AND 'K'")
 

@@ -1,5 +1,5 @@
-(** Plan-invariant verifier ({!Analysis.Plan_verify}) and abstract-domain
-    FGA analyzer ({!Analysis.Fga}) tests:
+(** Plan-invariant verifier ({!Analysis.Plan_verify}) and static FGA
+    baseline ({!Db.Database.fga_verdict}) tests:
 
     - the whole TPC-H corpus verifies clean, for every placement
       heuristic, both through [verify_query] and end-to-end under
@@ -10,8 +10,7 @@
       operators, corrupted ID columns, arity damage, broken estimates);
     - QCheck soundness: optimizer output always verifies; the strip
       mutation is always caught; an FGA NO-ACCESS verdict implies the
-      offline exact auditor finds nothing; the abstract-domain analyzer
-      never flips a legacy NO-ACCESS to MAY-ACCESS. *)
+      offline exact auditor finds nothing. *)
 
 open Analysis
 module P = Plan.Physical
@@ -255,50 +254,42 @@ let test_tpch_strict_executes () =
   | _ -> Alcotest.fail "EXPLAIN VERIFY did not return a report"
 
 (* --------------------------------------------------------------- *)
-(* FGA: deterministic precision + differential safety on TPC-H      *)
+(* FGA: deterministic precision on the probe workload              *)
 (* --------------------------------------------------------------- *)
 
-let verdict : Fga.verdict Alcotest.testable =
+let verdict : Db.Database.fga_verdict Alcotest.testable =
   Alcotest.testable
-    (fun ppf v -> Format.pp_print_string ppf (Fga.string_of_verdict v))
+    (fun ppf v ->
+      Format.pp_print_string ppf (Db.Database.string_of_fga_verdict v))
     ( = )
 
 let test_fga_precision () =
   let db = tpch_db () in
-  let catalog = Db.Database.catalog db in
-  let audit = Db.Database.audit_expr db "audit_customer" in
   let check id expect_abstract expect_legacy =
     let q = List.find (fun q -> q.Tpch.Queries.id = id) Tpch.Queries.fga_workload in
-    let parsed = Sql.Parser.query q.Tpch.Queries.sql in
     Alcotest.check verdict (id ^ " abstract") expect_abstract
-      (Audit_core.Static_analyzer.analyze catalog ~audit parsed);
+      (Db.Database.fga_verdict db ~audit:"audit_customer"
+         (Sql.Parser.query q.Tpch.Queries.sql));
     Alcotest.check verdict (id ^ " legacy") expect_legacy
-      (Audit_core.Static_analyzer.analyze_legacy catalog ~audit parsed)
+      (List.assoc id Experiments.Figures.fga_legacy_verdicts)
   in
-  (* The four traps: the abstract domain decides them, the legacy
-     analyzer false-positives on every one. *)
+  (* The four traps: the plan-based analysis decides them, the legacy
+     analyzer false-positived on every one. *)
   List.iter
-    (fun id -> check id Fga.No_access Fga.May_access)
+    (fun id -> check id Db.Database.No_access Db.Database.May_access)
     [ "FP1"; "FP2"; "FP3"; "FP4" ];
-  check "TN1" Fga.No_access Fga.No_access;
+  check "TN1" Db.Database.No_access Db.Database.No_access;
   List.iter
-    (fun id -> check id Fga.May_access Fga.May_access)
+    (fun id -> check id Db.Database.May_access Db.Database.May_access)
     [ "TP1"; "TP2"; "TP3" ]
 
-let test_fga_differential_corpus () =
-  let db = tpch_db () in
-  let catalog = Db.Database.catalog db in
-  let audit = Db.Database.audit_expr db "audit_customer" in
-  List.iter
-    (fun (q : Tpch.Queries.query) ->
-      let parsed = Sql.Parser.query q.Tpch.Queries.sql in
-      let legacy = Audit_core.Static_analyzer.analyze_legacy catalog ~audit parsed in
-      let fresh = Audit_core.Static_analyzer.analyze catalog ~audit parsed in
-      if legacy = Fga.No_access then
-        Alcotest.check verdict
-          (q.Tpch.Queries.id ^ ": legacy NO-ACCESS preserved")
-          Fga.No_access fresh)
-    tpch_corpus
+(* The recorded legacy verdicts cover exactly the probe workload: a query
+   added to or dropped from it must be reflected in the table. *)
+let test_fga_legacy_fixture_ids () =
+  Alcotest.(check (list string))
+    "legacy table ids = workload ids"
+    (List.map (fun q -> q.Tpch.Queries.id) Tpch.Queries.fga_workload)
+    (List.map fst Experiments.Figures.fga_legacy_verdicts)
 
 (* --------------------------------------------------------------- *)
 (* QCheck soundness                                                 *)
@@ -347,30 +338,11 @@ let prop_no_access_implies_exact_empty =
     Test_properties.arb_case (fun (d, (sql, _)) ->
       let db = Test_properties.build_db d in
       ignore (Db.Database.exec db age_audit_sql);
-      let audit = Db.Database.audit_expr db "audit_age" in
       let v =
-        Audit_core.Static_analyzer.analyze (Db.Database.catalog db) ~audit
-          (Sql.Parser.query sql)
+        Db.Database.fga_verdict db ~audit:"audit_age" (Sql.Parser.query sql)
       in
-      v = Fga.May_access || Fixtures.exact_ids db ~audit:"audit_age" sql = [])
-
-let prop_differential_no_access =
-  QCheck.Test.make ~count:150
-    ~name:"abstract analyzer never flips a legacy NO-ACCESS"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = Test_properties.build_db d in
-      ignore (Db.Database.exec db age_audit_sql);
-      let audit = Db.Database.audit_expr db "audit_age" in
-      let parsed = Sql.Parser.query sql in
-      (* The legacy analyzer ignored UNION branches outright — an
-         unsoundness, not precision; there the rewrite must flip its
-         NO-ACCESS, so the differential only holds set-op-free. *)
-      QCheck.assume (parsed.Sql.Ast.set_ops = []);
-      let catalog = Db.Database.catalog db in
-      Audit_core.Static_analyzer.analyze_legacy catalog ~audit parsed
-      = Fga.May_access
-      || Audit_core.Static_analyzer.analyze catalog ~audit parsed
-         = Fga.No_access)
+      v = Db.Database.May_access
+      || Fixtures.exact_ids db ~audit:"audit_age" sql = [])
 
 (* --------------------------------------------------------------- *)
 
@@ -394,13 +366,12 @@ let suite =
       test_tpch_strict_executes;
     Alcotest.test_case "FGA precision on the probe workload" `Quick
       test_fga_precision;
-    Alcotest.test_case "FGA differential over the TPC-H corpus" `Quick
-      test_fga_differential_corpus;
+    Alcotest.test_case "FGA legacy verdicts cover the workload" `Quick
+      test_fga_legacy_fixture_ids;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_verifier_accepts_optimizer;
         prop_strip_always_caught;
         prop_no_access_implies_exact_empty;
-        prop_differential_no_access;
       ]
