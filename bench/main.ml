@@ -13,7 +13,8 @@
                     (unknown names abort with exit code 2)
      BENCH_JSON     report path (default BENCH_PR10.json)
      STORAGE        table representation (heap | columnar); the
-                    row-vs-batch section always reports both
+                    row-vs-compiled section ("batch", reported under
+                    the historical key row_vs_batch) always reports both
 
    The report always embeds an EXPLAIN ANALYZE sample (CI asserts the
    estimated-vs-actual row annotations) and, when selected, the

@@ -63,17 +63,16 @@ let main socket tcp wal policy_open max_segment_size storage exec elide init
   | None -> ());
   (match exec with
   | Some m -> (
-    match String.lowercase_ascii m with
-    | "row" -> Db.Database.set_exec_mode db `Row
-    | "batch" ->
-      Db.Database.set_exec_mode db `Batch;
-      log "exec mode batch"
-    | "compiled" ->
-      Db.Database.set_exec_mode db `Compiled;
-      log "exec mode compiled"
-    | _ ->
-      prerr_endline "serverd: --exec expects row, batch or compiled";
-      exit 2)
+    let mode, name =
+      match String.lowercase_ascii m with
+      | "row" -> (`Row, "row")
+      | "compiled" -> (`Compiled, "compiled")
+      | _ ->
+        prerr_endline "serverd: --exec expects row|compiled";
+        exit 2
+    in
+    Db.Database.set_exec_mode db mode;
+    log ("exec mode " ^ name))
   | None -> ());
   if elide then begin
     Db.Database.set_elision_mode db Db.Database.Elide_certified;
@@ -163,7 +162,7 @@ let storage =
 
 let exec =
   let doc =
-    "Execution engine for every served session ($(docv) is row, batch or \
+    "Execution engine for every served session ($(docv) is row or \
      compiled; default follows the EXEC_MODE environment variable)."
   in
   Arg.(value & opt (some string) None & info [ "exec" ] ~docv:"MODE" ~doc)

@@ -19,9 +19,9 @@
                             trigger by the static analysis
      \dump [file]           SQL dump of the database (to stdout or file)
      \heuristic <h>         leaf | hcn | highest
-     \exec [row|batch|compiled]   select (or show) the execution engine:
-                            tuple-at-a-time, vectorized batches, or
-                            push-based compiled pipelines
+     \exec [row|compiled]   select (or show) the execution engine:
+                            tuple-at-a-time or push-based compiled
+                            pipelines
      \storage [heap|columnar]   select (or show) the storage engine for
                             tables created from now on
      \user <name>           set session user
@@ -42,7 +42,7 @@
 let usage_commands =
   "commands: \\q \\tables \\audits \\triggers \\notifications \\accessed \
    \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
-   \\dump [file] \\heuristic <leaf|hcn|highest> \\exec [row|batch|compiled] \
+   \\dump [file] \\heuristic <leaf|hcn|highest> \\exec [row|compiled] \
    \\storage [heap|columnar] \\elide [off|certified] \\user <name> \\tpch <sf> \
    \\log <open|policy|dump|status|close> \
    \\timeout <s|off> \\budget <rows|mem> <n|off> \\alarms \\fault <...>"
@@ -273,14 +273,12 @@ let handle_command db line =
     print_endline
       (match Db.Database.exec_mode db with
       | `Row -> "row"
-      | `Batch -> "batch"
       | `Compiled -> "compiled")
   | [ "\\exec"; m ] -> (
     match String.lowercase_ascii m with
     | "row" -> Db.Database.set_exec_mode db `Row
-    | "batch" -> Db.Database.set_exec_mode db `Batch
     | "compiled" -> Db.Database.set_exec_mode db `Compiled
-    | _ -> print_endline "usage: \\exec [row|batch|compiled]")
+    | _ -> print_endline "usage: \\exec [row|compiled]")
   | [ "\\storage" ] ->
     print_endline
       (Storage.Table.storage_to_string (Db.Database.storage_mode db))

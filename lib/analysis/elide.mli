@@ -6,9 +6,9 @@
     analyzer verdict (or a tampered certificate) leaves the probe in
     place. Probes classified [Overlapping] / [Unknown], and probes with
     no decision, are kept. Both execution engines benefit: the row
-    engine skips the per-row hash probe, and the batch engine's fused
-    Filter-over-SeqScan kernels — which refuse to fuse across audit
-    operators — see the plain scan again.
+    engine skips the per-row hash probe, and the compiled engine's
+    columnar kernels — which refuse to fuse across audit operators —
+    see the plain scan again.
 
     The returned certificates are exactly those consumed by the rewrite;
     hand them to {!Plan_verify.verify} so the probe-coverage rule can

@@ -78,10 +78,9 @@ type t = {
           newest first *)
   mutable verify : verify_mode;
       (** run the plan-invariant verifier on every planned statement *)
-  mutable exec_mode : [ `Row | `Batch | `Compiled ];
-      (** which engine runs SELECTs: tuple-at-a-time ({!Exec.Executor}),
-          vectorized ({!Exec.Batch_exec}) or push-based compiled
-          ({!Exec.Compiled_exec}) *)
+  mutable exec_mode : [ `Row | `Compiled ];
+      (** which engine runs SELECTs: tuple-at-a-time ({!Exec.Executor})
+          or push-based compiled ({!Exec.Compiled_exec}) *)
   mutable storage_mode : Table.storage;
       (** physical representation for subsequently created tables (CREATE
           TABLE, temp tables); existing tables keep theirs *)
@@ -95,21 +94,14 @@ type t = {
 let max_trigger_depth = 8
 
 (* The EXEC_MODE environment variable picks the session's default engine
-   (row / batch / compiled), so a whole test run can exercise any engine
-   (the CI batch-mode and compiled-mode jobs) without touching call
-   sites; BATCH_MODE=1 is the pre-compiled-engine spelling of
-   EXEC_MODE=batch and still works. *)
+   (row / compiled), so a whole test run can exercise either engine (the
+   CI compiled-mode job) without touching call sites. *)
 let default_exec_mode () =
   match Sys.getenv_opt "EXEC_MODE" with
-  | Some ("batch" | "BATCH") -> `Batch
   | Some ("compiled" | "COMPILED" | "push") -> `Compiled
-  | Some ("row" | "ROW") -> `Row
-  | _ -> (
-    match Sys.getenv_opt "BATCH_MODE" with
-    | Some ("1" | "true" | "TRUE" | "yes") -> `Batch
-    | _ -> `Row)
+  | _ -> `Row
 
-(* ELISION flips the session default the same way BATCH_MODE / STORAGE
+(* ELISION flips the session default the same way EXEC_MODE / STORAGE
    do, so CI can run the whole suite with certified elision on. *)
 let default_elision_mode () =
   match Sys.getenv_opt "ELISION" with
@@ -146,7 +138,7 @@ let create () =
     verify = default_verify_mode ();
     exec_mode = default_exec_mode ();
     (* Table.default_storage reads the STORAGE environment variable — the
-       storage axis of the BATCH_MODE switch above. *)
+       storage axis of the EXEC_MODE switch above. *)
     storage_mode = Table.default_storage ();
     elision = default_elision_mode ();
     last_elision = [];
@@ -202,7 +194,6 @@ let last_elision db = db.last_elision
 let run_phys db phys =
   match db.exec_mode with
   | `Row -> Exec.Executor.run_list db.ctx phys
-  | `Batch -> Exec.Batch_exec.run_list db.ctx phys
   | `Compiled -> Exec.Compiled_exec.run_list db.ctx phys
 let set_user db u = db.ctx.Exec.Exec_ctx.user <- u
 let user db = db.ctx.Exec.Exec_ctx.user

@@ -50,15 +50,13 @@ val set_heuristic : t -> Audit_core.Placement.heuristic -> unit
 val set_instrumentation : t -> bool -> unit
 
 (** Which engine runs SELECT-shaped statements: [`Row] is the
-    tuple-at-a-time {!Exec.Executor}, [`Batch] the vectorized
-    {!Exec.Batch_exec}, [`Compiled] the push-based compiled
+    tuple-at-a-time {!Exec.Executor}, [`Compiled] the push-based compiled
     {!Exec.Compiled_exec} (identical semantics; the differential harness
-    enforces it across all three). Default [`Row], or the engine named
-    by the [EXEC_MODE] environment variable ([row]/[batch]/[compiled])
-    at {!create} time; [BATCH_MODE=1] still selects [`Batch]. *)
-val set_exec_mode : t -> [ `Row | `Batch | `Compiled ] -> unit
+    enforces it). Default [`Row], or [`Compiled] when the [EXEC_MODE]
+    environment variable is [compiled] at {!create} time. *)
+val set_exec_mode : t -> [ `Row | `Compiled ] -> unit
 
-val exec_mode : t -> [ `Row | `Batch | `Compiled ]
+val exec_mode : t -> [ `Row | `Compiled ]
 
 (** Physical representation used for tables created from now on (CREATE
     TABLE and temp tables): heap tuples or typed columnar vectors

@@ -7,10 +7,14 @@
 open Storage
 open Plan
 
+(* A float-only record is stored flat, so adding to it allocates
+   nothing (a mutable float field of [state] would box every update). *)
+type sum = { mutable total : float }
+
 type state = {
   agg : Logical.agg;
   mutable count : int;
-  mutable sum : float;
+  sum : sum;
   mutable sum_is_int : bool;
   mutable best : Value.t;  (** current MIN/MAX, Null until first input *)
   seen : unit Value.Hashtbl_v.t option;  (** DISTINCT filter *)
@@ -20,7 +24,7 @@ let create (agg : Logical.agg) =
   {
     agg;
     count = 0;
-    sum = 0.0;
+    sum = { total = 0.0 };
     sum_is_int = true;
     best = Value.Null;
     seen =
@@ -49,9 +53,9 @@ let update st (v : Value.t option) =
       | Logical.Sum | Logical.Avg ->
         st.count <- st.count + 1;
         (match v with
-        | Value.Int i -> st.sum <- st.sum +. float_of_int i
+        | Value.Int i -> st.sum.total <- st.sum.total +. float_of_int i
         | Value.Float f ->
-          st.sum <- st.sum +. f;
+          st.sum.total <- st.sum.total +. f;
           st.sum_is_int <- false
         | v -> Value.type_error "SUM/AVG of non-number %s" (Value.to_string v));
         ()
@@ -62,8 +66,8 @@ let update st (v : Value.t option) =
         if Value.is_null st.best || Value.compare_total v st.best > 0 then
           st.best <- v)
 
-(** Feed [n] argument-less inputs at once — the vectorized COUNT(<star>)
-    kernel advances per batch instead of per row. Equivalent to [n]
+(** Feed [n] argument-less inputs at once — the count-only scan kernel
+    adds the live-row count instead of counting per row. Equivalent to [n]
     [update st None] calls. *)
 let update_many st n = st.count <- st.count + n
 
@@ -75,7 +79,7 @@ let add_int st i =
   | None, Logical.Count -> st.count <- st.count + 1
   | None, (Logical.Sum | Logical.Avg) ->
     st.count <- st.count + 1;
-    st.sum <- st.sum +. float_of_int i
+    st.sum.total <- st.sum.total +. float_of_int i
   | _ -> update st (Some (Value.Int i))
 
 (** Non-NULL unboxed float counterpart of {!add_int}. *)
@@ -84,7 +88,7 @@ let add_float st f =
   | None, Logical.Count -> st.count <- st.count + 1
   | None, (Logical.Sum | Logical.Avg) ->
     st.count <- st.count + 1;
-    st.sum <- st.sum +. f;
+    st.sum.total <- st.sum.total +. f;
     st.sum_is_int <- false
   | _ -> update st (Some (Value.Float f))
 
@@ -93,11 +97,11 @@ let final st : Value.t =
   | Logical.Count -> Value.Int st.count
   | Logical.Sum ->
     if st.count = 0 then Value.Null
-    else if st.sum_is_int && Float.is_integer st.sum
-            && Float.abs st.sum < 4e15 then
-      Value.Int (int_of_float st.sum)
-    else Value.Float st.sum
+    else if st.sum_is_int && Float.is_integer st.sum.total
+            && Float.abs st.sum.total < 4e15 then
+      Value.Int (int_of_float st.sum.total)
+    else Value.Float st.sum.total
   | Logical.Avg ->
     if st.count = 0 then Value.Null
-    else Value.Float (st.sum /. float_of_int st.count)
+    else Value.Float (st.sum.total /. float_of_int st.count)
   | Logical.Min | Logical.Max -> st.best

@@ -11,8 +11,8 @@ val create : Plan.Logical.agg -> state
 (** Feed one input value; [None] only for [COUNT(<star>)]. *)
 val update : state -> Value.t option -> unit
 
-(** Feed [n] argument-less inputs at once (the vectorized [COUNT(<star>)]
-    kernel): equivalent to [n] [update st None] calls. *)
+(** Feed [n] argument-less inputs at once (the count-only scan kernel):
+    equivalent to [n] [update st None] calls. *)
 val update_many : state -> int -> unit
 
 (** Feed one non-NULL unboxed int: equivalent to

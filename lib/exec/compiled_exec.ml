@@ -21,6 +21,14 @@
       row counts match. Time is attributed per pipeline: blocking
       operators record their build phase, the root records the whole run.
 
+    Columnar pipeline heads ({e kernels}) read typed column vectors by
+    slot number and build only the tuples they push: fused grouped
+    aggregation, the count-only scan, and late-materializing hash joins
+    (see {!fused_agg} and {!late_join}). Each is chosen from the plan
+    shape at compile time and from the session at open time, where any
+    armed guard, a [?hide] partition, the interpreter oracle or a heap
+    store falls back to the generic pipeline before a counter moves.
+
     Step-aside: [Apply], [Index_nl_join] and bare [Limit] subtrees run on
     the row engine behind a pull→push adapter (their protocols — the
     correlated parameter stack, the probe-chain metrics contract and
@@ -97,6 +105,175 @@ let delegate ctx plan : factory =
       in
       loop ()
 
+(* A projection whose every expression is a bare column reference is a
+   permutation/selection of its input: [Some perm] maps each output
+   position to its source column. *)
+let projection_perm cols =
+  let perm = Array.make (List.length cols) 0 in
+  let rec go i = function
+    | [] -> if i = 0 then None else Some perm
+    | (Scalar.Col j, _) :: rest ->
+      perm.(i) <- j;
+      go (i + 1) rest
+    | _ -> None
+  in
+  go 0 cols
+
+(* Output width of a plan node, where it is known statically. *)
+let rec out_arity (p : Physical.t) =
+  match p.Physical.op with
+  | Physical.Seq_scan { schema; cols; _ } ->
+    Some
+      (match cols with
+      | Some idxs -> Array.length idxs
+      | None -> Schema.arity schema)
+  | Physical.Project { cols; _ } -> Some (List.length cols)
+  | Physical.Hash_agg { keys; aggs; _ } ->
+    Some (List.length keys + List.length aggs)
+  | Physical.Filter { child; _ }
+  | Physical.Sort { child; _ }
+  | Physical.Top_k { child; _ }
+  | Physical.Limit { child; _ }
+  | Physical.Distinct child
+  | Physical.Audit_probe { child; _ }
+  | Physical.Hash_semi_join { left = child; _ }
+  | Physical.Set_op { left = child; _ } ->
+    out_arity child
+  | Physical.Hash_join { left; right_arity; _ }
+  | Physical.Nl_join { left; right_arity; _ }
+  | Physical.Index_nl_join { left; right_arity; _ } ->
+    Option.map (( + ) right_arity) (out_arity left)
+  | Physical.Apply _ -> None
+
+(* Per-left-row probe emission shared by hash and nested-loop joins:
+   candidates joined in arrival order, LEFT JOIN null-pads when nothing
+   survives (Executor.join_emit). With a residual every candidate is
+   tested before the first is pushed, as the row engine buffers them. *)
+let join_emit ~kind ~combine ~null_pad ~residual ~probe sink : sink =
+  match residual with
+  | None -> (
+    fun lrow ->
+      match probe lrow with
+      | [] -> if kind = Logical.J_left then sink (combine lrow null_pad)
+      | cands -> List.iter (fun rrow -> sink (combine lrow rrow)) cands)
+  | Some test -> (
+    fun lrow ->
+      let joined =
+        List.filter_map
+          (fun rrow ->
+            let combined = combine lrow rrow in
+            if test combined then Some combined else None)
+          (probe lrow)
+      in
+      match (joined, kind) with
+      | [], Logical.J_left -> sink (combine lrow null_pad)
+      | _, _ -> List.iter sink joined)
+
+(* A hash-join bucket: rows cons up newest first during the build, and
+   the first probe that reads a bucket puts it in insertion order, once. *)
+type bucket = { mutable rows : Tuple.t list; mutable ordered : bool }
+
+let bucket row = { rows = [ row ]; ordered = true }
+
+let bucket_add b row =
+  b.rows <- row :: b.rows;
+  b.ordered <- false
+
+let bucket_rows b =
+  if not b.ordered then begin
+    b.rows <- List.rev b.rows;
+    b.ordered <- true
+  end;
+  b.rows
+
+(* ------------------------------------------------------------------ *)
+(* Columnar kernel plumbing                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A kernel-eligible pipeline head: a base-table Seq_scan, optionally
+   under one Filter. [pred] is already remapped onto base-table columns
+   ({!Scalar.shift_cols}) and [col] maps a scan-output column to its
+   base column. *)
+type scan_head = {
+  table : string;
+  pred : Scalar.t option;
+  col : int -> int;
+  arity : int;  (** scan output arity *)
+  scan : Physical.t;
+}
+
+let scan_head (p : Physical.t) : scan_head option =
+  let head pred scan =
+    match scan.Physical.op with
+    | Physical.Seq_scan { table; schema; cols; _ } when table <> "$dual" ->
+      let col, arity =
+        match cols with
+        | None -> ((fun j -> j), Schema.arity schema)
+        | Some idxs -> ((fun j -> idxs.(j)), Array.length idxs)
+      in
+      Some
+        {
+          table;
+          pred = Option.map (Scalar.shift_cols col) pred;
+          col;
+          arity;
+          scan;
+        }
+    | _ -> None
+  in
+  match p.Physical.op with
+  | Physical.Filter { pred; child } -> head (Some pred) child
+  | _ -> head None p
+
+(* The session half of every kernel's gate: the interpreter oracle must
+   evaluate every expression, an armed guard must cancel on the exact
+   row, and a [?hide] partition goes through the cursor — each falls
+   back to the generic pipeline. *)
+let kernel_table ctx table =
+  if ctx.Exec_ctx.interpret_exprs || Exec_ctx.guards_armed ctx then None
+  else if hide_for ctx table <> None then None
+  else Some (resolve_table ctx table)
+
+let kernel_store ctx table =
+  Option.bind (kernel_table ctx table) (fun t ->
+      Option.map (fun cs -> (t, cs)) (Table.column_store t))
+
+(* Slot-level predicate kernel; a missing predicate keeps every slot. *)
+let slot_pred ctx cs = function
+  | None -> Some (fun _ -> Col_pred.holds)
+  | Some p -> Col_pred.compile ctx cs p
+
+(* Use the kernel when it accepts the session at open time, else the
+   generic factory (nothing has been opened or counted yet). *)
+let with_kernel (generic : factory) kernel : factory =
+  match kernel with
+  | None -> generic
+  | Some open_kernel -> (
+    fun () -> match open_kernel () with Some src -> src | None -> generic ())
+
+(* The typed key column of a late-materializing join side: an int- or
+   date-backed column, with its null bitmap. *)
+let int_key_column cs col =
+  match (Column_store.col_data cs col, Column_store.col_type cs col) with
+  | Column_store.Ints a, ((Datatype.T_int | Datatype.T_date) as ty) ->
+    Some (a, Column_store.col_nulls cs col, ty = Datatype.T_date)
+  | _ -> None
+
+let two53 = 9007199254740992
+
+(* The int a value must equal, under {!Value.equal}, to match a key of
+   an int (or date) column whose keys all lie strictly within ±2^53: Int
+   and Float unify when the float round-trips exactly ([Float.compare],
+   so -0.0 stays distinct from Int 0 as in {!Value.compare_total}). *)
+let exact_int ~is_date (v : Value.t) =
+  match v with
+  | Value.Int i when not is_date -> Some i
+  | Value.Date d when is_date -> Some d
+  | Value.Float f when (not is_date) && Float.is_integer f ->
+    let fi = int_of_float f in
+    if Float.compare (float_of_int fi) f = 0 then Some fi else None
+  | _ -> None
+
 let rec compile (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   match plan.Physical.op with
   (* Pull-bound protocols: step aside to the row engine. *)
@@ -105,30 +282,34 @@ let rec compile (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   | _ when Engine_core.Faultkit.armed ctx.Exec_ctx.faults ->
     (* Per-operator fallback: fault sites live on row-engine getNext. *)
     delegate ctx plan
-  | _ ->
-    let base =
-      if not (Metrics.enabled ctx.Exec_ctx.metrics) then compile_op ctx plan
-      else begin
-        let st = Metrics.register ctx.Exec_ctx.metrics plan in
-        let f = compile_op ctx plan in
-        fun () ->
-          st.Metrics.opens <- st.Metrics.opens + 1;
-          let src = f () in
-          fun sink ->
-            src (fun row ->
-                st.Metrics.rows <- st.Metrics.rows + 1;
-                sink row)
-      end
-    in
-    if not (Exec_ctx.guards_armed ctx) then base
-    else
+  | _ -> instrument ctx plan (fun () -> compile_op ctx plan)
+
+(* Metrics and guard wrapper around a node's factory. The node is
+   registered before [build] compiles its children (pre-order). *)
+and instrument ctx plan build : factory =
+  let base =
+    if not (Metrics.enabled ctx.Exec_ctx.metrics) then build ()
+    else begin
+      let st = Metrics.register ctx.Exec_ctx.metrics plan in
+      let f = build () in
       fun () ->
-        Exec_ctx.check_deadline ctx;
-        let src = base () in
+        st.Metrics.opens <- st.Metrics.opens + 1;
+        let src = f () in
         fun sink ->
           src (fun row ->
-              Exec_ctx.check_guards ctx;
+              st.Metrics.rows <- st.Metrics.rows + 1;
               sink row)
+    end
+  in
+  if not (Exec_ctx.guards_armed ctx) then base
+  else
+    fun () ->
+      Exec_ctx.check_deadline ctx;
+      let src = base () in
+      fun sink ->
+        src (fun row ->
+            Exec_ctx.check_guards ctx;
+            sink row)
 
 and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   match plan.Physical.op with
@@ -150,6 +331,49 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
     fun () ->
       let csrc = cfact () in
       fun sink -> csrc (fun row -> if test row then sink row)
+  | Physical.Project { cols; child }
+    when (not ctx.Exec_ctx.interpret_exprs) && projection_perm cols <> None
+    -> (
+    let perm = Option.get (projection_perm cols) in
+    let n = Array.length perm in
+    match child.Physical.op with
+    | Physical.Hash_join
+        { kind; lkeys; rkeys; residual = None; left; right; right_arity } ->
+      (* Projection-over-join fusion: each joined tuple is built directly
+         in projected order from the probe and build rows, with no
+         full-width intermediate. The join node keeps its own metrics
+         and guard wrapper. *)
+      let combine lrow rrow =
+        let la = Array.length lrow in
+        let out = Array.make n Value.Null in
+        for i = 0 to n - 1 do
+          let j = Array.unsafe_get perm i in
+          Array.unsafe_set out i
+            (if j < la then Array.unsafe_get lrow j
+             else Array.unsafe_get rrow (j - la))
+        done;
+        out
+      in
+      let generic =
+        instrument ctx child (fun () ->
+            hash_join ctx child ~combine ~kind ~lkeys ~rkeys ~residual:None
+              ~left ~right ~right_arity)
+      in
+      with_kernel generic (late_join ctx ~perm ~kind ~lkeys ~rkeys ~left ~right)
+    | _ ->
+      (* A column permutation is an index loop, and an identity one over
+         a child of the same width (the planner's SELECT-* stack) is the
+         child itself. *)
+      let cfact = compile ctx child in
+      let identity =
+        out_arity child = Some n
+        && Array.for_all Fun.id (Array.mapi ( = ) perm)
+      in
+      if identity then cfact
+      else
+        fun () ->
+          let csrc = cfact () in
+          fun sink -> csrc (fun row -> sink (Tuple.project row perm)))
   | Physical.Project { cols; child } ->
     let cfact = compile ctx child in
     let exprs =
@@ -160,35 +384,8 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
       fun sink -> csrc (fun row -> sink (Array.map (fun f -> f row) exprs))
   | Physical.Hash_join { kind; lkeys; rkeys; residual; left; right; right_arity }
     ->
-    let st = stats_of ctx plan in
-    let lfact = compile ctx left in
-    let rfact = compile ctx right in
-    let lkeys = Array.map (Expr_compile.compile ctx) lkeys in
-    let rkeys = Array.map (Expr_compile.compile ctx) rkeys in
-    let residual = Option.map (Expr_compile.compile_pred ctx) residual in
-    let null_pad = Array.make right_arity Value.Null in
-    fun () ->
-      (* Build the right side at open, as the row engine does. *)
-      let tbl = Tuple.Hashtbl_t.create 1024 in
-      timed st (fun () ->
-          let rsrc = rfact () in
-          rsrc (fun row ->
-              Exec_ctx.note_materialized ctx;
-              let k = Array.map (fun f -> f row) rkeys in
-              if not (Array.exists Value.is_null k) then
-                Tuple.Hashtbl_t.replace tbl k
-                  (row
-                  :: (try Tuple.Hashtbl_t.find tbl k with Not_found -> []))));
-      let probe lrow =
-        let k = Array.map (fun f -> f lrow) lkeys in
-        if Array.exists Value.is_null k then []
-        else
-          match Tuple.Hashtbl_t.find_opt tbl k with
-          | Some rows -> List.rev rows
-          | None -> []
-      in
-      let lsrc = lfact () in
-      fun sink -> lsrc (join_emit ~kind ~null_pad ~residual ~probe sink)
+    hash_join ctx plan ~combine:Tuple.append ~kind ~lkeys ~rkeys ~residual
+      ~left ~right ~right_arity
   | Physical.Nl_join { kind; pred; left; right; right_arity } ->
     let st = stats_of ctx plan in
     let lfact = compile ctx left in
@@ -199,7 +396,10 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
       let right_rows = timed st (fun () -> drain_tracked ctx (rfact ())) in
       let probe _ = right_rows in
       let lsrc = lfact () in
-      fun sink -> lsrc (join_emit ~kind ~null_pad ~residual:pred ~probe sink)
+      fun sink ->
+        lsrc
+          (join_emit ~kind ~combine:Tuple.append ~null_pad ~residual:pred
+             ~probe sink)
   | Physical.Hash_semi_join { anti; left; left_key; right; right_key } ->
     let st = stats_of ctx plan in
     let lfact = compile ctx left in
@@ -224,18 +424,13 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
               (not (Value.is_null k)) && Value.Hashtbl_v.mem keys k
             in
             if matched <> anti then sink row)
-  | Physical.Hash_agg { keys; aggs; child } -> (
+  | Physical.Hash_agg { keys; aggs; child } ->
     (* The generic path is always compiled (and its operators registered
-       for metrics); the fused columnar kernel takes over at open time
-       when the store and the expression shapes allow it. *)
-    let generic = compile_group ctx plan keys aggs child in
-    match fused_scalar_agg ctx plan keys aggs child with
-    | None -> generic
-    | Some open_fused ->
-      fun () ->
-        (match open_fused () with
-        | Some src -> src
-        | None -> generic ()))
+       for metrics); the fused kernel takes over at open time when the
+       store and the expression shapes allow it. *)
+    with_kernel
+      (compile_group ctx plan keys aggs child)
+      (fused_agg ctx plan keys aggs child)
   | Physical.Sort { keys; child } ->
     let st = stats_of ctx plan in
     let cfact = compile ctx child in
@@ -338,9 +533,9 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
    budget is charged per row before the push — identical rows_scanned
    and cancellation point to the row engine's cursor; with no guards
    armed nothing can cancel mid-scan, so the charge collapses to one
-   O(1) [note_scanned_many] per chunk (the batch engine's contract) and
-   the final counter is the same. The [?hide] virtual delete goes
-   through the cursor, like the row engine. *)
+   O(1) [note_scanned_many] per chunk and the final counter is the
+   same. The [?hide] virtual delete goes through the cursor, like the
+   row engine. *)
 and scan_source ctx t ~hide ~cols sink =
   match hide with
   | Some _ ->
@@ -388,8 +583,7 @@ and scan_source ctx t ~hide ~cols sink =
 (* Fused Filter-over-scan pipeline head. On a columnar table the
    predicate compiles to a slot-level {!Col_pred} kernel: only surviving
    slots are materialized (late materialization without chunk or
-   selection-vector bookkeeping — this is where the push engine beats
-   the batch engine on selective scans). On heap tables the predicate is
+   selection-vector bookkeeping). On heap tables the predicate is
    remapped through the scan projection ({!Scalar.shift_cols}) and
    tested against the base row, so only survivors pay the projection
    allocation. Budget charging is per row whenever a guard is armed
@@ -427,6 +621,21 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
     in
     match kernel with
     | Some (cs, k) ->
+      let readers =
+        Array.map
+          (fun col -> Column_store.reader cs ~col)
+          (match cols with
+          | Some idxs -> idxs
+          | None -> Array.init (Schema.arity (Table.schema t)) Fun.id)
+      in
+      let width = Array.length readers in
+      let read s =
+        let row = Array.make width Value.Null in
+        for i = 0 to width - 1 do
+          Array.unsafe_set row i ((Array.unsafe_get readers i) s)
+        done;
+        row
+      in
       fun sink ->
         let stop = Table.next_slot t in
         if guards then
@@ -435,11 +644,7 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
               Exec_ctx.note_scanned ctx;
               Exec_ctx.check_guards ctx;
               count_row scan_st;
-              if k s = Col_pred.holds then
-                sink
-                  (match cols with
-                  | None -> Column_store.read cs s
-                  | Some idxs -> Column_store.read_proj cs idxs s)
+              if k s = Col_pred.holds then sink (read s)
             end
           done
         else begin
@@ -447,11 +652,7 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
           for s = 0 to stop - 1 do
             if Column_store.is_live cs s then begin
               incr scanned;
-              if k s = Col_pred.holds then
-                sink
-                  (match cols with
-                  | None -> Column_store.read cs s
-                  | Some idxs -> Column_store.read_proj cs idxs s)
+              if k s = Col_pred.holds then sink (read s)
             end
           done;
           Exec_ctx.note_scanned_many ctx !scanned;
@@ -507,180 +708,477 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
           in
           loop ())
 
-(* Per-left-row probe emission shared by hash and nested-loop joins:
-   candidates joined in arrival order, residual applied on the combined
-   row, LEFT JOIN null-pads when nothing survives (Executor.join_emit). *)
-and join_emit ~kind ~null_pad ~residual ~probe sink : sink =
- fun lrow ->
-  let cands = probe lrow in
-  let joined =
-    List.filter_map
-      (fun rrow ->
-        let combined = Tuple.append lrow rrow in
-        match residual with
-        | None -> Some combined
-        | Some test -> if test combined then Some combined else None)
-      cands
+(* Generic hash join. The right side is built at open, as the row engine
+   does, into {!bucket}s that each probe reads in insertion order.
+   Single-
+   column keys probe a {!Value.Hashtbl_v} directly: [Value.hash] and
+   [Value.equal] are what {!Tuple.Hashtbl_t} applies per element, so
+   match sets are unchanged and no key array is built per row. *)
+and hash_join ctx plan ~combine ~kind ~lkeys ~rkeys ~residual ~left ~right
+    ~right_arity : factory =
+  let st = stats_of ctx plan in
+  let lfact = compile ctx left in
+  let rfact = compile ctx right in
+  let lkeys = Array.map (Expr_compile.compile ctx) lkeys in
+  let rkeys = Array.map (Expr_compile.compile ctx) rkeys in
+  let residual = Option.map (Expr_compile.compile_pred ctx) residual in
+  let null_pad = Array.make right_arity Value.Null in
+  let build : unit -> Tuple.t -> Tuple.t list =
+    if Array.length lkeys = 1 && Array.length rkeys = 1 then begin
+      let lk = lkeys.(0) and rk = rkeys.(0) in
+      fun () ->
+        let tbl = Value.Hashtbl_v.create 1024 in
+        rfact () (fun row ->
+            Exec_ctx.note_materialized ctx;
+            let k = rk row in
+            if not (Value.is_null k) then
+              match Value.Hashtbl_v.find tbl k with
+              | b -> bucket_add b row
+              | exception Not_found -> Value.Hashtbl_v.add tbl k (bucket row));
+        fun lrow ->
+          let k = lk lrow in
+          if Value.is_null k then []
+          else
+            match Value.Hashtbl_v.find tbl k with
+            | b -> bucket_rows b
+            | exception Not_found -> []
+    end
+    else
+      fun () ->
+        let tbl = Tuple.Hashtbl_t.create 1024 in
+        rfact () (fun row ->
+            Exec_ctx.note_materialized ctx;
+            let k = Array.map (fun f -> f row) rkeys in
+            if not (Array.exists Value.is_null k) then
+              match Tuple.Hashtbl_t.find tbl k with
+              | b -> bucket_add b row
+              | exception Not_found -> Tuple.Hashtbl_t.add tbl k (bucket row));
+        fun lrow ->
+          let k = Array.map (fun f -> f lrow) lkeys in
+          if Array.exists Value.is_null k then []
+          else
+            match Tuple.Hashtbl_t.find tbl k with
+            | b -> bucket_rows b
+            | exception Not_found -> []
   in
-  match (joined, kind) with
-  | [], Logical.J_left -> sink (Tuple.append lrow null_pad)
-  | _, _ -> List.iter sink joined
+  fun () ->
+    let probe = timed st build in
+    let lsrc = lfact () in
+    fun sink -> lsrc (join_emit ~kind ~combine ~null_pad ~residual ~probe sink)
 
-(* Fused scalar aggregation: a scalar Hash_agg over (Filter over)
-   Seq_scan on a columnar table collapses to one pass over the column
-   vectors — the predicate as a {!Col_pred} kernel over slot numbers and
-   the aggregate arguments as unboxed {!Col_pred.compile_num} kernels
-   feeding {!Aggregate.add_int}/{!add_float}. No input tuple is ever
-   materialized, and unlike the batch engine's equivalent there is no
-   selection vector or chunk bookkeeping between predicate and update.
+(* Late-materializing hash join under a column permutation: a single-key
+   inner join whose probe (left) or build (right) side is a (filtered)
+   columnar scan on an int/date key column. That side is never
+   materialized as tuples: its slots are tested with the {!Col_pred}
+   kernel and its key read from the unboxed column, and each output row
+   is built directly in projected order. The kernel fuses whichever side
+   the planner expects to be larger, where the avoided tuples are.
+   Match sets, emission order (probe order, build insertion order within
+   a key) and the scanned/materialized counters are the generic path's.
 
-   The compile-time half recognizes the plan shape (an Audit_probe child
-   breaks the pattern and keeps its evidence; an armed fault kit never
-   reaches here — the whole plan is delegated). The open-time half
-   checks everything session-dependent: heap tables, a [?hide]
-   partition, the interpreter oracle, or any armed guard (whose
-   cancellation must land on the exact row) fall back to the generic
-   push pipeline. The bypassed scan/filter operators keep their metrics
-   entries (registered by the generic compile) with rows = scanned /
-   survivors, as in the unfused pipeline. *)
-and fused_scalar_agg ctx plan keys aggs child : (unit -> source option) option
-    =
-  if keys <> [] then None
-  else
-    let parts =
-      match child.Physical.op with
-      | Physical.Seq_scan { table; cols; _ } when table <> "$dual" ->
-        Some (table, cols, None, child)
-      | Physical.Filter
-          { pred;
-            child =
-              { Physical.op = Physical.Seq_scan { table; cols; _ }; _ } as scan
-          }
-        when table <> "$dual" ->
-        Some (table, cols, Some pred, scan)
-      | _ -> None
+   Compile-time [None] for any other shape and with metrics on (the
+   bypassed nodes would show no rows in EXPLAIN ANALYZE); open-time
+   [None] through {!kernel_store}, for a non-int key column, or for a
+   key outside ±2^53, where several ints round to one float and only
+   the boxed {!Value.equal} table is exact. *)
+and late_join ctx ~perm ~kind ~lkeys ~rkeys ~left ~right =
+  if
+    kind <> Logical.J_inner
+    || Metrics.enabled ctx.Exec_ctx.metrics
+    || Array.length lkeys <> 1
+    || Array.length rkeys <> 1
+  then None
+  else if left.Physical.est >= right.Physical.est then
+    late_probe ctx ~perm ~lkey:lkeys.(0) ~rkey:rkeys.(0) ~left ~right
+  else late_build ctx ~perm ~lkey:lkeys.(0) ~rkey:rkeys.(0) ~left ~right
+
+(* Columnar probe side: the build child runs generically at open; each
+   live probe slot that passes the predicate is looked up by its unboxed
+   key, and its projected cells are decoded once and shared by every
+   match. *)
+and late_probe ctx ~perm ~lkey ~rkey ~left ~right =
+  match (scan_head left, lkey) with
+  | Some h, Scalar.Col kc ->
+    let rk = Expr_compile.compile ctx rkey in
+    let rfact = compile ctx right in
+    let n = Array.length perm in
+    Some
+      (fun () ->
+        match kernel_store ctx h.table with
+        | None -> None
+        | Some (t, cs) -> (
+          match (int_key_column cs (h.col kc), slot_pred ctx cs h.pred) with
+          | Some (karr, knulls, is_date), Some kern ->
+            let build = ref [] in
+            rfact () (fun row ->
+                Exec_ctx.note_materialized ctx;
+                build := (rk row, row) :: !build);
+            (* [!build] is newest first: consing walks it into buckets in
+               insertion order. *)
+            let ambiguous =
+              (not is_date)
+              && List.exists
+                   (function
+                     | Value.Float f, _ ->
+                       Float.is_integer f && Float.abs f >= float_of_int two53
+                     | _ -> false)
+                   !build
+            in
+            let find =
+              if ambiguous then begin
+                let tbl = Value.Hashtbl_v.create 1024 in
+                List.iter
+                  (fun (v, row) ->
+                    if not (Value.is_null v) then
+                      Value.Hashtbl_v.replace tbl v
+                        (row
+                        :: (try Value.Hashtbl_v.find tbl v with Not_found -> [])))
+                  !build;
+                fun k ->
+                  try Value.Hashtbl_v.find tbl (Value.Int k)
+                  with Not_found -> []
+              end
+              else begin
+                let tbl : (int, Tuple.t list) Hashtbl.t = Hashtbl.create 1024 in
+                List.iter
+                  (fun (v, row) ->
+                    match exact_int ~is_date v with
+                    | Some k ->
+                      Hashtbl.replace tbl k
+                        (row
+                        :: (try Hashtbl.find tbl k with Not_found -> []))
+                    | None -> ())
+                  !build;
+                fun k -> (try Hashtbl.find tbl k with Not_found -> [])
+              end
+            in
+            let read =
+              Array.map
+                (fun j ->
+                  if j < h.arity then Column_store.reader cs ~col:(h.col j)
+                  else fun _ -> Value.Null)
+                perm
+            in
+            Some
+              (fun sink ->
+                let stop = Table.next_slot t in
+                let scanned = ref 0 in
+                let cells = Array.make n Value.Null in
+                for s = 0 to stop - 1 do
+                  if Column_store.is_live cs s then begin
+                    incr scanned;
+                    if
+                      kern s = Col_pred.holds
+                      && not (Column_store.Bitmap.get knulls s)
+                    then
+                      match find (Array.unsafe_get karr s) with
+                      | [] -> ()
+                      | cands ->
+                        for i = 0 to n - 1 do
+                          let j = Array.unsafe_get perm i in
+                          if j < h.arity then
+                            cells.(i) <- (Array.unsafe_get read i) s
+                        done;
+                        List.iter
+                          (fun rrow ->
+                            let out = Array.make n Value.Null in
+                            for i = 0 to n - 1 do
+                              let j = Array.unsafe_get perm i in
+                              Array.unsafe_set out i
+                                (if j < h.arity then Array.unsafe_get cells i
+                                 else Array.unsafe_get rrow (j - h.arity))
+                            done;
+                            sink out)
+                          cands
+                  end
+                done;
+                Exec_ctx.note_scanned_many ctx !scanned)
+          | _ -> None))
+  | _ -> None
+
+(* Columnar build side: surviving build slots are bucketed by their
+   unboxed key as raw slot numbers, then probe rows come from the
+   generically compiled left child and each matched build cell is
+   decoded straight into its projected position. *)
+and late_build ctx ~perm ~lkey ~rkey ~left ~right =
+  match (scan_head right, rkey) with
+  | Some h, Scalar.Col kc ->
+    let lk = Expr_compile.compile ctx lkey in
+    let lfact = compile ctx left in
+    let n = Array.length perm in
+    Some
+      (fun () ->
+        match kernel_store ctx h.table with
+        | None -> None
+        | Some (t, cs) -> (
+          match (int_key_column cs (h.col kc), slot_pred ctx cs h.pred) with
+          | Some (karr, knulls, is_date), Some kern ->
+            let stop = Table.next_slot t in
+            let huge = ref false in
+            if not is_date then
+              for s = 0 to stop - 1 do
+                if
+                  Column_store.is_live cs s
+                  && not (Column_store.Bitmap.get knulls s)
+                then begin
+                  let a = Array.unsafe_get karr s in
+                  if a >= two53 || a <= -two53 then huge := true
+                end
+              done;
+            if !huge then None
+            else begin
+              (* Build: no fallback past this point — counters move.
+                 Slots are visited last to first so each bucket conses
+                 up in insertion order. *)
+              let tbl : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
+              let scanned = ref 0 in
+              for s = stop - 1 downto 0 do
+                if Column_store.is_live cs s then begin
+                  incr scanned;
+                  if kern s = Col_pred.holds then begin
+                    Exec_ctx.note_materialized ctx;
+                    if not (Column_store.Bitmap.get knulls s) then begin
+                      let k = Array.unsafe_get karr s in
+                      Hashtbl.replace tbl k
+                        (s :: (try Hashtbl.find tbl k with Not_found -> []))
+                    end
+                  end
+                end
+              done;
+              Exec_ctx.note_scanned_many ctx !scanned;
+              let read =
+                Array.init h.arity (fun j ->
+                    Column_store.reader cs ~col:(h.col j))
+              in
+              let lsrc = lfact () in
+              Some
+                (fun sink ->
+                  lsrc (fun lrow ->
+                      match exact_int ~is_date (lk lrow) with
+                      | None -> ()
+                      | Some k -> (
+                        match Hashtbl.find tbl k with
+                        | exception Not_found -> ()
+                        | slots ->
+                          let la = Array.length lrow in
+                          List.iter
+                            (fun s ->
+                              let out = Array.make n Value.Null in
+                              for i = 0 to n - 1 do
+                                let j = Array.unsafe_get perm i in
+                                Array.unsafe_set out i
+                                  (if j < la then Array.unsafe_get lrow j
+                                   else (Array.unsafe_get read (j - la)) s)
+                              done;
+                              sink out)
+                            slots)))
+            end
+          | _ -> None))
+  | _ -> None
+
+(* Fused aggregation: Hash_agg over a (filtered) base-table scan runs on
+   slot numbers, with no input tuple materialized. Two kernels:
+
+   - count-only: no predicate, no grouping, only COUNT(<star>) — the
+     live-row count of any store is the answer, charged to the scan
+     counter in O(1);
+   - grouped (columnar): the predicate as a {!Col_pred} kernel, group
+     keys as packed dictionary codes (the code one past the dictionary
+     stands in for NULL, so NULLs group together as {!Tuple} equality
+     groups them), arguments as unboxed {!Col_pred.compile_num} kernels
+     feeding {!Aggregate.add_int}/{!add_float}. No keys is the scalar
+     case: one group, and one default row over empty input.
+
+   Groups are emitted in first-seen order with [note_materialized] per
+   group (once for a scalar aggregate that saw a row), as in
+   {!compile_group}. An Audit_probe child breaks the shape and keeps its
+   evidence; sessions {!kernel_table} refuses fall back. The bypassed
+   scan/filter operators keep their metrics entries, with rows = scanned
+   / survivors as in the unfused pipeline. *)
+and fused_agg ctx plan keys aggs child : (unit -> source option) option =
+  match scan_head child with
+  | None -> None
+  | Some h -> (
+    let agg_arr = Array.of_list aggs in
+    let agg_st =
+      if Metrics.enabled ctx.Exec_ctx.metrics then
+        Metrics.find ctx.Exec_ctx.metrics plan
+      else None
     in
-    match parts with
-    | None -> None
-    | Some (table, cols, pred, scan_node) ->
-      let shift e =
-        match cols with
-        | None -> e
-        | Some idxs -> Scalar.shift_cols (fun i -> idxs.(i)) e
-      in
-      let raw_pred = Option.map shift pred in
-      let agg_arr = Array.of_list aggs in
-      let raw_args =
-        Array.map (fun a -> Option.map shift a.Logical.arg) agg_arr
-      in
-      let agg_st =
-        if Metrics.enabled ctx.Exec_ctx.metrics then
-          Metrics.find ctx.Exec_ctx.metrics plan
-        else None
-      in
+    let note_scan scanned kept =
+      Exec_ctx.note_scanned_many ctx scanned;
+      if Metrics.enabled ctx.Exec_ctx.metrics then begin
+        let bump node rows =
+          match Metrics.find ctx.Exec_ctx.metrics node with
+          | Some s ->
+            s.Metrics.opens <- s.Metrics.opens + 1;
+            s.Metrics.rows <- s.Metrics.rows + rows
+          | None -> ()
+        in
+        bump h.scan scanned;
+        if h.pred <> None then bump child kept
+      end
+    in
+    let finals states = Array.map Aggregate.final states in
+    if
+      keys = [] && h.pred = None
+      && Array.for_all (fun a -> a.Logical.arg = None) agg_arr
+    then
       Some
         (fun () ->
-          if ctx.Exec_ctx.interpret_exprs || Exec_ctx.guards_armed ctx then
-            None
-          else
-            let t = resolve_table ctx table in
-            if hide_for ctx table <> None then None
-            else
-              match Table.column_store t with
-              | None -> None
-              | Some cs -> (
-                let pred_kern =
-                  match raw_pred with
-                  | None -> Some None
-                  | Some p -> (
-                    match Col_pred.compile ctx cs p with
-                    | Some k -> Some (Some k)
-                    | None -> None)
+          Option.map
+            (fun t ->
+              let n = Table.cardinality t in
+              let states = Array.map Aggregate.create agg_arr in
+              Array.iter (fun st -> Aggregate.update_many st n) states;
+              if n > 0 then Exec_ctx.note_materialized ctx;
+              note_scan n n;
+              let out = finals states in
+              fun sink -> sink out)
+            (kernel_table ctx h.table))
+    else
+      let key_cols =
+        List.map
+          (function Scalar.Col i, _ -> Some (h.col i) | _ -> None)
+          keys
+      in
+      if List.mem None key_cols then None
+      else
+        let key_cols = Array.of_list (List.map Option.get key_cols) in
+        let nkeys = Array.length key_cols in
+        let args =
+          Array.map
+            (fun a -> Option.map (Scalar.shift_cols h.col) a.Logical.arg)
+            agg_arr
+        in
+        Some
+          (fun () ->
+            match kernel_store ctx h.table with
+            | None -> None
+            | Some (t, cs) -> (
+              let update = function
+                | None -> Some (fun st _ -> Aggregate.update st None)
+                | Some e -> (
+                  match Col_pred.compile_num ctx cs e with
+                  | Some (Col_pred.Kint f, nullk) ->
+                    Some
+                      (fun st s -> if not (nullk s) then Aggregate.add_int st (f s))
+                  | Some (Col_pred.Kfloat f, nullk) ->
+                    Some
+                      (fun st s ->
+                        if not (nullk s) then Aggregate.add_float st (f s))
+                  | None -> None)
+              in
+              let dict_key i =
+                match Column_store.col_data cs i with
+                | Column_store.Codes (a, d) ->
+                  Some (a, Column_store.col_nulls cs i, d, Column_store.Dict.size d)
+                | _ -> None
+              in
+              let upds = Array.map update args in
+              let key_info = Array.map dict_key key_cols in
+              match slot_pred ctx cs h.pred with
+              | Some kern
+                when Array.for_all Option.is_some upds
+                     && Array.for_all Option.is_some key_info ->
+                let upds = Array.map Option.get upds in
+                let key_info = Array.map Option.get key_info in
+                (* Packed keys must fit an int with room to spare. *)
+                let product =
+                  Array.fold_left
+                    (fun acc (_, _, _, size) ->
+                      if acc > 1 lsl 44 / (size + 1) then max_int
+                      else acc * (size + 1))
+                    1 key_info
                 in
-                match pred_kern with
-                | None -> None
-                | Some pred_kern -> (
-                  let upd = function
-                    | None -> Some (fun st _ -> Aggregate.update st None)
-                    | Some e -> (
-                      match Col_pred.compile_num ctx cs e with
-                      | Some (Col_pred.Kint f, nullk) ->
-                        Some
-                          (fun st s ->
-                            if not (nullk s) then Aggregate.add_int st (f s))
-                      | Some (Col_pred.Kfloat f, nullk) ->
-                        Some
-                          (fun st s ->
-                            if not (nullk s) then Aggregate.add_float st (f s))
-                      | None -> None)
+                if product = max_int then None
+                else begin
+                  let pack s =
+                    let k = ref 0 in
+                    for j = 0 to nkeys - 1 do
+                      let codes, nulls, _, size = Array.unsafe_get key_info j in
+                      let c =
+                        if Column_store.Bitmap.get nulls s then size
+                        else Array.unsafe_get codes s
+                      in
+                      k := (!k * (size + 1)) + c
+                    done;
+                    !k
                   in
-                  let upds = Array.map upd raw_args in
-                  if Array.exists Option.is_none upds then None
-                  else begin
-                    let upds = Array.map Option.get upds in
-                    let nagg = Array.length upds in
+                  let decode k =
+                    let vals = Array.make nkeys Value.Null in
+                    let k = ref k in
+                    for j = nkeys - 1 downto 0 do
+                      let _, _, d, size = key_info.(j) in
+                      let c = !k mod (size + 1) in
+                      k := !k / (size + 1);
+                      if c < size then
+                        vals.(j) <- Value.Str (Column_store.Dict.decode d c)
+                    done;
+                    vals
+                  in
+                  (* First-seen order, states alongside. *)
+                  let order = ref [] in
+                  let fresh key =
+                    Exec_ctx.note_materialized ctx;
                     let states = Array.map Aggregate.create agg_arr in
-                    let seen = ref false in
-                    let scanned = ref 0 in
-                    let kept = ref 0 in
-                    (* The aggregation runs at open, where the generic
-                       scalar path drains its child. *)
-                    timed agg_st (fun () ->
-                        let stop = Table.next_slot t in
-                        match pred_kern with
-                        | Some k ->
-                          for s = 0 to stop - 1 do
-                            if Column_store.is_live cs s then begin
-                              incr scanned;
-                              if k s = Col_pred.holds then begin
-                                incr kept;
-                                if not !seen then begin
-                                  seen := true;
-                                  Exec_ctx.note_materialized ctx
-                                end;
-                                for i = 0 to nagg - 1 do
-                                  (Array.unsafe_get upds i)
-                                    (Array.unsafe_get states i)
-                                    s
-                                done
-                              end
-                            end
-                          done
+                    order := (key, states) :: !order;
+                    states
+                  in
+                  let group =
+                    if product <= 4096 then begin
+                      let groups = Array.make product None in
+                      fun key ->
+                        match Array.unsafe_get groups key with
+                        | Some states -> states
                         | None ->
-                          for s = 0 to stop - 1 do
-                            if Column_store.is_live cs s then begin
-                              incr scanned;
-                              incr kept;
-                              if not !seen then begin
-                                seen := true;
-                                Exec_ctx.note_materialized ctx
-                              end;
-                              for i = 0 to nagg - 1 do
-                                (Array.unsafe_get upds i)
-                                  (Array.unsafe_get states i)
-                                  s
-                              done
-                            end
-                          done);
-                    Exec_ctx.note_scanned_many ctx !scanned;
-                    if Metrics.enabled ctx.Exec_ctx.metrics then begin
-                      (match Metrics.find ctx.Exec_ctx.metrics scan_node with
-                      | Some s ->
-                        s.Metrics.opens <- s.Metrics.opens + 1;
-                        s.Metrics.rows <- s.Metrics.rows + !scanned
-                      | None -> ());
-                      match pred with
-                      | None -> ()
-                      | Some _ -> (
-                        match Metrics.find ctx.Exec_ctx.metrics child with
-                        | Some s ->
-                          s.Metrics.opens <- s.Metrics.opens + 1;
-                          s.Metrics.rows <- s.Metrics.rows + !kept
-                        | None -> ())
-                    end;
-                    let out = Array.map Aggregate.final states in
-                    Some (fun sink -> sink out)
-                  end)))
+                          let states = fresh key in
+                          groups.(key) <- Some states;
+                          states
+                    end
+                    else begin
+                      let groups = Hashtbl.create 256 in
+                      fun key ->
+                        match Hashtbl.find_opt groups key with
+                        | Some states -> states
+                        | None ->
+                          let states = fresh key in
+                          Hashtbl.replace groups key states;
+                          states
+                    end
+                  in
+                  let nagg = Array.length upds in
+                  let scanned = ref 0 and kept = ref 0 in
+                  timed agg_st (fun () ->
+                      for s = 0 to Table.next_slot t - 1 do
+                        if Column_store.is_live cs s then begin
+                          incr scanned;
+                          if kern s = Col_pred.holds then begin
+                            incr kept;
+                            let states = group (pack s) in
+                            for i = 0 to nagg - 1 do
+                              (Array.unsafe_get upds i)
+                                (Array.unsafe_get states i)
+                                s
+                            done
+                          end
+                        end
+                      done);
+                  note_scan !scanned !kept;
+                  let rows =
+                    match !order with
+                    | [] when nkeys = 0 ->
+                      (* Scalar aggregate over empty input: one default row. *)
+                      [ finals (Array.map Aggregate.create agg_arr) ]
+                    | order ->
+                      List.rev_map
+                        (fun (key, states) ->
+                          Tuple.append (decode key) (finals states))
+                        order
+                  in
+                  Some (fun sink -> List.iter sink rows)
+                end
+              | _ -> None)))
 
 and compile_group ctx plan keys aggs child : factory =
   let st = stats_of ctx plan in

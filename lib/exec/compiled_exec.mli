@@ -1,16 +1,18 @@
 (** Push-based compiled execution of physical plans (data-centric).
 
-    The third engine. Instead of pulling tuples through a per-operator
-    getNext virtual call ({!Executor}) or batches through chunked kernels
-    ({!Batch_exec}), [compile] splits the plan into pipelines at the
-    blocking operators — hash-join and semi-join builds, HashAgg, Sort,
-    TopK, Except/Intersect builds — and fuses each pipeline
-    (scan→filter→project→audit-probe→…) into one push-based closure: the
-    scan loop drives every row through plain OCaml function composition,
-    with the audit probe of §IV-A2 lowered to an inline branch in the
-    loop body. On columnar tables a Filter directly over a scan compiles
-    the predicate to a slot-level {!Col_pred} kernel and materializes
-    only the surviving rows.
+    The fast engine. Instead of pulling tuples through a per-operator
+    getNext virtual call ({!Executor}), [compile] splits the plan into
+    pipelines at the blocking operators — hash-join and semi-join builds,
+    HashAgg, Sort, TopK, Except/Intersect builds — and fuses each
+    pipeline (scan→filter→project→audit-probe→…) into one push-based
+    closure: the scan loop drives every row through plain OCaml function
+    composition, with the audit probe of §IV-A2 lowered to an inline
+    branch in the loop body. Column permutations fuse into the hash join
+    below them, and over columnar tables pipeline heads run on slot
+    numbers through {!Col_pred} kernels: filtered scans materialize only
+    survivors, grouped and scalar aggregation and single-key joins build
+    only their output rows, and a bare [COUNT(<star>)] reads the live-row
+    count of either store.
 
     Semantics — emission order, 3VL, audit evidence, budget accounting
     (per-row [note_scanned], [note_materialized] at the same buffering
@@ -36,6 +38,9 @@ type source = sink -> unit
     effects (table resolution, audit-set lookup, blocking builds) in the
     row engine's order and returns the streaming source. *)
 type factory = unit -> source
+
+(** Rows per chunk of the generic base-table scan loop. *)
+val scan_chunk : int
 
 (** Compile a physical plan for the push engine. Raises
     {!Executor.Exec_error} like the row engine (e.g. audit-ID table not

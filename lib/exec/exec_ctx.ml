@@ -126,7 +126,7 @@ let set_audit_ids ctx ~audit_name marks = (slot ctx (norm audit_name)).marks <- 
 
 let audit_slot ctx ~audit_name = Hashtbl.find_opt ctx.audit_sets (norm audit_name)
 
-(** The audit operator's per-row body, shared by the row, batch and
+(** The audit operator's per-row body, shared by the row and
     compiled engines: one hash probe; a hit marks the ID and, the first
     time this statement marks it, appends it to the log. Never filters
     (§IV-A2). *)
@@ -210,7 +210,7 @@ let note_scanned ctx =
       (Printf.sprintf "query scanned more than %d rows" b)
   | _ -> ()
 
-(** Count [n] base-table rows at once — the vectorized scan's O(1) charge
+(** Count [n] base-table rows at once — a chunked scan's O(1) charge
     per chunk. Equivalent to [n] [note_scanned] calls, except that with a
     row budget armed the cancellation would land at the chunk boundary
     rather than the exact row; callers must charge per row in that case. *)

@@ -73,8 +73,8 @@ val set_audit_ids : t -> audit_name:string -> int ref Value.Hashtbl_v.t -> unit
 
 val audit_slot : t -> audit_name:string -> audit_slot option
 
-(** The audit operator's per-row body, the one copy the row, batch and
-    compiled engines all call: count the probe (and in [stats]), look the
+(** The audit operator's per-row body, the one copy the row and
+    compiled engines both call: count the probe (and in [stats]), look the
     ID up, and on a hit mark it, logging it the first time this statement
     marks it. Never filters. *)
 val probe : t -> audit_slot -> Metrics.op_stats option -> Value.t -> unit
@@ -112,7 +112,7 @@ val check_guards : t -> unit
 (** Count a base-table row against the scan budget. *)
 val note_scanned : t -> unit
 
-(** Count [n] base-table rows at once (the vectorized scan's per-chunk
+(** Count [n] base-table rows at once (a chunked scan's per-chunk
     charge). Only valid when no row budget is armed — it never cancels;
     with a budget armed, charge per row via {!note_scanned} so the query
     cancels at the exact row the row engine would. *)

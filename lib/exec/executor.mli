@@ -30,7 +30,7 @@ val drain : cursor -> Tuple.t list
 val compile : Exec_ctx.t -> Plan.Physical.t -> factory
 
 (** Sorter over materialized rows (keys compiled once, stable sort by the
-    key vector) — shared with the vectorized engine's Sort/TopK kernels. *)
+    key vector) — shared with the compiled engine's Sort/TopK pipelines. *)
 val compile_sorter :
   Exec_ctx.t ->
   (Plan.Scalar.t * Sql.Ast.order_dir) list ->

@@ -15,11 +15,6 @@ let annot (m : Metrics.t) (node : Plan.Physical.t) : string option =
         Printf.sprintf " probes=%d hits=%d" s.Metrics.probes s.Metrics.hits
       else ""
     in
-    let batches =
-      if s.Metrics.batches > 0 then
-        Printf.sprintf " batches=%d" s.Metrics.batches
-      else ""
-    in
     if s.Metrics.opens = 0 then
       if s.Metrics.rows = 0 && s.Metrics.probes = 0 then
         Some (Printf.sprintf "(%s, never executed)" est)
@@ -30,8 +25,8 @@ let annot (m : Metrics.t) (node : Plan.Physical.t) : string option =
           (Printf.sprintf "(%s actual rows=%d%s)" est s.Metrics.rows audit)
     else
       Some
-        (Printf.sprintf "(%s actual rows=%d loops=%d%s time=%.3fms%s)" est
-           s.Metrics.rows s.Metrics.opens batches
+        (Printf.sprintf "(%s actual rows=%d loops=%d time=%.3fms%s)" est
+           s.Metrics.rows s.Metrics.opens
            (s.Metrics.time_s *. 1000.0)
            audit)
 

@@ -278,31 +278,3 @@ let compile (ctx : Exec_ctx.t) (e : Scalar.t) : compiled =
 let compile_pred (ctx : Exec_ctx.t) (e : Scalar.t) : Tuple.t -> bool =
   let f = compile ctx e in
   fun row -> match f row with Value.Bool true -> true | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Batch kernels                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Batch predicate: refines the batch's selection vector in place — the
-    vectorized filter writes surviving indices instead of branching on a
-    per-row row/None protocol. *)
-let compile_pred_batch (ctx : Exec_ctx.t) (e : Scalar.t) : Batch.t -> unit =
-  let test = compile_pred ctx e in
-  fun b -> Batch.refine test b
-
-(** Batch projection: evaluates the output expressions over every selected
-    row into a fresh dense output batch. The chunk is allocated per call
-    so it stays in the minor heap and dies young together with the tuples
-    it holds — a reused (major-heap) buffer would force every output
-    tuple to be promoted. *)
-let compile_project_batch (ctx : Exec_ctx.t) (exprs : Scalar.t list) :
-    Batch.t -> Batch.t =
-  let fs = Array.of_list (List.map (compile ctx) exprs) in
-  fun b ->
-    let n = Batch.length b in
-    let orows = Array.make n [||] in
-    for i = 0 to n - 1 do
-      let row = Batch.get b i in
-      Array.unsafe_set orows i (Array.map (fun f -> f row) fs)
-    done;
-    Batch.dense orows

@@ -23,13 +23,3 @@ val compile_pred : Exec_ctx.t -> Plan.Scalar.t -> Tuple.t -> bool
     / suffix / substring fast paths, {!Value.like_match} fallback) —
     exposed for the property suite. *)
 val like_compiled : string -> string -> bool
-
-(** Batch predicate: refines the batch's selection vector in place (the
-    vectorized filter — surviving indices are written, no per-row
-    branching on the cursor protocol). *)
-val compile_pred_batch : Exec_ctx.t -> Plan.Scalar.t -> Batch.t -> unit
-
-(** Batch projection: evaluates the output expressions over every selected
-    row, producing a dense batch. *)
-val compile_project_batch :
-  Exec_ctx.t -> Plan.Scalar.t list -> Batch.t -> Batch.t

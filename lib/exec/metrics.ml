@@ -20,7 +20,6 @@ type op_stats = {
   est_rows : float;  (** planner estimate recorded on the node *)
   mutable opens : int;  (** cursor opens; >1 under a correlated Apply *)
   mutable calls : int;  (** getNext invocations, across all opens *)
-  mutable batches : int;  (** batches emitted (vectorized engine only) *)
   mutable rows : int;  (** rows emitted, across all opens *)
   mutable time_s : float;  (** cumulative wall time inside getNext *)
   mutable probes : int;  (** audit operators: hash probes issued *)
@@ -66,7 +65,6 @@ let register m (node : Plan.Physical.t) : op_stats =
         est_rows = node.Plan.Physical.est;
         opens = 0;
         calls = 0;
-        batches = 0;
         rows = 0;
         time_s = 0.0;
         probes = 0;
@@ -85,7 +83,6 @@ type op_report = {
   r_est_rows : float;
   r_opens : int;
   r_calls : int;
-  r_batches : int;
   r_rows : int;
   r_time_s : float;
   r_probes : int;
@@ -101,7 +98,6 @@ let report m : op_report list =
         r_est_rows = s.est_rows;
         r_opens = s.opens;
         r_calls = s.calls;
-        r_batches = s.batches;
         r_rows = s.rows;
         r_time_s = s.time_s;
         r_probes = s.probes;

@@ -10,7 +10,6 @@ type op_stats = {
   est_rows : float;  (** planner estimate recorded on the node *)
   mutable opens : int;  (** cursor opens; >1 under a correlated Apply *)
   mutable calls : int;  (** getNext invocations, across all opens *)
-  mutable batches : int;  (** batches emitted (vectorized engine only) *)
   mutable rows : int;  (** rows emitted, across all opens *)
   mutable time_s : float;  (** cumulative wall time inside getNext *)
   mutable probes : int;  (** audit operators: hash probes issued *)
@@ -45,7 +44,6 @@ type op_report = {
   r_est_rows : float;
   r_opens : int;
   r_calls : int;
-  r_batches : int;
   r_rows : int;
   r_time_s : float;
   r_probes : int;

@@ -39,7 +39,7 @@ type env = {
 (** Load TPC-H and declare the audit expression
     [c_mktsegment = 'BUILDING' PARTITION BY c_custkey]. [storage]
     overrides the table representation (default: the process-wide
-    [STORAGE] setting) — the row-vs-batch section loads one environment
+    [STORAGE] setting) — the row-vs-compiled section loads one environment
     per storage engine to report both sides of the matrix. *)
 let prepare ?storage (cfg : config) : env =
   let db = Db.Database.create () in

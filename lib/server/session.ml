@@ -30,7 +30,7 @@ let user t = Db.Database.user t.db
 let usage_commands =
   "commands: \\tables \\audits \\triggers \\notifications \\accessed \
    \\alarms \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
-   \\heuristic <leaf|hcn|highest> \\exec [row|batch|compiled] \
+   \\heuristic <leaf|hcn|highest> \\exec [row|compiled] \
    \\storage [heap|columnar] \\user <name> \
    \\timeout <s|off> \\budget <rows|mem> <n|off> \\session \\log status \
    (\\q quits client-side)"
@@ -123,20 +123,16 @@ let handle_command t line =
   | [ "\\exec" ] -> (
     match Db.Database.exec_mode db with
     | `Row -> "row"
-    | `Batch -> "batch"
     | `Compiled -> "compiled")
   | [ "\\exec"; m ] -> (
     match String.lowercase_ascii m with
     | "row" ->
       Db.Database.set_exec_mode db `Row;
       "exec mode row"
-    | "batch" ->
-      Db.Database.set_exec_mode db `Batch;
-      "exec mode batch"
     | "compiled" ->
       Db.Database.set_exec_mode db `Compiled;
       "exec mode compiled"
-    | _ -> "usage: \\exec [row|batch|compiled]")
+    | _ -> "usage: \\exec [row|compiled]")
   | [ "\\storage" ] ->
     Storage.Table.storage_to_string (Db.Database.storage_mode db)
   | [ "\\storage"; m ] -> (

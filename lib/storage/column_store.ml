@@ -151,6 +151,20 @@ let cell t ~col slot =
     | Codes (a, d), _ -> Value.Str (Dict.decode d a.(slot))
     | _ -> assert false
 
+let reader t ~col : int -> Value.t =
+  let nulls = t.nulls.(col) in
+  let box : int -> Value.t =
+    match (t.cols.(col), (Schema.col t.schema col).Schema.ty) with
+    | Ints a, Datatype.T_int -> fun s -> Value.Int (Array.unsafe_get a s)
+    | Ints a, Datatype.T_date -> fun s -> Value.Date (Array.unsafe_get a s)
+    | Ints a, Datatype.T_bool -> fun s -> Value.Bool (Array.unsafe_get a s <> 0)
+    | Floats a, _ -> fun s -> Value.Float (Array.unsafe_get a s)
+    | Codes (a, d), _ ->
+      fun s -> Value.Str (Dict.decode d (Array.unsafe_get a s))
+    | _ -> assert false
+  in
+  fun s -> if Bitmap.get nulls s then Value.Null else box s
+
 let read t slot =
   Array.init (Array.length t.cols) (fun col -> cell t ~col slot)
 

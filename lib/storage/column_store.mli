@@ -50,7 +50,7 @@ end
 
 type t
 
-(** Typed view of one column's backing vector, for the vectorized
+(** Typed view of one column's backing vector, for the columnar
     predicate kernels. [Ints] backs [T_int], [T_date] (epoch days) and
     [T_bool] (0/1); [Floats] backs [T_float]; [Codes] backs [T_string]
     (dictionary codes). Only slots whose null bit is clear and whose live
@@ -86,23 +86,19 @@ val read_proj : t -> int array -> int -> Tuple.t
 
 (** [read_many t sel k] materializes the slots [sel.(0..k-1)]
     column-at-a-time: one variant dispatch and null-bitmap fetch per
-    column rather than per cell — the vectorized engine's bulk decode. *)
+    column rather than per cell — the chunked scan's bulk decode. *)
 val read_many : t -> int array -> int -> Tuple.t array
 
 (** {!read_many} restricted to the referenced columns, in [cols] order. *)
 val read_proj_many : t -> int array -> int array -> int -> Tuple.t array
 
-(** [blit_col t ~col ~pos sel k rows] decodes column [col] at slots
-    [sel.(0..k-1)] into position [pos] of each tuple in [rows] — the
-    single-column building block of {!read_many}, for callers that
-    scatter columns into computed output positions (fused join
-    materialization). [rows] must be pre-filled with [Null]; NULL cells
-    are never written. Slots may repeat. *)
-val blit_col :
-  t -> col:int -> pos:int -> int array -> int -> Tuple.t array -> unit
-
 (** One cell of a live slot. *)
 val cell : t -> col:int -> int -> Value.t
+
+(** [reader t ~col] is [cell t ~col] with the column's type dispatch
+    done once, for kernels that decode one column slot by slot. The
+    reader holds the current vectors: take it after the last write. *)
+val reader : t -> col:int -> int -> Value.t
 
 (** {2 Kernel access} *)
 

@@ -11,8 +11,8 @@
       original representation, kept as the differential oracle.
     - [Columnar]: typed unboxed vectors per column with dictionary-encoded
       strings and null/live bitmaps ({!Column_store}) — rows are
-      materialized on demand, and the vectorized engine reads the column
-      vectors directly.
+      materialized on demand, and the compiled engine's kernels read the
+      column vectors directly.
 
     Because slot identity, the PK/secondary indexes, and the change hooks
     all live at this level, the row engine, triggers and sensitive-view
@@ -36,16 +36,13 @@ let storage_of_string s =
   | "columnar" | "column" -> Some Columnar
   | _ -> None
 
-(* Process-wide default, settable via the STORAGE environment variable
-   (the storage counterpart of the batch engine's BATCH_MODE). *)
+(* Process-wide default, read from the STORAGE environment variable. *)
 let default =
-  ref
-    (match Option.bind (Sys.getenv_opt "STORAGE") storage_of_string with
-    | Some st -> st
-    | None -> Heap)
+  match Option.bind (Sys.getenv_opt "STORAGE") storage_of_string with
+  | Some st -> st
+  | None -> Heap
 
-let default_storage () = !default
-let set_default_storage st = default := st
+let default_storage () = default
 
 type store =
   | Heap_slots of Tuple.t option array
@@ -77,7 +74,7 @@ let create ?key ?storage ~name schema =
   | Some k when k < 0 || k >= Schema.arity schema ->
     invalid_arg "Table.create: key index out of range"
   | _ -> ());
-  let storage = match storage with Some st -> st | None -> !default in
+  let storage = match storage with Some st -> st | None -> default in
   {
     name;
     schema;

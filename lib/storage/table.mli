@@ -26,8 +26,6 @@ val storage_of_string : string -> storage option
     the [STORAGE] environment variable ([STORAGE=columnar]). *)
 val default_storage : unit -> storage
 
-val set_default_storage : storage -> unit
-
 type t
 
 exception Duplicate_key of string
@@ -46,7 +44,7 @@ val key : t -> int option
 val storage : t -> storage
 
 (** The backing column store of a [Columnar] table ([None] for heap) —
-    the vectorized engine reads column vectors through this. *)
+    the compiled engine's kernels read column vectors through this. *)
 val column_store : t -> Column_store.t option
 
 (** The slot high-water mark (scan bound for slot-based kernels). *)
@@ -109,7 +107,7 @@ val to_list : t -> Tuple.t list
 (** [fill_chunk t ~slot buf ~max] copies up to [max] live rows into
     [buf.(0 ..)], starting at slot [!slot] (advanced past the rows
     consumed), and returns the fill count — 0 at end of table. The bulk
-    counterpart of {!cursor} for the vectorized scan: slot order, no
+    counterpart of {!cursor} for chunked scans: slot order, no
     per-row closure or option allocation. *)
 val fill_chunk : t -> slot:int ref -> Tuple.t array -> max:int -> int
 

@@ -3,15 +3,15 @@
 
     The row executor over heap tables is the semantic oracle: for every
     query we run the same physical plan under the full
-    row/batch/compiled × heap/columnar matrix and require {e identical}
-    result rows (including emission order — all engines share hash-table
+    row/compiled × heap/columnar matrix and require {e identical} result
+    rows (including emission order — both engines share hash-table
     insertion and probe order), identical ACCESSED sets, and identical
     trigger notifications, under all three placement heuristics. The
-    columnar runs exercise the fused scan/filter/join/aggregate kernels
-    (and the push engine's slot-level predicate kernels) and their
-    fallbacks.
+    columnar runs exercise the compiled engine's slot-level kernels
+    (filtered scans, fused aggregation, late-materializing joins) and
+    their fallbacks.
 
-    Coverage comes from four directions:
+    Coverage comes from five directions:
     - a seeded random query generator (select/filter/join/agg/order-by/
       top-k/distinct/exists/union shapes over random patients+visits
       databases, with and without a secondary index) — ≥200 cases;
@@ -21,8 +21,10 @@
       firings and NOTIFY output must be byte-equal per engine);
     - budget-parity regressions: the row and memory budgets must cancel
       at the same row counts in every mode, with the same partial
-      ACCESSED state (batch mode charges budgets per row {e within} a
-      chunk; the push engine charges per row before each push). *)
+      ACCESSED state (the push engine charges per row before each push);
+    - a kernel corpus: each compiled kernel against the row engine in
+      every session state that must make it fall back, comparing rows,
+      WAL evidence, ACCESSED and the scan/materialization counters. *)
 
 module E = Engine_core.Engine_error
 
@@ -32,7 +34,7 @@ let heuristics =
 (** Every engine under differential test; the first is the oracle. A new
     engine only needs a row here (and in {!Db.Database.run_phys}) to be
     covered by the whole corpus. *)
-let modes = [ ("row", `Row); ("batch", `Batch); ("compiled", `Compiled) ]
+let modes = [ ("row", `Row); ("compiled", `Compiled) ]
 
 (* --------------------------------------------------------------- *)
 (* Core comparison: rows + ACCESSED under both engines              *)
@@ -446,13 +448,13 @@ let test_evidence_parity () =
   done
 
 (* --------------------------------------------------------------- *)
-(* Budget parity: batch mode charges budgets per row within a chunk *)
+(* Budget parity: every engine cancels at the row engine's row      *)
 (* --------------------------------------------------------------- *)
 
 (** Both engines must cancel at the same [rows_scanned] count and leave
-    the same partial ACCESSED state: the batch scan emits its partially
-    filled chunk (whose rows the row engine would have pipelined through
-    the audit probe already) before re-raising. *)
+    the same partial ACCESSED state: every row charged before the trip
+    has already been pushed through the audit probe, as in the row
+    engine. *)
 let budget_outcome mode =
   let db = Fixtures.healthcare_with_alice () in
   ignore
@@ -506,17 +508,168 @@ let test_mem_budget_parity () =
     modes
 
 (* --------------------------------------------------------------- *)
+(* Compiled kernels and their fallbacks                             *)
+(* --------------------------------------------------------------- *)
+
+(* [item] crosses the compiled engine's 256-slot scan chunk and carries
+   dictionary-coded strings, ints, floats and dates with NULLs; [ord] and
+   [wide] are the small and large join partners; [huge] holds keys at
+   and beyond 2^53, where Int/Float equality stops being exact. *)
+let kernel_stmts =
+  let nul i p v = if i mod p = 0 then "NULL" else v in
+  [
+    "CREATE TABLE item (iid INT PRIMARY KEY, grp VARCHAR, tag VARCHAR, qty \
+     INT, price FLOAT, day DATE)";
+    "CREATE TABLE ord (oid INT PRIMARY KEY, iid INT, day DATE, note VARCHAR)";
+    "CREATE TABLE wide (wid INT PRIMARY KEY, iid INT, w VARCHAR, big INT)";
+    "CREATE TABLE huge (hid INT PRIMARY KEY, k INT, f FLOAT)";
+  ]
+  @ List.init 300 (fun i ->
+        let i = i + 1 in
+        Printf.sprintf
+          "INSERT INTO item VALUES (%d,%s,%s,%s,%s,DATE '1995-01-%02d')" i
+          (nul i 17 (Printf.sprintf "'%c'" "abc".[i mod 3]))
+          (nul i 13 (if i mod 2 = 0 then "'x'" else "'y'"))
+          (nul i 11 (string_of_int (i mod 7)))
+          (nul i 19 (Printf.sprintf "%.1f" (float_of_int (i mod 10) *. 1.5)))
+          (1 + (i mod 28)))
+  @ List.init 40 (fun i ->
+        let i = i + 1 in
+        Printf.sprintf
+          "INSERT INTO ord VALUES (%d,%s,DATE '1995-01-%02d','n%d')" i
+          (nul i 9 (string_of_int (i * 7 mod 320)))
+          (1 + (i mod 5)) (i mod 4))
+  @ List.init 600 (fun i ->
+        let i = i + 1 in
+        Printf.sprintf "INSERT INTO wide VALUES (%d,%d,'w%d',%d)" i (i mod 350)
+          (i mod 6)
+          (if i mod 100 = 0 then 9007199254740993 else i mod 40))
+  @ [
+      "INSERT INTO huge VALUES (1, 9007199254740992, 9007199254740992.0)";
+      "INSERT INTO huge VALUES (2, 9007199254740993, 5.0)";
+      "INSERT INTO huge VALUES (3, 5, NULL)";
+      "INSERT INTO huge VALUES (4, NULL, 9007199254740993.0)";
+      "CREATE AUDIT EXPRESSION audit_ord AS SELECT * FROM ord FOR SENSITIVE \
+       TABLE ord, PARTITION BY oid";
+    ]
+
+let kernel_queries =
+  [
+    (* fused grouped aggregation: dictionary keys with a NULL group *)
+    "SELECT i.grp, i.tag, count(*), sum(i.qty), avg(i.price), min(i.qty) FROM \
+     item i WHERE i.qty > 1 GROUP BY i.grp, i.tag";
+    "SELECT i.grp, count(*) FROM item i GROUP BY i.grp";
+    (* the scalar case, and its default row over empty input *)
+    "SELECT count(*), sum(i.qty * 2 - 1), avg(i.price) FROM item i WHERE \
+     i.grp <> 'b'";
+    "SELECT count(i.qty), sum(i.price) FROM item i WHERE i.qty > 100";
+    (* count-only scan *)
+    "SELECT count(*) FROM item";
+    (* late-materializing joins: int and date keys, both sizes of partner *)
+    "SELECT i.grp, o.note, i.qty FROM item i, ord o WHERE i.iid = o.iid AND \
+     i.qty > 1";
+    "SELECT o.note, i.tag, o.oid FROM ord o, item i WHERE o.day = i.day AND \
+     o.oid < 30";
+    "SELECT w.w, i.grp, i.iid FROM wide w, item i WHERE w.iid = i.iid AND \
+     i.tag = 'x'";
+    (* generic projection-over-join fusion: outer join, residual *)
+    "SELECT i.iid, o.oid FROM item i LEFT JOIN ord o ON i.iid = o.iid";
+    "SELECT i.iid, o.oid FROM item i, ord o WHERE i.iid = o.iid AND i.qty < \
+     o.oid";
+    (* keys at and beyond 2^53 on either side *)
+    "SELECT a.hid, b.hid FROM huge a, huge b WHERE a.k = b.f";
+    "SELECT a.hid, b.hid FROM huge a, huge b WHERE a.f = b.k";
+    "SELECT o.note, w.wid FROM ord o, wide w WHERE o.iid = w.big";
+  ]
+
+(* Every session state in which a kernel must step aside, plus the plain
+   one in which it fires. *)
+let kernel_configs =
+  let ctx db = Db.Database.context db in
+  [
+    ("plain", fun _ -> ());
+    ("metrics on", fun db -> Db.Database.set_collect_metrics db true);
+    ( "row budget armed",
+      fun db -> Db.Database.set_row_budget db (Some 1_000_000) );
+    ( "memory budget armed",
+      fun db -> Db.Database.set_mem_budget db (Some 1_000_000) );
+    ( "?hide partition",
+      fun db ->
+        (ctx db).Exec.Exec_ctx.hide <- Some ("item", 0, Storage.Value.Int 7) );
+    ( "interpreter oracle",
+      fun db -> (ctx db).Exec.Exec_ctx.interpret_exprs <- true );
+    ( "faults armed",
+      fun db ->
+        Engine_core.Faultkit.arm (Db.Database.faults db)
+          [ Engine_core.Faultkit.Op_next { op = "no such operator"; at = 1 } ]
+    );
+  ]
+
+(** One statement through [exec] with deferred evidence: rows, evidence
+    records, ACCESSED and the scan/materialization counters. *)
+let kernel_outcome db sql =
+  let rows =
+    match Db.Database.exec db sql with
+    | Db.Database.Rows { rows; _ } -> rows
+    | _ -> []
+  in
+  let ctx = Db.Database.context db in
+  ( rows,
+    List.map Audit_log.Wal.record_to_string
+      (Db.Database.take_pending_evidence db),
+    Exec.Exec_ctx.accessed_list ctx ~audit_name:"audit_ord",
+    (ctx.Exec.Exec_ctx.rows_scanned, ctx.Exec.Exec_ctx.tuples_materialized) )
+
+let test_kernel_parity () =
+  List.iter
+    (fun (sname, storage) ->
+      List.iter
+        (fun (cname, configure) ->
+          List.iter
+            (fun instrument ->
+              let db = mk_db storage kernel_stmts in
+              Db.Database.set_heuristic db Audit_core.Placement.Leaf;
+              Db.Database.set_instrumentation db instrument;
+              Db.Database.set_deferred_evidence db true;
+              configure db;
+              List.iter
+                (fun sql ->
+                  let run mode =
+                    Db.Database.set_exec_mode db mode;
+                    kernel_outcome db sql
+                  in
+                  let rows, evidence, accessed, counters = run `Row in
+                  let rows', evidence', accessed', counters' = run `Compiled in
+                  let l =
+                    Printf.sprintf "[%s %s%s] %s" sname cname
+                      (if instrument then "" else " uninstrumented")
+                      sql
+                  in
+                  Alcotest.(check (list Fixtures.tuple)) ("rows " ^ l) rows rows';
+                  Alcotest.(check (list string))
+                    ("evidence " ^ l) evidence evidence';
+                  Alcotest.(check Fixtures.values)
+                    ("accessed " ^ l) accessed accessed';
+                  Alcotest.(check (pair int int))
+                    ("rows_scanned, tuples_materialized " ^ l)
+                    counters counters')
+                kernel_queries)
+            [ true; false ])
+        kernel_configs)
+    [ ("heap", Storage.Table.Heap); ("columnar", Storage.Table.Columnar) ]
+
+(* --------------------------------------------------------------- *)
 
 let suite =
   [
     Alcotest.test_case
       (Printf.sprintf
-         "seeded corpus (%d cases, 3 heuristics, row/batch/compiled x \
+         "seeded corpus (%d cases, 3 heuristics, row/compiled x \
           heap/columnar)"
          n_seeded_cases)
       `Slow test_seeded_corpus;
     Alcotest.test_case
-      "TPC-H corpus (20 queries, 3 heuristics, row/batch/compiled x \
+      "TPC-H corpus (20 queries, 3 heuristics, row/compiled x \
        heap/columnar)"
       `Slow test_tpch_corpus;
     Alcotest.test_case
@@ -530,4 +683,8 @@ let suite =
       `Quick test_row_budget_parity;
     Alcotest.test_case "memory budget cancels at the same tuple in every mode"
       `Quick test_mem_budget_parity;
+    Alcotest.test_case
+      "compiled kernels = row in every fallback state (rows, evidence, \
+       counters)"
+      `Quick test_kernel_parity;
   ]

@@ -164,13 +164,13 @@ let test_mutation_hook_parity () =
   Alcotest.(check int) "hook count" (List.length hlog) (List.length clog);
   Alcotest.(check bool) "hook payloads and order" true (hlog = clog)
 
-(* Armed faults must reach the operator tree under columnar batch
-   execution: every fused kernel bypasses the per-operator getNext
-   wrappers, so arming Faultkit has to force the generic paths. *)
+(* Armed faults must reach the operator tree under columnar compiled
+   execution: every kernel bypasses the per-operator getNext wrappers,
+   so arming Faultkit has to force the row engine's generic operators. *)
 let test_fault_forces_generic_path () =
   let db = Db.Database.create () in
   Db.Database.set_storage_mode db Table.Columnar;
-  Db.Database.set_exec_mode db `Batch;
+  Db.Database.set_exec_mode db `Compiled;
   let e sql = ignore (Db.Database.exec db sql) in
   e "CREATE TABLE t (a INT PRIMARY KEY, b INT)";
   e "CREATE TABLE u (c INT PRIMARY KEY, a INT)";
@@ -201,6 +201,6 @@ let suite =
         `Quick test_hide_partition;
       Alcotest.test_case "delete/update hook parity (heap = columnar)" `Quick
         test_mutation_hook_parity;
-      Alcotest.test_case "armed faults force the generic batch path" `Quick
+      Alcotest.test_case "armed faults force the generic path (compiled)" `Quick
         test_fault_forces_generic_path;
     ]

@@ -126,10 +126,9 @@ let test_apply_loops () =
       (opens >= 5));
   Db.Database.set_collect_metrics db false
 
-(* Row and batch engines must report the same per-operator row totals (in
-   the same plan pre-order) on real TPC-H plans — scan/filter/join/agg
-   pipelines, instrumented with the §V audit expression. Only the [batches]
-   counter may differ between modes. *)
+(* Row and compiled engines must report the same per-operator row totals
+   (in the same plan pre-order) on real TPC-H plans — scan/filter/join/agg
+   pipelines, instrumented with the §V audit expression. *)
 let test_mode_rows_agree () =
   let db = Db.Database.create () in
   ignore (Tpch.Dbgen.load db ~sf:0.002);
@@ -154,11 +153,6 @@ let test_mode_rows_agree () =
     (fun qid ->
       let q = Tpch.Queries.find qid in
       let oracle = profile `Row q.Tpch.Queries.sql in
-      check
-        Alcotest.(list string)
-        ("per-operator rows (batch): " ^ qid)
-        oracle
-        (profile `Batch q.Tpch.Queries.sql);
       check
         Alcotest.(list string)
         ("per-operator rows (compiled): " ^ qid)
@@ -192,7 +186,7 @@ let suite =
     Alcotest.test_case "last_query_stats lifecycle" `Quick
       test_last_query_stats;
     Alcotest.test_case "apply loops accumulate" `Quick test_apply_loops;
-    Alcotest.test_case "row and batch agree on per-operator rows (TPC-H)"
+    Alcotest.test_case "row and compiled agree on per-operator rows (TPC-H)"
       `Quick test_mode_rows_agree;
     Alcotest.test_case "JSON emitter" `Quick test_json_emitter;
   ]

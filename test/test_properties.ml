@@ -221,16 +221,16 @@ let prop_optimizer_equivalence =
       a = b)
 
 (* --------------------------------------------------------------- *)
-(* Vectorized engine: chunk boundaries and verification parity      *)
+(* Compiled engine: chunk boundaries and verification parity       *)
 (* --------------------------------------------------------------- *)
 
-(* Tables whose cardinalities straddle the batch chunk size: batch mode
-   sees exactly one short chunk, one full chunk, and a full chunk plus a
-   1-row tail. Columns [a]/[b] carry periodic NULLs so
-   predicates exercise 3VL at the boundaries. *)
+(* Tables whose cardinalities straddle the compiled engine's scan chunk:
+   one short chunk, one full chunk, a full chunk plus a 1-row tail, and
+   two full chunks. Columns [a]/[b] carry periodic NULLs so predicates
+   exercise 3VL at the boundaries. *)
 let boundary_sizes =
-  let c = Exec.Batch.chunk_size in
-  [ 1; c - 1; c; c + 1; (4 * c) + 1 ]
+  let c = Exec.Compiled_exec.scan_chunk in
+  [ 1; c - 1; c; c + 1; 2 * c ]
 
 let boundary_dbs =
   lazy
@@ -288,11 +288,11 @@ let arb_boundary =
       Printf.sprintf "size=%d\n%s" (List.nth boundary_sizes i) sql)
     gen_boundary_query
 
-(* Batch and compiled ≡ row for compiled predicates/projections over
-   3VL/NULL corners when the table size sits at a chunk boundary —
-   results (in order) and ACCESSED sets must be identical. *)
-let prop_batch_chunk_boundary =
-  QCheck.Test.make ~count:60 ~name:"batch/compiled = row at chunk boundaries (3VL)"
+(* Compiled ≡ row for compiled predicates/projections over 3VL/NULL
+   corners when the table size sits at a chunk boundary — results (in
+   order) and ACCESSED sets must be identical. *)
+let prop_chunk_boundary =
+  QCheck.Test.make ~count:60 ~name:"compiled = row at chunk boundaries (3VL)"
     arb_boundary (fun (size_i, sql) ->
       let _, db = List.nth (Lazy.force boundary_dbs) size_i in
       let run mode =
@@ -308,7 +308,7 @@ let prop_batch_chunk_boundary =
             ~audit_name:"audit_big" )
       in
       let oracle = run `Row in
-      oracle = run `Batch && oracle = run `Compiled)
+      oracle = run `Compiled)
 
 (* The plan verifier's verdict cannot depend on the engine, and Strict
    execution must behave identically: every mode succeeds with the same
@@ -331,7 +331,7 @@ let prop_verify_both_modes =
           Error m
       in
       let oracle = run `Row in
-      oracle = run `Batch && oracle = run `Compiled)
+      oracle = run `Compiled)
 
 (* --------------------------------------------------------------- *)
 (* Compiled engine: elision, cancellation, fault fallback           *)
@@ -464,7 +464,7 @@ let suite =
       prop_exact_subset_lineage;
       prop_sj_exact;
       prop_optimizer_equivalence;
-      prop_batch_chunk_boundary;
+      prop_chunk_boundary;
       prop_verify_both_modes;
       prop_compiled_elision_parity;
       prop_compiled_cancel_parity;

@@ -378,6 +378,24 @@ let test_e2e_statement_errors_keep_session () =
       | Error m -> Alcotest.failf "\\fault refusal is not an error: %s" m);
       Server.Client.quit c)
 
+(* Only the row and compiled engines exist: [\exec batch] over the wire
+   answers with the usage line and the session keeps its engine. *)
+let test_e2e_exec_batch_refused () =
+  with_server (fun _t addr _wal ->
+      let c = Server.Client.connect addr in
+      ignore (Server.Client.hello c ~user:"dave");
+      let exec line =
+        match Server.Client.exec c line with
+        | Ok text -> String.trim text
+        | Error m -> Alcotest.failf "%s failed: %s" line m
+      in
+      Alcotest.(check string) "switch to compiled" "exec mode compiled"
+        (exec "\\exec compiled");
+      Alcotest.(check string) "batch is refused with the usage line"
+        "usage: \\exec [row|compiled]" (exec "\\exec batch");
+      Alcotest.(check string) "mode unchanged" "compiled" (exec "\\exec");
+      Server.Client.quit c)
+
 (* ------------------------------------------------------------------ *)
 (* Exactly-once: resumable sessions and reply replay                    *)
 (* ------------------------------------------------------------------ *)
@@ -767,6 +785,8 @@ let suite =
       test_e2e_session_isolation;
     Alcotest.test_case "e2e: statement errors keep the session" `Quick
       test_e2e_statement_errors_keep_session;
+    Alcotest.test_case "e2e: \\exec batch is refused, mode unchanged" `Quick
+      test_e2e_exec_batch_refused;
     Alcotest.test_case "retry: lost reply is replayed, not re-executed" `Quick
       test_resume_replays_lost_reply;
     Alcotest.test_case "overload: typed shed, no execution, no evidence"
