@@ -5,16 +5,16 @@
    per-operator timings from the execution-metrics layer, and audit
    overhead percentages) for the CI perf trajectory.
 
-   Configuration via environment:
+   Configuration via environment (read here, never inside the library):
      TPCH_SF        scale factor (default 0.01)
      TPCH_SEED      generator seed (default 42)
      BENCH_REPEATS  timing repetitions (default 3)
+     BENCH_WARMUP   untimed warm-up runs (default 1)
      BENCH_ONLY     comma-separated subset, e.g. "fig6,fig9,micro"
                     (unknown names abort with exit code 2)
-     BENCH_JSON     report path (default BENCH_PR10.json)
-     STORAGE        table representation (heap | columnar); the
-                    row-vs-compiled section ("batch", reported under
-                    the historical key row_vs_batch) always reports both
+     BENCH_JSON     report path (default _bench/bench.json)
+   Tables are heap; the row-vs-compiled section ("batch", reported under
+   the historical key row_vs_batch) reports heap and columnar.
 
    The report always embeds an EXPLAIN ANALYZE sample (CI asserts the
    estimated-vs-actual row annotations) and, when selected, the
@@ -32,6 +32,18 @@ let known_benchmarks =
   ]
 
 let wanted only name = only = [] || List.mem name only
+
+let config_of_env () =
+  let get name of_string d =
+    Option.value ~default:d (Option.bind (Sys.getenv_opt name) of_string)
+  in
+  let d = Setup.default_config in
+  {
+    Setup.sf = get "TPCH_SF" float_of_string_opt d.sf;
+    seed = get "TPCH_SEED" int_of_string_opt d.seed;
+    repeats = get "BENCH_REPEATS" int_of_string_opt d.repeats;
+    warmup = get "BENCH_WARMUP" int_of_string_opt d.warmup;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the physical operators                 *)
@@ -123,7 +135,7 @@ let micro_benchmarks (env : Setup.env) : (string * float option) list =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let cfg = Setup.config_of_env () in
+  let cfg = config_of_env () in
   let only =
     match Sys.getenv_opt "BENCH_ONLY" with
     | None -> []
@@ -195,7 +207,9 @@ let () =
   let path =
     match Sys.getenv_opt "BENCH_JSON" with
     | Some p when String.trim p <> "" -> p
-    | _ -> "BENCH_PR10.json"
+    | _ ->
+      if not (Sys.file_exists "_bench") then Sys.mkdir "_bench" 0o755;
+      "_bench/bench.json"
   in
   Benchkit.Json.write_file path
     (Json_report.assemble env ~sections:(List.rev !sections) ~elapsed_s:elapsed);

@@ -49,35 +49,34 @@ let main socket tcp wal policy_open max_segment_size storage exec elide init
         exit 2)
     | None -> `Unix socket
   in
-  let db = Db.Database.create () in
-  (* Before --tpch/--init so preloaded tables get the requested layout. *)
-  (match storage with
-  | Some s -> (
-    match Storage.Table.storage_of_string s with
-    | Some st ->
-      Db.Database.set_storage_mode db st;
-      log (Printf.sprintf "storage mode %s" s)
-    | None ->
-      prerr_endline "serverd: --storage expects heap or columnar";
-      exit 2)
-  | None -> ());
-  (match exec with
-  | Some m -> (
-    let mode, name =
-      match String.lowercase_ascii m with
-      | "row" -> (`Row, "row")
-      | "compiled" -> (`Compiled, "compiled")
-      | _ ->
-        prerr_endline "serverd: --exec expects row|compiled";
-        exit 2
-    in
-    Db.Database.set_exec_mode db mode;
-    log ("exec mode " ^ name))
-  | None -> ());
-  if elide then begin
-    Db.Database.set_elision_mode db Db.Database.Elide_certified;
-    log "certified probe elision on"
-  end;
+  let parse flag expects of_string =
+    Option.map (fun s ->
+        match of_string s with
+        | Some v -> v
+        | None ->
+          Printf.eprintf "serverd: --%s expects %s\n" flag expects;
+          exit 2)
+  in
+  let storage =
+    parse "storage" "heap or columnar" Db.Config.storage_of_string storage
+  in
+  let exec = parse "exec" "row|compiled" Db.Config.exec_of_string exec in
+  let config =
+    Db.Config.
+      {
+        default with
+        storage = Option.value storage ~default:default.storage;
+        exec = Option.value exec ~default:default.exec;
+        elision = (if elide then Elide_certified else Elide_off);
+      }
+  in
+  (* Before --tpch/--init, so preloaded tables get the requested layout. *)
+  let db = Db.Database.create ~config () in
+  Option.iter
+    (fun st -> log ("storage mode " ^ Db.Config.storage_to_string st))
+    storage;
+  Option.iter (fun m -> log ("exec mode " ^ Db.Config.exec_to_string m)) exec;
+  if elide then log "certified probe elision on";
   (match tpch with
   | Some sf ->
     let sizes = Tpch.Dbgen.load db ~sf in
@@ -156,14 +155,14 @@ let policy_open =
 let storage =
   let doc =
     "Storage engine for tables the server creates ($(docv) is heap or \
-     columnar; default follows the STORAGE environment variable)."
+     columnar; default heap)."
   in
   Arg.(value & opt (some string) None & info [ "storage" ] ~docv:"MODE" ~doc)
 
 let exec =
   let doc =
     "Execution engine for every served session ($(docv) is row or \
-     compiled; default follows the EXEC_MODE environment variable)."
+     compiled; default row)."
   in
   Arg.(value & opt (some string) None & info [ "exec" ] ~docv:"MODE" ~doc)
 
@@ -171,7 +170,7 @@ let elide =
   let doc =
     "Certified probe elision: statically analyze every plan for \
      trigger–query independence and strip audit probes whose certificate \
-     replays (default follows the ELISION environment variable)."
+     replays (default off)."
   in
   Arg.(value & flag & info [ "elide" ] ~doc)
 

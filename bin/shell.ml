@@ -1,37 +1,14 @@
 (* Interactive SQL shell with SELECT triggers.
 
-   Statements end with ';'. Backslash commands:
+   Statements end with ';'. Backslash commands are those of a served
+   session ({!Server.Session.command}: \tables, \plan, \verify, \elide,
+   \exec, \storage, \timeout, ...) plus the process-local ones:
      \q                     quit
-     \tables                list tables
-     \audits                list audit expressions
-     \triggers              list triggers
-     \notifications         show (and clear) NOTIFY output
-     \accessed              ACCESSED state of the last SELECT
-     \plan <sql>            show the instrumented plan for a query
-     \analyze <sql>         EXPLAIN ANALYZE: run the query, show the plan
-                            annotated with actual row counts and timings
-     \verify <sql>          run the plan-invariant verifier: rule-by-rule
-                            pass/violation report plus elision certificate
-                            summaries, nothing is executed
-     \verify mode <off|warn|strict>   verification policy for statements
-     \elide [off|certified] select (or show) certified probe elision:
-                            strip audit probes proven independent of every
-                            trigger by the static analysis
      \dump [file]           SQL dump of the database (to stdout or file)
-     \heuristic <h>         leaf | hcn | highest
-     \exec [row|compiled]   select (or show) the execution engine:
-                            tuple-at-a-time or push-based compiled
-                            pipelines
-     \storage [heap|columnar]   select (or show) the storage engine for
-                            tables created from now on
-     \user <name>           set session user
      \tpch <sf>             load the TPC-H benchmark at scale factor <sf>
      \log open <path> [closed|open]   attach the durable audit log
      \log policy <closed|open>        fail-closed vs fail-open-with-alarm
      \log dump | status | close      inspect / detach the audit log
-     \timeout <s|off>       per-query wall-clock budget
-     \budget rows|mem <n|off>        per-query scan / materialization budget
-     \alarms                show (and clear) robustness alarms
      \fault ...             arm deterministic faults (see \fault help)
 
    Every statement and command is dispatched inside an error guard: parse,
@@ -40,12 +17,9 @@
    going. *)
 
 let usage_commands =
-  "commands: \\q \\tables \\audits \\triggers \\notifications \\accessed \
-   \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
-   \\dump [file] \\heuristic <leaf|hcn|highest> \\exec [row|compiled] \
-   \\storage [heap|columnar] \\elide [off|certified] \\user <name> \\tpch <sf> \
-   \\log <open|policy|dump|status|close> \
-   \\timeout <s|off> \\budget <rows|mem> <n|off> \\alarms \\fault <...>"
+  "commands: \\q " ^ Server.Session.shared_usage
+  ^ " \\dump [file] \\tpch <sf> \\log <open|policy|dump|status|close> \
+     \\fault <...>"
 
 let fault_usage =
   "usage: \\fault                      show the armed plan and fired points\n\
@@ -56,19 +30,13 @@ let fault_usage =
   \       \\fault seed <k>             arm the seeded random plan k\n\
   \       \\fault off                  disarm"
 
-let print_result r = print_endline (Db.Database.result_to_string r)
+let report_error e = print_endline (Server.Session.render_error e)
 
-let report_error = function
-  | Db.Database.Db_error m -> Printf.printf "error: %s\n" m
-  | Db.Database.Access_denied m -> Printf.printf "error: access denied: %s\n" m
-  | Engine_core.Engine_error.Error e ->
-    Printf.printf "error: %s\n" (Engine_core.Engine_error.to_string e)
-  | Engine_core.Faultkit.Fault_injected m ->
-    Printf.printf "error: injected fault: %s\n" m
-  | Exec.Executor.Exec_error m ->
-    Printf.printf "error: execution error: %s\n" m
-  | Sys_error m -> Printf.printf "error: %s\n" m
-  | e -> Printf.printf "error: unexpected: %s\n" (Printexc.to_string e)
+(* Multi-line command output already ends in a newline. *)
+let print_out s =
+  if s = "" then ()
+  else if s.[String.length s - 1] = '\n' then print_string s
+  else print_endline s
 
 (* Faults already armed accumulate: each \fault command appends a point. *)
 let fault_points : Engine_core.Faultkit.point list ref = ref []
@@ -178,127 +146,20 @@ let handle_log db args =
   | [ "close" ] -> Db.Database.detach_audit_log db
   | _ -> print_endline "usage: \\log <open|policy|dump|status|close>"
 
-let opt_of = function
-  | "off" -> Ok None
-  | s -> (
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok (Some n)
-    | _ -> Error ())
-
-let handle_command db line =
+let handle_command session line =
+  let db = Server.Session.db session in
   let parts = String.split_on_char ' ' (String.trim line) in
   match parts with
   | [ "\\q" ] -> raise Exit
-  | [ "\\tables" ] ->
-    List.iter print_endline (Storage.Catalog.names (Db.Database.catalog db))
-  | [ "\\audits" ] ->
-    List.iter
-      (fun n ->
-        let v = Db.Database.audit_view db n in
-        Printf.printf "%s (%d sensitive IDs)\n" n
-          (Audit_core.Sensitive_view.cardinality v))
-      (Db.Database.audit_names db)
-  | [ "\\triggers" ] ->
-    List.iter
-      (fun (t : Audit_core.Trigger.t) ->
-        let ev =
-          match t.Audit_core.Trigger.event with
-          | Sql.Ast.On_access a -> "ON ACCESS TO " ^ a
-          | Sql.Ast.On_dml (tb, e) ->
-            Printf.sprintf "ON %s AFTER %s" tb
-              (match e with
-              | Sql.Ast.Ev_insert -> "INSERT"
-              | Sql.Ast.Ev_update -> "UPDATE"
-              | Sql.Ast.Ev_delete -> "DELETE")
-        in
-        Printf.printf "%s %s\n" t.Audit_core.Trigger.name ev)
-      (Audit_core.Trigger.all (Db.Database.trigger_manager db))
-  | [ "\\notifications" ] ->
-    List.iter print_endline (Db.Database.notifications db);
-    Db.Database.clear_notifications db
-  | [ "\\accessed" ] ->
-    List.iter
-      (fun (audit, ids) ->
-        Printf.printf "%s: %s\n" audit
-          (String.concat ", " (List.map Storage.Value.to_string ids)))
-      (Db.Database.last_accessed db)
-  | [ "\\alarms" ] ->
-    List.iter print_endline (Db.Database.alarms db);
-    Db.Database.clear_alarms db
-  | "\\dump" :: rest ->
+  | "\\dump" :: rest -> (
     let text = Db.Database.dump db in
-    (match rest with
+    match rest with
     | [] -> print_string text
     | path :: _ ->
       let oc = open_out path in
       output_string oc text;
       close_out oc;
       Printf.printf "dumped to %s\n" path)
-  | "\\plan" :: rest ->
-    let sql = String.concat " " rest in
-    let plan = Db.Database.plan_sql db sql in
-    print_string (Plan.Logical.to_string plan)
-  | "\\analyze" :: rest ->
-    let sql = String.concat " " rest in
-    print_result (Db.Database.exec db ("EXPLAIN ANALYZE " ^ sql))
-  | [ "\\verify"; "mode"; m ] -> (
-    match String.lowercase_ascii m with
-    | "off" -> Db.Database.set_verify_plans db Db.Database.Off
-    | "warn" -> Db.Database.set_verify_plans db Db.Database.Warn
-    | "strict" -> Db.Database.set_verify_plans db Db.Database.Strict
-    | _ -> print_endline "usage: \\verify mode <off|warn|strict>")
-  | "\\verify" :: rest when rest <> [] ->
-    let sql = String.concat " " rest in
-    let vs = Db.Database.verify_sql db sql in
-    print_string (Analysis.Plan_verify.report vs);
-    print_string (Db.Database.elision_report db)
-  | [ "\\elide" ] ->
-    print_endline
-      (match Db.Database.elision_mode db with
-      | Db.Database.Elide_off -> "off"
-      | Db.Database.Elide_certified -> "certified")
-  | [ "\\elide"; m ] -> (
-    match String.lowercase_ascii m with
-    | "off" -> Db.Database.set_elision_mode db Db.Database.Elide_off
-    | "certified" | "on" ->
-      Db.Database.set_elision_mode db Db.Database.Elide_certified
-    | _ -> print_endline "usage: \\elide [off|certified]")
-  | [ "\\heuristic"; h ] -> (
-    match String.lowercase_ascii h with
-    | "leaf" -> Db.Database.set_heuristic db Audit_core.Placement.Leaf
-    | "hcn" -> Db.Database.set_heuristic db Audit_core.Placement.Hcn
-    | "highest" -> Db.Database.set_heuristic db Audit_core.Placement.Highest
-    | _ -> print_endline "unknown heuristic (leaf | hcn | highest)")
-  | [ "\\exec" ] ->
-    print_endline
-      (match Db.Database.exec_mode db with
-      | `Row -> "row"
-      | `Compiled -> "compiled")
-  | [ "\\exec"; m ] -> (
-    match String.lowercase_ascii m with
-    | "row" -> Db.Database.set_exec_mode db `Row
-    | "compiled" -> Db.Database.set_exec_mode db `Compiled
-    | _ -> print_endline "usage: \\exec [row|compiled]")
-  | [ "\\storage" ] ->
-    print_endline
-      (Storage.Table.storage_to_string (Db.Database.storage_mode db))
-  | [ "\\storage"; m ] -> (
-    match Storage.Table.storage_of_string (String.lowercase_ascii m) with
-    | Some st -> Db.Database.set_storage_mode db st
-    | None -> print_endline "usage: \\storage [heap|columnar]")
-  | [ "\\user"; u ] -> Db.Database.set_user db u
-  | [ "\\timeout"; s ] -> (
-    match s with
-    | "off" -> Db.Database.set_timeout db None
-    | _ -> (
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> Db.Database.set_timeout db (Some t)
-      | _ -> print_endline "usage: \\timeout <seconds|off>"))
-  | [ "\\budget"; which; n ] -> (
-    match (which, opt_of n) with
-    | "rows", Ok b -> Db.Database.set_row_budget db b
-    | "mem", Ok b -> Db.Database.set_mem_budget db b
-    | _ -> print_endline "usage: \\budget <rows|mem> <n|off>")
   | "\\fault" :: args -> handle_fault db args
   | "\\log" :: args -> handle_log db args
   | [ "\\tpch"; sf ] -> (
@@ -308,9 +169,13 @@ let handle_command db line =
       Printf.printf "loaded TPC-H sf=%g: %d customers, %d orders\n" sf
         sizes.Tpch.Dbgen.customers sizes.Tpch.Dbgen.orders
     | None -> print_endline "usage: \\tpch <scale factor>")
-  | _ -> print_endline usage_commands
+  | _ -> (
+    match Server.Session.command session parts with
+    | Some out -> print_out out
+    | None -> print_endline usage_commands)
 
 let repl db =
+  let session = Server.Session.of_db db in
   let buf = Buffer.create 256 in
   print_endline "select_triggers shell — SQL statements end with ';'";
   print_endline usage_commands;
@@ -322,7 +187,7 @@ let repl db =
       let line = try read_line () with End_of_file -> raise Exit in
       let trimmed = String.trim line in
       if Buffer.length buf = 0 && String.length trimmed > 0 && trimmed.[0] = '\\'
-      then guarded (fun () -> handle_command db trimmed)
+      then guarded (fun () -> handle_command session trimmed)
       else begin
         Buffer.add_string buf line;
         Buffer.add_char buf '\n';
@@ -330,7 +195,7 @@ let repl db =
            && trimmed.[String.length trimmed - 1] = ';' then begin
           let sql = Buffer.contents buf in
           Buffer.clear buf;
-          guarded (fun () -> print_result (Db.Database.exec db sql))
+          guarded (fun () -> print_endline (Server.Session.dispatch session sql))
         end
       end
     done
@@ -342,7 +207,8 @@ let run_file db path =
   let content = really_input_string ic n in
   close_in ic;
   match Db.Database.exec_script db content with
-  | results -> List.iter print_result results
+  | results ->
+    List.iter (fun r -> print_endline (Db.Database.result_to_string r)) results
   | exception e ->
     report_error e;
     exit 1

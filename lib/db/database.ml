@@ -37,15 +37,8 @@ type audit_entry = {
 exception Deny_signal of string
 (** internal: aborts a BEFORE RETURN action at the DENY statement *)
 
-(** Plan-invariant verification policy: [Warn] records alarms for each
-    violation, [Strict] refuses the plan ({!Engine_core.Engine_error.Verify}). *)
-type verify_mode = Off | Warn | Strict
-
-(** Static probe elision policy: [Elide_certified] runs the
-    {!Analysis.Independence} pass on every instrumented physical plan and
-    strips audit operators whose independence certificate replays under
-    {!Analysis.Certificate.validate}; [Elide_off] executes every probe. *)
-type elision_mode = Elide_off | Elide_certified
+type verify_mode = Config.verify_mode = Off | Warn | Strict
+type elision_mode = Config.elision_mode = Elide_off | Elide_certified
 
 type t = {
   catalog : Catalog.t;
@@ -76,16 +69,9 @@ type t = {
   mutable alarms : string list;
       (** robustness alarms (fail-open log losses, invariant repairs),
           newest first *)
-  mutable verify : verify_mode;
-      (** run the plan-invariant verifier on every planned statement *)
-  mutable exec_mode : [ `Row | `Compiled ];
-      (** which engine runs SELECTs: tuple-at-a-time ({!Exec.Executor})
-          or push-based compiled ({!Exec.Compiled_exec}) *)
-  mutable storage_mode : Table.storage;
-      (** physical representation for subsequently created tables (CREATE
-          TABLE, temp tables); existing tables keep theirs *)
-  mutable elision : elision_mode;
-      (** strip certified-independent audit operators before execution *)
+  mutable config : Config.t;
+      (** engine, storage for tables created from now on, probe elision
+          and plan verification; {!create_session} copies it *)
   mutable last_elision : Analysis.Independence.decision list;
       (** per-probe verdicts of the last analyzed statement (EXPLAIN /
           [\verify] diagnostics) *)
@@ -93,31 +79,7 @@ type t = {
 
 let max_trigger_depth = 8
 
-(* The EXEC_MODE environment variable picks the session's default engine
-   (row / compiled), so a whole test run can exercise either engine (the
-   CI compiled-mode job) without touching call sites. *)
-let default_exec_mode () =
-  match Sys.getenv_opt "EXEC_MODE" with
-  | Some ("compiled" | "COMPILED" | "push") -> `Compiled
-  | _ -> `Row
-
-(* ELISION flips the session default the same way EXEC_MODE / STORAGE
-   do, so CI can run the whole suite with certified elision on. *)
-let default_elision_mode () =
-  match Sys.getenv_opt "ELISION" with
-  | Some ("1" | "true" | "TRUE" | "yes" | "certified") -> Elide_certified
-  | _ -> Elide_off
-
-(* VERIFY forces the plan-verification default (fixtures that choose a
-   policy explicitly still win), so CI can run the elision suite under
-   Strict end to end. *)
-let default_verify_mode () =
-  match Sys.getenv_opt "VERIFY" with
-  | Some ("warn" | "WARN") -> Warn
-  | Some ("strict" | "STRICT" | "1") -> Strict
-  | _ -> Off
-
-let create () =
+let create ?(config = Config.default) () =
   let catalog = Catalog.create () in
   {
     catalog;
@@ -135,12 +97,7 @@ let create () =
     deferred = false;
     pending_log = [];
     alarms = [];
-    verify = default_verify_mode ();
-    exec_mode = default_exec_mode ();
-    (* Table.default_storage reads the STORAGE environment variable — the
-       storage axis of the EXEC_MODE switch above. *)
-    storage_mode = Table.default_storage ();
-    elision = default_elision_mode ();
+    config;
     last_elision = [];
   }
 
@@ -170,37 +127,35 @@ let create_session ?(session_id = 0) parent =
     deferred = parent.deferred;
     pending_log = [];
     alarms = [];
-    verify = parent.verify;
-    exec_mode = parent.exec_mode;
-    storage_mode = parent.storage_mode;
-    elision = parent.elision;
+    config = parent.config;
     last_elision = [];
   }
 
 let catalog db = db.catalog
 let context db = db.ctx
 let session_id db = db.ctx.Exec.Exec_ctx.session_id
-let set_exec_mode db m = db.exec_mode <- m
-let exec_mode db = db.exec_mode
-let set_storage_mode db st = db.storage_mode <- st
-let storage_mode db = db.storage_mode
-let set_elision_mode db m = db.elision <- m
-let elision_mode db = db.elision
+let config db = db.config
+let set_exec_mode db exec = db.config <- { db.config with exec }
+let exec_mode db = db.config.exec
+let set_storage_mode db storage = db.config <- { db.config with storage }
+let storage_mode db = db.config.storage
+let set_elision_mode db elision = db.config <- { db.config with elision }
+let elision_mode db = db.config.elision
 let last_elision db = db.last_elision
 
 (* Every SELECT-shaped execution funnels through here so the engine choice
    is a single switch; both engines share Exec_ctx, Expr_compile, metrics
    and the audit machinery. *)
 let run_phys db phys =
-  match db.exec_mode with
+  match db.config.exec with
   | `Row -> Exec.Executor.run_list db.ctx phys
   | `Compiled -> Exec.Compiled_exec.run_list db.ctx phys
 let set_user db u = db.ctx.Exec.Exec_ctx.user <- u
 let user db = db.ctx.Exec.Exec_ctx.user
 let set_heuristic db h = db.heuristic <- h
 let set_instrumentation db b = db.instrument <- b
-let set_verify_plans db m = db.verify <- m
-let verify_plans_mode db = db.verify
+let set_verify_plans db verify = db.config <- { db.config with verify }
+let verify_plans_mode db = db.config.verify
 let notifications db = List.rev db.notifications
 let clear_notifications db = db.notifications <- []
 let last_accessed db = db.last_accessed
@@ -472,7 +427,7 @@ let audit_specs entries =
     records the per-probe verdicts in [last_elision] for EXPLAIN. *)
 let elide_phys db ?audits (phys : Plan.Physical.t) :
     Plan.Physical.t * Analysis.Certificate.t list =
-  match db.elision with
+  match db.config.elision with
   | Elide_off -> (phys, [])
   | Elide_certified ->
     let entries = selected_audits db ?audits () in
@@ -575,7 +530,7 @@ let fga_verdict db ~audit (q : Sql.Ast.query) : fga_verdict =
    twice). *)
 let enforce_verify db ?(certificates = []) (plan : Plan.Logical.t)
     (phys : Plan.Physical.t) =
-  match db.verify with
+  match db.config.verify with
   | Off -> ()
   | (Warn | Strict) as mode -> (
     let specs = audit_specs (if db.instrument then watched_audits db else []) in
@@ -623,7 +578,7 @@ let drop_temp db name =
    the relation clobbered (or dropped entirely). *)
 let with_temp db ~name ~schema rows f =
   let saved = Catalog.find_opt db.catalog name in
-  let t = Table.create ~storage:db.storage_mode ~name schema in
+  let t = Table.create ~storage:db.config.storage ~name schema in
   List.iter (Table.insert t) rows;
   Catalog.put db.catalog t;
   Fun.protect
@@ -649,7 +604,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       List.find_index (fun (c : Sql.Ast.column_def) -> c.Sql.Ast.col_pk) columns
     in
     Catalog.add db.catalog
-      (Table.create ?key ~storage:db.storage_mode ~name:table schema);
+      (Table.create ?key ~storage:db.config.storage ~name:table schema);
     Done (Printf.sprintf "table %s created" table)
   | Sql.Ast.S_drop_table name ->
     Catalog.remove db.catalog name;
@@ -1369,7 +1324,7 @@ let dump db : string =
   Buffer.contents b
 
 (** Rebuild a fresh database from a {!dump}. *)
-let restore sql : t =
-  let db = create () in
+let restore ?config sql : t =
+  let db = create ?config () in
   ignore (exec_script db sql);
   db

@@ -18,7 +18,10 @@ exception Access_denied of string
 
 type t
 
-val create : unit -> t
+(** A fresh single-session database in configuration [config] (default
+    {!Config.default}: row engine, heap tables, no elision, no plan
+    verification). Nothing is read from the environment. *)
+val create : ?config:Config.t -> unit -> t
 
 (** A further session over the same engine: the catalog, audit
     expressions and triggers are shared by reference (DDL from any
@@ -28,7 +31,8 @@ val create : unit -> t
     internally synchronized — concurrent sessions must serialize [exec]
     externally (the server layer holds one statement lock); evidence
     commit can then overlap across sessions via the deferred sink and the
-    WAL group-commit writer. *)
+    WAL group-commit writer. The session starts with a copy of the
+    parent's {!config}; later changes on either side stay private. *)
 val create_session : ?session_id:int -> t -> t
 
 (** {1 Session} *)
@@ -49,21 +53,22 @@ val set_heuristic : t -> Audit_core.Placement.heuristic -> unit
 (** Master switch for SELECT-trigger instrumentation (default on). *)
 val set_instrumentation : t -> bool -> unit
 
-(** Which engine runs SELECT-shaped statements: [`Row] is the
-    tuple-at-a-time {!Exec.Executor}, [`Compiled] the push-based compiled
-    {!Exec.Compiled_exec} (identical semantics; the differential harness
-    enforces it). Default [`Row], or [`Compiled] when the [EXEC_MODE]
-    environment variable is [compiled] at {!create} time. *)
-val set_exec_mode : t -> [ `Row | `Compiled ] -> unit
+(** {2 Configuration}
 
-val exec_mode : t -> [ `Row | `Compiled ]
+    The session's {!Config.t}. Each setter below updates one axis of it. *)
+
+val config : t -> Config.t
+
+(** Which engine runs SELECT-shaped statements ({!Config.exec}); the
+    differential harness holds both to identical semantics. *)
+val set_exec_mode : t -> Config.exec -> unit
+
+val exec_mode : t -> Config.exec
 
 (** Physical representation used for tables created from now on (CREATE
     TABLE and temp tables): heap tuples or typed columnar vectors
     ({!Storage.Table.storage}). Already-created tables keep their
-    representation. Default {!Storage.Table.default_storage}, i.e. the
-    [STORAGE] environment variable ([STORAGE=columnar]) at {!create}
-    time; inherited by {!create_session}. *)
+    representation. *)
 val set_storage_mode : t -> Storage.Table.storage -> unit
 
 val storage_mode : t -> Storage.Table.storage
@@ -71,24 +76,21 @@ val storage_mode : t -> Storage.Table.storage
 (** Plan-invariant verification policy ({!Analysis.Plan_verify}) applied
     to every planned statement: [Off] skips the check, [Warn] records an
     alarm (and a stderr warning) per violation, [Strict] refuses the
-    plan with {!Engine_core.Engine_error.Verify}. Default [Off], or the
-    [VERIFY] environment variable ([VERIFY=warn] / [VERIFY=strict]) at
-    {!create} time. *)
-type verify_mode = Off | Warn | Strict
+    plan with {!Engine_core.Engine_error.Verify}. *)
+type verify_mode = Config.verify_mode = Off | Warn | Strict
 
 val set_verify_plans : t -> verify_mode -> unit
 val verify_plans_mode : t -> verify_mode
 
 (** Certified static probe elision ({!Analysis.Independence} /
-    {!Analysis.Elide}): [Elide_off] (default) executes plans exactly as
-    placed; [Elide_certified] runs the trigger–query independence
-    analysis on every physical plan and strips audit probes whose
-    certificate replays under {!Analysis.Certificate.validate}. Elided
-    plans still satisfy [Strict] verification: the certificates are
-    handed to {!Analysis.Plan_verify.verify}, whose coverage rule
-    re-validates them. Default from the [ELISION] environment variable
-    ([ELISION=1]) at {!create} time; inherited by {!create_session}. *)
-type elision_mode = Elide_off | Elide_certified
+    {!Analysis.Elide}): [Elide_off] executes plans exactly as placed;
+    [Elide_certified] runs the trigger–query independence analysis on
+    every physical plan and strips audit probes whose certificate
+    replays under {!Analysis.Certificate.validate}. Elided plans still
+    satisfy [Strict] verification: the certificates are handed to
+    {!Analysis.Plan_verify.verify}, whose coverage rule re-validates
+    them. *)
+type elision_mode = Config.elision_mode = Elide_off | Elide_certified
 
 val set_elision_mode : t -> elision_mode -> unit
 val elision_mode : t -> elision_mode
@@ -294,5 +296,5 @@ val run_plan : t -> Plan.Logical.t -> Tuple.t list
     triggers — replayable with {!exec_script} (or {!restore}). *)
 val dump : t -> string
 
-(** Build a fresh database from a {!dump}. *)
-val restore : string -> t
+(** Build a fresh database, in configuration [config], from a {!dump}. *)
+val restore : ?config:Config.t -> string -> t

@@ -10,24 +10,6 @@ type config = {
 
 let default_config = { sf = 0.01; seed = 42; repeats = 3; warmup = 1 }
 
-let config_of_env () =
-  let getf name d =
-    match Sys.getenv_opt name with
-    | Some s -> ( match float_of_string_opt s with Some f -> f | None -> d)
-    | None -> d
-  in
-  let geti name d =
-    match Sys.getenv_opt name with
-    | Some s -> ( match int_of_string_opt s with Some i -> i | None -> d)
-    | None -> d
-  in
-  {
-    sf = getf "TPCH_SF" default_config.sf;
-    seed = geti "TPCH_SEED" default_config.seed;
-    repeats = geti "BENCH_REPEATS" default_config.repeats;
-    warmup = geti "BENCH_WARMUP" default_config.warmup;
-  }
-
 type env = {
   cfg : config;
   db : Db.Database.t;
@@ -37,15 +19,14 @@ type env = {
 }
 
 (** Load TPC-H and declare the audit expression
-    [c_mktsegment = 'BUILDING' PARTITION BY c_custkey]. [storage]
-    overrides the table representation (default: the process-wide
-    [STORAGE] setting) — the row-vs-compiled section loads one environment
-    per storage engine to report both sides of the matrix. *)
-let prepare ?storage (cfg : config) : env =
-  let db = Db.Database.create () in
-  (match storage with
-  | Some st -> Db.Database.set_storage_mode db st
-  | None -> ());
+    [c_mktsegment = 'BUILDING' PARTITION BY c_custkey]. [storage] is the
+    table representation (default heap) — the row-vs-compiled section
+    loads one environment per storage engine to report both sides of the
+    matrix. *)
+let prepare ?(storage = Storage.Table.Heap) (cfg : config) : env =
+  let db =
+    Db.Database.create ~config:{ Db.Config.default with storage } ()
+  in
   let sizes = Tpch.Dbgen.load ~seed:cfg.seed db ~sf:cfg.sf in
   ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
   let view = Db.Database.audit_view db "audit_customer" in

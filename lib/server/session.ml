@@ -2,15 +2,33 @@
 
    A session owns a [Db.Database.create_session] handle — shared catalog,
    audit expressions and triggers; private user, logical clock, budgets,
-   notifications, alarms and pending evidence. [dispatch] mirrors the
-   shell's statement surface (SQL plus a backslash-command subset) but
-   renders everything to a string so it can be framed as a wire response;
-   errors propagate as exceptions for the server loop to render.
+   notifications, alarms and pending evidence. [dispatch] runs SQL and
+   the backslash meta-commands, rendering everything to a string so it
+   can be framed as a wire response; errors propagate as exceptions for
+   the server loop to render.
 
-   Commands that manage process-global state from the shell (\log open,
-   \fault, \tpch, \dump to a file, \q) are not available over the wire:
-   the audit log belongs to the server and fault injection or bulk loads
-   are operator actions, not client ones. *)
+   [command] is the one meta-command interpreter: the local shell runs
+   it too, and adds only its process-local commands on top.
+     \tables \audits \triggers     list the catalog
+     \notifications \alarms        show (and clear) NOTIFY output / alarms
+     \accessed                     ACCESSED state of the last SELECT
+     \plan <sql>                   the instrumented logical plan
+     \analyze <sql>                EXPLAIN ANALYZE
+     \verify <sql>                 plan-verifier report plus elision
+                                   certificates; nothing is executed
+     \verify mode <off|warn|strict>  verification policy
+     \elide [off|certified]        show or set certified probe elision
+     \exec [row|compiled]          show or set the execution engine
+     \storage [heap|columnar]      show or set the storage of new tables
+     \heuristic <leaf|hcn|highest> placement heuristic
+     \user <name>                  session user
+     \timeout <s|off>              per-query wall-clock budget
+     \budget <rows|mem> <n|off>    per-query scan / materialization budget
+     \session                      session id, user and counters
+
+   Not available over the wire: \log (except \log status), \fault, \tpch,
+   \dump and \q. The audit log belongs to the server, fault injection and
+   bulk loads are operator actions, and \q is the client's own. *)
 
 type t = {
   id : int;
@@ -19,21 +37,24 @@ type t = {
   mutable errors : int;
 }
 
-let create ~id ~root =
-  { id; db = Db.Database.create_session ~session_id:id root; queries = 0;
-    errors = 0 }
+let of_db db =
+  { id = Db.Database.session_id db; db; queries = 0; errors = 0 }
+
+let create ~id ~root = of_db (Db.Database.create_session ~session_id:id root)
 
 let id t = t.id
 let db t = t.db
 let user t = Db.Database.user t.db
 
+let shared_usage =
+  "\\tables \\audits \\triggers \\notifications \\accessed \\alarms \
+   \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
+   \\elide [off|certified] \\exec [row|compiled] \\storage [heap|columnar] \
+   \\heuristic <leaf|hcn|highest> \\user <name> \\timeout <s|off> \
+   \\budget <rows|mem> <n|off> \\session"
+
 let usage_commands =
-  "commands: \\tables \\audits \\triggers \\notifications \\accessed \
-   \\alarms \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
-   \\heuristic <leaf|hcn|highest> \\exec [row|compiled] \
-   \\storage [heap|columnar] \\user <name> \
-   \\timeout <s|off> \\budget <rows|mem> <n|off> \\session \\log status \
-   (\\q quits client-side)"
+  "commands: " ^ shared_usage ^ " \\log status (\\q quits client-side)"
 
 let opt_of = function
   | "off" -> Ok None
@@ -44,138 +65,154 @@ let opt_of = function
 
 let lines ls = String.concat "\n" ls
 
-let handle_command t line =
+(* Show or set one configuration axis: [\cmd] prints the current value,
+   [\cmd v] parses [v] with the axis's [Db.Config] parser. *)
+let axis ~name ~usage ~get ~set ~to_string ~of_string = function
+  | [] -> Some (to_string get)
+  | [ v ] ->
+    Some
+      (match of_string v with
+      | Some m ->
+        set m;
+        Printf.sprintf "%s mode %s" name (to_string m)
+      | None -> usage)
+  | _ -> None
+
+(* The shared meta-commands, split into words; [None] when [parts] is
+   not one of them. *)
+let command t parts =
   let db = t.db in
-  let parts = String.split_on_char ' ' (String.trim line) in
+  let module D = Db.Database in
+  let module C = Db.Config in
   match parts with
-  | [ "\\tables" ] -> lines (Storage.Catalog.names (Db.Database.catalog db))
+  | [ "\\tables" ] -> Some (lines (Storage.Catalog.names (D.catalog db)))
   | [ "\\audits" ] ->
-    lines
-      (List.map
-         (fun n ->
-           let v = Db.Database.audit_view db n in
-           Printf.sprintf "%s (%d sensitive IDs)" n
-             (Audit_core.Sensitive_view.cardinality v))
-         (Db.Database.audit_names db))
+    Some
+      (lines
+         (List.map
+            (fun n ->
+              Printf.sprintf "%s (%d sensitive IDs)" n
+                (Audit_core.Sensitive_view.cardinality (D.audit_view db n)))
+            (D.audit_names db)))
   | [ "\\triggers" ] ->
-    lines
-      (List.map
-         (fun (tr : Audit_core.Trigger.t) ->
-           let ev =
-             match tr.Audit_core.Trigger.event with
-             | Sql.Ast.On_access a -> "ON ACCESS TO " ^ a
-             | Sql.Ast.On_dml (tb, e) ->
-               Printf.sprintf "ON %s AFTER %s" tb
-                 (match e with
-                 | Sql.Ast.Ev_insert -> "INSERT"
-                 | Sql.Ast.Ev_update -> "UPDATE"
-                 | Sql.Ast.Ev_delete -> "DELETE")
-           in
-           Printf.sprintf "%s %s" tr.Audit_core.Trigger.name ev)
-         (Audit_core.Trigger.all (Db.Database.trigger_manager db)))
+    Some
+      (lines
+         (List.map
+            (fun (tr : Audit_core.Trigger.t) ->
+              let ev =
+                match tr.event with
+                | Sql.Ast.On_access a -> "ON ACCESS TO " ^ a
+                | Sql.Ast.On_dml (tb, e) ->
+                  Printf.sprintf "ON %s AFTER %s" tb
+                    (match e with
+                    | Sql.Ast.Ev_insert -> "INSERT"
+                    | Sql.Ast.Ev_update -> "UPDATE"
+                    | Sql.Ast.Ev_delete -> "DELETE")
+              in
+              Printf.sprintf "%s %s" tr.name ev)
+            (Audit_core.Trigger.all (D.trigger_manager db))))
   | [ "\\notifications" ] ->
-    let out = lines (Db.Database.notifications db) in
-    Db.Database.clear_notifications db;
-    out
+    let out = lines (D.notifications db) in
+    D.clear_notifications db;
+    Some out
   | [ "\\accessed" ] ->
-    lines
-      (List.map
-         (fun (audit, ids) ->
-           Printf.sprintf "%s: %s" audit
-             (String.concat ", " (List.map Storage.Value.to_string ids)))
-         (Db.Database.last_accessed db))
+    Some
+      (lines
+         (List.map
+            (fun (audit, ids) ->
+              Printf.sprintf "%s: %s" audit
+                (String.concat ", " (List.map Storage.Value.to_string ids)))
+            (D.last_accessed db)))
   | [ "\\alarms" ] ->
-    let out = lines (Db.Database.alarms db) in
-    Db.Database.clear_alarms db;
-    out
+    let out = lines (D.alarms db) in
+    D.clear_alarms db;
+    Some out
   | "\\plan" :: rest ->
-    Plan.Logical.to_string (Db.Database.plan_sql db (String.concat " " rest))
+    Some (Plan.Logical.to_string (D.plan_sql db (String.concat " " rest)))
   | "\\analyze" :: rest ->
-    Db.Database.result_to_string
-      (Db.Database.exec db ("EXPLAIN ANALYZE " ^ String.concat " " rest))
-  | [ "\\verify"; "mode"; m ] -> (
-    match String.lowercase_ascii m with
-    | "off" ->
-      Db.Database.set_verify_plans db Db.Database.Off;
-      "verify mode off"
-    | "warn" ->
-      Db.Database.set_verify_plans db Db.Database.Warn;
-      "verify mode warn"
-    | "strict" ->
-      Db.Database.set_verify_plans db Db.Database.Strict;
-      "verify mode strict"
-    | _ -> "usage: \\verify mode <off|warn|strict>")
+    Some
+      (D.result_to_string
+         (D.exec db ("EXPLAIN ANALYZE " ^ String.concat " " rest)))
+  | "\\verify" :: "mode" :: arg ->
+    axis ~name:"verify" ~usage:"usage: \\verify mode <off|warn|strict>"
+      ~get:(D.verify_plans_mode db) ~set:(D.set_verify_plans db)
+      ~to_string:C.verify_to_string ~of_string:C.verify_of_string arg
   | "\\verify" :: rest when rest <> [] ->
-    Analysis.Plan_verify.report
-      (Db.Database.verify_sql db (String.concat " " rest))
-  | [ "\\heuristic"; h ] -> (
-    match String.lowercase_ascii h with
-    | "leaf" ->
-      Db.Database.set_heuristic db Audit_core.Placement.Leaf;
-      "heuristic leaf"
-    | "hcn" ->
-      Db.Database.set_heuristic db Audit_core.Placement.Hcn;
-      "heuristic hcn"
-    | "highest" ->
-      Db.Database.set_heuristic db Audit_core.Placement.Highest;
-      "heuristic highest"
-    | _ -> "unknown heuristic (leaf | hcn | highest)")
-  | [ "\\exec" ] -> (
-    match Db.Database.exec_mode db with
-    | `Row -> "row"
-    | `Compiled -> "compiled")
-  | [ "\\exec"; m ] -> (
-    match String.lowercase_ascii m with
-    | "row" ->
-      Db.Database.set_exec_mode db `Row;
-      "exec mode row"
-    | "compiled" ->
-      Db.Database.set_exec_mode db `Compiled;
-      "exec mode compiled"
-    | _ -> "usage: \\exec [row|compiled]")
-  | [ "\\storage" ] ->
-    Storage.Table.storage_to_string (Db.Database.storage_mode db)
-  | [ "\\storage"; m ] -> (
-    match Storage.Table.storage_of_string (String.lowercase_ascii m) with
-    | Some st ->
-      Db.Database.set_storage_mode db st;
-      Printf.sprintf "storage mode %s" (Storage.Table.storage_to_string st)
-    | None -> "usage: \\storage [heap|columnar]")
+    let report =
+      Analysis.Plan_verify.report (D.verify_sql db (String.concat " " rest))
+    in
+    Some (report ^ D.elision_report db)
+  | "\\elide" :: arg ->
+    axis ~name:"elision" ~usage:"usage: \\elide [off|certified]"
+      ~get:(D.elision_mode db) ~set:(D.set_elision_mode db)
+      ~to_string:C.elision_to_string ~of_string:C.elision_of_string arg
+  | "\\exec" :: arg ->
+    axis ~name:"exec" ~usage:"usage: \\exec [row|compiled]"
+      ~get:(D.exec_mode db) ~set:(D.set_exec_mode db)
+      ~to_string:C.exec_to_string ~of_string:C.exec_of_string arg
+  | "\\storage" :: arg ->
+    axis ~name:"storage" ~usage:"usage: \\storage [heap|columnar]"
+      ~get:(D.storage_mode db) ~set:(D.set_storage_mode db)
+      ~to_string:C.storage_to_string ~of_string:C.storage_of_string arg
+  | [ "\\heuristic"; h ] ->
+    Some
+      (match String.lowercase_ascii h with
+      | "leaf" ->
+        D.set_heuristic db Audit_core.Placement.Leaf;
+        "heuristic leaf"
+      | "hcn" ->
+        D.set_heuristic db Audit_core.Placement.Hcn;
+        "heuristic hcn"
+      | "highest" ->
+        D.set_heuristic db Audit_core.Placement.Highest;
+        "heuristic highest"
+      | _ -> "unknown heuristic (leaf | hcn | highest)")
   | [ "\\user"; u ] ->
-    Db.Database.set_user db u;
-    Printf.sprintf "user %s" u
-  | [ "\\timeout"; s ] -> (
-    match s with
-    | "off" ->
-      Db.Database.set_timeout db None;
-      "timeout off"
-    | _ -> (
-      match float_of_string_opt s with
-      | Some sec when sec > 0.0 ->
-        Db.Database.set_timeout db (Some sec);
+    D.set_user db u;
+    Some (Printf.sprintf "user %s" u)
+  | [ "\\timeout"; s ] ->
+    Some
+      (match (s, float_of_string_opt s) with
+      | "off", _ ->
+        D.set_timeout db None;
+        "timeout off"
+      | _, Some sec when sec > 0.0 ->
+        D.set_timeout db (Some sec);
         Printf.sprintf "timeout %gs" sec
-      | _ -> "usage: \\timeout <seconds|off>"))
-  | [ "\\budget"; which; n ] -> (
-    match (which, opt_of n) with
-    | "rows", Ok b ->
-      Db.Database.set_row_budget db b;
-      "row budget set"
-    | "mem", Ok b ->
-      Db.Database.set_mem_budget db b;
-      "mem budget set"
-    | _ -> "usage: \\budget <rows|mem> <n|off>")
+      | _ -> "usage: \\timeout <seconds|off>")
+  | [ "\\budget"; which; n ] ->
+    Some
+      (match (which, opt_of n) with
+      | "rows", Ok b ->
+        D.set_row_budget db b;
+        "row budget set"
+      | "mem", Ok b ->
+        D.set_mem_budget db b;
+        "mem budget set"
+      | _ -> "usage: \\budget <rows|mem> <n|off>")
   | [ "\\session" ] ->
-    Printf.sprintf "session %d user=%s queries=%d errors=%d" t.id
-      (Db.Database.user db) t.queries t.errors
-  | [ "\\log"; "status" ] ->
-    if Db.Database.deferred_evidence db then
-      Printf.sprintf "audit log: server-managed (group commit), session %d"
-        t.id
-    else "no audit log attached"
-  | ("\\log" | "\\fault" | "\\tpch" | "\\dump") :: _ ->
-    Printf.sprintf "%s is not available over the wire (server-side only)"
-      (List.hd parts)
-  | _ -> usage_commands
+    Some
+      (Printf.sprintf "session %d user=%s queries=%d errors=%d" t.id
+         (D.user db) t.queries t.errors)
+  | _ -> None
+
+(* The wire's interpreter: the shared commands, [\log status], and a
+   refusal for the commands that stay server-side. *)
+let handle_command t line =
+  let parts = String.split_on_char ' ' (String.trim line) in
+  match command t parts with
+  | Some out -> out
+  | None -> (
+    match parts with
+    | [ "\\log"; "status" ] ->
+      if Db.Database.deferred_evidence t.db then
+        Printf.sprintf "audit log: server-managed (group commit), session %d"
+          t.id
+      else "no audit log attached"
+    | ("\\log" | "\\fault" | "\\tpch" | "\\dump") :: _ ->
+      Printf.sprintf "%s is not available over the wire (server-side only)"
+        (List.hd parts)
+    | _ -> usage_commands)
 
 (* Execute one line — backslash command or SQL statement. Raises on
    statement errors; the caller harvests pending evidence either way.

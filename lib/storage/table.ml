@@ -36,14 +36,6 @@ let storage_of_string s =
   | "columnar" | "column" -> Some Columnar
   | _ -> None
 
-(* Process-wide default, read from the STORAGE environment variable. *)
-let default =
-  match Option.bind (Sys.getenv_opt "STORAGE") storage_of_string with
-  | Some st -> st
-  | None -> Heap
-
-let default_storage () = default
-
 type store =
   | Heap_slots of Tuple.t option array
   | Col_store of Column_store.t
@@ -69,12 +61,11 @@ type t = {
 exception Duplicate_key of string
 exception Schema_mismatch of string
 
-let create ?key ?storage ~name schema =
+let create ?key ?(storage = Heap) ~name schema =
   (match key with
   | Some k when k < 0 || k >= Schema.arity schema ->
     invalid_arg "Table.create: key index out of range"
   | _ -> ());
-  let storage = match storage with Some st -> st | None -> default in
   {
     name;
     schema;

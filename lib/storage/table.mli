@@ -22,10 +22,6 @@ val storage_to_string : storage -> string
 (** Parse ["heap"]/["columnar"] (also accepts ["row"]/["column"]). *)
 val storage_of_string : string -> storage option
 
-(** Process-wide default representation for {!create}, initialized from
-    the [STORAGE] environment variable ([STORAGE=columnar]). *)
-val default_storage : unit -> storage
-
 type t
 
 exception Duplicate_key of string
@@ -33,7 +29,7 @@ exception Schema_mismatch of string
 
 (** [create ?key ?storage ~name schema] — [key] is the primary-key column
     index; when present, inserts maintain a clustered hash index on it.
-    [storage] defaults to {!default_storage}. *)
+    [storage] defaults to [Heap]. *)
 val create : ?key:int -> ?storage:storage -> name:string -> Schema.t -> t
 
 val name : t -> string

@@ -87,13 +87,17 @@ let check_query_dbs dbs ~audit ~ctx_label sql =
 
 let pick st l = List.nth l (Random.State.int st (List.length l))
 
+(* A harness db: the given storage, the row engine (each check switches
+   engines itself), verification at least Warn. *)
+let empty_db storage =
+  Fixtures.create
+    ~config:{ (Fixtures.at_least_warn Fixtures.config) with storage; exec = `Row }
+    ()
+
 (* The dataset is generated once as a statement list and replayed into
    one db per storage engine, so the matrix compares identical data. *)
 let mk_db storage stmts =
-  let db = Db.Database.create () in
-  Db.Database.set_verify_plans db Db.Database.Warn;
-  Db.Database.set_storage_mode db storage;
-  Db.Database.set_exec_mode db `Row;
+  let db = empty_db storage in
   List.iter (fun sql -> ignore (Db.Database.exec db sql)) stmts;
   db
 
@@ -198,10 +202,7 @@ let test_seeded_corpus () =
 (* --------------------------------------------------------------- *)
 
 let tpch_db_with storage =
-  let db = Db.Database.create () in
-  Db.Database.set_verify_plans db Db.Database.Warn;
-  Db.Database.set_storage_mode db storage;
-  Db.Database.set_exec_mode db `Row;
+  let db = empty_db storage in
   ignore (Tpch.Dbgen.load db ~sf:0.002);
   ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
   db

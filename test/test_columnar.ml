@@ -168,7 +168,7 @@ let test_mutation_hook_parity () =
    execution: every kernel bypasses the per-operator getNext wrappers,
    so arming Faultkit has to force the row engine's generic operators. *)
 let test_fault_forces_generic_path () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   Db.Database.set_storage_mode db Table.Columnar;
   Db.Database.set_exec_mode db `Compiled;
   let e sql = ignore (Db.Database.exec db sql) in

@@ -6,7 +6,7 @@ open Storage
 let check = Alcotest.check
 
 let test_exec_script () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   let results =
     Db.Database.exec_script db
       "CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR); INSERT INTO t VALUES \
@@ -130,6 +130,31 @@ let test_error_offsets_wrapped () =
       "SELECT 1/0";
     ]
 
+(* A session copies its parent's configuration at creation — all four
+   axes — and later changes stay private to the side that made them. *)
+let test_session_inherits_config () =
+  let config =
+    {
+      Db.Config.exec = `Compiled;
+      storage = Table.Columnar;
+      elision = Db.Config.Elide_certified;
+      verify = Db.Config.Strict;
+    }
+  in
+  let db = Db.Database.create ~config () in
+  let s = Db.Database.create_session ~session_id:1 db in
+  let cfg = Alcotest.testable (Fmt.of_to_string Fixtures.string_of_config) ( = ) in
+  check cfg "session inherits every axis" config (Db.Database.config s);
+  check Alcotest.string "axis getters read the record" "compiled columnar"
+    (Db.Config.exec_to_string (Db.Database.exec_mode s)
+    ^ " "
+    ^ Db.Config.storage_to_string (Db.Database.storage_mode s));
+  Db.Database.set_exec_mode s `Row;
+  check cfg "a session's change stays private" config (Db.Database.config db);
+  ignore (Db.Database.exec s "CREATE TABLE t (a INT PRIMARY KEY)");
+  check Alcotest.bool "session creates tables in the inherited storage" true
+    (Table.storage (Catalog.find (Db.Database.catalog db) "t") = Table.Columnar)
+
 let suite =
   [
     Alcotest.test_case "exec_script" `Quick test_exec_script;
@@ -144,4 +169,6 @@ let suite =
     Alcotest.test_case "last_accessed diagnostics" `Quick
       test_last_accessed_diagnostics;
     Alcotest.test_case "errors are wrapped" `Quick test_error_offsets_wrapped;
+    Alcotest.test_case "sessions inherit the config" `Quick
+      test_session_inherits_config;
   ]

@@ -10,7 +10,7 @@ let test_roundtrip_data () =
   ignore
     (Db.Database.exec db
        "INSERT INTO patients VALUES (6, 'O''Brien', NULL, 12345)");
-  let db' = Db.Database.restore (Db.Database.dump db) in
+  let db' = Db.Database.restore ~config:Fixtures.config (Db.Database.dump db) in
   List.iter
     (fun sql ->
       check Fixtures.tuples sql
@@ -23,7 +23,7 @@ let test_roundtrip_data () =
     ]
 
 let test_roundtrip_types () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   ignore
     (Db.Database.exec db
        "CREATE TABLE t (i INT PRIMARY KEY, f FLOAT, s VARCHAR, b BOOL, d \
@@ -32,7 +32,7 @@ let test_roundtrip_types () =
     (Db.Database.exec db
        "INSERT INTO t VALUES (1, 2.5, 'it''s', TRUE, DATE '1995-06-17'), \
         (2, NULL, NULL, FALSE, NULL)");
-  let db' = Db.Database.restore (Db.Database.dump db) in
+  let db' = Db.Database.restore ~config:Fixtures.config (Db.Database.dump db) in
   check Fixtures.tuples "typed roundtrip"
     (Fixtures.rows_sorted db "SELECT * FROM t")
     (Fixtures.rows_sorted db' "SELECT * FROM t");
@@ -52,7 +52,7 @@ let test_roundtrip_audit_and_triggers () =
     (Db.Database.exec db
        "CREATE TRIGGER t2 ON log AFTER INSERT AS BEGIN NOTIFY 'logged'; IF \
         ((SELECT count(*) FROM log) > 10) NOTIFY 'many'; END");
-  let db' = Db.Database.restore (Db.Database.dump db) in
+  let db' = Db.Database.restore ~config:Fixtures.config (Db.Database.dump db) in
   check Alcotest.(list string) "audit expressions restored" [ "audit_alice" ]
     (Db.Database.audit_names db');
   (* The whole trigger cascade works on the restored database. *)
@@ -100,11 +100,7 @@ let test_explain () =
        d.patientid"
   with
   | Db.Database.Done plan ->
-    let contains needle =
-      let lh = String.length plan and ln = String.length needle in
-      let rec go i = i + ln <= lh && (String.sub plan i ln = needle || go (i + 1)) in
-      go 0
-    in
+    let contains = Fixtures.contains plan in
     check Alcotest.bool "shows the audit operator" true
       (contains "AuditProbe[audit_alice]");
     check Alcotest.bool "shows the physical join" true (contains "HashJoin");

@@ -56,10 +56,7 @@ let probe_count phys =
   go phys;
   !n
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
+let contains = Fixtures.contains
 
 (* --------------------------------------------------------------- *)
 (* Analyzer verdicts                                                *)
@@ -383,8 +380,8 @@ let young_audit_sql =
   "CREATE AUDIT EXPRESSION audit_old AS SELECT * FROM patients WHERE age \
    >= 7 FOR SENSITIVE TABLE patients, PARTITION BY pid"
 
-let build_db d =
-  let db = Test_properties.build_db d in
+let build_db c d =
+  let db = Test_properties.build_db c d in
   ignore (Db.Database.exec db young_audit_sql);
   ignore
     (Db.Database.exec db
@@ -398,9 +395,9 @@ let sorted rows = List.sort Tuple.compare rows
 
 let prop_elision_invisible =
   QCheck.Test.make ~count:120 ~name:"elision preserves rows and evidence"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
       let run mode =
-        let db = build_db d in
+        let db = build_db c d in
         Db.Database.set_elision_mode db mode;
         let rows =
           match Db.Database.exec db sql with
@@ -426,8 +423,8 @@ let prop_elision_invisible =
 let prop_independent_means_no_evidence =
   QCheck.Test.make ~count:120
     ~name:"Independent verdict implies empty offline ACCESSED"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = build_db d in
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = build_db c d in
       List.for_all
         (fun audit ->
           let phys = Db.Database.physical_sql db ~audits:[ audit ] sql in
@@ -455,8 +452,8 @@ let prop_independent_means_no_evidence =
 (** Certificates attached to Independent verdicts always replay. *)
 let prop_certificates_replay =
   QCheck.Test.make ~count:80 ~name:"attached certificates validate"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = build_db d in
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = build_db c d in
       Db.Database.set_elision_mode db Db.Database.Elide_certified;
       (match Db.Database.exec db sql with
       | Db.Database.Rows _ | Db.Database.Done _ | Db.Database.Affected _ -> ());
@@ -478,7 +475,7 @@ let prop_certificates_replay =
     column order, must rebuild it: a stale side would certify a probe on
     rows that are sensitive — a false negative. *)
 let test_cached_audit_side_invalidated () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   Db.Database.set_elision_mode db Db.Database.Elide_certified;
   Db.Database.set_verify_plans db Db.Database.Strict;
   let e sql = ignore (Db.Database.exec db sql) in

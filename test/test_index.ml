@@ -9,7 +9,7 @@ let check = Alcotest.check
 let vi i = Value.Int i
 
 let fixture () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   let e sql = ignore (Db.Database.exec db sql) in
   e "CREATE TABLE big (id INT PRIMARY KEY, grp INT, payload VARCHAR)";
   for i = 1 to 500 do
@@ -149,7 +149,7 @@ let test_audit_gate_keeps_fp_physical_independence () =
 let test_index_dump_roundtrip () =
   let db = fixture () in
   ignore (Db.Database.exec db "CREATE INDEX big_grp ON big (grp)");
-  let db' = Db.Database.restore (Db.Database.dump db) in
+  let db' = Db.Database.restore ~config:Fixtures.config (Db.Database.dump db) in
   let t = Catalog.find (Db.Database.catalog db') "big" in
   check Alcotest.(list (pair string int)) "index restored"
     [ ("big_grp", 1) ]

@@ -52,10 +52,7 @@ let test_audit_transparent () =
   check Alcotest.int "probes match ctx" ctx.Exec.Exec_ctx.audit_probes probes;
   check Alcotest.int "hits match ctx" ctx.Exec.Exec_ctx.audit_hits hits
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Fixtures.contains
 
 let explain_text db sql =
   match Db.Database.exec db sql with
@@ -130,7 +127,7 @@ let test_apply_loops () =
    (in the same plan pre-order) on real TPC-H plans — scan/filter/join/agg
    pipelines, instrumented with the §V audit expression. *)
 let test_mode_rows_agree () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   ignore (Tpch.Dbgen.load db ~sf:0.002);
   ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
   ignore

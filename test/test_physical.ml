@@ -91,7 +91,7 @@ let test_estimates_stamped () =
 (* --------------------------------------------------------------- *)
 
 let inl_fixture () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   let e sql = ignore (Db.Database.exec db sql) in
   e "CREATE TABLE big (id INT PRIMARY KEY, grp INT, payload VARCHAR)";
   for i = 1 to 500 do
@@ -172,7 +172,7 @@ let test_audit_probe_at_hcn_position () =
 
 let tpch =
   lazy
-    (let db = Db.Database.create () in
+    (let db = Fixtures.create () in
      ignore (Tpch.Dbgen.load db ~sf:0.002);
      ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
      db)

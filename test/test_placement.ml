@@ -153,7 +153,7 @@ let test_theorem_3_7 () =
 (* --------------------------------------------------------------- *)
 
 let topk_fixture () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   let e sql = ignore (Db.Database.exec db sql) in
   e "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR, age INT)";
   e "CREATE TABLE disease (patientid INT, disease VARCHAR)";
@@ -240,7 +240,7 @@ let test_fig4c_subquery_union () =
 (* --------------------------------------------------------------- *)
 
 let test_example_3_9_having_fp () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   let e sql = ignore (Db.Database.exec db sql) in
   e "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR)";
   e "CREATE TABLE disease (patientid INT, disease VARCHAR)";

@@ -9,7 +9,7 @@ let check = Alcotest.check
 
 let tpch =
   lazy
-    (let db = Db.Database.create () in
+    (let db = Fixtures.create () in
      ignore (Tpch.Dbgen.load db ~sf:0.002);
      ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
      db)

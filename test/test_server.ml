@@ -396,6 +396,34 @@ let test_e2e_exec_batch_refused () =
       Alcotest.(check string) "mode unchanged" "compiled" (exec "\\exec");
       Server.Client.quit c)
 
+(* [\elide] is one of the shared meta-commands, so the wire has it: a
+   valid mode switches the session and EXPLAIN shows the certified probe
+   elided; a bad one answers the usage line and leaves the mode as it was. *)
+let test_e2e_elide_over_wire () =
+  with_server (fun _t addr _wal ->
+      let c = Server.Client.connect addr in
+      ignore (Server.Client.hello c ~user:"erin");
+      let exec line =
+        match Server.Client.exec c line with
+        | Ok text -> String.trim text
+        | Error m -> Alcotest.failf "%s failed: %s" line m
+      in
+      let explain () =
+        exec "EXPLAIN SELECT name FROM patients WHERE name = 'Bob';"
+      in
+      Alcotest.(check string) "switch elision off" "elision mode off"
+        (exec "\\elide off");
+      Alcotest.(check bool) "probe kept while elision is off" false
+        (Fixtures.contains (explain ()) "probe elided");
+      Alcotest.(check string) "switch to certified" "elision mode certified"
+        (exec "\\elide certified");
+      Alcotest.(check bool) "EXPLAIN shows the probe elided" true
+        (Fixtures.contains (explain ()) "probe elided: Independent");
+      Alcotest.(check string) "bad mode answers usage"
+        "usage: \\elide [off|certified]" (exec "\\elide bogus");
+      Alcotest.(check string) "mode unchanged" "certified" (exec "\\elide");
+      Server.Client.quit c)
+
 (* ------------------------------------------------------------------ *)
 (* Exactly-once: resumable sessions and reply replay                    *)
 (* ------------------------------------------------------------------ *)
@@ -787,6 +815,8 @@ let suite =
       test_e2e_statement_errors_keep_session;
     Alcotest.test_case "e2e: \\exec batch is refused, mode unchanged" `Quick
       test_e2e_exec_batch_refused;
+    Alcotest.test_case "e2e: \\elide over the wire" `Quick
+      test_e2e_elide_over_wire;
     Alcotest.test_case "retry: lost reply is replayed, not re-executed" `Quick
       test_resume_replays_lost_reply;
     Alcotest.test_case "overload: typed shed, no execution, no evidence"

@@ -9,7 +9,7 @@ let verdict : Db.Database.fga_verdict Alcotest.testable =
     ( = )
 
 let dept_db () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   ignore
     (Db.Database.exec db
        "CREATE TABLE departmentnames (deptid INT PRIMARY KEY, deptname \

@@ -13,7 +13,9 @@ let people_schema =
       Schema.column "score" Datatype.T_float;
     ]
 
-let mk_table () = Table.create ~key:0 ~name:"people" people_schema
+let mk_table () =
+  Table.create ~key:0 ~storage:Fixtures.config.storage ~name:"people"
+    people_schema
 
 let row id name score =
   [| Value.Int id; Value.Str name; Value.Float score |]

@@ -10,7 +10,7 @@ let sf = 0.002 (* 300 customers, 3000 orders — fast enough for CI *)
 
 let env =
   lazy
-    (let db = Db.Database.create () in
+    (let db = Fixtures.create () in
      let sizes = Tpch.Dbgen.load db ~sf in
      ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
      (db, sizes))
@@ -70,14 +70,14 @@ let test_segment_distribution () =
     rows
 
 let test_determinism () =
-  let db1 = Db.Database.create () in
-  let db2 = Db.Database.create () in
+  let db1 = Fixtures.create () in
+  let db2 = Fixtures.create () in
   ignore (Tpch.Dbgen.load ~seed:7 db1 ~sf:0.001);
   ignore (Tpch.Dbgen.load ~seed:7 db2 ~sf:0.001);
   let q = "SELECT c_custkey, c_name, c_acctbal, c_mktsegment FROM customer" in
   check Fixtures.tuples "same seed, same data"
     (Fixtures.rows_sorted db1 q) (Fixtures.rows_sorted db2 q);
-  let db3 = Db.Database.create () in
+  let db3 = Fixtures.create () in
   ignore (Tpch.Dbgen.load ~seed:8 db3 ~sf:0.001);
   check Alcotest.bool "different seed, different data" false
     (Fixtures.rows_sorted db1 q = Fixtures.rows_sorted db3 q)

@@ -198,7 +198,7 @@ let test_mutation_est_rows () =
 (* --------------------------------------------------------------- *)
 
 let tpch_db () =
-  let db = Db.Database.create () in
+  let db = Fixtures.create () in
   ignore (Tpch.Dbgen.load db ~sf:0.01);
   ignore (Db.Database.exec db (Tpch.Queries.audit_segment ()));
   db
@@ -240,11 +240,7 @@ let test_tpch_strict_executes () =
       ignore (Db.Database.exec db q.Tpch.Queries.sql))
     tpch_corpus;
   let r = Db.Database.exec db "EXPLAIN VERIFY SELECT c_name FROM customer" in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
+  let contains = Fixtures.contains in
   match r with
   | Db.Database.Done text ->
     Alcotest.(check bool) "EXPLAIN VERIFY reports all rules" true
@@ -304,8 +300,8 @@ let pat_spec =
 
 let prop_verifier_accepts_optimizer =
   QCheck.Test.make ~count:120 ~name:"verifier accepts every optimizer plan"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = Test_properties.build_db d in
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = Test_properties.build_db c d in
       List.for_all
         (fun h ->
           Db.Database.verify_query db ~heuristic:h ~audits:[ "audit_pat" ]
@@ -315,8 +311,8 @@ let prop_verifier_accepts_optimizer =
 
 let prop_strip_always_caught =
   QCheck.Test.make ~count:120 ~name:"stripping any probe is always caught"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = Test_properties.build_db d in
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = Test_properties.build_db c d in
       let phys =
         Db.Database.physical_sql db ~audits:[ "audit_pat" ]
           ~heuristic:Audit_core.Placement.Hcn sql
@@ -335,8 +331,8 @@ let age_audit_sql =
 let prop_no_access_implies_exact_empty =
   QCheck.Test.make ~count:150
     ~name:"FGA NO-ACCESS implies the offline exact auditor finds nothing"
-    Test_properties.arb_case (fun (d, (sql, _)) ->
-      let db = Test_properties.build_db d in
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = Test_properties.build_db c d in
       ignore (Db.Database.exec db age_audit_sql);
       let v =
         Db.Database.fga_verdict db ~audit:"audit_age" (Sql.Parser.query sql)
