@@ -16,24 +16,31 @@
     - {e audit evidence}: the pipeline body calls the same
       {!Exec_ctx.probe} the row engine does;
     - {e metrics}: nodes are registered in the row engine's registration
-      order (pre-order; delegated subtrees register through
-      {!Executor.compile} at the same traversal position) and per-node
-      row counts match. Time is attributed per pipeline: blocking
-      operators record their build phase, the root records the whole run.
+      order (pre-order; an index-NL join's probe chain through the
+      shared {!Executor.index_probe}) and per-node row counts match. Time
+      is attributed per pipeline: blocking operators record their build
+      phase, the root records the whole run;
+    - {e fault sites}: with the fault kit armed at compile time, every
+      node's wrapper fires [Faultkit.on_get_next] once when its source
+      starts and once after each push to its sink returns — the row
+      engine's pull order, so an [Op_next] point hits the same operator
+      on the same row. An early exit skips the fire.
 
     Columnar pipeline heads ({e kernels}) read typed column vectors by
     slot number and build only the tuples they push: fused grouped
     aggregation, the count-only scan, and late-materializing hash joins
     (see {!fused_agg} and {!late_join}). Each is chosen from the plan
     shape at compile time and from the session at open time, where any
-    armed guard, a [?hide] partition, the interpreter oracle or a heap
-    store falls back to the generic pipeline before a counter moves.
+    armed guard or fault point, a [?hide] partition, the interpreter
+    oracle or a heap store falls back to the generic pipeline before a
+    counter moves.
 
-    Step-aside: [Apply], [Index_nl_join] and bare [Limit] subtrees run on
-    the row engine behind a pull→push adapter (their protocols — the
-    correlated parameter stack, the probe-chain metrics contract and
-    stop-pulling early exit — are pull-bound); an armed fault kit
-    delegates the whole plan so per-operator fault sites are unchanged. *)
+    Early exit: [Limit] stops its child by raising a per-instance local
+    exception once its n-th row's push returns, and [Apply] stops its
+    inner plan the same way after the first row. Every unguarded scan
+    loop counts the rows it reads, the one being pushed included, and
+    charges them on every exit ({!charge_scanned}), so the counters end
+    where the row engine stopped pulling. *)
 
 open Storage
 open Plan
@@ -43,19 +50,6 @@ type source = sink -> unit
 type factory = unit -> source
 
 let scan_chunk = 256
-
-let resolve_table ctx table =
-  match Catalog.find_opt ctx.Exec_ctx.catalog table with
-  | Some t -> t
-  | None ->
-    raise (Executor.Exec_error (Printf.sprintf "unknown table %s" table))
-
-let hide_for ctx table =
-  match ctx.Exec_ctx.hide with
-  | Some (ht, col, v)
-    when String.lowercase_ascii ht = String.lowercase_ascii table ->
-    Some (col, v)
-  | _ -> None
 
 (* Drain a child source into a buffer a blocking operator will hold live,
    charging each tuple against the memory budget (Executor.drain_tracked). *)
@@ -72,10 +66,22 @@ let stats_of ctx node =
     Some (Metrics.register ctx.Exec_ctx.metrics node)
   else None
 
-let count_row st =
+let count_rows st n =
   match st with
-  | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
+  | Some s -> s.Metrics.rows <- s.Metrics.rows + n
   | None -> ()
+
+let count_row st = count_rows st 1
+
+(* Charge [n] rows read by an unguarded scan loop to the scan budget and
+   the scan node's stats. Each such loop counts the rows it reads in a
+   local counter, the row being pushed included, and charges the count
+   on every exit: when a push raises (an early exit above, a fault, an
+   error), the rows after it are never counted. The counter stays out of
+   closures, so the loop keeps it in a register. *)
+let charge_scanned ctx st n =
+  Exec_ctx.note_scanned_many ctx n;
+  count_rows st n
 
 (* Time a blocking operator's build phase onto its own stats record, so
    EXPLAIN ANALYZE shows per-pipeline time at each pipeline boundary. *)
@@ -87,23 +93,6 @@ let timed st f =
     let r = f () in
     s.Metrics.time_s <- s.Metrics.time_s +. (Metrics.now_s () -. t0);
     r
-
-(* Pull→push adapter around the row engine, for subtrees the push engine
-   steps aside from. [Executor.compile] registers the subtree's metrics
-   and applies its own guard/fault wrappers. *)
-let delegate ctx plan : factory =
-  let f = Executor.compile ctx plan in
-  fun () ->
-    let c = f () in
-    fun sink ->
-      let rec loop () =
-        match c () with
-        | None -> ()
-        | Some row ->
-          sink row;
-          loop ()
-      in
-      loop ()
 
 (* A projection whose every expression is a bare column reference is a
    permutation/selection of its input: [Some perm] maps each output
@@ -227,12 +216,16 @@ let scan_head (p : Physical.t) : scan_head option =
 
 (* The session half of every kernel's gate: the interpreter oracle must
    evaluate every expression, an armed guard must cancel on the exact
-   row, and a [?hide] partition goes through the cursor — each falls
+   row, an armed fault point must fire on every node the kernel would
+   bypass, and a [?hide] partition goes through the cursor — each falls
    back to the generic pipeline. *)
 let kernel_table ctx table =
-  if ctx.Exec_ctx.interpret_exprs || Exec_ctx.guards_armed ctx then None
-  else if hide_for ctx table <> None then None
-  else Some (resolve_table ctx table)
+  if
+    ctx.Exec_ctx.interpret_exprs || Exec_ctx.guards_armed ctx
+    || Engine_core.Faultkit.armed ctx.Exec_ctx.faults
+  then None
+  else if Exec_ctx.hide_for ctx table <> None then None
+  else Some (Exec_ctx.resolve_table ctx table)
 
 let kernel_store ctx table =
   Option.bind (kernel_table ctx table) (fun t ->
@@ -275,17 +268,12 @@ let exact_int ~is_date (v : Value.t) =
   | _ -> None
 
 let rec compile (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
-  match plan.Physical.op with
-  (* Pull-bound protocols: step aside to the row engine. *)
-  | Physical.Apply _ | Physical.Index_nl_join _ | Physical.Limit _ ->
-    delegate ctx plan
-  | _ when Engine_core.Faultkit.armed ctx.Exec_ctx.faults ->
-    (* Per-operator fallback: fault sites live on row-engine getNext. *)
-    delegate ctx plan
-  | _ -> instrument ctx plan (fun () -> compile_op ctx plan)
+  instrument ctx plan (fun () -> compile_op ctx plan)
 
-(* Metrics and guard wrapper around a node's factory. The node is
-   registered before [build] compiles its children (pre-order). *)
+(* Metrics, guard and fault wrapper around a node's factory. The node is
+   registered before [build] compiles its children (pre-order). The
+   fault site fires when the source starts and after each push returns:
+   the row engine's getNext calls, in its order. *)
 and instrument ctx plan build : factory =
   let base =
     if not (Metrics.enabled ctx.Exec_ctx.metrics) then build ()
@@ -301,15 +289,21 @@ and instrument ctx plan build : factory =
               sink row)
     end
   in
-  if not (Exec_ctx.guards_armed ctx) then base
-  else
+  let faults = Engine_core.Faultkit.armed ctx.Exec_ctx.faults in
+  if not (faults || Exec_ctx.guards_armed ctx) then base
+  else begin
+    let kit = ctx.Exec_ctx.faults and op = Physical.label plan in
+    let fire () = if faults then Engine_core.Faultkit.on_get_next kit ~op in
     fun () ->
       Exec_ctx.check_deadline ctx;
       let src = base () in
       fun sink ->
+        fire ();
         src (fun row ->
             Exec_ctx.check_guards ctx;
-            sink row)
+            sink row;
+            fire ())
+  end
 
 and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   match plan.Physical.op with
@@ -317,13 +311,16 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
     if table = "$dual" then fun () sink -> sink [||]
     else
       fun () ->
-        let t = resolve_table ctx table in
-        let hide = hide_for ctx table in
+        let t = Exec_ctx.resolve_table ctx table in
+        let hide = Exec_ctx.hide_for ctx table in
         fun sink -> scan_source ctx t ~hide ~cols sink
   | Physical.Filter
       { pred; child = { Physical.op = Physical.Seq_scan { table; cols; _ }; _ }
                       as scan_node }
-    when table <> "$dual" ->
+    when table <> "$dual"
+         && not (Engine_core.Faultkit.armed ctx.Exec_ctx.faults) ->
+    (* Fused head: the scan node's wrapper is bypassed, so armed fault
+       points take the per-node pipeline below. *)
     compile_filter_scan ctx ~pred ~table ~cols ~scan_node
   | Physical.Filter { pred; child } ->
     let cfact = compile ctx child in
@@ -386,6 +383,58 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
     ->
     hash_join ctx plan ~combine:Tuple.append ~kind ~lkeys ~rkeys ~residual
       ~left ~right ~right_arity
+  | Physical.Index_nl_join
+      { kind; left; left_key; table; base_col; cols; chain; residual;
+        right_arity } ->
+    (* The row engine's probe chain, wired to the push join emission. *)
+    let lfact = compile ctx left in
+    let open_probe =
+      Executor.index_probe ctx ~left_key ~table ~base_col ~cols ~chain
+    in
+    let residual = Option.map (Expr_compile.compile_pred ctx) residual in
+    let null_pad = Array.make right_arity Value.Null in
+    fun () ->
+      let probe = open_probe () in
+      let lsrc = lfact () in
+      fun sink ->
+        lsrc
+          (join_emit ~kind ~combine:Tuple.append ~null_pad ~residual ~probe
+             sink)
+  | Physical.Apply { kind; outer; inner } ->
+    let ofact = compile ctx outer in
+    let ifact = compile ctx inner in
+    (* The inner plan's first row under the outer row [row]: opened (its
+       open-time effects once per outer row, as in the row engine) and
+       stopped after one push. The parameter is popped on every exit. *)
+    let first row =
+      let exception First of Tuple.t in
+      ctx.Exec_ctx.params <- row :: ctx.Exec_ctx.params;
+      let pop () = ctx.Exec_ctx.params <- List.tl ctx.Exec_ctx.params in
+      match ifact () (fun r -> raise_notrace (First r)) with
+      | () ->
+        pop ();
+        None
+      | exception First r ->
+        pop ();
+        Some r
+      | exception e ->
+        pop ();
+        raise e
+    in
+    fun () ->
+      let osrc = ofact () in
+      fun sink ->
+        osrc (fun row ->
+            match kind with
+            | Logical.A_semi -> if Option.is_some (first row) then sink row
+            | Logical.A_anti -> if Option.is_none (first row) then sink row
+            | Logical.A_scalar ->
+              let v =
+                match first row with
+                | Some r when Array.length r > 0 -> r.(0)
+                | _ -> Value.Null
+              in
+              sink (Tuple.append row [| v |]))
   | Physical.Nl_join { kind; pred; left; right; right_arity } ->
     let st = stats_of ctx plan in
     let lfact = compile ctx left in
@@ -457,8 +506,23 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
               sink row
             end)
           sorted
-  | Physical.Limit _ | Physical.Apply _ | Physical.Index_nl_join _ ->
-    assert false (* delegated in [compile] *)
+  | Physical.Limit { n; child } ->
+    (* The child is opened even for n <= 0, as in the row engine, but its
+       source never runs. *)
+    let cfact = compile ctx child in
+    fun () ->
+      let csrc = cfact () in
+      fun sink ->
+        if n > 0 then begin
+          let exception Stop in
+          let left = ref n in
+          try
+            csrc (fun row ->
+                sink row;
+                decr left;
+                if !left = 0 then raise_notrace Stop)
+          with Stop -> ()
+        end
   | Physical.Distinct child ->
     let cfact = compile ctx child in
     fun () ->
@@ -532,10 +596,9 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
    per-row Option or closure allocation). With any guard armed the scan
    budget is charged per row before the push — identical rows_scanned
    and cancellation point to the row engine's cursor; with no guards
-   armed nothing can cancel mid-scan, so the charge collapses to one
-   O(1) [note_scanned_many] per chunk and the final counter is the
-   same. The [?hide] virtual delete goes through the cursor, like the
-   row engine. *)
+   armed nothing can cancel mid-scan, so the rows read are counted and
+   charged once on exit ({!charge_scanned}). The [?hide] virtual delete
+   goes through the cursor, like the row engine. *)
 and scan_source ctx t ~hide ~cols sink =
   match hide with
   | Some _ ->
@@ -555,30 +618,44 @@ and scan_source ctx t ~hide ~cols sink =
   | None ->
     let buf = Array.make scan_chunk [||] in
     let slot = ref 0 in
-    let per_row = Exec_ctx.guards_armed ctx in
-    let rec loop () =
-      let n =
-        match cols with
-        | None -> Table.fill_chunk t ~slot buf ~max:scan_chunk
-        | Some idxs ->
-          Table.fill_chunk_proj t ~slot buf ~max:scan_chunk ~cols:idxs
-      in
-      if n > 0 then begin
-        if per_row then
+    let fill () =
+      match cols with
+      | None -> Table.fill_chunk t ~slot buf ~max:scan_chunk
+      | Some idxs ->
+        Table.fill_chunk_proj t ~slot buf ~max:scan_chunk ~cols:idxs
+    in
+    if Exec_ctx.guards_armed ctx then
+      let rec loop () =
+        let n = fill () in
+        if n > 0 then begin
           for i = 0 to n - 1 do
             Exec_ctx.note_scanned ctx;
             sink buf.(i)
-          done
-        else begin
-          Exec_ctx.note_scanned_many ctx n;
-          for i = 0 to n - 1 do
-            sink buf.(i)
-          done
-        end;
-        loop ()
-      end
-    in
-    loop ()
+          done;
+          loop ()
+        end
+      in
+      loop ()
+    else
+      let rec loop () =
+        let n = fill () in
+        if n > 0 then begin
+          let i = ref 0 in
+          (match
+             while !i < n do
+               let row = Array.unsafe_get buf !i in
+               incr i;
+               sink row
+             done
+           with
+          | () -> charge_scanned ctx None n
+          | exception e ->
+            charge_scanned ctx None !i;
+            raise e);
+          loop ()
+        end
+      in
+      loop ()
 
 (* Fused Filter-over-scan pipeline head. On a columnar table the
    predicate compiles to a slot-level {!Col_pred} kernel: only surviving
@@ -587,9 +664,10 @@ and scan_source ctx t ~hide ~cols sink =
    remapped through the scan projection ({!Scalar.shift_cols}) and
    tested against the base row, so only survivors pay the projection
    allocation. Budget charging is per row whenever a guard is armed
-   (cancellation-point parity with the row engine), one bulk charge
-   otherwise. The scan node's metrics are maintained inline so EXPLAIN
-   ANALYZE still shows scanned-vs-surviving rows per node. *)
+   (cancellation-point parity with the row engine), otherwise the rows
+   read are counted and charged on exit ({!charge_scanned}). The scan
+   node's metrics are maintained inline so EXPLAIN ANALYZE still shows
+   scanned-vs-surviving rows per node. *)
 and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
   let scan_st = stats_of ctx scan_node in
   let raw_pred =
@@ -602,8 +680,8 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
     match cols with None -> row | Some idxs -> Tuple.project row idxs
   in
   fun () ->
-    let t = resolve_table ctx table in
-    let hide = hide_for ctx table in
+    let t = Exec_ctx.resolve_table ctx table in
+    let hide = Exec_ctx.hide_for ctx table in
     (match scan_st with
     | Some s -> s.Metrics.opens <- s.Metrics.opens + 1
     | None -> ());
@@ -649,16 +727,18 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
           done
         else begin
           let scanned = ref 0 in
-          for s = 0 to stop - 1 do
-            if Column_store.is_live cs s then begin
-              incr scanned;
-              if k s = Col_pred.holds then sink (read s)
-            end
-          done;
-          Exec_ctx.note_scanned_many ctx !scanned;
-          match scan_st with
-          | Some s -> s.Metrics.rows <- s.Metrics.rows + !scanned
-          | None -> ()
+          match
+            for s = 0 to stop - 1 do
+              if Column_store.is_live cs s then begin
+                incr scanned;
+                if k s = Col_pred.holds then sink (read s)
+              end
+            done
+          with
+          | () -> charge_scanned ctx scan_st !scanned
+          | exception e ->
+            charge_scanned ctx scan_st !scanned;
+            raise e
         end
     | None -> (
       match hide with
@@ -682,31 +762,41 @@ and compile_filter_scan ctx ~pred ~table ~cols ~scan_node : factory =
         fun sink ->
           let buf = Array.make scan_chunk [||] in
           let slot = ref 0 in
-          let rec loop () =
-            let n = Table.fill_chunk t ~slot buf ~max:scan_chunk in
-            if n > 0 then begin
-              if guards then
+          if guards then
+            let rec loop () =
+              let n = Table.fill_chunk t ~slot buf ~max:scan_chunk in
+              if n > 0 then begin
                 for i = 0 to n - 1 do
                   Exec_ctx.note_scanned ctx;
                   Exec_ctx.check_guards ctx;
                   count_row scan_st;
                   let row = buf.(i) in
                   if test_raw row then sink (project row)
-                done
-              else begin
-                Exec_ctx.note_scanned_many ctx n;
-                (match scan_st with
-                | Some s -> s.Metrics.rows <- s.Metrics.rows + n
-                | None -> ());
-                for i = 0 to n - 1 do
-                  let row = buf.(i) in
-                  if test_raw row then sink (project row)
-                done
-              end;
-              loop ()
-            end
-          in
-          loop ())
+                done;
+                loop ()
+              end
+            in
+            loop ()
+          else
+            let rec loop () =
+              let n = Table.fill_chunk t ~slot buf ~max:scan_chunk in
+              if n > 0 then begin
+                let i = ref 0 in
+                (match
+                   while !i < n do
+                     let row = Array.unsafe_get buf !i in
+                     incr i;
+                     if test_raw row then sink (project row)
+                   done
+                 with
+                | () -> charge_scanned ctx scan_st n
+                | exception e ->
+                  charge_scanned ctx scan_st !i;
+                  raise e);
+                loop ()
+              end
+            in
+            loop ())
 
 (* Generic hash join. The right side is built at open, as the row engine
    does, into {!bucket}s that each probe reads in insertion order.
@@ -862,37 +952,43 @@ and late_probe ctx ~perm ~lkey ~rkey ~left ~right =
             Some
               (fun sink ->
                 let stop = Table.next_slot t in
-                let scanned = ref 0 in
                 let cells = Array.make n Value.Null in
-                for s = 0 to stop - 1 do
-                  if Column_store.is_live cs s then begin
-                    incr scanned;
-                    if
-                      kern s = Col_pred.holds
-                      && not (Column_store.Bitmap.get knulls s)
-                    then
-                      match find (Array.unsafe_get karr s) with
-                      | [] -> ()
-                      | cands ->
-                        for i = 0 to n - 1 do
-                          let j = Array.unsafe_get perm i in
-                          if j < h.arity then
-                            cells.(i) <- (Array.unsafe_get read i) s
-                        done;
-                        List.iter
-                          (fun rrow ->
-                            let out = Array.make n Value.Null in
-                            for i = 0 to n - 1 do
-                              let j = Array.unsafe_get perm i in
-                              Array.unsafe_set out i
-                                (if j < h.arity then Array.unsafe_get cells i
-                                 else Array.unsafe_get rrow (j - h.arity))
-                            done;
-                            sink out)
-                          cands
-                  end
-                done;
-                Exec_ctx.note_scanned_many ctx !scanned)
+                let scanned = ref 0 in
+                match
+                  for s = 0 to stop - 1 do
+                    if Column_store.is_live cs s then begin
+                      incr scanned;
+                      if
+                        kern s = Col_pred.holds
+                        && not (Column_store.Bitmap.get knulls s)
+                      then
+                        match find (Array.unsafe_get karr s) with
+                        | [] -> ()
+                        | cands ->
+                          for i = 0 to n - 1 do
+                            let j = Array.unsafe_get perm i in
+                            if j < h.arity then
+                              cells.(i) <- (Array.unsafe_get read i) s
+                          done;
+                          List.iter
+                            (fun rrow ->
+                              let out = Array.make n Value.Null in
+                              for i = 0 to n - 1 do
+                                let j = Array.unsafe_get perm i in
+                                Array.unsafe_set out i
+                                  (if j < h.arity then
+                                     Array.unsafe_get cells i
+                                   else Array.unsafe_get rrow (j - h.arity))
+                              done;
+                              sink out)
+                            cands
+                    end
+                  done
+                with
+                | () -> charge_scanned ctx None !scanned
+                | exception e ->
+                  charge_scanned ctx None !scanned;
+                  raise e)
           | _ -> None))
   | _ -> None
 
@@ -1260,28 +1356,14 @@ and compile_group ctx plan keys aggs child : factory =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let native_root (plan : Physical.t) =
-  match plan.Physical.op with
-  | Physical.Apply _ | Physical.Index_nl_join _ | Physical.Limit _ -> false
-  | _ -> true
-
 (* Root-inclusive timing for EXPLAIN ANALYZE: the root stats record gets
-   the whole run (delegated roots are timed by the row engine itself). *)
+   the whole run. *)
 let timed_run ctx plan f =
-  if
-    Metrics.enabled ctx.Exec_ctx.metrics
-    && native_root plan
-    && not (Engine_core.Faultkit.armed ctx.Exec_ctx.faults)
-  then begin
-    let t0 = Metrics.now_s () in
-    let r = f () in
-    (match Metrics.find ctx.Exec_ctx.metrics plan with
-    | Some st ->
-      st.Metrics.time_s <- st.Metrics.time_s +. (Metrics.now_s () -. t0)
-    | None -> ());
-    r
-  end
-  else f ()
+  timed
+    (if Metrics.enabled ctx.Exec_ctx.metrics then
+       Metrics.find ctx.Exec_ctx.metrics plan
+     else None)
+    f
 
 let run_list ctx plan : Tuple.t list =
   let fact = compile ctx plan in

@@ -17,13 +17,14 @@
     Semantics — emission order, 3VL, audit evidence, budget accounting
     (per-row [note_scanned], [note_materialized] at the same buffering
     points) and the row engine's open-time effect order — are identical
-    to {!Executor}, which remains the differential oracle.
-
-    Step-aside rules: operators whose protocols are pull-bound
-    (correlated [Apply], [Index_nl_join] probe chains, bare [Limit])
-    delegate their subtree to the row engine behind a pull→push adapter;
-    when the fault-injection kit is armed the whole plan steps aside to
-    {!Executor} so per-operator fault sites stay identical. *)
+    to {!Executor}, which remains the differential oracle. Every operator
+    runs here: [Limit] and [Apply] stop their child after the rows they
+    need with a local exception (unguarded scans charge the rows they
+    read on every exit), an [Index_nl_join] runs the row engine's probe chain
+    ({!Executor.index_probe}) per left row, and an armed fault kit
+    compiles a fault site into every node's wrapper that fires in the
+    row engine's getNext order, with every fused head falling back to the
+    per-node pipeline. *)
 
 open Storage
 

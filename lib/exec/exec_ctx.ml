@@ -15,6 +15,8 @@
 
 open Storage
 
+exception Exec_error of string
+
 type audit_slot = {
   mutable marks : int ref Value.Hashtbl_v.t;
       (** sensitive ID -> generation mark, shared by every session of an
@@ -110,6 +112,18 @@ let create ?(session_id = 0) catalog =
   }
 
 let norm = String.lowercase_ascii
+
+(** A scanned table, resolved when its operator opens. *)
+let resolve_table ctx table =
+  match Catalog.find_opt ctx.catalog table with
+  | Some t -> t
+  | None -> raise (Exec_error (Printf.sprintf "unknown table %s" table))
+
+(** The [?hide] partition a scan of [table] must skip, if any. *)
+let hide_for ctx table =
+  match ctx.hide with
+  | Some (ht, col, v) when norm ht = norm table -> Some (col, v)
+  | _ -> None
 
 let slot ctx key =
   match Hashtbl.find_opt ctx.audit_sets key with

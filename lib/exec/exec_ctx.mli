@@ -15,6 +15,10 @@
 
 open Storage
 
+(** A runtime execution failure (an unknown table, an audit-ID set not
+    installed); re-exported as [Executor.Exec_error]. *)
+exception Exec_error of string
+
 (** An installed probe table plus this context's ACCESSED log for it. *)
 type audit_slot
 
@@ -65,6 +69,14 @@ type t = {
 }
 
 val create : ?session_id:int -> Catalog.t -> t
+
+(** The table a scan or index lookup reads, resolved when its operator
+    opens; raises {!Exec_error} for an unknown table. *)
+val resolve_table : t -> string -> Table.t
+
+(** The [(column, value)] partition of [table] that [hide]
+    virtually deletes, if any (table names compare case-insensitively). *)
+val hide_for : t -> string -> (int * Value.t) option
 
 (** Install the sensitive-ID mark table an audit operator probes
     (normally via [Db.Database.install_audit_sets]). Re-installing keeps

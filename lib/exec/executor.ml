@@ -20,7 +20,7 @@
 open Storage
 open Plan
 
-exception Exec_error of string
+exception Exec_error = Exec_ctx.Exec_error
 
 (** The installed probe table and log an audit operator marks into,
     resolved when its cursor opens. *)
@@ -51,6 +51,96 @@ let drain_tracked ctx (c : cursor) : Tuple.t list =
       go (r :: acc)
   in
   go []
+
+(* The right side of an index-nested-loop join, shared by both engines:
+   per left row, an index lookup on the right base table, each fetched
+   row pushed through the right side's physical Filter/AuditProbe chain.
+   Metrics stay attributable per chain node even though the chain's
+   operators are folded into the lookup (row and probe counts land on the
+   chain nodes; time stays on the join). Compiling registers the chain
+   bottom-up; invoking the result opens it (table, [?hide] partition,
+   audit slots) and returns the per-left-row probe. *)
+let index_probe ctx ~left_key ~table ~base_col ~cols ~chain :
+    unit -> Tuple.t -> Tuple.t list =
+  let lkey = Expr_compile.compile ctx left_key in
+  let stats_of n =
+    if Metrics.enabled ctx.Exec_ctx.metrics then
+      Some (Metrics.register ctx.Exec_ctx.metrics n)
+    else None
+  in
+  let count = function
+    | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
+    | None -> ()
+  in
+  (* Decompose the physical chain: scan node at the bottom, then the ops
+     above it in application (bottom-up) order. *)
+  let scan_node, ops =
+    let rec go node acc =
+      match node.Physical.op with
+      | Physical.Seq_scan _ -> (node, acc)
+      | Physical.Filter { pred; child } ->
+        go child ((`Filter pred, node) :: acc)
+      | Physical.Audit_probe { audit_name; id_col; child } ->
+        go child ((`Audit (audit_name, id_col), node) :: acc)
+      | _ ->
+        raise (Exec_error "index-lookup probe chain is not Filter/Audit/Scan")
+    in
+    go chain []
+  in
+  let scan_st = stats_of scan_node in
+  (* Compile the chain ops into closures (audit mark tables resolved at
+     open). *)
+  let compiled_ops =
+    List.map
+      (fun (op, op_node) ->
+        let st = stats_of op_node in
+        match op with
+        | `Filter pred ->
+          let test = Expr_compile.compile_pred ctx pred in
+          `Static
+            (fun row ->
+              if test row then begin
+                count st;
+                Some row
+              end
+              else None)
+        | `Audit (audit_name, id_col) -> `Audit (audit_name, id_col, st))
+      ops
+  in
+  fun () ->
+    let t = Exec_ctx.resolve_table ctx table in
+    let hide = Exec_ctx.hide_for ctx table in
+    let opened_ops =
+      List.map
+        (function
+          | `Static f -> f
+          | `Audit (audit_name, id_col, st) ->
+            let slot = audit_slot ctx audit_name in
+            fun row ->
+              Exec_ctx.probe ctx slot st row.(id_col);
+              count st;
+              Some row)
+        compiled_ops
+    in
+    let through_chain base_row =
+      Exec_ctx.note_scanned ctx;
+      count scan_st;
+      let projected =
+        match cols with
+        | None -> base_row
+        | Some idxs -> Tuple.project base_row idxs
+      in
+      List.fold_left
+        (fun acc op -> match acc with Some r -> op r | None -> None)
+        (Some projected) opened_ops
+    in
+    fun lrow ->
+      let v = lkey lrow in
+      if Value.is_null v then []
+      else
+        match Table.lookup ?hide t ~col:base_col v with
+        | Some rows -> List.filter_map through_chain rows
+        | None -> []
 
 (* When metrics collection is enabled, every compiled operator is wrapped so
    each getNext call is counted and timed against the node's [op_stats].
@@ -323,18 +413,8 @@ and compile_scan ctx table cols : factory =
       end)
   else
     fun () ->
-      let t =
-        match Catalog.find_opt ctx.Exec_ctx.catalog table with
-        | Some t -> t
-        | None -> raise (Exec_error (Printf.sprintf "unknown table %s" table))
-      in
-      let hide =
-        match ctx.Exec_ctx.hide with
-        | Some (ht, col, v)
-          when String.lowercase_ascii ht = String.lowercase_ascii table ->
-          Some (col, v)
-        | _ -> None
-      in
+      let t = Exec_ctx.resolve_table ctx table in
+      let hide = Exec_ctx.hide_for ctx table in
       let c = Table.cursor ?hide t in
       fun () ->
         match c () with
@@ -422,108 +502,16 @@ and join_emit ~kind ~null_pad ~residual ~probe lc : cursor =
   in
   next
 
-(* Index-nested-loop join: per left row, an index lookup on the right base
-   table, each fetched row pushed through the right side's physical
-   Filter/AuditProbe chain — metrics stay attributable per chain node even
-   though the chain's cursors are folded into the lookup (row and probe
-   counts land on the chain nodes; time stays on the join). *)
 and compile_inl_join ctx kind ~left ~left_key ~table ~base_col ~cols ~chain
     ~residual ~right_arity : factory =
   let lf = compile ctx left in
-  let lkey = Expr_compile.compile ctx left_key in
+  let open_probe = index_probe ctx ~left_key ~table ~base_col ~cols ~chain in
   let residual = Option.map (Expr_compile.compile_pred ctx) residual in
   let null_pad = Array.make right_arity Value.Null in
-  let stats_of n =
-    if Metrics.enabled ctx.Exec_ctx.metrics then
-      Some (Metrics.register ctx.Exec_ctx.metrics n)
-    else None
-  in
-  (* Decompose the physical chain: scan node at the bottom, then the ops
-     above it in application (bottom-up) order. *)
-  let scan_node, ops =
-    let rec go node acc =
-      match node.Physical.op with
-      | Physical.Seq_scan _ -> (node, acc)
-      | Physical.Filter { pred; child } -> go child ((`Filter pred, node) :: acc)
-      | Physical.Audit_probe { audit_name; id_col; child } ->
-        go child ((`Audit (audit_name, id_col), node) :: acc)
-      | _ ->
-        raise (Exec_error "index-lookup probe chain is not Filter/Audit/Scan")
-    in
-    go chain []
-  in
-  let scan_st = stats_of scan_node in
-  (* Compile the chain ops into closures (audit mark tables resolved at
-     open). *)
-  let compiled_ops =
-    List.map
-      (fun (op, op_node) ->
-        let st = stats_of op_node in
-        match op with
-        | `Filter pred ->
-          let test = Expr_compile.compile_pred ctx pred in
-          `Static
-            (fun row ->
-              if test row then begin
-                (match st with
-                | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
-                | None -> ());
-                Some row
-              end
-              else None)
-        | `Audit (audit_name, id_col) -> `Audit (audit_name, id_col, st))
-      ops
-  in
   fun () ->
-  let t =
-    match Catalog.find_opt ctx.Exec_ctx.catalog table with
-    | Some t -> t
-    | None -> raise (Exec_error (Printf.sprintf "unknown table %s" table))
-  in
-  let hide =
-    match ctx.Exec_ctx.hide with
-    | Some (ht, col, v)
-      when String.lowercase_ascii ht = String.lowercase_ascii table ->
-      Some (col, v)
-    | _ -> None
-  in
-  let opened_ops =
-    List.map
-      (fun cop ->
-        match cop with
-        | `Static f -> f
-        | `Audit (audit_name, id_col, st) ->
-          let slot = audit_slot ctx audit_name in
-          fun row ->
-            Exec_ctx.probe ctx slot st row.(id_col);
-            (match st with
-            | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
-            | None -> ());
-            Some row)
-      compiled_ops
-  in
-  let through_chain base_row =
-    Exec_ctx.note_scanned ctx;
-    (match scan_st with
-    | Some s -> s.Metrics.rows <- s.Metrics.rows + 1
-    | None -> ());
-    let projected =
-      match cols with None -> base_row | Some idxs -> Tuple.project base_row idxs
-    in
-    List.fold_left
-      (fun acc op -> match acc with Some r -> op r | None -> None)
-      (Some projected) opened_ops
-  in
-  let probe lrow =
-    let v = lkey lrow in
-    if Value.is_null v then []
-    else
-      match Table.lookup ?hide t ~col:base_col v with
-      | Some rows -> List.filter_map through_chain rows
-      | None -> []
-  in
-  let lc = lf () in
-  join_emit ~kind ~null_pad ~residual ~probe lc
+    let probe = open_probe () in
+    let lc = lf () in
+    join_emit ~kind ~null_pad ~residual ~probe lc
 
 and compile_apply ctx kind outer inner : factory =
   let of_ = compile ctx outer in

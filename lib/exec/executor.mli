@@ -12,6 +12,7 @@
 
 open Storage
 
+(** {!Exec_ctx.Exec_error}, under the name callers match on. *)
 exception Exec_error of string
 
 (** The installed probe table an audit operator marks into; raises
@@ -23,6 +24,22 @@ type factory = unit -> cursor
 
 (** Pull a cursor to exhaustion. *)
 val drain : cursor -> Tuple.t list
+
+(** The right side of an [Index_nl_join], shared by both engines:
+    compiling registers the chain's metrics; invoking the result at open
+    returns the probe, which maps a left row to the fetched rows that
+    pass the Filter/AuditProbe chain. Chain nodes are never opened or
+    fault-instrumented. *)
+val index_probe :
+  Exec_ctx.t ->
+  left_key:Plan.Scalar.t ->
+  table:string ->
+  base_col:int ->
+  cols:int array option ->
+  chain:Plan.Physical.t ->
+  unit ->
+  Tuple.t ->
+  Tuple.t list
 
 (** Compile a physical plan. Audit operators resolve their ID tables from
     the context at open time; raises {!Exec_error} at open if a table was

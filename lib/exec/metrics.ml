@@ -1,12 +1,17 @@
 (** Per-operator execution metrics.
 
-    When enabled, {!Executor.compile} registers one [op_stats] record per
-    physical-plan node and wraps every cursor so each [getNext] call is
-    counted and timed. The audit operator additionally records its
-    probe/hit counters per instance, so EXPLAIN ANALYZE can show that an
-    audit operator's input and output row counts are identical (the
-    no-filtering invariant, §IV-A2) and exactly how many hash probes it
-    charged the plan.
+    When enabled, both engines register one [op_stats] record per
+    physical-plan node, in the same pre-order, and count the rows each
+    node emits and the times it is opened: {!Executor.compile} wraps
+    every cursor so each [getNext] call is also timed, and
+    {!Compiled_exec.compile} wraps every push source and times each
+    pipeline at its blocking operator (the root times the whole run).
+    An index-NL join's probe-chain nodes count rows through the shared
+    {!Executor.index_probe} and are never opened. The audit operator
+    additionally records its probe/hit counters per instance, so EXPLAIN
+    ANALYZE can show that an audit operator's input and output row counts
+    are identical (the no-filtering invariant, §IV-A2) and exactly how
+    many hash probes it charged the plan.
 
     Registration is keyed by *physical* identity of the {!Plan.Physical.t}
     node: the executor and the EXPLAIN ANALYZE renderer traverse the same

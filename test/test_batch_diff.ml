@@ -22,9 +22,11 @@
     - budget-parity regressions: the row and memory budgets must cancel
       at the same row counts in every mode, with the same partial
       ACCESSED state (the push engine charges per row before each push);
-    - a kernel corpus: each compiled kernel against the row engine in
-      every session state that must make it fall back, comparing rows,
-      WAL evidence, ACCESSED and the scan/materialization counters. *)
+    - a kernel corpus: each compiled kernel, [LIMIT], correlated
+      [Apply] and index-NL join against the row engine in every session
+      state that must make a kernel fall back or a fault fire, comparing
+      rows or the error text, the fired faults, WAL evidence, ACCESSED
+      and the scan/materialization counters. *)
 
 module E = Engine_core.Engine_error
 
@@ -515,7 +517,8 @@ let test_mem_budget_parity () =
 (* [item] crosses the compiled engine's 256-slot scan chunk and carries
    dictionary-coded strings, ints, floats and dates with NULLs; [ord] and
    [wide] are the small and large join partners; [huge] holds keys at
-   and beyond 2^53, where Int/Float equality stops being exact. *)
+   and beyond 2^53, where Int/Float equality stops being exact; [memo] is
+   indexed on [note], large enough against [ord] for index-NL joins. *)
 let kernel_stmts =
   let nul i p v = if i mod p = 0 then "NULL" else v in
   [
@@ -524,6 +527,7 @@ let kernel_stmts =
     "CREATE TABLE ord (oid INT PRIMARY KEY, iid INT, day DATE, note VARCHAR)";
     "CREATE TABLE wide (wid INT PRIMARY KEY, iid INT, w VARCHAR, big INT)";
     "CREATE TABLE huge (hid INT PRIMARY KEY, k INT, f FLOAT)";
+    "CREATE TABLE memo (mid INT PRIMARY KEY, note VARCHAR)";
   ]
   @ List.init 300 (fun i ->
         let i = i + 1 in
@@ -545,7 +549,12 @@ let kernel_stmts =
         Printf.sprintf "INSERT INTO wide VALUES (%d,%d,'w%d',%d)" i (i mod 350)
           (i mod 6)
           (if i mod 100 = 0 then 9007199254740993 else i mod 40))
+  @ List.init 200 (fun i ->
+        let i = i + 1 in
+        Printf.sprintf "INSERT INTO memo VALUES (%d,%s)" i
+          (nul i 7 (Printf.sprintf "'n%d'" (i mod 6))))
   @ [
+      "CREATE INDEX memo_note ON memo (note)";
       "INSERT INTO huge VALUES (1, 9007199254740992, 9007199254740992.0)";
       "INSERT INTO huge VALUES (2, 9007199254740993, 5.0)";
       "INSERT INTO huge VALUES (3, 5, NULL)";
@@ -581,10 +590,41 @@ let kernel_queries =
     "SELECT a.hid, b.hid FROM huge a, huge b WHERE a.k = b.f";
     "SELECT a.hid, b.hid FROM huge a, huge b WHERE a.f = b.k";
     "SELECT o.note, w.wid FROM ord o, wide w WHERE o.iid = w.big";
+    (* bare LIMIT around the 256-row scan chunk and past the table *)
+    "SELECT * FROM item LIMIT 0";
+    "SELECT * FROM item LIMIT 1";
+    "SELECT i.iid, i.grp FROM item i LIMIT 255";
+    "SELECT i.iid, i.grp FROM item i LIMIT 256";
+    "SELECT i.iid, i.grp FROM item i LIMIT 257";
+    "SELECT i.iid, i.grp FROM item i LIMIT 300";
+    "SELECT * FROM item LIMIT 1000";
+    "SELECT o.oid, o.note FROM ord o LIMIT 3";
+    (* LIMIT over a filter and over a join *)
+    "SELECT i.iid FROM item i WHERE i.qty > 2 LIMIT 100";
+    "SELECT o.oid FROM ord o WHERE o.oid > 5 LIMIT 4";
+    "SELECT i.grp, o.note FROM item i, ord o WHERE i.iid = o.iid LIMIT 5";
+    "SELECT w.w, i.grp FROM wide w, item i WHERE w.iid = i.iid LIMIT 260";
+    (* correlated Apply: non-equi EXISTS / NOT EXISTS, a scalar subquery
+       in the SELECT list, an inner LIMIT over a kernel-eligible head *)
+    "SELECT o.oid FROM ord o WHERE EXISTS (SELECT 1 FROM item i WHERE i.iid \
+     < o.iid AND i.qty = 3)";
+    "SELECT o.oid FROM ord o WHERE NOT EXISTS (SELECT 1 FROM item i WHERE \
+     i.iid < o.iid AND i.grp = 'c')";
+    "SELECT o.oid, (SELECT count(*) FROM item i WHERE i.iid < o.iid) FROM \
+     ord o";
+    "SELECT o.oid, (SELECT i.grp FROM item i WHERE i.qty > 3 AND i.iid > \
+     o.iid LIMIT 1) FROM ord o";
+    (* index-NL joins on memo.note, the audit probe on the outer side *)
+    "SELECT o.oid, m.mid FROM ord o, memo m WHERE o.note = m.note AND m.mid \
+     > 50";
+    "SELECT o.oid, m.mid FROM ord o LEFT JOIN memo m ON o.note = m.note AND \
+     m.mid < 30";
+    "SELECT o.oid, m.mid FROM ord o, memo m WHERE o.note = m.note LIMIT 7";
   ]
 
 (* Every session state in which a kernel must step aside, plus the plain
-   one in which it fires. *)
+   one in which it fires. A state is applied before each run, so a fault
+   point spent by the row engine's run is re-armed for the compiled one. *)
 let kernel_configs =
   let ctx db = Db.Database.context db in
   [
@@ -605,21 +645,35 @@ let kernel_configs =
           [ Engine_core.Faultkit.Op_next { op = "no such operator"; at = 1 } ]
     );
   ]
+  @ List.map
+      (fun at ->
+        ( Printf.sprintf "fault fires at getNext #%d" at,
+          fun db ->
+            Engine_core.Faultkit.arm (Db.Database.faults db)
+              [ Engine_core.Faultkit.Op_next { op = "*"; at } ] ))
+      [ 1; 3; 7 ]
 
-(** One statement through [exec] with deferred evidence: rows, evidence
-    records, ACCESSED and the scan/materialization counters. *)
+(** One statement through [exec] with deferred evidence: rows (or the
+    error text), the fired fault points, evidence records, ACCESSED and
+    the scan/materialization counters. An error is an outcome only when a
+    fault fired; in every other state the statement must return rows. *)
 let kernel_outcome db sql =
+  let fired () = Engine_core.Faultkit.fired (Db.Database.faults db) in
   let rows =
     match Db.Database.exec db sql with
-    | Db.Database.Rows { rows; _ } -> rows
-    | _ -> []
+    | Db.Database.Rows { rows; _ } -> Ok rows
+    | _ -> Ok []
+    | exception E.Error e when fired () <> [] -> Error (E.to_string e)
   in
   let ctx = Db.Database.context db in
-  ( rows,
+  ( (rows, fired ()),
     List.map Audit_log.Wal.record_to_string
       (Db.Database.take_pending_evidence db),
     Exec.Exec_ctx.accessed_list ctx ~audit_name:"audit_ord",
     (ctx.Exec.Exec_ctx.rows_scanned, ctx.Exec.Exec_ctx.tuples_materialized) )
+
+let outcome_rows =
+  Alcotest.(pair (result (list Fixtures.tuple) string) (list string))
 
 let test_kernel_parity () =
   List.iter
@@ -632,11 +686,11 @@ let test_kernel_parity () =
               Db.Database.set_heuristic db Audit_core.Placement.Leaf;
               Db.Database.set_instrumentation db instrument;
               Db.Database.set_deferred_evidence db true;
-              configure db;
               List.iter
                 (fun sql ->
                   let run mode =
                     Db.Database.set_exec_mode db mode;
+                    configure db;
                     kernel_outcome db sql
                   in
                   let rows, evidence, accessed, counters = run `Row in
@@ -646,7 +700,7 @@ let test_kernel_parity () =
                       (if instrument then "" else " uninstrumented")
                       sql
                   in
-                  Alcotest.(check (list Fixtures.tuple)) ("rows " ^ l) rows rows';
+                  Alcotest.check outcome_rows ("rows, faults " ^ l) rows rows';
                   Alcotest.(check (list string))
                     ("evidence " ^ l) evidence evidence';
                   Alcotest.(check Fixtures.values)

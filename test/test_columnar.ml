@@ -165,8 +165,9 @@ let test_mutation_hook_parity () =
   Alcotest.(check bool) "hook payloads and order" true (hlog = clog)
 
 (* Armed faults must reach the operator tree under columnar compiled
-   execution: every kernel bypasses the per-operator getNext wrappers,
-   so arming Faultkit has to force the row engine's generic operators. *)
+   execution: every kernel bypasses the per-node wrappers that carry the
+   fault sites, so arming Faultkit has to force the compiled engine's
+   generic per-node pipeline. *)
 let test_fault_forces_generic_path () =
   let db = Fixtures.create () in
   Db.Database.set_storage_mode db Table.Columnar;

@@ -157,6 +157,55 @@ let test_mode_rows_agree () =
         (profile `Compiled q.Tpch.Queries.sql))
     [ "Q1"; "Q5"; "Q6" ]
 
+(* EXPLAIN ANALYZE of an index-NL join (its probe chain's nodes carry
+   rows but are never opened) and of a correlated Apply (its inner plan
+   re-opened per outer row): both engines print the same tree with the
+   same per-node actual rows, loops and probe counts; only times differ. *)
+let test_explain_analyze_inl_apply () =
+  let db = Fixtures.create () in
+  let e sql = ignore (Db.Database.exec db sql) in
+  e "CREATE TABLE a (id INT PRIMARY KEY, k INT)";
+  e "CREATE TABLE b (id INT PRIMARY KEY, k INT, v INT)";
+  for i = 1 to 10 do
+    e (Printf.sprintf "INSERT INTO a VALUES (%d, %d)" i (i mod 4))
+  done;
+  for i = 1 to 100 do
+    e (Printf.sprintf "INSERT INTO b VALUES (%d, %d, %d)" i (i mod 7) (i mod 5))
+  done;
+  e "CREATE INDEX b_k ON b (k)";
+  e
+    "CREATE AUDIT EXPRESSION audit_a AS SELECT * FROM a FOR SENSITIVE TABLE \
+     a, PARTITION BY id";
+  e "CREATE TRIGGER watch_a ON ACCESS TO audit_a AS NOTIFY 'a'";
+  let untimed text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> not (contains l "Execution time"))
+    |> List.map (fun l ->
+           String.split_on_char ' ' l
+           |> List.filter (fun w ->
+                  not (String.length w >= 5 && String.sub w 0 5 = "time="))
+           |> String.concat " ")
+  in
+  let analyze mode sql =
+    Db.Database.set_exec_mode db mode;
+    untimed (explain_text db ("EXPLAIN ANALYZE " ^ sql))
+  in
+  List.iter
+    (fun (op, sql) ->
+      let row = analyze `Row sql in
+      check Alcotest.bool ("plan has " ^ op) true
+        (List.exists (fun l -> contains l op) row);
+      check
+        Alcotest.(list string)
+        ("EXPLAIN ANALYZE per-node rows, row vs compiled: " ^ op)
+        row (analyze `Compiled sql))
+    [
+      ("IndexNLJoin", "SELECT a.id, b.v FROM a, b WHERE a.k = b.k AND b.v > 1");
+      ( "SemiApply",
+        "SELECT a.id FROM a WHERE EXISTS (SELECT 1 FROM b WHERE b.k < a.k AND \
+         b.v = 3)" );
+    ]
+
 let test_json_emitter () =
   let open Benchkit in
   let j =
@@ -185,5 +234,7 @@ let suite =
     Alcotest.test_case "apply loops accumulate" `Quick test_apply_loops;
     Alcotest.test_case "row and compiled agree on per-operator rows (TPC-H)"
       `Quick test_mode_rows_agree;
+    Alcotest.test_case "EXPLAIN ANALYZE rows agree on index-NL and Apply"
+      `Quick test_explain_analyze_inl_apply;
     Alcotest.test_case "JSON emitter" `Quick test_json_emitter;
   ]

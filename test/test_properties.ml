@@ -11,7 +11,9 @@
       verification and with certified probe elision off or on;
     - ternary-logic partitioning (Rigger & Su, OOPSLA 2020): a
       select–join query's rows and ACCESSED evidence split exactly
-      across [p], [NOT p] and [p IS NULL].
+      across [p], [NOT p] and [p IS NULL];
+    - the compiled engine agrees with the row engine under drawn fault
+      plans: same rows or error, fired points, evidence and alarms.
 
     Each case draws one of the 24 {!Db.Config.t} values (engine × storage
     × elision × verify), so one run checks the guarantees across the
@@ -476,7 +478,7 @@ let prop_chunk_boundary =
       oracle = run `Compiled)
 
 (* --------------------------------------------------------------- *)
-(* Compiled engine: cancellation, fault fallback                    *)
+(* Compiled engine: cancellation, fault sites                       *)
 (* --------------------------------------------------------------- *)
 
 (* Cancellation parity: with a random row/memory budget (or an
@@ -531,10 +533,11 @@ let prop_compiled_cancel_parity =
       in
       run `Row = run `Compiled)
 
-(* An armed fault kit must force the compiled engine onto the row
-   engine's per-operator path, so an [Op_next] point fires at exactly
-   the same getNext in both modes: identical injected-fault error and
-   identical fired-point log. A native push pipeline would never call
+(* An armed fault kit compiles a fault site into every node of the
+   compiled engine's pipelines, firing in the row engine's getNext order,
+   so an [Op_next "*"] point at the first getNext fires at the same
+   operator in both modes: identical injected-fault error and identical
+   fired-point log. A pipeline without fault sites would never call
    [on_get_next] and would succeed — detectably diverging from the row
    oracle. Storage, elision and verification come from the drawn
    configuration. *)
@@ -560,6 +563,99 @@ let prop_compiled_fault_fallback =
       row = compiled
       && (match fst compiled with Error _ -> true | Ok _ -> false))
 
+(* The operator labels a drawn fault plan picks from: the fault matrix's
+   five, the early-exit and correlated operators, and two blocking ones. *)
+let fault_ops =
+  [
+    "Scan"; "Filter"; "Join"; "Project"; "Audit"; "Limit"; "IndexNLJoin";
+    "Apply"; "Sort"; "HashAgg";
+  ]
+
+(* The drawn query shapes plus the operators with early exit: LIMIT over
+   a scan, a filter and a join, and correlated Applies (a non-equi
+   EXISTS, NOT EXISTS and a scalar subquery; the equi EXISTS of [Sub]
+   decorrelates to a semi-join). With the visits index a join may run as
+   an index-NL join. *)
+let gen_fault_query =
+  QCheck.Gen.(
+    let* k = int_range 0 9 in
+    let* n = int_range 0 6 in
+    frequency
+      [
+        (3, map fst gen_query);
+        ( 1,
+          oneofl
+            [
+              Printf.sprintf "SELECT p.pid, p.age FROM patients p LIMIT %d" n;
+              Printf.sprintf
+                "SELECT p.pid FROM patients p WHERE p.age > %d LIMIT %d" k n;
+              Printf.sprintf
+                "SELECT p.pid, v.vid FROM patients p, visits v WHERE p.pid = \
+                 v.pid LIMIT %d"
+                n;
+            ] );
+        ( 1,
+          oneofl
+            [
+              Printf.sprintf
+                "SELECT p.pid FROM patients p WHERE EXISTS (SELECT 1 FROM \
+                 visits v WHERE v.pid < p.pid AND v.cost > %d)"
+                k;
+              Printf.sprintf
+                "SELECT p.pid FROM patients p WHERE NOT EXISTS (SELECT 1 FROM \
+                 visits v WHERE v.pid = p.pid AND v.cost <> %d)"
+                k;
+              Printf.sprintf
+                "SELECT p.pid, (SELECT count(*) FROM visits v WHERE v.pid <= \
+                 p.pid AND v.cost > %d) FROM patients p"
+                k;
+            ] );
+      ])
+
+(* A case adds a fault seed to the dataset, query and configuration;
+   seed 0 arms no fault. The configuration and the seed both shrink, the
+   seed toward 0. *)
+let arb_fault_case =
+  QCheck.make
+    ~print:(fun ((d, sql, c), seed) ->
+      Printf.sprintf "fault seed %d: %s" seed (print_case (d, sql, c)))
+    ~shrink:(fun ((d, sql, c), seed) yield ->
+      shrink_config c (fun c -> yield ((d, sql, c), seed));
+      QCheck.Shrink.int seed (fun seed -> yield ((d, sql, c), seed)))
+    QCheck.Gen.(
+      pair (triple gen_dataset gen_fault_query gen_config) (int_range 0 400))
+
+(* One statement on a fresh database with [Faultkit.random_plan] armed
+   and evidence deferred: rows or the typed error, the fired points, the
+   evidence records, the (partial) ACCESSED set, alarms and NOTIFY
+   output. *)
+let fault_outcome config d sql seed =
+  let db = build_db config d in
+  Db.Database.set_deferred_evidence db true;
+  let kit = Db.Database.faults db in
+  Engine_core.Faultkit.arm kit
+    (Engine_core.Faultkit.random_plan ~seed ~ops:fault_ops);
+  let outcome =
+    match Db.Database.exec db sql with
+    | Db.Database.Rows { rows; _ } -> Ok rows
+    | r -> Ok [ [| Value.Str (Db.Database.result_to_string r) |] ]
+    | exception E.Error e -> Error (E.to_string e)
+    | exception Db.Database.Db_error m -> Error m
+  in
+  ( outcome,
+    Engine_core.Faultkit.fired kit,
+    List.map Audit_log.Wal.record_to_string
+      (Db.Database.take_pending_evidence db),
+    Exec.Exec_ctx.accessed_list (Db.Database.context db)
+      ~audit_name:"audit_pat",
+    (Db.Database.alarms db, Db.Database.notifications db) )
+
+let prop_compiled_fault_plans =
+  QCheck.Test.make ~count:200 ~name:"compiled = row under drawn fault plans"
+    arb_fault_case (fun ((d, sql, c), seed) ->
+      fault_outcome { c with exec = `Row } d sql seed
+      = fault_outcome { c with exec = `Compiled } d sql seed)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -576,4 +672,5 @@ let suite =
       prop_tlp;
       prop_compiled_cancel_parity;
       prop_compiled_fault_fallback;
+      prop_compiled_fault_plans;
     ]

@@ -11,10 +11,15 @@ let fresh_path name =
   Sys.remove p;
   p
 
+(** The engines the fault tests run on: the row oracle and the compiled
+    engine that serves. *)
+let engines = [ ("row", `Row); ("compiled", `Compiled) ]
+
 (** Healthcare DB with the Alice audit watched by a trigger and a durable
     audit log attached. *)
-let logged_db ?(policy = Wal.Fail_closed) name =
+let logged_db ?(policy = Wal.Fail_closed) ?exec name =
   let db = Fixtures.healthcare_with_alice () in
+  Option.iter (Db.Database.set_exec_mode db) exec;
   ignore
     (Db.Database.exec db
        "CREATE TRIGGER watch ON ACCESS TO audit_alice AS NOTIFY 'seen'");
@@ -130,89 +135,122 @@ let test_mem_budget () =
 (* ------------------------------------------------------------------ *)
 
 let test_operator_fault () =
-  let db, _ = logged_db "opfault" in
-  F.arm (Db.Database.faults db) [ F.Op_next { op = "scan"; at = 2 } ];
-  (match Db.Database.exec db "SELECT * FROM patients" with
-  | _ -> Alcotest.fail "armed operator fault must fire"
-  | exception E.Error (E.Fault _) -> ());
-  Alcotest.(check int) "depth reset" 0 (Db.Database.trigger_depth db);
-  F.arm (Db.Database.faults db) [];
-  check_clean_query db
+  List.iter
+    (fun (name, exec) ->
+      let db, _ = logged_db ~exec ("opfault_" ^ name) in
+      F.arm (Db.Database.faults db) [ F.Op_next { op = "scan"; at = 2 } ];
+      (match Db.Database.exec db "SELECT * FROM patients" with
+      | _ -> Alcotest.fail (name ^ ": armed operator fault must fire")
+      | exception E.Error (E.Fault _) -> ());
+      Alcotest.(check (list string))
+        (name ^ ": fired at the scan's second getNext")
+        [ F.point_to_string (F.Op_next { op = "scan"; at = 2 }) ]
+        (F.fired (Db.Database.faults db));
+      Alcotest.(check int) "depth reset" 0 (Db.Database.trigger_depth db);
+      F.arm (Db.Database.faults db) [];
+      check_clean_query db)
+    engines
 
 let test_trigger_body_fault () =
-  let db, _ = logged_db "trfault" in
-  F.arm (Db.Database.faults db) [ F.Trigger_body { name = "watch" } ];
-  (match Db.Database.exec db "SELECT * FROM patients" with
-  | _ -> Alcotest.fail "armed trigger fault must fire"
-  | exception E.Error (E.Fault _) -> ());
-  Alcotest.(check int)
-    "fault inside a trigger body leaves depth = 0" 0
-    (Db.Database.trigger_depth db);
-  F.arm (Db.Database.faults db) [];
-  check_clean_query db;
-  Alcotest.(check int)
-    "depth still 0 after the clean query" 0
-    (Db.Database.trigger_depth db)
+  List.iter
+    (fun (name, exec) ->
+      let db, _ = logged_db ~exec ("trfault_" ^ name) in
+      F.arm (Db.Database.faults db) [ F.Trigger_body { name = "watch" } ];
+      (match Db.Database.exec db "SELECT * FROM patients" with
+      | _ -> Alcotest.fail (name ^ ": armed trigger fault must fire")
+      | exception E.Error (E.Fault _) -> ());
+      Alcotest.(check int)
+        (name ^ ": fault inside a trigger body leaves depth = 0")
+        0
+        (Db.Database.trigger_depth db);
+      F.arm (Db.Database.faults db) [];
+      check_clean_query db;
+      Alcotest.(check int)
+        (name ^ ": depth still 0 after the clean query")
+        0
+        (Db.Database.trigger_depth db))
+    engines
 
 (* ------------------------------------------------------------------ *)
 (* The seeded fault matrix (ISSUE acceptance property)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* For every seeded fault plan: if the statement released rows to the
+(* For every seeded fault plan, on both engines and for a join and a
+   LIMIT over a correlated EXISTS: if the statement released rows to the
    client, the recovered audit log must contain complete ACCESSED
    record(s) covering the sensitive IDs of those rows; and recovery must
-   never be corrupt nor lose intact records, whatever the fault did. *)
-let test_fault_matrix () =
-  let query =
-    "SELECT p.patientid, d.disease FROM patients p, disease d WHERE \
-     p.patientid = d.patientid"
-  in
+   never be corrupt nor lose intact records, whatever the fault did. Each
+   query draws its fault plans from the labels its plan contains. *)
+let matrix_queries =
   let ops = [ "Scan"; "Filter"; "Join"; "Project"; "Audit" ] in
-  for seed = 0 to 39 do
-    let ctx msg = Printf.sprintf "seed %d: %s" seed msg in
-    let db = Fixtures.healthcare () in
-    ignore (Db.Database.exec db Fixtures.audit_all_sql);
-    ignore
-      (Db.Database.exec db
-         "CREATE TRIGGER watch_all ON ACCESS TO audit_all AS NOTIFY 'hit'");
-    let path = fresh_path (Printf.sprintf "matrix%02d" seed) in
-    ignore (Db.Database.attach_audit_log db path);
-    let plan = F.random_plan ~seed ~ops in
-    F.arm (Db.Database.faults db) plan;
-    let released =
-      match Db.Database.exec db query with
-      | Db.Database.Rows { rows; _ } ->
-        List.map (fun t -> Value.to_string (Tuple.get t 0)) rows
-      | _ -> Alcotest.fail (ctx "expected a row result")
-      | exception (E.Error _ | Db.Database.Db_error _) -> []
-    in
-    Alcotest.(check int) (ctx "trigger depth reset") 0
-      (Db.Database.trigger_depth db);
-    F.arm (Db.Database.faults db) [];
-    Db.Database.detach_audit_log db;
-    let records, r = Wal.read_all path in
-    Alcotest.(check bool) (ctx "recovered log is not corrupt") false
-      r.Wal.corrupt;
-    (* Recovery is idempotent: reopening drops nothing. *)
-    let w, r2 = Wal.open_ path in
-    Wal.close w;
-    Alcotest.(check int)
-      (ctx "recovery never drops intact records")
-      r.Wal.valid_records r2.Wal.valid_records;
-    (* The no-false-negatives property. *)
-    let logged = accessed_ids records in
-    List.iter
-      (fun id ->
-        Alcotest.(check bool)
-          (ctx (Printf.sprintf "released row %s is in the recovered log" id))
-          true (List.mem id logged))
-      released;
-    (* And the session survives whatever the fault plan did. *)
-    Alcotest.(check int)
-      (ctx "next statement runs clean")
-      5
-      (List.length (rows_of (Db.Database.exec db "SELECT * FROM patients")))
-  done
+  [
+    ( "SELECT p.patientid, d.disease FROM patients p, disease d WHERE \
+       p.patientid = d.patientid",
+      ops );
+    ( "SELECT p.patientid, p.name FROM patients p WHERE EXISTS (SELECT 1 \
+       FROM disease d WHERE d.patientid <= p.patientid AND d.disease <> \
+       'flu') LIMIT 3",
+      ops @ [ "Limit"; "Apply" ] );
+  ]
+
+let fault_matrix_case ~engine ~exec ~qi ~query ~ops seed =
+  let ctx msg =
+    Printf.sprintf "%s, query %d, seed %d: %s" engine qi seed msg
+  in
+  let db = Fixtures.healthcare () in
+  Db.Database.set_exec_mode db exec;
+  ignore (Db.Database.exec db Fixtures.audit_all_sql);
+  ignore
+    (Db.Database.exec db
+       "CREATE TRIGGER watch_all ON ACCESS TO audit_all AS NOTIFY 'hit'");
+  let path = fresh_path (Printf.sprintf "matrix_%s%d_%02d" engine qi seed) in
+  ignore (Db.Database.attach_audit_log db path);
+  let plan = F.random_plan ~seed ~ops in
+  F.arm (Db.Database.faults db) plan;
+  let released =
+    match Db.Database.exec db query with
+    | Db.Database.Rows { rows; _ } ->
+      List.map (fun t -> Value.to_string (Tuple.get t 0)) rows
+    | _ -> Alcotest.fail (ctx "expected a row result")
+    | exception (E.Error _ | Db.Database.Db_error _) -> []
+  in
+  Alcotest.(check int) (ctx "trigger depth reset") 0
+    (Db.Database.trigger_depth db);
+  F.arm (Db.Database.faults db) [];
+  Db.Database.detach_audit_log db;
+  let records, r = Wal.read_all path in
+  Alcotest.(check bool) (ctx "recovered log is not corrupt") false
+    r.Wal.corrupt;
+  (* Recovery is idempotent: reopening drops nothing. *)
+  let w, r2 = Wal.open_ path in
+  Wal.close w;
+  Alcotest.(check int)
+    (ctx "recovery never drops intact records")
+    r.Wal.valid_records r2.Wal.valid_records;
+  (* The no-false-negatives property. *)
+  let logged = accessed_ids records in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (ctx (Printf.sprintf "released row %s is in the recovered log" id))
+        true (List.mem id logged))
+    released;
+  (* And the session survives whatever the fault plan did. *)
+  Alcotest.(check int)
+    (ctx "next statement runs clean")
+    5
+    (List.length (rows_of (Db.Database.exec db "SELECT * FROM patients")))
+
+let test_fault_matrix () =
+  List.iter
+    (fun (engine, exec) ->
+      List.iteri
+        (fun qi (query, ops) ->
+          for seed = 0 to 39 do
+            fault_matrix_case ~engine ~exec ~qi ~query ~ops seed
+          done)
+        matrix_queries)
+    engines
 
 (* ------------------------------------------------------------------ *)
 (* Session repair                                                      *)
