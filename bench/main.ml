@@ -58,7 +58,6 @@ let micro_benchmarks (env : Setup.env) : (string * float option) list =
   let open Bechamel in
   let open Toolkit in
   let ctx = Db.Database.context env.Setup.db in
-  Db.Database.install_audit_sets env.Setup.db;
   let view_ids = Audit_core.Sensitive_view.ids env.Setup.view in
   let sample_id = Storage.Value.Int 7 in
   let customer =
@@ -76,9 +75,7 @@ let micro_benchmarks (env : Setup.env) : (string * float option) list =
       (Sql.Parser.expression "c_acctbal > 0 AND c_mktsegment = 'BUILDING'")
   in
   let acc = Storage.Value.Hashtbl_v.create 64 in
-  let scan_plan =
-    Setup.physical env (Setup.plan env "SELECT c_custkey FROM customer")
-  in
+  let scan_plan = (Setup.plan env "SELECT c_custkey FROM customer").phys in
   let tests =
     [
       Test.make ~name:"audit-probe (hash mem + record)"

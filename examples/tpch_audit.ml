@@ -31,7 +31,7 @@ let () =
   let show (q : Tpch.Queries.query) =
     Printf.printf "=== %s — %s ===\n" q.Tpch.Queries.id
       q.Tpch.Queries.description;
-    let base_plan = Db.Database.plan_sql db ~audits:[] q.Tpch.Queries.sql in
+    let base_plan = Db.Database.prepare_sql db ~audits:[] q.Tpch.Queries.sql in
     let base_t =
       Benchkit.Timing.median_time (fun () ->
           ignore (Db.Database.run_plan db base_plan))
@@ -45,7 +45,7 @@ let () =
     List.iter
       (fun (name, h) ->
         let plan =
-          Db.Database.plan_sql db ~audits:[ "audit_customer" ] ~heuristic:h
+          Db.Database.prepare_sql db ~audits:[ "audit_customer" ] ~heuristic:h
             q.Tpch.Queries.sql
         in
         let t =

@@ -3,7 +3,9 @@
     [exec db sql] runs one statement through the full pipeline:
     parse → bind → logical optimize → audit-operator placement (for every
     audit expression watched by a SELECT trigger) → column pruning →
-    execute → fire triggers.
+    lower → elide → verify → execute → fire triggers. Every statement
+    that reads rows takes the same read pipeline ([prepare], [enforce],
+    [run]).
 
     Trigger semantics follow §II:
     - A SELECT trigger's action runs after the query completes — even if
@@ -51,7 +53,8 @@ type t = {
   mutable trigger_depth : int;
   mutable in_before_trigger : bool;
   mutable last_accessed : (string * Value.t list) list;
-      (** per-audit ACCESSED of the last top-level SELECT (diagnostics) *)
+      (** per-audit ACCESSED of the last top-level statement that read
+          rows (diagnostics) *)
   mutable last_stats : Exec.Metrics.op_report list option;
       (** per-operator stats of the last metrics-collected query *)
   mutable wal : Audit_log.Wal.t option;
@@ -73,8 +76,11 @@ type t = {
       (** engine, storage for tables created from now on, probe elision
           and plan verification; {!create_session} copies it *)
   mutable last_elision : Analysis.Independence.decision list;
-      (** per-probe verdicts of the last analyzed statement (EXPLAIN /
-          [\verify] diagnostics) *)
+      (** per-probe verdicts of the last [prepare] (EXPLAIN / [\verify]
+          diagnostics) *)
+  fired : (string * Value.t, unit) Hashtbl.t;
+      (** per audit expression, the IDs the current statement has passed
+          to its AFTER triggers *)
 }
 
 let max_trigger_depth = 8
@@ -99,6 +105,7 @@ let create ?(config = Config.default) () =
     alarms = [];
     config;
     last_elision = [];
+    fired = Hashtbl.create 8;
   }
 
 (** A further session over the same engine: the catalog, audit
@@ -129,6 +136,7 @@ let create_session ?(session_id = 0) parent =
     alarms = [];
     config = parent.config;
     last_elision = [];
+    fired = Hashtbl.create 8;
   }
 
 let catalog db = db.catalog
@@ -143,13 +151,6 @@ let set_elision_mode db elision = db.config <- { db.config with elision }
 let elision_mode db = db.config.elision
 let last_elision db = db.last_elision
 
-(* Every SELECT-shaped execution funnels through here so the engine choice
-   is a single switch; both engines share Exec_ctx, Expr_compile, metrics
-   and the audit machinery. *)
-let run_phys db phys =
-  match db.config.exec with
-  | `Row -> Exec.Executor.run_list db.ctx phys
-  | `Compiled -> Exec.Compiled_exec.run_list db.ctx phys
 let set_user db u = db.ctx.Exec.Exec_ctx.user <- u
 let user db = db.ctx.Exec.Exec_ctx.user
 let set_heuristic db h = db.heuristic <- h
@@ -311,6 +312,15 @@ let audit_names db =
     db.audits []
   |> List.sort String.compare
 
+(* Per audit expression (by name), the IDs the ACCESSED logs hold. *)
+let logged db =
+  List.filter_map
+    (fun name ->
+      match Exec.Exec_ctx.accessed_list db.ctx ~audit_name:name with
+      | [] -> None
+      | ids -> Some (name, ids))
+    (audit_names db)
+
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -343,12 +353,6 @@ let result_to_string = function
 (* Planning helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Audit expressions that should instrument a query: those watched by at
-    least one SELECT trigger. *)
-let watched_audits db =
-  Audit_core.Trigger.watched_audits db.triggers
-  |> List.filter_map (fun n -> Hashtbl.find_opt db.audits n)
-
 (** Install every audit's sensitive-ID set into the execution context (the
     materialized views the physical audit operators probe). *)
 let install_audit_sets db =
@@ -358,26 +362,25 @@ let install_audit_sets db =
         (Audit_core.Sensitive_view.ids e.view))
     db.audits
 
-(** Compile a SELECT into a physical-ready plan. [audits] chooses which
-    audit expressions instrument it (default: those watched by triggers);
-    [heuristic] overrides the session heuristic; [prune] controls column
-    pruning. Exposed for benchmarks and tests. *)
 (* Which audit expressions instrument a statement: an explicit list of
    names, or (by default) those watched by at least one SELECT trigger. *)
 let selected_audits db ?audits () =
   match audits with
   | Some names -> List.map (audit_entry db) names
-  | None -> if db.instrument then watched_audits db else []
+  | None ->
+    if db.instrument then
+      Audit_core.Trigger.watched_audits db.triggers
+      |> List.filter_map (fun n -> Hashtbl.find_opt db.audits n)
+    else []
 
 let plan_query db ?heuristic ?audits ?(prune = true) (q : Sql.Ast.query) :
     Plan.Logical.t =
   let plan = Plan.Binder.query db.catalog q in
   let plan = Plan.Optimizer.logical_optimize ~catalog:db.catalog plan in
   let heuristic = Option.value heuristic ~default:db.heuristic in
-  let entries = selected_audits db ?audits () in
   let plan =
     Audit_core.Placement.instrument_all heuristic
-      ~audits:(List.map (fun e -> e.expr) entries)
+      ~audits:(List.map (fun e -> e.expr) (selected_audits db ?audits ()))
       plan
   in
   if prune then Plan.Optimizer.prune plan else plan
@@ -394,53 +397,136 @@ let physical_sql db ?heuristic ?audits ?prune sql =
   physical db (plan_sql db ?heuristic ?audits ?prune sql)
 
 (* ------------------------------------------------------------------ *)
-(* Plan-invariant verification (lib/analysis)                          *)
+(* The read pipeline                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Every statement that reads rows — SELECT, INSERT ... SELECT, an IF
+   condition, each EXPLAIN form — and every harness run goes through the
+   same stages: [prepare] (bind, optimize, place, prune, lower, elide,
+   install the probed sets), then [enforce] or [violations] (the
+   verifier), then [run] (the engine dispatch), then the statement fires
+   its triggers. *)
+
+type prepared = {
+  plan : Plan.Logical.t;
+  lowered : Plan.Physical.t;
+  phys : Plan.Physical.t;
+  certificates : Analysis.Certificate.t list;
+  decisions : Analysis.Independence.decision list;
+  heuristic : Audit_core.Placement.heuristic;
+  specs : Analysis.Plan_verify.audit_spec list;
+}
+
+(* The independence analysis of [phys]'s probes of [entries]. *)
+let analyze db entries phys =
+  Analysis.Independence.analyze_plan ~catalog:db.catalog
+    ~audits:(List.map (fun e -> e.info) entries)
+    phys
+
+let prepare_plan (db : t) ?heuristic ?audits plan =
+  let heuristic = Option.value heuristic ~default:db.heuristic in
+  let entries = selected_audits db ?audits () in
+  let lowered = physical db plan in
+  let phys, certificates, decisions =
+    match (db.config.elision, entries) with
+    | Elide_off, _ | Elide_certified, [] -> (lowered, [], [])
+    | Elide_certified, _ ->
+      let decisions = analyze db entries lowered in
+      let r = Analysis.Elide.apply ~decisions lowered in
+      (r.Analysis.Elide.plan, r.Analysis.Elide.certificates, decisions)
+  in
+  db.last_elision <- decisions;
+  install_audit_sets db;
+  let specs =
+    List.map
+      (fun e ->
+        {
+          Analysis.Plan_verify.name = e.expr.Audit_core.Audit_expr.name;
+          sensitive_table = e.expr.Audit_core.Audit_expr.sensitive_table;
+          partition_by = e.expr.Audit_core.Audit_expr.partition_by;
+        })
+      entries
+  in
+  { plan; lowered; phys; certificates; decisions; heuristic; specs }
+
+let prepare db ?heuristic ?audits ?prune q =
+  prepare_plan db ?heuristic ?audits
+    (plan_query db ?heuristic ?audits ?prune q)
+
+let prepare_sql db ?heuristic ?audits ?prune sql =
+  prepare db ?heuristic ?audits ?prune (Sql.Parser.query sql)
 
 (* Leaf-heuristic probes sit at or below hcn positions, so both verify
    against the hcn commute relation (Claim 3.6). Highest is checked
    against its own, wider relation: the verifier then certifies position
    consistency only, matching the heuristic's weaker guarantee. *)
-let commute_of = function
-  | Audit_core.Placement.Leaf | Audit_core.Placement.Hcn ->
-    Analysis.Plan_verify.hcn_commute
-  | Audit_core.Placement.Highest -> Analysis.Plan_verify.highest_commute
+let violations p =
+  let commute =
+    match p.heuristic with
+    | Audit_core.Placement.Leaf | Audit_core.Placement.Hcn ->
+      Analysis.Plan_verify.hcn_commute
+    | Audit_core.Placement.Highest -> Analysis.Plan_verify.highest_commute
+  in
+  Analysis.Plan_verify.verify_logical ~commute ~audits:p.specs p.plan
+  @ Analysis.Plan_verify.verify ~commute ~certificates:p.certificates
+      ~audits:p.specs p.phys
 
-let audit_specs entries =
-  List.map
-    (fun e ->
-      {
-        Analysis.Plan_verify.name = e.expr.Audit_core.Audit_expr.name;
-        sensitive_table = e.expr.Audit_core.Audit_expr.sensitive_table;
-        partition_by = e.expr.Audit_core.Audit_expr.partition_by;
-      })
-    entries
+(* Apply the session verification policy to a prepared statement. *)
+let enforce db p =
+  match db.config.verify with
+  | Off -> ()
+  | (Warn | Strict) as mode -> (
+    match (violations p, mode) with
+    | [], _ -> ()
+    | vs, Warn ->
+      List.iter
+        (fun v ->
+          let msg =
+            "plan-verify: " ^ Analysis.Plan_verify.string_of_violation v
+          in
+          alarm db msg;
+          Printf.eprintf "warning: %s\n%!" msg)
+        vs
+    | (v :: _ as vs), _ ->
+      Engine_core.Engine_error.raise_
+        (Engine_core.Engine_error.Verify
+           (Printf.sprintf "%s (%d violation(s) total)"
+              (Analysis.Plan_verify.string_of_violation v)
+              (List.length vs))))
 
-(* ------------------------------------------------------------------ *)
-(* Certified static probe elision (lib/analysis)                       *)
-(* ------------------------------------------------------------------ *)
+(* The one engine dispatch; both engines share Exec_ctx, Expr_compile,
+   metrics and the audit machinery. [row] and [compiled] are the same
+   entry point (the result list, or only its length) of each engine. *)
+let on_engine db ~row ~compiled p =
+  match db.config.exec with
+  | `Row -> row db.ctx p.phys
+  | `Compiled -> compiled db.ctx p.phys
 
-(** Run the independence analysis over an instrumented physical plan and
-    strip the probes whose certificates replay. Returns the (possibly
-    rewritten) plan plus the certificates consumed — these must reach the
-    verifier so the coverage rule accepts the elided scans. Always
-    records the per-probe verdicts in [last_elision] for EXPLAIN. *)
-let elide_phys db ?audits (phys : Plan.Physical.t) :
-    Plan.Physical.t * Analysis.Certificate.t list =
-  match db.config.elision with
-  | Elide_off -> (phys, [])
-  | Elide_certified ->
-    let entries = selected_audits db ?audits () in
-    if entries = [] then (phys, [])
-    else begin
-      let decisions =
-        Analysis.Independence.analyze_plan ~catalog:db.catalog
-          ~audits:(List.map (fun e -> e.info) entries) phys
-      in
-      db.last_elision <- decisions;
-      let r = Analysis.Elide.apply ~decisions phys in
-      (r.Analysis.Elide.plan, r.Analysis.Elide.certificates)
-    end
+(* Run inside the current statement: never resets, so what it accesses
+   joins the statement's one ACCESSED set. [run_plan] is an entry point
+   outside any statement, so it starts a fresh query. *)
+let run db p =
+  on_engine db ~row:Exec.Executor.run_list
+    ~compiled:Exec.Compiled_exec.run_list p
+
+let fresh_query db p =
+  enforce db p;
+  Exec.Exec_ctx.reset_query_state db.ctx
+
+let run_plan db p =
+  fresh_query db p;
+  run db p
+
+let run_plan_count db p =
+  fresh_query db p;
+  on_engine db ~row:Exec.Executor.run_count
+    ~compiled:Exec.Compiled_exec.run_count p
+
+let verify_query db ?heuristic ?audits q =
+  violations (prepare db ?heuristic ?audits q)
+
+let verify_sql db ?heuristic ?audits sql =
+  verify_query db ?heuristic ?audits (Sql.Parser.query sql)
 
 (** Per-probe verdict annotation for EXPLAIN, rendered against the
     pre-elision tree (elided probes are annotated, not hidden). *)
@@ -462,13 +548,17 @@ let elision_annot decisions (p : Plan.Physical.t) : string option =
     in
     Some (est ^ " " ^ verdict)
 
-(** Certificate summaries of the last analyzed statement (EXPLAIN VERIFY,
-    [\verify]). *)
-let elision_report db : string =
+(* EXPLAIN's tree: the pre-elision plan, elided probes annotated with
+   their certificate rather than silently missing. *)
+let explain_tree p =
+  Plan.Physical.to_string_annotated ~annot:(elision_annot p.decisions) p.lowered
+
+(* Certificate summaries of a statement's elision decisions. *)
+let certificates_report decisions =
   match
     List.filter_map
       (fun (d : Analysis.Independence.decision) -> d.certificate)
-      db.last_elision
+      decisions
   with
   | [] -> ""
   | certs ->
@@ -478,22 +568,8 @@ let elision_report db : string =
            (fun c -> "  " ^ Analysis.Certificate.describe c)
            certs)
 
-(** Run the full rule catalog over a query's instrumented logical tree and
-    its lowered physical plan, without executing anything. Under
-    [Elide_certified] the physical side is verified post-elision, with the
-    certificates attached — exactly what execution enforces. *)
-let verify_query db ?heuristic ?audits (q : Sql.Ast.query) :
-    Analysis.Plan_verify.violation list =
-  let h = Option.value heuristic ~default:db.heuristic in
-  let specs = audit_specs (selected_audits db ?audits ()) in
-  let commute = commute_of h in
-  let plan = plan_query db ~heuristic:h ?audits q in
-  let phys, certificates = elide_phys db ?audits (physical db plan) in
-  Analysis.Plan_verify.verify_logical ~commute ~audits:specs plan
-  @ Analysis.Plan_verify.verify ~commute ~certificates ~audits:specs phys
-
-let verify_sql db ?heuristic ?audits sql =
-  verify_query db ?heuristic ?audits (Sql.Parser.query sql)
+(** Certificate summaries of the last prepared statement ([\verify]). *)
+let elision_report db = certificates_report db.last_elision
 
 (* ------------------------------------------------------------------ *)
 (* Static auditing baseline (Oracle FGA style, §VI)                   *)
@@ -508,60 +584,17 @@ let string_of_fga_verdict = function
 (* Hcn, not the session heuristic: a Leaf probe sits below the equi-join
    whose key transfer rules some reads out. *)
 let fga_verdict db ~audit (q : Sql.Ast.query) : fga_verdict =
-  let phys =
-    physical db
-      (plan_query db ~heuristic:Audit_core.Placement.Hcn ~audits:[ audit ]
-         ~prune:false q)
-  in
-  let decisions =
-    Analysis.Independence.analyze_plan ~catalog:db.catalog
-      ~audits:[ (audit_entry db audit).info ] phys
+  let plan =
+    plan_query db ~heuristic:Audit_core.Placement.Hcn ~audits:[ audit ]
+      ~prune:false q
   in
   if
     List.for_all
       (fun (d : Analysis.Independence.decision) ->
         d.verdict = Analysis.Independence.Independent)
-      decisions
+      (analyze db [ audit_entry db audit ] (physical db plan))
   then No_access
   else May_access
-
-(* Apply the session verification policy to an already-compiled statement
-   (both trees are at hand in the execution paths, so nothing is planned
-   twice). *)
-let enforce_verify db ?(certificates = []) (plan : Plan.Logical.t)
-    (phys : Plan.Physical.t) =
-  match db.config.verify with
-  | Off -> ()
-  | (Warn | Strict) as mode -> (
-    let specs = audit_specs (if db.instrument then watched_audits db else []) in
-    let commute = commute_of db.heuristic in
-    let vs =
-      Analysis.Plan_verify.verify_logical ~commute ~audits:specs plan
-      @ Analysis.Plan_verify.verify ~commute ~certificates ~audits:specs phys
-    in
-    match (vs, mode) with
-    | [], _ -> ()
-    | vs, Warn ->
-      List.iter
-        (fun v ->
-          let msg =
-            "plan-verify: " ^ Analysis.Plan_verify.string_of_violation v
-          in
-          alarm db msg;
-          Printf.eprintf "warning: %s\n%!" msg)
-        vs
-    | v :: _, _ ->
-      Engine_core.Engine_error.raise_
-        (Engine_core.Engine_error.Verify
-           (Printf.sprintf "%s (%d violation(s) total)"
-              (Analysis.Plan_verify.string_of_violation v)
-              (List.length vs))))
-
-(** Execute a prepared logical plan with fresh per-query state. *)
-let run_plan db plan =
-  install_audit_sets db;
-  Exec.Exec_ctx.reset_query_state db.ctx;
-  run_phys db (physical db plan)
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
@@ -588,9 +621,24 @@ let with_temp db ~name ~schema rows f =
       | None -> drop_temp db name)
     f
 
+let find_table db table =
+  match Catalog.find_opt db.catalog table with
+  | Some t -> t
+  | None -> err "unknown table %s" table
+
+(* A read inside a statement: prepared, then held to the session's
+   verification policy. *)
+let prepare_read db q =
+  let p = prepare db q in
+  enforce db p;
+  p
+
 let rec exec_statement db (stmt : Sql.Ast.statement) : result =
   match stmt with
-  | Sql.Ast.S_select q -> exec_select db q
+  | Sql.Ast.S_select q ->
+    let p = prepare_read db q in
+    audited db ~deny:true (fun () ->
+        Rows { schema = Plan.Logical.schema p.plan; rows = run db p })
   | Sql.Ast.S_create_table { table; columns } ->
     if Catalog.mem db.catalog table then err "table %s already exists" table;
     let schema =
@@ -657,18 +705,28 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     Audit_core.Trigger.remove db.triggers name;
     Done (Printf.sprintf "trigger %s dropped" name)
   | Sql.Ast.S_if (cond, body) ->
-    let v = eval_standalone db cond in
+    (* The condition is a FROM-less SELECT (so scalar subqueries work),
+       audited like any other read. *)
+    let p =
+      prepare_read db
+        {
+          Sql.Ast.empty_query with
+          Sql.Ast.select = [ Sql.Ast.Si_expr (cond, None) ];
+        }
+    in
+    let v =
+      audited db (fun () ->
+          match run db p with
+          | [ [| v |] ] -> v
+          | _ -> err "IF condition did not evaluate to a single value")
+    in
     if v = Value.Bool true then begin
       List.iter (fun s -> ignore (exec_statement db s)) body;
       Done "if: executed"
     end
     else Done "if: skipped"
   | Sql.Ast.S_create_index { index_name; table; column } ->
-    let t =
-      match Catalog.find_opt db.catalog table with
-      | Some t -> t
-      | None -> err "unknown table %s" table
-    in
+    let t = find_table db table in
     let col =
       match Schema.find_opt (Table.schema t) column with
       | Some c -> c
@@ -678,78 +736,49 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
      with Table.Index_exists n -> err "index %s already exists" n);
     Done (Printf.sprintf "index %s created on %s(%s)" index_name table column)
   | Sql.Ast.S_drop_index { index_name; table } ->
-    let t =
-      match Catalog.find_opt db.catalog table with
-      | Some t -> t
-      | None -> err "unknown table %s" table
-    in
-    (try Table.drop_index t index_name
+    (try Table.drop_index (find_table db table) index_name
      with Table.Unknown_index n -> err "unknown index %s" n);
     Done (Printf.sprintf "index %s dropped" index_name)
   | Sql.Ast.S_explain { verify = true; query; _ } ->
-    (* EXPLAIN VERIFY: show the plan (pre-elision, with per-probe
-       verdicts when elision ran), the verifier's rule-by-rule report on
-       what would execute, and the elision certificates. *)
-    let plan = plan_query db query in
-    let phys = physical db plan in
-    db.last_elision <- [];
-    let elided, certificates = elide_phys db phys in
-    let specs = audit_specs (selected_audits db ()) in
-    let commute = commute_of db.heuristic in
-    let vs =
-      Analysis.Plan_verify.verify_logical ~commute ~audits:specs plan
-      @ Analysis.Plan_verify.verify ~commute ~certificates ~audits:specs
-          elided
-    in
-    let tree =
-      Plan.Physical.to_string_annotated
-        ~annot:(elision_annot db.last_elision)
-        phys
-    in
-    Done (tree ^ "\n" ^ Analysis.Plan_verify.report vs ^ elision_report db)
-  | Sql.Ast.S_explain { analyze = false; query; _ } ->
-    let plan = plan_query db query in
-    let phys = physical db plan in
-    db.last_elision <- [];
-    let elided, certificates = elide_phys db phys in
-    enforce_verify db ~certificates plan elided;
-    (* Render the pre-elision tree: elided probes are annotated with
-       their certificate rather than silently missing. *)
+    (* EXPLAIN VERIFY: the plan (with per-probe verdicts when elision
+       ran), the verifier's rule-by-rule report on what would execute,
+       and the elision certificates. *)
+    let p = prepare db query in
     Done
-      (Plan.Physical.to_string_annotated
-         ~annot:(elision_annot db.last_elision)
-         phys)
+      (explain_tree p ^ "\n"
+      ^ Analysis.Plan_verify.report (violations p)
+      ^ certificates_report p.decisions)
+  | Sql.Ast.S_explain { analyze = false; query; _ } ->
+    Done (explain_tree (prepare_read db query))
   | Sql.Ast.S_explain { analyze = true; query; _ } ->
-    (* Execute the instrumented physical plan with metrics collection on
-       and render the tree with estimated-vs-actual row counts/timings.
-       Diagnostic only: triggers do not fire, mirroring run_plan. *)
-    let plan = plan_query db query in
-    db.last_elision <- [];
-    let phys, certificates = elide_phys db (physical db plan) in
-    enforce_verify db ~certificates plan phys;
+    (* Execute with metrics collection on and render the tree with
+       estimated-vs-actual row counts and timings. Like PostgreSQL's
+       EXPLAIN ANALYZE, the statement fires the triggers of the query it
+       ran: the tree is rendered and metrics collection restored first,
+       and a BEFORE RETURN DENY withholds the rendering. *)
+    let p = prepare_read db query in
     let m = db.ctx.Exec.Exec_ctx.metrics in
     let was = Exec.Metrics.enabled m in
-    Exec.Metrics.set_enabled m true;
-    Fun.protect
-      ~finally:(fun () -> Exec.Metrics.set_enabled m was)
-      (fun () ->
-        install_audit_sets db;
-        Exec.Exec_ctx.reset_query_state db.ctx;
-        ignore (run_phys db phys);
-        db.last_stats <- Some (Exec.Metrics.report m);
-        let elided =
-          List.filter_map
-            (fun (d : Analysis.Independence.decision) ->
-              match d.certificate with
-              | Some c ->
-                Some
-                  (Printf.sprintf
-                     "probe elided: Independent (certificate #%d, %s)\n"
-                     c.Analysis.Certificate.id d.audit_name)
-              | None -> None)
-            db.last_elision
-        in
-        Done (Exec.Explain.render db.ctx phys ^ String.concat "" elided))
+    audited db ~deny:true (fun () ->
+        Exec.Metrics.clear m;
+        Exec.Metrics.set_enabled m true;
+        Fun.protect
+          ~finally:(fun () -> Exec.Metrics.set_enabled m was)
+          (fun () ->
+            ignore (run db p);
+            db.last_stats <- Some (Exec.Metrics.report m);
+            let elided =
+              List.filter_map
+                (fun (d : Analysis.Independence.decision) ->
+                  Option.map
+                    (fun c ->
+                      Printf.sprintf
+                        "probe elided: Independent (certificate #%d, %s)\n"
+                        c.Analysis.Certificate.id d.audit_name)
+                    d.certificate)
+                p.decisions
+            in
+            Done (Exec.Explain.render db.ctx p.phys ^ String.concat "" elided)))
   | Sql.Ast.S_notify msg ->
     db.notifications <- msg :: db.notifications;
     (* NOTIFY is audit output (it typically fires from trigger bodies):
@@ -766,75 +795,61 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     if db.in_before_trigger then raise (Deny_signal msg)
     else err "DENY is only valid inside a BEFORE RETURN trigger action"
 
-(** Evaluate a standalone expression (trigger IF conditions) by wrapping it
-    in a FROM-less SELECT, so scalar subqueries work. *)
-and eval_standalone db (e : Sql.Ast.expr) : Value.t =
-  let q =
-    { Sql.Ast.empty_query with Sql.Ast.select = [ Sql.Ast.Si_expr (e, None) ] }
-  in
-  let plan =
-    Plan.Binder.query db.catalog q |> Plan.Optimizer.logical_optimize
-  in
-  match run_phys db (physical db plan) with
-  | [ row ] when Array.length row = 1 -> row.(0)
-  | _ -> err "IF condition did not evaluate to a single value"
-
-(* --------------------------------------------------------------- *)
-(* SELECT with audit pipeline                                       *)
-(* --------------------------------------------------------------- *)
-
-and exec_select db (q : Sql.Ast.query) : result =
-  let top_level = db.trigger_depth = 0 in
-  let plan = plan_query db q in
-  let phys, certificates = elide_phys db (physical db plan) in
-  enforce_verify db ~certificates plan phys;
-  install_audit_sets db;
-  if top_level then Exec.Exec_ctx.reset_query_state db.ctx;
-  let record () =
-    if top_level then begin
-      db.last_accessed <-
-        (List.map
-           (fun name ->
-             (name, Exec.Exec_ctx.accessed_list db.ctx ~audit_name:name))
-           (audit_names db)
-        |> List.filter (fun (_, ids) -> ids <> []));
+(* Run [f] — a prepared read that builds its output — as part of the
+   current statement. At depth 0 the read's own ACCESSED IDs then fire
+   the SELECT triggers: BEFORE RETURN (when [deny]: a SELECT's result can
+   be withheld) on every ID the read accessed, AFTER on those no earlier
+   part of the statement passed to them; the IDs then join the
+   statement's one ACCESSED set. §II: the AFTER actions execute even if
+   the read aborts — guard cancellations and injected faults included —
+   on the partial set, which [exec_logged] flushes to the durable log.
+   Inside a trigger action nothing fires (the depth guard), but the read
+   is still instrumented. *)
+and audited : 'a. t -> ?deny:bool -> (unit -> 'a) -> 'a =
+ fun db ?(deny = false) f ->
+  if db.trigger_depth > 0 then f ()
+  else begin
+    let restore = Exec.Exec_ctx.begin_read db.ctx in
+    let finish () =
+      let read = logged db in
+      restore ();
+      db.last_accessed <- logged db;
       if Exec.Metrics.enabled db.ctx.Exec.Exec_ctx.metrics then
-        db.last_stats <- Some (Exec.Metrics.report db.ctx.Exec.Exec_ctx.metrics)
-    end
-  in
-  (* §II: the action executes even if the query aborts after a partial
-     read — accesses recorded so far are still accesses. This extends to
-     guard cancellations and injected faults: the exception branch fires
-     the AFTER triggers on the partial ACCESSED set, and the statement
-     wrapper in [exec_logged] flushes that set to the durable log. *)
-  match run_phys db phys with
-  | rows ->
-    if not top_level then Rows { schema = Plan.Logical.schema plan; rows }
-    else begin
-      record ();
+        db.last_stats <- Some (Exec.Metrics.report db.ctx.Exec.Exec_ctx.metrics);
+      read
+    in
+    match f () with
+    | v ->
+      let read = finish () in
       (* BEFORE RETURN triggers run first and may DENY. The AFTER triggers
          run regardless: the access happened and must be audited even when
          the result is withheld. *)
-      let denial = fire_select_triggers db ~timing:Sql.Ast.Before_return in
-      ignore (fire_select_triggers db ~timing:Sql.Ast.After);
-      match denial with
-      | Some msg -> raise (Access_denied msg)
-      | None -> Rows { schema = Plan.Logical.schema plan; rows }
-    end
-  | exception e ->
-    if top_level then begin
-      record ();
-      ignore (fire_select_triggers db ~timing:Sql.Ast.After)
-    end;
-    raise e
+      let denial =
+        if deny then fire_select_triggers db ~timing:Sql.Ast.Before_return read
+        else None
+      in
+      ignore (fire_select_triggers db ~timing:Sql.Ast.After read);
+      Option.iter (fun msg -> raise (Access_denied msg)) denial;
+      v
+    | exception e ->
+      ignore (fire_select_triggers db ~timing:Sql.Ast.After (finish ()));
+      raise e
+  end
 
-(** Fire the SELECT triggers of [timing] whose audit expression recorded
-    accesses; returns the first DENY message, if any. *)
-and fire_select_triggers db ~timing : string option =
+(** Fire the SELECT triggers of [timing] on [read], per audit expression
+    the IDs accessed; AFTER skips the IDs the statement already passed to
+    them. Returns the first DENY message, if any. *)
+and fire_select_triggers db ~timing read : string option =
   let fired = ref [] in
   Hashtbl.iter
     (fun name entry ->
-      let ids = Exec.Exec_ctx.accessed_list db.ctx ~audit_name:name in
+      let key = entry.expr.Audit_core.Audit_expr.name in
+      let ids = Option.value (List.assoc_opt key read) ~default:[] in
+      let unfired id =
+        (not (Hashtbl.mem db.fired (key, id)))
+        && (Hashtbl.replace db.fired (key, id) (); true)
+      in
+      let ids = if timing = Sql.Ast.After then List.filter unfired ids else ids in
       if ids <> [] then
         let ts =
           Audit_core.Trigger.on_access ~timing db.triggers ~audit_name:name
@@ -936,7 +951,7 @@ and capture_dml_accesses db ~table ~(rows : Tuple.t list) :
   if rows = [] then []
   else
     Hashtbl.fold
-      (fun name entry acc ->
+      (fun _ entry acc ->
         let expr = entry.expr in
         if Schema.equal_names expr.Audit_core.Audit_expr.sensitive_table table
         then begin
@@ -950,7 +965,8 @@ and capture_dml_accesses db ~table ~(rows : Tuple.t list) :
                 else None)
               rows
           in
-          if ids = [] then acc else (name, ids) :: acc
+          if ids = [] then acc
+          else (expr.Audit_core.Audit_expr.name, ids) :: acc
         end
         else acc)
       db.audits []
@@ -964,7 +980,7 @@ and apply_dml_accesses db (captured : (string * Value.t list) list) =
             Exec.Exec_ctx.add_extra_accessed db.ctx ~audit_name:name id)
           ids)
       captured;
-    ignore (fire_select_triggers db ~timing:Sql.Ast.After)
+    ignore (fire_select_triggers db ~timing:Sql.Ast.After captured)
   end
 
 (* --------------------------------------------------------------- *)
@@ -972,11 +988,7 @@ and apply_dml_accesses db (captured : (string * Value.t list) list) =
 (* --------------------------------------------------------------- *)
 
 and exec_insert db table columns source : result =
-  let t =
-    match Catalog.find_opt db.catalog table with
-    | Some t -> t
-    | None -> err "unknown table %s" table
-  in
+  let t = find_table db table in
   let schema = Table.schema t in
   let arity = Schema.arity schema in
   let position_of =
@@ -1020,17 +1032,13 @@ and exec_insert db table columns source : result =
     | Sql.Ast.Ins_query q ->
       (* The SELECT side of INSERT ... SELECT reads data like any query: it
          is instrumented and fires SELECT triggers (copying a sensitive row
-         into a private table must not evade auditing). Trigger actions'
-         own INSERT ... SELECT FROM accessed stays un-instrumented via the
-         depth guard below. *)
-      let plan = plan_query db q in
-      let phys, certificates = elide_phys db (physical db plan) in
-      enforce_verify db ~certificates plan phys;
-      install_audit_sets db;
-      let out = run_phys db phys in
-      if db.trigger_depth = 0 then
-        ignore (fire_select_triggers db ~timing:Sql.Ast.After);
-      List.map (fun r -> make_row (Array.to_list r)) out
+         into a private table must not evade auditing). A trigger action's
+         own INSERT ... SELECT FROM accessed is instrumented too; only its
+         firing is depth-guarded ([audited]). *)
+      let p = prepare_read db q in
+      List.map
+        (fun r -> make_row (Array.to_list r))
+        (audited db (fun () -> run db p))
   in
   List.iter (Table.insert t) rows;
   let inserted = List.map (Table.coerce_row t) rows in
@@ -1038,21 +1046,12 @@ and exec_insert db table columns source : result =
     ~old_rows:[] ~row_schema:schema;
   Affected (List.length rows)
 
-and exec_update db table sets where : result =
-  let t =
-    match Catalog.find_opt db.catalog table with
-    | Some t -> t
-    | None -> err "unknown table %s" table
-  in
+(* The prelude UPDATE and DELETE share: the target table, its bound
+   WHERE predicate, and the accesses of the rows it selects, captured
+   against the pre-statement view (§II-B). *)
+and dml_target db table where =
+  let t = find_table db table in
   let schema = Table.schema t in
-  let set_bound =
-    List.map
-      (fun (c, e) ->
-        match Schema.find_opt schema c with
-        | Some i -> (i, Plan.Binder.scalar db.catalog schema e)
-        | None -> err "unknown column %s in UPDATE %s" c table)
-      sets
-  in
   let pred =
     match where with
     | None -> fun _ -> true
@@ -1061,7 +1060,18 @@ and exec_update db table sets where : result =
       fun row -> Exec.Eval.truthy db.ctx row s
   in
   let preview = Table.fold t (fun acc row -> if pred row then row :: acc else acc) [] in
-  let captured = capture_dml_accesses db ~table ~rows:preview in
+  (t, schema, pred, capture_dml_accesses db ~table ~rows:preview)
+
+and exec_update db table sets where : result =
+  let t, schema, pred, captured = dml_target db table where in
+  let set_bound =
+    List.map
+      (fun (c, e) ->
+        match Schema.find_opt schema c with
+        | Some i -> (i, Plan.Binder.scalar db.catalog schema e)
+        | None -> err "unknown column %s in UPDATE %s" c table)
+      sets
+  in
   let changes = ref [] in
   let n =
     Table.update_where t pred (fun row ->
@@ -1080,21 +1090,7 @@ and exec_update db table sets where : result =
   Affected n
 
 and exec_delete db table where : result =
-  let t =
-    match Catalog.find_opt db.catalog table with
-    | Some t -> t
-    | None -> err "unknown table %s" table
-  in
-  let schema = Table.schema t in
-  let pred =
-    match where with
-    | None -> fun _ -> true
-    | Some w ->
-      let s = Plan.Binder.scalar db.catalog schema w in
-      fun row -> Exec.Eval.truthy db.ctx row s
-  in
-  let preview = Table.fold t (fun acc row -> if pred row then row :: acc else acc) [] in
-  let captured = capture_dml_accesses db ~table ~rows:preview in
+  let t, schema, pred, captured = dml_target db table where in
   let deleted = ref [] in
   let n =
     Table.delete_where t (fun row ->
@@ -1162,17 +1158,21 @@ let repair_session db =
   end
 
 (* Run one top-level statement with the failure-atomic audit pipeline:
-   fresh per-query state on entry (with invariant repair), and on exit —
-   normal or exceptional — the statement's ACCESSED sets flushed to the
-   durable log *before* results are released. Under the fail-closed
-   policy a failed log write withholds the results (raises the typed
-   [Log_io] error); on an already-failing statement the log failure is
-   demoted to an alarm (no rows were released, the original error wins). *)
+   fresh per-query state on entry (with invariant repair) — the one reset
+   on the statement path, so the statement and every statement its
+   triggers run share one ACCESSED set, and the timeout deadline covers
+   planning too — and on exit, normal or exceptional, the statement's
+   ACCESSED sets flushed to the durable log *before* results are
+   released. Under the fail-closed policy a failed log write withholds
+   the results (raises the typed [Log_io] error); on an already-failing
+   statement the log failure is demoted to an alarm (no rows were
+   released, the original error wins). *)
 let exec_logged db stmt_sql (stmt : Sql.Ast.statement) : result =
   repair_session db;
   db.ctx.Exec.Exec_ctx.now <- db.ctx.Exec.Exec_ctx.now + 1;
   db.ctx.Exec.Exec_ctx.sql <- stmt_sql;
   Exec.Exec_ctx.reset_query_state db.ctx;
+  Hashtbl.clear db.fired;
   match exec_statement db stmt with
   | r ->
     log_statement_accessed db ~complete:true;

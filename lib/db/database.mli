@@ -2,8 +2,11 @@
 
     [exec] runs one statement through the full pipeline: parse → bind →
     logical optimize → audit-operator placement (for every audit expression
-    watched by a SELECT trigger) → column pruning → execute → fire
-    triggers. See the implementation header for the trigger semantics
+    watched by a SELECT trigger) → column pruning → lower → elide → verify
+    → execute → fire triggers. Every statement that reads rows (SELECT,
+    INSERT ... SELECT, an IF condition, each EXPLAIN form) takes the same
+    {!prepare} / {!violations} / engine stages, and a statement has one
+    ACCESSED set. See the implementation header for the trigger semantics
     (§II): AFTER and BEFORE RETURN timings, cascades with a depth limit,
     the [ACCESSED]/[new]/[old] pseudo-relations, and the logical clock
     behind [now()]. *)
@@ -95,9 +98,9 @@ type elision_mode = Config.elision_mode = Elide_off | Elide_certified
 val set_elision_mode : t -> elision_mode -> unit
 val elision_mode : t -> elision_mode
 
-(** Per-probe decisions of the most recent independence analysis (the
-    last statement planned with [Elide_certified], or the last EXPLAIN).
-    Empty when elision is off or no audit expressions are declared. *)
+(** Per-probe decisions of the most recent {!prepare}; empty when it ran
+    no independence analysis (elision off, or no instrumenting audit
+    expressions). *)
 val last_elision : t -> Analysis.Independence.decision list
 
 (** Human-readable certificate dump for {!last_elision} (the shell's
@@ -109,7 +112,8 @@ val notifications : t -> string list
 
 val clear_notifications : t -> unit
 
-(** Per-audit ACCESSED IDs of the last top-level SELECT (diagnostics). *)
+(** Per-audit ACCESSED IDs of the last top-level statement that read
+    rows: SELECT, INSERT ... SELECT, IF or EXPLAIN ANALYZE (diagnostics). *)
 val last_accessed : t -> (string * Value.t list) list
 
 (** Collect per-operator execution metrics for every subsequent query
@@ -117,8 +121,8 @@ val last_accessed : t -> (string * Value.t list) list
     the instrumentation costs two clock reads per row per operator. *)
 val set_collect_metrics : t -> bool -> unit
 
-(** Per-operator stats of the last metrics-collected top-level SELECT or
-    EXPLAIN ANALYZE, in plan pre-order. [None] until one ran. *)
+(** Per-operator stats of the last metrics-collected top-level read (as
+    for {!last_accessed}), in plan pre-order. [None] until one ran. *)
 val last_query_stats : t -> Exec.Metrics.op_report list option
 
 val trigger_manager : t -> Audit_core.Trigger.manager
@@ -249,11 +253,71 @@ val physical_sql :
   string ->
   Plan.Physical.t
 
-(** Run the plan-invariant verifier's full rule catalog over a query's
-    instrumented logical tree and lowered physical plan, without executing
-    anything. [audits]/[heuristic] as in {!plan_query}; the commute
-    relation checked follows the heuristic (hcn for [Leaf]/[Hcn],
-    highest-node for [Highest]). *)
+(** {2 The read pipeline}
+
+    The stages every read goes through, statement or harness run. *)
+
+(** A read ready to run: its instrumented logical tree, the lowered
+    physical plan ([lowered], what EXPLAIN renders) and the plan that
+    executes ([phys]: [lowered] minus the probes certified elision
+    stripped, whose [certificates] the verifier re-validates). [decisions]
+    are the per-probe verdicts of certified elision ([[]] when it did not
+    run). *)
+type prepared = private {
+  plan : Plan.Logical.t;
+  lowered : Plan.Physical.t;
+  phys : Plan.Physical.t;
+  certificates : Analysis.Certificate.t list;
+  decisions : Analysis.Independence.decision list;
+  heuristic : Audit_core.Placement.heuristic;
+  specs : Analysis.Plan_verify.audit_spec list;
+}
+
+(** Lower a planned read, elide its probes under the session's elision
+    mode (recording {!last_elision}), and install the sensitive-ID sets
+    it probes. [audits] and [heuristic] must be those the plan was placed
+    with: elision and the verifier take them from here. *)
+val prepare_plan :
+  t ->
+  ?heuristic:Audit_core.Placement.heuristic ->
+  ?audits:string list ->
+  Plan.Logical.t ->
+  prepared
+
+(** {!plan_query}, then {!prepare_plan}. *)
+val prepare :
+  t ->
+  ?heuristic:Audit_core.Placement.heuristic ->
+  ?audits:string list ->
+  ?prune:bool ->
+  Sql.Ast.query ->
+  prepared
+
+val prepare_sql :
+  t ->
+  ?heuristic:Audit_core.Placement.heuristic ->
+  ?audits:string list ->
+  ?prune:bool ->
+  string ->
+  prepared
+
+(** The plan-invariant verifier's full rule catalog over a prepared read:
+    its logical tree, and the physical plan that executes with the
+    elision certificates attached. The commute relation checked follows
+    the heuristic (hcn for [Leaf]/[Hcn], highest-node for [Highest]). *)
+val violations : prepared -> Analysis.Plan_verify.violation list
+
+(** Execute a prepared read as a fresh query, outside any statement: the
+    session's verification policy applies, per-query state (ACCESSED,
+    counters, guards, metrics) is reset, and no trigger fires. *)
+val run_plan : t -> prepared -> Tuple.t list
+
+(** {!run_plan}, returning only the row count (the engines skip building
+    the result list). *)
+val run_plan_count : t -> prepared -> int
+
+(** [violations] of a freshly prepared query, without executing
+    anything. *)
 val verify_query :
   t ->
   ?heuristic:Audit_core.Placement.heuristic ->
@@ -283,12 +347,9 @@ val string_of_fga_verdict : fga_verdict -> string
 val fga_verdict : t -> audit:string -> Sql.Ast.query -> fga_verdict
 
 (** Install every audit expression's sensitive-ID table into the execution
-    context (required before running an instrumented plan directly). *)
+    context ({!prepare} does; a caller that runs a plan on an engine
+    directly must). *)
 val install_audit_sets : t -> unit
-
-(** Execute a prepared plan with fresh per-query state; does not fire
-    triggers. *)
-val run_plan : t -> Plan.Logical.t -> Tuple.t list
 
 (** {1 Dump / restore} *)
 

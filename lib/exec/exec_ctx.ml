@@ -172,6 +172,21 @@ let reset_query_state ctx =
     Option.map (fun s -> Engine_core.Mono_clock.now () +. s) ctx.timeout_s;
   Metrics.clear ctx.metrics
 
+(** Start a read inside the current statement: a new generation logs its
+    accesses afresh, apart from the statement's earlier ones, which the
+    returned closure puts back under them. *)
+let begin_read ctx =
+  ctx.generation <- fresh_generation ();
+  let saved =
+    Hashtbl.fold
+      (fun _ s acc ->
+        let l = s.log in
+        s.log <- [];
+        (s, l) :: acc)
+      ctx.audit_sets []
+  in
+  fun () -> List.iter (fun (s, l) -> if l <> [] then s.log <- s.log @ l) saved
+
 (** Record an access for an ID that may no longer be in the sensitive view
     (DML read-accesses, §II-B). *)
 let add_extra_accessed ctx ~audit_name v =

@@ -91,6 +91,12 @@ val audit_slot : t -> audit_name:string -> audit_slot option
     marks it. Never filters. *)
 val probe : t -> audit_slot -> Metrics.op_stats option -> Value.t -> unit
 
+(** Start a read inside the current statement: from now on the logs
+    hold only the read's own accesses (a new generation logs again an ID
+    the statement already marked). The returned closure puts the
+    statement's earlier accesses back under them. *)
+val begin_read : t -> unit -> unit
+
 (** Record an access for an ID that may no longer be in the sensitive view
     (DML read-accesses, §II-B). *)
 val add_extra_accessed : t -> audit_name:string -> Value.t -> unit

@@ -159,7 +159,7 @@ let fig8 (env : Setup.env) =
                  c_custkey"
                 name n));
         let p =
-          Db.Database.plan_sql env.Setup.db ~audits:[ name ]
+          Db.Database.prepare_sql env.Setup.db ~audits:[ name ]
             ~heuristic:Audit_core.Placement.Hcn sql
         in
         let base, t =
@@ -292,9 +292,11 @@ let ablation_idprop (env : Setup.env) =
     List.map
       (fun (q : Tpch.Queries.query) ->
         let idprop_plan =
-          Plan.Logical.strip_audits
-            (Setup.plan env ~heuristic:Audit_core.Placement.Hcn
-               q.Tpch.Queries.sql)
+          Db.Database.prepare_plan env.Setup.db ~audits:[]
+            (Plan.Logical.strip_audits
+               (Db.Database.plan_sql env.Setup.db
+                  ~audits:[ env.Setup.audit_name ]
+                  ~heuristic:Audit_core.Placement.Hcn q.Tpch.Queries.sql))
         in
         let base, t =
           match
@@ -347,16 +349,12 @@ let ablation_provenance (env : Setup.env) =
             q.Tpch.Queries.sql
         in
         let unpruned = Setup.plan env ~prune:false q.Tpch.Queries.sql in
-        Db.Database.install_audit_sets env.Setup.db;
-        let run p =
-          let phys = Setup.physical env p in
-          fun () ->
-            Exec.Exec_ctx.reset_query_state ctx;
-            ignore (Exec.Executor.run_count ctx phys)
-        in
+        let run p () = ignore (Db.Database.run_plan_count env.Setup.db p) in
         let lineage () =
           Exec.Exec_ctx.reset_query_state ctx;
-          ignore (Audit_core.Lineage.accessed ctx ~view:env.Setup.view unpruned)
+          ignore
+            (Audit_core.Lineage.accessed ctx ~view:env.Setup.view
+               unpruned.Db.Database.plan)
         in
         let base, hcn, lineage_t =
           match
@@ -419,7 +417,7 @@ let ablation_multi (env : Setup.env) =
       (fun k ->
         let audits = List.filteri (fun i _ -> i < k) names in
         let p =
-          Db.Database.plan_sql env.Setup.db ~audits
+          Db.Database.prepare_sql env.Setup.db ~audits
             ~heuristic:Audit_core.Placement.Hcn sql
         in
         let base, t =
@@ -444,6 +442,15 @@ let ablation_multi (env : Setup.env) =
 (* --------------------------------------------------------------- *)
 (* Ablation: static analysis baseline (§VI / Example 6.1)           *)
 (* --------------------------------------------------------------- *)
+
+(* The hcn audit operator's ACCESSED cardinality for [q] against
+   [audit_name]: the execution-based ground truth. *)
+let hcn_accessed (env : Setup.env) ~audit_name (q : Tpch.Queries.query) =
+  ignore
+    (Db.Database.run_plan_count env.Setup.db
+       (Db.Database.prepare_sql env.Setup.db ~audits:[ audit_name ]
+          ~heuristic:Audit_core.Placement.Hcn q.Tpch.Queries.sql));
+  Exec.Exec_ctx.accessed_count (Db.Database.context env.Setup.db) ~audit_name
 
 type static_row = {
   st_query : string;
@@ -478,16 +485,10 @@ let ablation_static (env : Setup.env) =
         let unpruned = Setup.plan env ~prune:false q.Tpch.Queries.sql in
         Exec.Exec_ctx.reset_query_state ctx;
         let offline =
-          List.length (Audit_core.Lineage.accessed ctx ~view unpruned)
+          List.length
+            (Audit_core.Lineage.accessed ctx ~view unpruned.Db.Database.plan)
         in
-        let hcn_plan =
-          Db.Database.plan_sql env.Setup.db ~audits:[ audit_name ]
-            ~heuristic:Audit_core.Placement.Hcn q.Tpch.Queries.sql
-        in
-        Db.Database.install_audit_sets env.Setup.db;
-        Exec.Exec_ctx.reset_query_state ctx;
-        ignore (Exec.Executor.run_count ctx (Setup.physical env hcn_plan));
-        let hcn = Exec.Exec_ctx.accessed_count ctx ~audit_name in
+        let hcn = hcn_accessed env ~audit_name q in
         { st_query = q.Tpch.Queries.id; st_verdict = verdict; st_offline = offline; st_hcn = hcn })
       Tpch.Queries.customer_workload
   in
@@ -552,7 +553,6 @@ let fga_precision (env : Setup.env) =
   ignore
     (Db.Database.exec env.Setup.db
        (Tpch.Queries.audit_segment ~name:audit_name ()));
-  let ctx = Db.Database.context env.Setup.db in
   let rows =
     List.map
       (fun (q : Tpch.Queries.query) ->
@@ -560,14 +560,7 @@ let fga_precision (env : Setup.env) =
           Db.Database.fga_verdict env.Setup.db ~audit:audit_name
             (Sql.Parser.query q.Tpch.Queries.sql)
         in
-        let hcn_plan =
-          Db.Database.plan_sql env.Setup.db ~audits:[ audit_name ]
-            ~heuristic:Audit_core.Placement.Hcn q.Tpch.Queries.sql
-        in
-        Db.Database.install_audit_sets env.Setup.db;
-        Exec.Exec_ctx.reset_query_state ctx;
-        ignore (Exec.Executor.run_count ctx (Setup.physical env hcn_plan));
-        let truth = Exec.Exec_ctx.accessed_count ctx ~audit_name in
+        let truth = hcn_accessed env ~audit_name q in
         {
           fga_query = q.Tpch.Queries.id;
           fga_desc = q.Tpch.Queries.description;
@@ -643,40 +636,30 @@ let elision (env : Setup.env) =
      byte-for-byte (rows and ACCESSED) against the instrumented one.";
   let db = env.Setup.db in
   let ctx = Db.Database.context db in
-  let catalog = Db.Database.catalog db in
-  let audit = Db.Database.audit_expr db env.Setup.audit_name in
-  let infos =
-    [
-      {
-        Analysis.Independence.name = audit.Audit_core.Audit_expr.name;
-        sensitive_table = audit.Audit_core.Audit_expr.sensitive_table;
-        partition_by = audit.Audit_core.Audit_expr.partition_by;
-        definition = audit.Audit_core.Audit_expr.definition;
-      };
-    ]
+  (* Each instrumented arm is prepared in its own elision mode: under
+     [Elide_certified], [prepare] runs the independence analysis and
+     strips the probes whose certificates replay. *)
+  let instrumented mode sql =
+    Db.Database.set_elision_mode db mode;
+    Setup.plan env ~heuristic:Audit_core.Placement.Hcn sql
   in
-  Db.Database.install_audit_sets db;
+  let mode = Db.Database.elision_mode db in
+  Fun.protect ~finally:(fun () -> Db.Database.set_elision_mode db mode)
+  @@ fun () ->
   let rows =
     List.map
       (fun (q : Tpch.Queries.query) ->
         let sql = q.Tpch.Queries.sql in
-        let phys_plain = Setup.physical env (Setup.plan env sql) in
-        let phys_kept =
-          Setup.physical env
-            (Setup.plan env ~heuristic:Audit_core.Placement.Hcn sql)
-        in
-        let decisions =
-          Analysis.Independence.analyze_plan ~catalog ~audits:infos phys_kept
-        in
-        let r = Analysis.Elide.apply ~decisions phys_kept in
-        let phys_elided = r.Analysis.Elide.plan in
+        let plain = Setup.plan env sql in
+        let kept = instrumented Db.Database.Elide_off sql in
+        let elided = instrumented Db.Database.Elide_certified sql in
         let certs_valid =
           List.for_all
             (fun c -> Analysis.Certificate.validate c = Ok ())
-            r.Analysis.Elide.certificates
+            elided.Db.Database.certificates
         in
         let verdict =
-          match decisions with
+          match elided.Db.Database.decisions with
           | [] -> "none"
           | ds ->
             List.map
@@ -688,27 +671,17 @@ let elision (env : Setup.env) =
         in
         (* Mutation check: the elided plan must be observationally
            identical to the instrumented one. *)
-        let observe phys =
-          Exec.Exec_ctx.reset_query_state ctx;
-          let out = List.sort compare (Exec.Executor.run_list ctx phys) in
+        let observe p =
+          let out = List.sort compare (Db.Database.run_plan db p) in
           let acc =
             Exec.Exec_ctx.accessed_list ctx
               ~audit_name:env.Setup.audit_name
           in
           (out, List.sort compare acc)
         in
-        let sound = observe phys_kept = observe phys_elided in
-        let times =
-          let thunk phys () =
-            Exec.Exec_ctx.reset_query_state ctx;
-            ignore (Exec.Executor.run_count ctx phys)
-          in
-          Benchkit.Timing.compare_thunks ~warmup:env.Setup.cfg.Setup.warmup
-            ~repeats:env.Setup.cfg.Setup.repeats
-            [ thunk phys_plain; thunk phys_kept; thunk phys_elided ]
-        in
+        let sound = observe kept = observe elided in
         let t_plain, t_kept, t_elided =
-          match times with
+          match Setup.compare_times env [ plain; kept; elided ] with
           | [ a; b; c ] -> (a, b, c)
           | _ -> assert false
         in
@@ -716,8 +689,8 @@ let elision (env : Setup.env) =
           el_query = q.Tpch.Queries.id;
           el_desc = q.Tpch.Queries.description;
           el_verdict = verdict;
-          el_probes_before = count_probes phys_kept;
-          el_probes_after = count_probes phys_elided;
+          el_probes_before = count_probes kept.Db.Database.phys;
+          el_probes_after = count_probes elided.Db.Database.phys;
           el_t_plain = t_plain;
           el_t_kept = t_kept;
           el_t_elided = t_elided;

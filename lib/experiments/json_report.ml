@@ -33,9 +33,7 @@ let operator_breakdown (env : Setup.env) plan :
   let m = ctx.Exec.Exec_ctx.metrics in
   let was = Exec.Metrics.enabled m in
   Exec.Metrics.set_enabled m true;
-  Db.Database.install_audit_sets env.Setup.db;
-  Exec.Exec_ctx.reset_query_state ctx;
-  ignore (Exec.Executor.run_count ctx (Setup.physical env plan));
+  ignore (Db.Database.run_plan_count env.Setup.db plan);
   let report = Exec.Metrics.report m in
   let total = Exec.Metrics.total_time_s m in
   (* Operator times are inclusive. An audit operator has exactly one child,
@@ -53,7 +51,6 @@ let operator_breakdown (env : Setup.env) plan :
   in
   let audit_time = audit_self_time 0.0 report in
   Exec.Metrics.set_enabled m was;
-  Exec.Exec_ctx.reset_query_state ctx;
   let pct = if total > 0.0 then audit_time /. total *. 100.0 else 0.0 in
   (report, pct)
 
@@ -236,19 +233,16 @@ let ablation_static_json (rows : Figures.static_row list) : Json.t =
     refactor's speedup alongside the audit overhead under each mode. *)
 let expr_compile_json (env : Setup.env) : Json.t =
   let ctx = Db.Database.context env.Setup.db in
-  Db.Database.install_audit_sets env.Setup.db;
   (* All four thunks (mode × plan) go through ONE compare_thunks call so
      its round-robin sampling hits both modes under the same GC and cache
      conditions — separate timing sessions would bias the speedup. The
      flag is read at operator-compile time, so setting it inside the thunk
      (before run_count recompiles the physical tree) is enough. *)
-  let thunk ~interpret p =
-    let phys = Setup.physical env p in
-    fun () ->
-      ctx.Exec.Exec_ctx.interpret_exprs <- interpret;
-      Exec.Exec_ctx.reset_query_state ctx;
-      ignore (Exec.Executor.run_count ctx phys);
-      ctx.Exec.Exec_ctx.interpret_exprs <- false
+  let thunk ~interpret (p : Db.Database.prepared) () =
+    ctx.Exec.Exec_ctx.interpret_exprs <- interpret;
+    Exec.Exec_ctx.reset_query_state ctx;
+    ignore (Exec.Executor.run_count ctx p.phys);
+    ctx.Exec.Exec_ctx.interpret_exprs <- false
   in
   let timings sql =
     let base_p = Setup.plan env sql in
@@ -349,12 +343,9 @@ let row_vs_batch_json (env : Setup.env) : Json.t =
   in
   let entries_for (sname, env) =
     let ctx = Db.Database.context env.Setup.db in
-    Db.Database.install_audit_sets env.Setup.db;
-    let thunk run p =
-      let phys = Setup.physical env p in
-      fun () ->
-        Exec.Exec_ctx.reset_query_state ctx;
-        ignore (run ctx phys)
+    let thunk run (p : Db.Database.prepared) () =
+      Exec.Exec_ctx.reset_query_state ctx;
+      ignore (run ctx p.phys)
     in
     let timings sql =
       let base_p = Setup.plan env sql in

@@ -86,16 +86,9 @@ let run (env : Setup.env) : row =
       (fun sql -> Setup.plan env ~heuristic:Audit_core.Placement.Hcn sql)
       sqls
   in
-  let run_all plans =
-    let phys = List.map (Setup.physical env) plans in
-    fun () ->
-      List.iter
-        (fun p ->
-          Exec.Exec_ctx.reset_query_state ctx;
-          ignore (Exec.Executor.run_count ctx p))
-        phys
+  let run_all plans () =
+    List.iter (fun p -> ignore (Db.Database.run_plan_count db p)) plans
   in
-  Db.Database.install_audit_sets db;
   let base_t, hcn_t =
     match
       Timing.compare_thunks ~repeats:env.Setup.cfg.repeats
@@ -108,8 +101,7 @@ let run (env : Setup.env) : row =
   let flagged_with_ids =
     List.map
       (fun p ->
-        Exec.Exec_ctx.reset_query_state ctx;
-        ignore (Exec.Executor.run_count ctx (Setup.physical env p));
+        ignore (Db.Database.run_plan_count db p);
         Exec.Exec_ctx.accessed_list ctx ~audit_name:env.Setup.audit_name)
       hcn_plans
   in
@@ -119,7 +111,9 @@ let run (env : Setup.env) : row =
      above [sample_cap] are measured on a deterministic prefix and
      extrapolated linearly — the per-candidate cost of a given query is
      constant, so the estimate is tight (and labeled when used). *)
-  let unpruned = List.map (fun sql -> Setup.plan env ~prune:false sql) sqls in
+  let unpruned =
+    List.map (fun sql -> (Setup.plan env ~prune:false sql).Db.Database.plan) sqls
+  in
   let all_ids = Audit_core.Sensitive_view.to_list view in
   let sample_cap = 150 in
   let extrapolated = ref false in

@@ -44,57 +44,40 @@ let describe env =
 (* Common measurement helpers                                       *)
 (* --------------------------------------------------------------- *)
 
-(** Plan a SQL text with a given heuristic (or uninstrumented). *)
+(** Prepare a SQL text with a given heuristic (or uninstrumented). *)
 let plan env ?heuristic ?(prune = true) sql =
   match heuristic with
-  | None -> Db.Database.plan_sql env.db ~audits:[] ~prune sql
+  | None -> Db.Database.prepare_sql env.db ~audits:[] ~prune sql
   | Some h ->
-    Db.Database.plan_sql env.db ~audits:[ env.audit_name ] ~heuristic:h ~prune
-      sql
+    Db.Database.prepare_sql env.db ~audits:[ env.audit_name ] ~heuristic:h
+      ~prune sql
 
-(** Lower a logical plan to the physical tree the executor consumes. *)
-let physical env p = Db.Database.physical env.db p
-
-(** Run a plan, returning the number of distinct audited IDs. *)
+(** Run a prepared plan, returning the number of distinct audited IDs. *)
 let audit_cardinality env p =
-  ignore (Db.Database.run_plan env.db p);
+  ignore (Db.Database.run_plan_count env.db p);
   Exec.Exec_ctx.accessed_count
     (Db.Database.context env.db)
     ~audit_name:env.audit_name
 
-(** Compare execution times of several plans fairly (auto-batched,
-    interleaved, min-of-samples — see {!Benchkit.Timing.compare_thunks}).
-    Returns one time per plan, in order. *)
-let compare_times env plans =
-  let ctx = Db.Database.context env.db in
-  Db.Database.install_audit_sets env.db;
-  let thunk p =
-    (* Lower once, outside the timed region: physical planning is a
-       per-query cost, not a per-row one. *)
-    let phys = physical env p in
-    fun () ->
-      Exec.Exec_ctx.reset_query_state ctx;
-      ignore (Exec.Executor.run_count ctx phys)
-  in
+(** Compare execution times of several prepared plans fairly
+    (auto-batched, interleaved, min-of-samples — see
+    {!Benchkit.Timing.compare_thunks}). Planning and lowering happened in
+    [prepare], outside the timed region: they are per-query costs, not
+    per-row ones. Returns one time per plan, in order. *)
+let compare_times env ps =
   Benchkit.Timing.compare_thunks ~warmup:env.cfg.warmup
-    ~repeats:env.cfg.repeats (List.map thunk plans)
-
-(** Wall-clock of fully consuming a plan's output (single plan). *)
-let plan_time env p =
-  match compare_times env [ p ] with [ t ] -> t | _ -> assert false
+    ~repeats:env.cfg.repeats
+    (List.map (fun p () -> ignore (Db.Database.run_plan_count env.db p)) ps)
 
 (** Per-plan audit-operator activity: rows probed, sensitive hits. *)
 let probe_stats env p =
   let ctx = Db.Database.context env.db in
-  Db.Database.install_audit_sets env.db;
-  Exec.Exec_ctx.reset_query_state ctx;
-  ignore (Exec.Executor.run_count ctx (physical env p));
+  ignore (Db.Database.run_plan_count env.db p);
   (ctx.Exec.Exec_ctx.audit_probes, ctx.Exec.Exec_ctx.audit_hits)
 
 (** Offline (lineage) accessed cardinality for a SQL text. *)
 let offline_cardinality env sql =
   let p = plan env ~prune:false sql in
   let ctx = Db.Database.context env.db in
-  Db.Database.install_audit_sets env.db;
   Exec.Exec_ctx.reset_query_state ctx;
-  List.length (Audit_core.Lineage.accessed ctx ~view:env.view p)
+  List.length (Audit_core.Lineage.accessed ctx ~view:env.view p.plan)

@@ -116,7 +116,7 @@ let ids_of_values vs = List.map (fun v -> Value.to_string v) vs
 
 (** Accessed IDs for [audit] after running [sql] under [heuristic]. *)
 let audit_ids db ~audit ~heuristic sql =
-  let plan = Db.Database.plan_sql db ~audits:[ audit ] ~heuristic sql in
+  let plan = Db.Database.prepare_sql db ~audits:[ audit ] ~heuristic sql in
   ignore (Db.Database.run_plan db plan);
   Exec.Exec_ctx.accessed_list (Db.Database.context db) ~audit_name:audit
 

@@ -34,7 +34,7 @@ let heuristics =
   Audit_core.Placement.[ ("leaf", Leaf); ("hcn", Hcn); ("highest", Highest) ]
 
 (** Every engine under differential test; the first is the oracle. A new
-    engine only needs a row here (and in {!Db.Database.run_phys}) to be
+    engine only needs a row here (and in the engine dispatch of {!Db.Database}) to be
     covered by the whole corpus. *)
 let modes = [ ("row", `Row); ("compiled", `Compiled) ]
 
@@ -46,7 +46,7 @@ let modes = [ ("row", `Row); ("compiled", `Compiled) ]
     mode; returns (rows, accessed). *)
 let run_mode db ~audit ~heuristic mode sql =
   Db.Database.set_exec_mode db mode;
-  let plan = Db.Database.plan_sql db ~audits:[ audit ] ~heuristic sql in
+  let plan = Db.Database.prepare_sql db ~audits:[ audit ] ~heuristic sql in
   let rows = Db.Database.run_plan db plan in
   let accessed =
     Exec.Exec_ctx.accessed_list (Db.Database.context db) ~audit_name:audit

@@ -369,6 +369,24 @@ let test_explain_annotations () =
       (contains s "probe elided: Independent")
   | _ -> fail "expected analyze output"
 
+(* [\verify] reports the certificates of the query it verified: after
+   [\elide off] nothing is elided, so no earlier certificate may leak into
+   its report. *)
+let test_verify_after_elide_off () =
+  let session = Server.Session.of_db (watched ()) in
+  let command line =
+    match Server.Session.command session (String.split_on_char ' ' line) with
+    | Some reply -> reply
+    | None -> fail ("not a command: " ^ line)
+  in
+  let verify = "\\verify SELECT name FROM patients WHERE name = 'Bob'" in
+  ignore (command "\\elide certified");
+  check bool "certified: the certificate is reported" true
+    (contains (command verify) "elision certificates:");
+  ignore (command "\\elide off");
+  check bool "off: no certificate is reported" false
+    (contains (command verify) "elision certificates:")
+
 (* --------------------------------------------------------------- *)
 (* QCheck: random queries, elision invisible + Independent sound    *)
 (* --------------------------------------------------------------- *)
@@ -662,6 +680,8 @@ let suite =
       test_session_inherits_mode;
     test_case "EXPLAIN / EXPLAIN VERIFY / ANALYZE annotations" `Quick
       test_explain_annotations;
+    test_case "\\verify after \\elide off reports no certificates" `Quick
+      test_verify_after_elide_off;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

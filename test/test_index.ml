@@ -75,7 +75,7 @@ let join_sql =
 let scans_for db sql =
   let ctx = Db.Database.context db in
   Exec.Exec_ctx.reset_query_state ctx;
-  let rows = Db.Database.run_plan db (Db.Database.plan_sql db ~audits:[] sql) in
+  let rows = Db.Database.run_plan db (Db.Database.prepare_sql db ~audits:[] sql) in
   (List.sort Tuple.compare rows, ctx.Exec.Exec_ctx.rows_scanned)
 
 let test_inl_used_on_pk_join () =

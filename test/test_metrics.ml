@@ -20,7 +20,7 @@ let test_audit_transparent () =
   let ctx = Db.Database.context db in
   Exec.Metrics.set_enabled ctx.Exec.Exec_ctx.metrics true;
   let plan =
-    Db.Database.plan_sql db ~audits:[ "audit_alice" ]
+    Db.Database.prepare_sql db ~audits:[ "audit_alice" ]
       ~heuristic:Audit_core.Placement.Hcn join_sql
   in
   let rows = Db.Database.run_plan db plan in

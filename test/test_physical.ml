@@ -192,7 +192,7 @@ let run_mode db ~interpret sql =
     ~finally:(fun () -> ctx.Exec.Exec_ctx.interpret_exprs <- false)
     (fun () ->
       let plan =
-        Db.Database.plan_sql db ~audits:[ "audit_customer" ]
+        Db.Database.prepare_sql db ~audits:[ "audit_customer" ]
           ~heuristic:Audit_core.Placement.Hcn sql
       in
       let rows = Db.Database.run_plan db plan in

@@ -289,13 +289,13 @@ let test_instrumented_results_identical () =
   List.iter
     (fun sql ->
       let base =
-        Db.Database.run_plan db (Db.Database.plan_sql db ~audits:[] sql)
+        Db.Database.run_plan db (Db.Database.prepare_sql db ~audits:[] sql)
       in
       List.iter
         (fun h ->
           let inst =
             Db.Database.run_plan db
-              (Db.Database.plan_sql db ~audits:[ "audit_all" ] ~heuristic:h sql)
+              (Db.Database.prepare_sql db ~audits:[ "audit_all" ] ~heuristic:h sql)
           in
           check Fixtures.tuples
             (Printf.sprintf "same rows for %s" sql)
@@ -319,13 +319,13 @@ let test_pruning_preserves_audit () =
   in
   let ids_unpruned =
     let p =
-      Db.Database.plan_sql db ~audits:[ "audit_all" ] ~prune:false sql
+      Db.Database.prepare_sql db ~audits:[ "audit_all" ] ~prune:false sql
     in
     ignore (Db.Database.run_plan db p);
     Exec.Exec_ctx.accessed_list (Db.Database.context db) ~audit_name:"audit_all"
   in
   let ids_pruned =
-    let p = Db.Database.plan_sql db ~audits:[ "audit_all" ] ~prune:true sql in
+    let p = Db.Database.prepare_sql db ~audits:[ "audit_all" ] ~prune:true sql in
     ignore (Db.Database.run_plan db p);
     Exec.Exec_ctx.accessed_list (Db.Database.context db) ~audit_name:"audit_all"
   in

@@ -192,7 +192,7 @@ let arb_case =
 let sorted rows = List.sort Tuple.compare rows
 
 let run_plain db sql =
-  sorted (Db.Database.run_plan db (Db.Database.plan_sql db ~audits:[] sql))
+  sorted (Db.Database.run_plan db (Db.Database.prepare_sql db ~audits:[] sql))
 
 (* The full statement path — placement under [h], elision, verification,
    the session's engine, triggers — returning sorted rows and audit_pat's
@@ -465,7 +465,7 @@ let prop_chunk_boundary =
       let run mode =
         Db.Database.set_exec_mode db mode;
         let plan =
-          Db.Database.plan_sql db ~audits:[ "audit_big" ]
+          Db.Database.prepare_sql db ~audits:[ "audit_big" ]
             ~heuristic:Audit_core.Placement.Hcn sql
         in
         let rows = Db.Database.run_plan db plan in

@@ -120,7 +120,7 @@ let test_instrumented_union_results_identical () =
     (fun h ->
       let inst =
         Db.Database.run_plan db
-          (Db.Database.plan_sql db ~audits:[ "audit_all" ] ~heuristic:h sql)
+          (Db.Database.prepare_sql db ~audits:[ "audit_all" ] ~heuristic:h sql)
       in
       check Fixtures.tuples "instrumented union identical" base
         (List.sort Tuple.compare inst))

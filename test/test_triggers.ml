@@ -286,6 +286,124 @@ let test_unknown_audit_rejected () =
   | exception Db.Database.Db_error _ -> ()
   | _ -> Alcotest.fail "expected unknown-audit error"
 
+(* --------------------------------------------------------------- *)
+(* Every read is audited: IF conditions and EXPLAIN ANALYZE          *)
+(* --------------------------------------------------------------- *)
+
+let exec db sql = ignore (Db.Database.exec db sql)
+
+(* One statement's evidence records, taken from the deferred sink: what a
+   served session hands to the group-commit writer. *)
+let evidence db sql =
+  Db.Database.set_deferred_evidence db true;
+  exec db sql;
+  Db.Database.take_pending_evidence db
+
+let accessed_ids records =
+  List.filter_map
+    (function Audit_log.Wal.Accessed { ids; _ } -> Some ids | _ -> None)
+    records
+
+let fired records =
+  List.filter_map
+    (function
+      | Audit_log.Wal.Trigger_fired { trigger; _ } -> Some trigger | _ -> None)
+    records
+
+let test_if_condition_audited () =
+  let db = Fixtures.healthcare_with_alice () in
+  exec db "CREATE TRIGGER t ON ACCESS TO audit_alice AS NOTIFY 'alice read'";
+  let r =
+    evidence db
+      "IF ((SELECT count(*) FROM patients WHERE patientid = 1 AND age > 30) \
+       > 0) NOTIFY 'found'"
+  in
+  check Alcotest.(list (list string)) "the condition's ACCESSED record"
+    [ [ "1" ] ] (accessed_ids r);
+  check Alcotest.(list string) "the AFTER trigger fired" [ "t" ] (fired r);
+  check Alcotest.(list string) "trigger, then the IF body"
+    [ "alice read"; "found" ]
+    (Db.Database.notifications db);
+  Db.Database.clear_notifications db;
+  let r =
+    evidence db
+      "IF ((SELECT count(*) FROM patients WHERE patientid = 2) > 0) NOTIFY \
+       'bob'"
+  in
+  check Alcotest.(list (list string)) "no ACCESSED record" [] (accessed_ids r);
+  check Alcotest.(list string) "no trigger fired" [] (fired r);
+  check Alcotest.(list string) "only the IF body" [ "bob" ]
+    (Db.Database.notifications db)
+
+(* A statement fires each AFTER trigger at most once per accessed ID, and
+   a SELECT's BEFORE RETURN guard sees exactly the IDs that SELECT read:
+   neither IDs an earlier part of the statement read, nor a blind spot
+   for the IDs it re-reads. *)
+let test_if_body_fires_once () =
+  let db = Fixtures.healthcare () in
+  exec db Fixtures.audit_all_sql;
+  exec db "CREATE TRIGGER t ON ACCESS TO audit_all AS NOTIFY 'read'";
+  let cond_reads_1 body =
+    "IF ((SELECT count(*) FROM patients WHERE patientid = 1) > 0) " ^ body
+  in
+  let r = evidence db (cond_reads_1 "SELECT name FROM patients WHERE patientid = 1") in
+  check Alcotest.(list string) "one trigger record" [ "t" ] (fired r);
+  check Alcotest.(list string) "one NOTIFY" [ "read" ]
+    (Db.Database.notifications db);
+  check Alcotest.(list (list string)) "one ACCESSED record" [ [ "1" ] ]
+    (accessed_ids r);
+  exec db
+    "CREATE TRIGGER guard ON ACCESS TO audit_all BEFORE RETURN AS IF \
+     ((SELECT count(*) FROM accessed WHERE patientid = 1) > 0) DENY 'Alice \
+     is off limits'";
+  Db.Database.clear_notifications db;
+  let r = evidence db (cond_reads_1 "SELECT name FROM patients WHERE patientid = 2") in
+  check Alcotest.(list string) "the guard ran on the body's read only"
+    [ "t"; "guard"; "t" ] (fired r);
+  check Alcotest.(list (list string)) "the statement's ACCESSED set"
+    [ [ "1"; "2" ] ] (accessed_ids r);
+  match exec db (cond_reads_1 "SELECT name FROM patients WHERE patientid = 1") with
+  | exception Db.Database.Access_denied _ -> ()
+  | () -> Alcotest.fail "a body SELECT re-reading the row must be denied"
+
+let test_explain_analyze_fires () =
+  let db = Fixtures.healthcare_with_alice () in
+  exec db "CREATE TRIGGER t ON ACCESS TO audit_alice AS NOTIFY 'alice read'";
+  let sql = "EXPLAIN ANALYZE SELECT name FROM patients WHERE patientid = 1" in
+  (match Db.Database.exec db sql with
+  | Db.Database.Done text ->
+    check Alcotest.bool "the tree is rendered" true
+      (Fixtures.contains text "actual rows=")
+  | _ -> Alcotest.fail "expected the EXPLAIN ANALYZE rendering");
+  check Alcotest.(list string) "the AFTER trigger fired" [ "alice read" ]
+    (Db.Database.notifications db);
+  exec db
+    "CREATE TRIGGER guard ON ACCESS TO audit_alice BEFORE RETURN AS IF \
+     ((SELECT count(*) FROM accessed) > 0) DENY 'Alice is off limits'";
+  (match Db.Database.exec db sql with
+  | exception Db.Database.Access_denied msg ->
+    check Alcotest.string "denial message" "Alice is off limits" msg
+  | _ -> Alcotest.fail "a BEFORE RETURN DENY must withhold the rendering");
+  check Alcotest.(list string) "the denied run was still audited"
+    [ "alice read"; "alice read" ]
+    (Db.Database.notifications db)
+
+let test_nested_explain_keeps_evidence () =
+  let db = Fixtures.healthcare_with_alice () in
+  exec db
+    "CREATE TRIGGER t ON ACCESS TO audit_alice AS EXPLAIN ANALYZE SELECT \
+     name FROM patients WHERE patientid = 2";
+  let path = Filename.temp_file "nested_explain" ".wal" in
+  Sys.remove path;
+  ignore (Db.Database.attach_audit_log db path);
+  exec db "SELECT name FROM patients WHERE patientid = 1";
+  Db.Database.detach_audit_log db;
+  let records, _ = Audit_log.Wal.read_all path in
+  check Alcotest.(list string) "the trigger record" [ "t" ] (fired records);
+  check Alcotest.(list (list string))
+    "the triggering SELECT's ACCESSED record" [ [ "1" ] ]
+    (accessed_ids records)
+
 let suite =
   [
     Alcotest.test_case "SELECT trigger fires and logs" `Quick
@@ -318,4 +436,12 @@ let suite =
     Alcotest.test_case "BEFORE RETURN warning" `Quick
       test_before_return_warn_only;
     Alcotest.test_case "DENY restrictions" `Quick test_deny_restrictions;
+    Alcotest.test_case "IF conditions are audited and fire" `Quick
+      test_if_condition_audited;
+    Alcotest.test_case "IF body: one firing per ID, guard on its own reads"
+      `Quick test_if_body_fires_once;
+    Alcotest.test_case "EXPLAIN ANALYZE fires; DENY withholds it" `Quick
+      test_explain_analyze_fires;
+    Alcotest.test_case "nested EXPLAIN ANALYZE keeps the evidence" `Quick
+      test_nested_explain_keeps_evidence;
   ]
