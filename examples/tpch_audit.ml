@@ -36,11 +36,9 @@ let () =
       Benchkit.Timing.median_time (fun () ->
           ignore (Db.Database.run_plan db base_plan))
     in
-    let unpruned =
-      Db.Database.plan_sql db ~audits:[] ~prune:false q.Tpch.Queries.sql
+    let offline =
+      Db.Database.lineage db ~audit:"audit_customer" base_plan.Db.Database.plan
     in
-    Exec.Exec_ctx.reset_query_state ctx;
-    let offline = Audit_core.Lineage.accessed ctx ~view unpruned in
     Printf.printf "  offline accessed IDs: %d\n" (List.length offline);
     List.iter
       (fun (name, h) ->

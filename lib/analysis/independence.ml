@@ -199,30 +199,6 @@ and eval_neg (p : Scalar.t) : env =
 (* Compositional per-output-column constraints                          *)
 (* ------------------------------------------------------------------ *)
 
-let out_arity (p : P.t) : int =
-  let rec go (p : P.t) =
-    match p.P.op with
-    | P.Seq_scan { schema; cols = None; _ } -> Schema.arity schema
-    | P.Seq_scan { cols = Some idxs; _ } -> Array.length idxs
-    | P.Filter { child; _ }
-    | P.Sort { child; _ }
-    | P.Limit { child; _ }
-    | P.Top_k { child; _ }
-    | P.Audit_probe { child; _ } ->
-      go child
-    | P.Distinct c -> go c
-    | P.Project { cols; _ } -> List.length cols
-    | P.Hash_join { left; right; _ } | P.Nl_join { left; right; _ } ->
-      go left + go right
-    | P.Index_nl_join { left; right_arity; _ } -> go left + right_arity
-    | P.Hash_semi_join { left; _ } -> go left
-    | P.Apply { kind = Logical.A_scalar; outer; _ } -> go outer + 1
-    | P.Apply { outer; _ } -> go outer
-    | P.Hash_agg { keys; aggs; _ } -> List.length keys + List.length aggs
-    | P.Set_op { left; _ } -> go left
-  in
-  go p
-
 let safe (a : AD.t array) i = if i >= 0 && i < Array.length a then a.(i) else AD.Top
 
 let meet_into (a : AD.t array) i d =
@@ -244,7 +220,7 @@ let equalities (pred : Scalar.t option) : (int * int) list =
 (* Constraints guaranteed to hold on every output row of [p]. *)
 let rec out_env (p : P.t) : AD.t array =
   match p.P.op with
-  | P.Seq_scan _ -> Array.make (out_arity p) AD.Top
+  | P.Seq_scan _ -> Array.make (P.arity p) AD.Top
   | P.Filter { pred; child } ->
     let e = Array.copy (out_env child) in
     apply_env e (eval_pred pred);
@@ -314,8 +290,8 @@ let rec out_env (p : P.t) : AD.t array =
        | Scalar.Col a, Scalar.Col b -> meet_into le a (safe (out_env right) b)
        | _ -> ());
     le
-  | P.Apply { kind = Logical.A_scalar; outer; _ } ->
-    Array.append (out_env outer) [| AD.Top |]
+  | P.Apply { kind = Logical.A_outer; outer; inner } ->
+    Array.append (out_env outer) (Array.make (P.arity inner) AD.Top)
   | P.Apply { outer; _ } -> out_env outer
   | P.Hash_agg { keys; aggs; child } ->
     let ce = out_env child in
@@ -440,7 +416,7 @@ let rec walk ~sensitive (p : P.t) : tracked list =
         })
       ts
   | P.Hash_join { kind; lkeys; rkeys; residual; left; right; _ } ->
-    let la = out_arity left in
+    let la = P.arity left in
     let lts = List.map (shift_left la) (walk ~sensitive left)
     and rts = List.map (shift_right la) (walk ~sensitive right) in
     let inner = kind = Logical.J_inner in
@@ -467,7 +443,7 @@ let rec walk ~sensitive (p : P.t) : tracked list =
     end;
     lts @ rts
   | P.Nl_join { kind; pred; left; right; _ } ->
-    let la = out_arity left in
+    let la = P.arity left in
     let lts = List.map (shift_left la) (walk ~sensitive left)
     and rts = List.map (shift_right la) (walk ~sensitive right) in
     let inner = kind = Logical.J_inner in
@@ -494,7 +470,7 @@ let rec walk ~sensitive (p : P.t) : tracked list =
     end;
     lts @ rts
   | P.Index_nl_join { kind; left; left_key; base_col; chain; residual; _ } ->
-    let la = out_arity left in
+    let la = P.arity left in
     let lts = List.map (shift_left la) (walk ~sensitive left)
     and cts = walk ~sensitive chain in
     let inner = kind = Logical.J_inner in

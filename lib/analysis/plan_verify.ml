@@ -128,29 +128,6 @@ let highest_commute = { hcn_commute with loj_right = true; limit = true }
 
 let norm = String.lowercase_ascii
 
-let rec out_arity (p : Physical.t) : int =
-  match p.Physical.op with
-  | Physical.Seq_scan { schema; cols = None; _ } -> Schema.arity schema
-  | Physical.Seq_scan { cols = Some idxs; _ } -> Array.length idxs
-  | Physical.Filter { child; _ }
-  | Physical.Sort { child; _ }
-  | Physical.Limit { child; _ }
-  | Physical.Top_k { child; _ }
-  | Physical.Audit_probe { child; _ } ->
-    out_arity child
-  | Physical.Distinct c -> out_arity c
-  | Physical.Project { cols; _ } -> List.length cols
-  | Physical.Hash_join { left; right; _ } | Physical.Nl_join { left; right; _ }
-    ->
-    out_arity left + out_arity right
-  | Physical.Index_nl_join { left; right_arity; _ } ->
-    out_arity left + right_arity
-  | Physical.Hash_semi_join { left; _ } -> out_arity left
-  | Physical.Apply { kind = Logical.A_scalar; outer; _ } -> out_arity outer + 1
-  | Physical.Apply { outer; _ } -> out_arity outer
-  | Physical.Hash_agg { keys; aggs; _ } -> List.length keys + List.length aggs
-  | Physical.Set_op { left; _ } -> out_arity left
-
 (* A node path like "Limit/HashJoin.l/Filter/SeqScan(customer)". *)
 let ( /: ) path seg = if path = "" then seg else path ^ "/" ^ seg
 
@@ -227,21 +204,20 @@ let rec trace (path : string) (p : Physical.t) (col : int) : traced option =
     | Some (Scalar.Col i, _) -> via "Project" child i
     | _ -> None)
   | Physical.Hash_join { left; right; _ } ->
-    let la = out_arity left in
+    let la = Physical.arity left in
     if col < la then via "HashJoin.l" left col
     else via ~to_right:true "HashJoin.r" right (col - la)
   | Physical.Nl_join { left; right; _ } ->
-    let la = out_arity left in
+    let la = Physical.arity left in
     if col < la then via "NLJoin.l" left col
     else via ~to_right:true "NLJoin.r" right (col - la)
   | Physical.Index_nl_join { left; chain; _ } ->
-    let la = out_arity left in
+    let la = Physical.arity left in
     if col < la then via "IndexNLJoin.l" left col
     else via ~to_chain:true "IndexNLJoin.chain" chain (col - la)
   | Physical.Hash_semi_join { left; _ } -> via "SemiJoin.l" left col
-  | Physical.Apply { kind = Logical.A_scalar; outer; _ } ->
-    if col < out_arity outer then via "Apply.outer" outer col else None
-  | Physical.Apply { outer; _ } -> via "Apply.outer" outer col
+  | Physical.Apply { outer; _ } ->
+    if col < Physical.arity outer then via "Apply.outer" outer col else None
   | Physical.Hash_agg { keys; child; _ } -> (
     match List.nth_opt keys col with
     | Some (Scalar.Col i, _) -> via "HashAgg" child i
@@ -297,11 +273,11 @@ let verify ?(commute = hcn_commute) ?(certificates = [])
                 (Printf.sprintf "scan projection index %d outside schema" i))
           idxs)
     | Physical.Filter { pred; child } ->
-      check_exprs "filter predicate" (out_arity child) [ pred ]
+      check_exprs "filter predicate" (Physical.arity child) [ pred ]
     | Physical.Project { cols; child } ->
-      check_exprs "projection" (out_arity child) (List.map fst cols)
+      check_exprs "projection" (Physical.arity child) (List.map fst cols)
     | Physical.Hash_join { lkeys; rkeys; residual; left; right; right_arity; _ } ->
-      let la = out_arity left and ra = out_arity right in
+      let la = Physical.arity left and ra = Physical.arity right in
       if right_arity <> ra then
         add Schema_wf here
           (Printf.sprintf "recorded right arity %d <> subtree arity %d"
@@ -310,7 +286,7 @@ let verify ?(commute = hcn_commute) ?(certificates = [])
       check_exprs "right key" ra (Array.to_list rkeys);
       check_exprs "residual" (la + ra) (Option.to_list residual)
     | Physical.Nl_join { pred; left; right; right_arity; _ } ->
-      let la = out_arity left and ra = out_arity right in
+      let la = Physical.arity left and ra = Physical.arity right in
       if right_arity <> ra then
         add Schema_wf here
           (Printf.sprintf "recorded right arity %d <> subtree arity %d"
@@ -318,7 +294,7 @@ let verify ?(commute = hcn_commute) ?(certificates = [])
       check_exprs "join predicate" (la + ra) (Option.to_list pred)
     | Physical.Index_nl_join { left; left_key; chain; residual; right_arity; _ }
       ->
-      let la = out_arity left and ca = out_arity chain in
+      let la = Physical.arity left and ca = Physical.arity chain in
       if right_arity <> ca then
         add Schema_wf here
           (Printf.sprintf "recorded right arity %d <> chain arity %d"
@@ -326,24 +302,24 @@ let verify ?(commute = hcn_commute) ?(certificates = [])
       check_exprs "lookup key" la [ left_key ];
       check_exprs "residual" (la + ca) (Option.to_list residual)
     | Physical.Hash_semi_join { left; left_key; right; right_key; _ } ->
-      check_exprs "left key" (out_arity left) [ left_key ];
-      check_exprs "right key" (out_arity right) [ right_key ]
+      check_exprs "left key" (Physical.arity left) [ left_key ];
+      check_exprs "right key" (Physical.arity right) [ right_key ]
     | Physical.Apply _ -> ()
     | Physical.Hash_agg { keys; aggs; child } ->
-      let a = out_arity child in
+      let a = Physical.arity child in
       check_exprs "group key" a (List.map fst keys);
       check_exprs "aggregate argument" a
         (List.filter_map (fun (g : Logical.agg) -> g.Logical.arg) aggs)
     | Physical.Sort { keys; child } | Physical.Top_k { keys; child; _ } ->
-      check_exprs "sort key" (out_arity child) (List.map fst keys)
+      check_exprs "sort key" (Physical.arity child) (List.map fst keys)
     | Physical.Limit _ | Physical.Distinct _ -> ()
     | Physical.Audit_probe { id_col; child; _ } ->
-      let a = out_arity child in
+      let a = Physical.arity child in
       if id_col < 0 || id_col >= a then
         add Schema_wf here
           (Printf.sprintf "audit ID column %d outside arity %d" id_col a)
     | Physical.Set_op { left; right; _ } ->
-      let la = out_arity left and ra = out_arity right in
+      let la = Physical.arity left and ra = Physical.arity right in
       if la <> ra then
         add Schema_wf here
           (Printf.sprintf "set-operation branch arities differ (%d vs %d)" la
@@ -540,9 +516,8 @@ let rec ltrace (path : string) (p : Logical.t) (col : int) : ltraced option =
     if col < la then via "Join.l" left col
     else via ~to_right:true "Join.r" right (col - la)
   | Logical.Semi_join { left; _ } -> via "SemiJoin.l" left col
-  | Logical.Apply { kind = Logical.A_scalar; outer; out = Some _; _ } ->
+  | Logical.Apply { outer; _ } ->
     if col < Logical.arity outer then via "Apply.outer" outer col else None
-  | Logical.Apply { outer; _ } -> via "Apply.outer" outer col
   | Logical.Group_by { keys; child; _ } -> (
     match List.nth_opt keys col with
     | Some (Scalar.Col i, _) -> via "GroupBy" child i

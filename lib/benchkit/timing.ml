@@ -4,7 +4,10 @@
     takes medians over repeated runs and reports relative overhead against a
     baseline measured in the same session. *)
 
-let now () = Unix.gettimeofday ()
+(* A non-decreasing clock: a backward wall-clock step during a sample
+   would otherwise yield a too-small or negative time, which a minimum
+   over samples then reports. *)
+let now = Engine_core.Mono_clock.now
 
 (** Run [f] once and return elapsed seconds. *)
 let time_once f =

@@ -1,5 +1,7 @@
 (** Wall-clock measurement for the experiment harness. *)
 
+(** Seconds on the engine's monotonic clock ({!Engine_core.Mono_clock};
+    arbitrary epoch, so only differences are meaningful). *)
 val now : unit -> float
 
 (** Run once, return elapsed seconds. *)

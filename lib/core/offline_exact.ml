@@ -8,11 +8,11 @@
     need.
 
     Complexity is one query execution per candidate, so this is the ground
-    truth for tests and small benchmarks; {!Lineage} is the one-pass offline
-    auditor used at benchmark scale. Following the paper's architecture
-    (Fig. 1), candidates are typically the auditIDs produced by an
-    instrumented plan: since the online heuristics have no false negatives,
-    verifying only those IDs is sound. *)
+    truth for tests and small benchmarks; {!Provenance} is the one-pass
+    offline auditor used at benchmark scale. Following the paper's
+    architecture (Fig. 1), candidates are typically the auditIDs produced
+    by an instrumented plan: since the online heuristics have no false
+    negatives, verifying only those IDs is sound. *)
 
 open Storage
 open Plan

@@ -522,6 +522,32 @@ let run_plan_count db p =
   on_engine db ~row:Exec.Executor.run_count
     ~compiled:Exec.Compiled_exec.run_count p
 
+(* The offline auditor: [plan]'s provenance rewrite, narrowed to its ID
+   columns, runs as a fresh uninstrumented read in the session's
+   configuration; the accessed set is every non-NULL ID it yields that is
+   in the view. *)
+let lineage db ~audit plan =
+  let e = audit_entry db audit in
+  let plan = Plan.Logical.strip_audits plan in
+  let n = Plan.Logical.arity plan in
+  let rewritten = Audit_core.Provenance.rewrite ~audit:e.expr plan in
+  let schema = Plan.Logical.schema rewritten in
+  let ids =
+    List.init (Schema.arity schema - n) (fun i ->
+        (Plan.Scalar.Col (n + i), Schema.col schema (n + i)))
+  in
+  if ids = [] then []
+  else
+    let p =
+      prepare_plan db ~audits:[]
+        (Plan.Optimizer.prune
+           (Plan.Logical.Project { cols = ids; child = rewritten }))
+    in
+    run_plan db p
+    |> List.concat_map Array.to_list
+    |> List.filter (Audit_core.Sensitive_view.contains e.view)
+    |> List.sort_uniq Value.compare_total
+
 let verify_query db ?heuristic ?audits q =
   violations (prepare db ?heuristic ?audits q)
 

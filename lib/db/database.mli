@@ -316,6 +316,13 @@ val run_plan : t -> prepared -> Tuple.t list
     the result list). *)
 val run_plan_count : t -> prepared -> int
 
+(** The offline auditor's accessed set for [audit] on a planned read:
+    {!Audit_core.Provenance.rewrite} of the audit-stripped plan, run by
+    {!run_plan} with no probes in the session's configuration (so
+    [Strict] verification checks the rewritten plan too). Returns the
+    distinct non-NULL IDs it yields that the view contains, sorted. *)
+val lineage : t -> audit:string -> Plan.Logical.t -> Value.t list
+
 (** [violations] of a freshly prepared query, without executing
     anything. *)
 val verify_query :

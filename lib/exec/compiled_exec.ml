@@ -108,32 +108,6 @@ let projection_perm cols =
   in
   go 0 cols
 
-(* Output width of a plan node, where it is known statically. *)
-let rec out_arity (p : Physical.t) =
-  match p.Physical.op with
-  | Physical.Seq_scan { schema; cols; _ } ->
-    Some
-      (match cols with
-      | Some idxs -> Array.length idxs
-      | None -> Schema.arity schema)
-  | Physical.Project { cols; _ } -> Some (List.length cols)
-  | Physical.Hash_agg { keys; aggs; _ } ->
-    Some (List.length keys + List.length aggs)
-  | Physical.Filter { child; _ }
-  | Physical.Sort { child; _ }
-  | Physical.Top_k { child; _ }
-  | Physical.Limit { child; _ }
-  | Physical.Distinct child
-  | Physical.Audit_probe { child; _ }
-  | Physical.Hash_semi_join { left = child; _ }
-  | Physical.Set_op { left = child; _ } ->
-    out_arity child
-  | Physical.Hash_join { left; right_arity; _ }
-  | Physical.Nl_join { left; right_arity; _ }
-  | Physical.Index_nl_join { left; right_arity; _ } ->
-    Option.map (( + ) right_arity) (out_arity left)
-  | Physical.Apply _ -> None
-
 (* Per-left-row probe emission shared by hash and nested-loop joins:
    candidates joined in arrival order, LEFT JOIN null-pads when nothing
    survives (Executor.join_emit). With a residual every candidate is
@@ -363,7 +337,7 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
          child itself. *)
       let cfact = compile ctx child in
       let identity =
-        out_arity child = Some n
+        Physical.arity child = n
         && Array.for_all Fun.id (Array.mapi ( = ) perm)
       in
       if identity then cfact
@@ -403,38 +377,50 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   | Physical.Apply { kind; outer; inner } ->
     let ofact = compile ctx outer in
     let ifact = compile ctx inner in
-    (* The inner plan's first row under the outer row [row]: opened (its
-       open-time effects once per outer row, as in the row engine) and
-       stopped after one push. The parameter is popped on every exit. *)
-    let first row =
-      let exception First of Tuple.t in
-      ctx.Exec_ctx.params <- row :: ctx.Exec_ctx.params;
-      let pop () = ctx.Exec_ctx.params <- List.tl ctx.Exec_ctx.params in
-      match ifact () (fun r -> raise_notrace (First r)) with
-      | () ->
-        pop ();
-        None
-      | exception First r ->
-        pop ();
-        Some r
+    let null_pad = Array.make (Physical.arity inner) Value.Null in
+    (* Run [f] with [row] as the correlation parameters, restored on every
+       exit. The inner plan is opened once per outer row (its open-time
+       effects, as in the row engine). *)
+    let under row f =
+      let saved = ctx.Exec_ctx.params in
+      ctx.Exec_ctx.params <- row :: saved;
+      match f () with
+      | v ->
+        ctx.Exec_ctx.params <- saved;
+        v
       | exception e ->
-        pop ();
+        ctx.Exec_ctx.params <- saved;
         raise e
+    in
+    (* Whether the inner plan has a row: stopped after one push. *)
+    let nonempty row =
+      let exception First in
+      under row (fun () ->
+          match ifact () (fun _ -> raise_notrace First) with
+          | () -> false
+          | exception First -> true)
     in
     fun () ->
       let osrc = ofact () in
       fun sink ->
         osrc (fun row ->
             match kind with
-            | Logical.A_semi -> if Option.is_some (first row) then sink row
-            | Logical.A_anti -> if Option.is_none (first row) then sink row
-            | Logical.A_scalar ->
-              let v =
-                match first row with
-                | Some r when Array.length r > 0 -> r.(0)
-                | _ -> Value.Null
-              in
-              sink (Tuple.append row [| v |]))
+            | Logical.A_semi -> if nonempty row then sink row
+            | Logical.A_anti -> if not (nonempty row) then sink row
+            | Logical.A_outer ->
+              (* Each inner row goes on as it arrives, as the row engine
+                 returns it before pulling the next (so fault sites fire
+                 in its order); the operators above see their own
+                 parameters, not [row]. *)
+              let matched = ref false in
+              under row (fun () ->
+                  let params = ctx.Exec_ctx.params in
+                  ifact () (fun r ->
+                      matched := true;
+                      ctx.Exec_ctx.params <- List.tl params;
+                      sink (Tuple.append row r);
+                      ctx.Exec_ctx.params <- params));
+              if not !matched then sink (Tuple.append row null_pad))
   | Physical.Nl_join { kind; pred; left; right; right_arity } ->
     let st = stats_of ctx plan in
     let lfact = compile ctx left in

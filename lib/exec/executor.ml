@@ -516,6 +516,7 @@ and compile_inl_join ctx kind ~left ~left_key ~table ~base_col ~cols ~chain
 and compile_apply ctx kind outer inner : factory =
   let of_ = compile ctx outer in
   let inf = compile ctx inner in
+  let null_pad = Array.make (Physical.arity inner) Value.Null in
   fun () ->
     let oc = of_ () in
     let with_params row f =
@@ -525,23 +526,31 @@ and compile_apply ctx kind outer inner : factory =
           ctx.Exec_ctx.params <- List.tl ctx.Exec_ctx.params)
         f
     in
+    (* [A_outer]: the outer row whose inner rows are being appended, its
+       open inner cursor, and whether that cursor has yielded a row. *)
+    let current = ref None in
     let rec next () =
-      match oc () with
-      | None -> None
-      | Some row -> (
-        match kind with
-        | Logical.A_semi | Logical.A_anti ->
-          let has_row = with_params row (fun () -> inf () () <> None) in
-          let keep = if kind = Logical.A_semi then has_row else not has_row in
-          if keep then Some row else next ()
-        | Logical.A_scalar ->
-          let v =
-            with_params row (fun () ->
-                match inf () () with
-                | Some r when Array.length r > 0 -> r.(0)
-                | _ -> Value.Null)
-          in
-          Some (Tuple.append row [| v |]))
+      match !current with
+      | Some (row, ic, matched) -> (
+        match with_params row ic with
+        | Some r ->
+          current := Some (row, ic, true);
+          Some (Tuple.append row r)
+        | None ->
+          current := None;
+          if matched then next () else Some (Tuple.append row null_pad))
+      | None -> (
+        match oc () with
+        | None -> None
+        | Some row -> (
+          match kind with
+          | Logical.A_semi | Logical.A_anti ->
+            let has_row = with_params row (fun () -> inf () () <> None) in
+            let keep = if kind = Logical.A_semi then has_row else not has_row in
+            if keep then Some row else next ()
+          | Logical.A_outer ->
+            current := Some (row, with_params row inf, false);
+            next ()))
     in
     next
 

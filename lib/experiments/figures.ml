@@ -339,7 +339,6 @@ let ablation_provenance (env : Setup.env) =
     "Paper context: full provenance computation costs up to 5x on TPC-H \
      [6], which is why SELECT triggers use the no-op audit operator \
      instead. Columns: hcn overhead (%) vs lineage slowdown (x).";
-  let ctx = Db.Database.context env.Setup.db in
   let rows =
     List.map
       (fun (q : Tpch.Queries.query) ->
@@ -348,13 +347,11 @@ let ablation_provenance (env : Setup.env) =
           Setup.plan env ~heuristic:Audit_core.Placement.Hcn
             q.Tpch.Queries.sql
         in
-        let unpruned = Setup.plan env ~prune:false q.Tpch.Queries.sql in
         let run p () = ignore (Db.Database.run_plan_count env.Setup.db p) in
         let lineage () =
-          Exec.Exec_ctx.reset_query_state ctx;
           ignore
-            (Audit_core.Lineage.accessed ctx ~view:env.Setup.view
-               unpruned.Db.Database.plan)
+            (Db.Database.lineage env.Setup.db ~audit:env.Setup.audit_name
+               base_p.Db.Database.plan)
         in
         let base, hcn, lineage_t =
           match
@@ -473,8 +470,6 @@ let ablation_static (env : Setup.env) =
   ignore
     (Db.Database.exec env.Setup.db
        (Tpch.Queries.audit_segment ~name:audit_name ~segment:"FURNITURE" ()));
-  let view = Db.Database.audit_view env.Setup.db audit_name in
-  let ctx = Db.Database.context env.Setup.db in
   let rows =
     List.map
       (fun (q : Tpch.Queries.query) ->
@@ -482,11 +477,10 @@ let ablation_static (env : Setup.env) =
           Db.Database.fga_verdict env.Setup.db ~audit:audit_name
             (Sql.Parser.query q.Tpch.Queries.sql)
         in
-        let unpruned = Setup.plan env ~prune:false q.Tpch.Queries.sql in
-        Exec.Exec_ctx.reset_query_state ctx;
         let offline =
           List.length
-            (Audit_core.Lineage.accessed ctx ~view unpruned.Db.Database.plan)
+            (Db.Database.lineage env.Setup.db ~audit:audit_name
+               (Db.Database.plan_sql env.Setup.db ~audits:[] q.Tpch.Queries.sql))
         in
         let hcn = hcn_accessed env ~audit_name q in
         { st_query = q.Tpch.Queries.id; st_verdict = verdict; st_offline = offline; st_hcn = hcn })

@@ -75,9 +75,8 @@ let probe_stats env p =
   ignore (Db.Database.run_plan_count env.db p);
   (ctx.Exec.Exec_ctx.audit_probes, ctx.Exec.Exec_ctx.audit_hits)
 
-(** Offline (lineage) accessed cardinality for a SQL text. *)
+(** Offline (provenance-rewrite) accessed cardinality for a SQL text. *)
 let offline_cardinality env sql =
-  let p = plan env ~prune:false sql in
-  let ctx = Db.Database.context env.db in
-  Exec.Exec_ctx.reset_query_state ctx;
-  List.length (Audit_core.Lineage.accessed ctx ~view:env.view p.plan)
+  List.length
+    (Db.Database.lineage env.db ~audit:env.audit_name
+       (Db.Database.plan_sql env.db ~audits:[] sql))

@@ -6,8 +6,9 @@
     - FROM builds a (cross/inner/left) join tree of scans and derived tables.
     - WHERE is split into conjuncts. [IN (subquery)] and [EXISTS] conjuncts
       become semi/anti joins (uncorrelated) or apply operators (correlated);
-      scalar subqueries are hoisted into [A_scalar] applies whose appended
-      column replaces the subquery in the expression.
+      scalar subqueries are hoisted into [A_outer] applies over a
+      [LIMIT 1] inner whose appended column replaces the subquery in the
+      expression.
     - Aggregation binds SELECT/HAVING/ORDER BY in a "post-group" mode that
       maps aggregate expressions and group keys to group-output positions.
     - DISTINCT, TOP/LIMIT and ORDER BY are stacked per SQL semantics. *)
@@ -346,7 +347,6 @@ and bind_conjunct env plan (c : Sql.Ast.expr) : Logical.t =
           kind = (if neg then Logical.A_anti else Logical.A_semi);
           outer = plan;
           inner;
-          out = None;
         })
   | Sql.Ast.E_in_query (e, sub, neg) -> (
     match try_bind_subquery_plan env sub with
@@ -379,7 +379,6 @@ and bind_conjunct env plan (c : Sql.Ast.expr) : Logical.t =
           kind = (if neg then Logical.A_anti else Logical.A_semi);
           outer = plan;
           inner;
-          out = None;
         })
   | _ ->
     (* Plain predicate; scalar subqueries inside are hoisted into applies. *)
@@ -388,7 +387,7 @@ and bind_conjunct env plan (c : Sql.Ast.expr) : Logical.t =
     Logical.Filter { pred; child = !plan_ref }
 
 (** Bind an expression over [!plan_ref]'s schema, hoisting scalar subqueries
-    into [A_scalar] applies stacked onto [plan_ref]. *)
+    into [A_outer] applies stacked onto [plan_ref]. *)
 and bind_scalar_hoisting env plan_ref (e : Sql.Ast.expr) : Scalar.t =
   let subquery sub =
     let outer_schema = Logical.schema !plan_ref in
@@ -400,13 +399,22 @@ and bind_scalar_hoisting env plan_ref (e : Sql.Ast.expr) : Scalar.t =
     let inner_schema = Logical.schema inner in
     if Schema.arity inner_schema <> 1 then
       err "scalar subquery must return exactly one column";
+    (* The appended column is unqualified, so it never shadows an outer
+       column of the same qualified name. *)
     let out_col =
       { (Schema.col inner_schema 0) with Schema.qualifier = None }
     in
+    let inner =
+      match inner with
+      | Logical.Project { cols = [ (e, _) ]; child } ->
+        Logical.Project { cols = [ (e, out_col) ]; child }
+      | _ ->
+        Logical.Project { cols = [ (Scalar.Col 0, out_col) ]; child = inner }
+    in
     plan_ref :=
       Logical.Apply
-        { kind = Logical.A_scalar; outer = !plan_ref; inner;
-          out = Some out_col };
+        { kind = Logical.A_outer; outer = !plan_ref;
+          inner = Logical.Limit { n = 1; child = inner } };
     Scalar.Col (Schema.arity outer_schema)
   in
   (* Rebind against the *current* schema each time: hoisting only appends

@@ -3,7 +3,7 @@
     Translates parsed queries into positional {!Logical} plans: FROM builds
     the join tree; WHERE conjuncts become filters, semi/anti joins
     (uncorrelated IN/EXISTS) or correlated applies; scalar subqueries are
-    hoisted into [A_scalar] applies; aggregation binds SELECT/HAVING/ORDER
+    hoisted into [A_outer] applies over a [LIMIT 1] inner; aggregation binds SELECT/HAVING/ORDER
     BY against the group output; set operations combine independently
     bound components. *)
 

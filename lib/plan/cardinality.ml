@@ -82,11 +82,11 @@ let rec estimate (catalog : Catalog.t) (p : Logical.t) : float =
     | Logical.J_left -> Float.max l inner)
   | Logical.Semi_join { left; _ } ->
     Float.max 1.0 (0.5 *. estimate catalog left)
-  | Logical.Apply { kind; outer; _ } -> (
+  | Logical.Apply { kind; outer; inner } -> (
     let o = estimate catalog outer in
     match kind with
     | Logical.A_semi | Logical.A_anti -> Float.max 1.0 (0.5 *. o)
-    | Logical.A_scalar -> o)
+    | Logical.A_outer -> o *. estimate catalog inner)
   | Logical.Group_by { keys; child; _ } ->
     if keys = [] then 1.0
     else Float.max 1.0 (0.2 *. estimate catalog child)

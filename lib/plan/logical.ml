@@ -16,7 +16,10 @@ type join_kind = J_inner | J_left
 type apply_kind =
   | A_semi  (** EXISTS: keep outer rows with at least one inner row *)
   | A_anti  (** NOT EXISTS: keep outer rows with no inner row *)
-  | A_scalar  (** append first inner row's first column (NULL if empty) *)
+  | A_outer
+      (** OUTER APPLY: append every inner row to the outer row, or NULL-pad
+          an outer row that has none (a scalar subquery is an outer apply
+          over a one-column [LIMIT 1] inner) *)
 
 type agg_func = Count | Sum | Avg | Min | Max
 
@@ -48,7 +51,6 @@ type t =
       kind : apply_kind;
       outer : t;
       inner : t;  (** may reference outer columns via [Scalar.Param] *)
-      out : Schema.column option;  (** appended column for [A_scalar] *)
     }
   | Group_by of {
       keys : (Scalar.t * Schema.column) list;
@@ -88,8 +90,8 @@ let rec schema : t -> Schema.t = function
   | Project { cols; _ } -> Schema.of_list (List.map snd cols)
   | Join { left; right; _ } -> Schema.append (schema left) (schema right)
   | Semi_join { left; _ } -> schema left
-  | Apply { kind = A_scalar; outer; out = Some c; _ } ->
-    Array.append (schema outer) [| c |]
+  | Apply { kind = A_outer; outer; inner } ->
+    Schema.append (schema outer) (schema inner)
   | Apply { outer; _ } -> schema outer
   | Group_by { keys; aggs; _ } ->
     Schema.of_list (List.map snd keys @ List.map (fun a -> a.out) aggs)
@@ -204,7 +206,7 @@ let rec pp_tree annot ppf (indent, t) =
       match kind with
       | A_semi -> "SemiApply"
       | A_anti -> "AntiApply"
-      | A_scalar -> "ScalarApply"
+      | A_outer -> "OuterApply"
     in
     line "%s" k;
     pp_tree annot ppf (indent + 1, outer);

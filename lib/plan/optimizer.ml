@@ -469,18 +469,20 @@ let rec go (plan : Logical.t) (required : Iset.t) : Logical.t * int array =
     in
     let outer', mo = go a.outer outer_req in
     let inner = plan_map_params (fun i -> mo.(i)) a.inner in
+    (* An outer apply appends every inner column; an EXISTS inner's columns
+       are never read. *)
     let inner_req =
       match a.kind with
-      | Logical.A_scalar -> Iset.singleton 0
+      | Logical.A_outer -> Iset.of_list (List.init (ar - oa) Fun.id)
       | Logical.A_semi | Logical.A_anti -> Iset.empty
     in
-    let inner', _mi = go inner inner_req in
+    let inner', mi = go inner inner_req in
     let oa' = Logical.arity outer' in
     let map = Array.make ar (-1) in
-    for i = 0 to oa - 1 do
-      if mo.(i) >= 0 then map.(i) <- mo.(i)
+    for i = 0 to ar - 1 do
+      if i < oa then map.(i) <- mo.(i)
+      else if mi.(i - oa) >= 0 then map.(i) <- oa' + mi.(i - oa)
     done;
-    if a.kind = Logical.A_scalar && ar = oa + 1 then map.(oa) <- oa';
     (Logical.Apply { a with outer = outer'; inner = inner' }, map)
   | Logical.Group_by g ->
     let need =

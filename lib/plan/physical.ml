@@ -293,6 +293,28 @@ let children { op; _ } =
   | Apply { outer; inner; _ } -> [ outer; inner ]
   | Index_nl_join { left; chain; _ } -> [ left; chain ]
 
+(** Output width of a node. *)
+let rec arity { op; _ } =
+  match op with
+  | Seq_scan { schema; cols = None; _ } -> Schema.arity schema
+  | Seq_scan { cols = Some idxs; _ } -> Array.length idxs
+  | Filter { child; _ }
+  | Sort { child; _ }
+  | Limit { child; _ }
+  | Top_k { child; _ }
+  | Audit_probe { child; _ }
+  | Distinct child
+  | Hash_semi_join { left = child; _ }
+  | Set_op { left = child; _ } ->
+    arity child
+  | Project { cols; _ } -> List.length cols
+  | Hash_join { left; right; _ } | Nl_join { left; right; _ } ->
+    arity left + arity right
+  | Index_nl_join { left; right_arity; _ } -> arity left + right_arity
+  | Apply { kind = Logical.A_outer; outer; inner } -> arity outer + arity inner
+  | Apply { outer; _ } -> arity outer
+  | Hash_agg { keys; aggs; _ } -> List.length keys + List.length aggs
+
 (** Physical operator name, e.g. [HashJoin] — used by metrics labels,
     fault-point matching and the EXPLAIN tree. *)
 let label { op; _ } =
@@ -310,7 +332,7 @@ let label { op; _ } =
   | Hash_semi_join { anti = true; _ } -> "HashAntiJoin"
   | Apply { kind = Logical.A_semi; _ } -> "SemiApply"
   | Apply { kind = Logical.A_anti; _ } -> "AntiApply"
-  | Apply { kind = Logical.A_scalar; _ } -> "ScalarApply"
+  | Apply { kind = Logical.A_outer; _ } -> "OuterApply"
   | Hash_agg _ -> "HashAgg"
   | Sort _ -> "Sort"
   | Top_k { n; _ } -> Printf.sprintf "TopK %d" n

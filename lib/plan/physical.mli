@@ -85,8 +85,11 @@ and op =
   | Set_op of { op : Sql.Ast.set_op; left : t; right : t }
 
 (** Partition join-predicate conjuncts into equi-key pairs
-    [(left_key, right_key_over_right_schema)] and a residual list
-    (also used by the lineage executor). *)
+    [(left_key, right_key_over_right_schema)] and a residual list. A
+    conjunct [a = b] is a key when [a] reads only left columns and [b]
+    only right ones (or the reverse), whatever the expressions are: the
+    provenance rewrite's never-NULL join-back keys
+    [(k IS NULL, coalesce(k, c))] are keys, so those joins hash. *)
 val split_equi :
   left_arity:int ->
   Scalar.t option ->
@@ -101,6 +104,9 @@ val audits : t -> (string * int) list
 
 (** Direct children of a node (an index-lookup probe chain counts). *)
 val children : t -> t list
+
+(** Output width of a node. *)
+val arity : t -> int
 
 (** Physical operator name, e.g. [HashJoin] — used by metrics labels,
     fault-point matching and the EXPLAIN tree. *)

@@ -128,13 +128,9 @@ let exact_ids db ~audit sql =
   Exec.Exec_ctx.reset_query_state ctx;
   Audit_core.Offline_exact.accessed ctx ~view plan
 
-(** Lineage accessed IDs for [audit] on [sql]. *)
+(** Lineage (provenance-rewrite) accessed IDs for [audit] on [sql]. *)
 let lineage_ids db ~audit sql =
-  let view = Db.Database.audit_view db audit in
-  let plan = Db.Database.plan_sql db ~audits:[] ~prune:false sql in
-  let ctx = Db.Database.context db in
-  Exec.Exec_ctx.reset_query_state ctx;
-  Audit_core.Lineage.accessed ctx ~view plan
+  Db.Database.lineage db ~audit (Db.Database.plan_sql db ~audits:[] sql)
 
 (** [contains hay needle]: [needle] occurs in [hay]. *)
 let contains hay needle =

@@ -92,6 +92,13 @@ let agree_cases =
     "SELECT count(*) FROM patients WHERE zip = 48109";
     "SELECT p.name FROM patients p LEFT JOIN disease d ON p.patientid = \
      d.patientid AND d.disease = 'flu'";
+    (* A NULL-keyed group: its members join back only if NULL keys match. *)
+    "SELECT d.disease, count(*) FROM patients p LEFT JOIN disease d ON \
+     p.patientid = d.patientid AND d.disease = 'flu' GROUP BY d.disease";
+    (* An empty scalar aggregate still yields its one row, so every
+       patient it is joined to is in the output. *)
+    "SELECT p.name, t.c FROM patients p, (SELECT count(*) AS c FROM \
+     patients q WHERE q.age > 100) t";
   ]
 
 let test_lineage_equals_exact () =

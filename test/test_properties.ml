@@ -6,7 +6,8 @@
     - monotonicity of placement: lineage ⊆ hcn ⊆ leaf;
     - Theorem 3.7: hcn = exact on select–join queries;
     - the optimizer (pushdown + pruning) preserves semantics;
-    - every configuration agrees with the oracle configuration;
+    - every configuration agrees with the oracle configuration, offline
+      lineage included (it runs in the drawn configuration);
     - the compiled engine agrees with the row engine under Strict plan
       verification and with certified probe elision off or on;
     - ternary-logic partitioning (Rigger & Su, OOPSLA 2020): a
@@ -22,7 +23,7 @@
 
     Queries avoid NOT EXISTS / NOT IN so that exact ⊆ lineage also holds
     (negated subqueries can make *blocked* witnesses influential — see
-    {!Audit_core.Lineage}). *)
+    {!Audit_core.Provenance}). *)
 
 open Storage
 module E = Engine_core.Engine_error
@@ -278,8 +279,8 @@ let prop_optimizer_equivalence =
       a = b)
 
 (* One statement through the full path on a fresh database built in
-   [config]: its rows in order, ACCESSED sets and NOTIFY output, or the
-   Verify error that refused its plan. *)
+   [config]: its rows in order, ACCESSED sets, NOTIFY output and offline
+   lineage, or the Verify error that refused its plan. *)
 let exec_outcome config d sql =
   let db = build_db config d in
   match Db.Database.exec db sql with
@@ -289,14 +290,17 @@ let exec_outcome config d sql =
       | Db.Database.Rows { rows; _ } -> rows
       | r -> [ [| Value.Str (Db.Database.result_to_string r) |] ]
     in
-    Ok (rows, Db.Database.last_accessed db, Db.Database.notifications db)
+    let accessed = Db.Database.last_accessed db in
+    let notes = Db.Database.notifications db in
+    Ok (rows, accessed, notes, Fixtures.lineage_ids db ~audit:"audit_pat" sql)
   | exception E.Error (E.Verify m) -> Error m
 
 (* The differential oracle over the configuration space: the row engine
    over heap tables with every probe kept, at the drawn verify mode. Any
    configuration must return its rows in the same order, the same
-   ACCESSED sets and the same NOTIFY output through the full statement
-   path — or refuse the plan with the same Verify error. Each side gets
+   ACCESSED sets, the same NOTIFY output through the full statement path
+   and the same offline lineage — or refuse the plan with the same Verify
+   error. Each side gets
    its own database, so the two runs are independent. *)
 let prop_config_oracle =
   QCheck.Test.make ~count:200 ~name:"every config agrees with the oracle"
