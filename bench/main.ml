@@ -184,7 +184,8 @@ let () =
     add "fga_precision" (Json_report.fga_precision_json (Figures.fga_precision env));
   if wanted only "elision" then
     add "elision" (Json_report.elision_json (Figures.elision env));
-  if wanted only "pipeline" then ignore (Pipeline.run env);
+  if wanted only "pipeline" then
+    add "pipeline" (Json_report.pipeline_json (Pipeline.run env));
   if wanted only "scaling" then
     ignore (Scaling.run ~seed:cfg.Setup.seed ~repeats:cfg.Setup.repeats ());
   if wanted only "micro" then add "micro" (Json_report.micro_json (micro_benchmarks env));

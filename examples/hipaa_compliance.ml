@@ -5,12 +5,14 @@
    the audit expression covers *all* patients, and a SELECT trigger logs
    every access online as queries execute (no database rollback needed).
 
-   The example then plays both halves of the paper's Figure 1 pipeline:
+   The example plays both halves of the paper's Figure 1 pipeline, as
+   packaged by [Db.Disclosure]:
    1. online: the SELECT trigger (hcn placement) filters the query stream,
       recording candidate accesses in the log;
    2. offline: when Alice requests her disclosure report, the flagged
-      queries are verified with the exact auditor (Definition 2.3) to
-      discard the online filter's false positives. *)
+      queries are verified with the exact auditor (Definition 2.3,
+      [Db.Database.exact_accessed]) to discard the online filter's false
+      positives. *)
 
 let () =
   let db = Db.Database.create () in
@@ -19,7 +21,6 @@ let () =
   (* A small hospital: 200 patients, diseases, one record each. *)
   e "CREATE TABLE patients (patientid INT PRIMARY KEY, name VARCHAR, age INT, zip INT)";
   e "CREATE TABLE disease (patientid INT, disease VARCHAR)";
-  e "CREATE TABLE log (ts INT, usr VARCHAR, sqltext VARCHAR, patientid INT)";
   let diseases = [| "flu"; "cancer"; "diabetes"; "asthma"; "migraine" |] in
   for i = 1 to 200 do
     let name = if i = 1 then "Alice" else Printf.sprintf "Patient%03d" i in
@@ -36,13 +37,13 @@ let () =
        (Db.Database.query_value db
           "SELECT disease FROM disease WHERE patientid = 1"));
 
-  (* Audit everything: HIPAA requires auditing for every patient. *)
+  (* Audit everything: HIPAA requires auditing for every patient. The
+     disclosure log and its SELECT trigger come from [Db.Disclosure]. *)
+  let audit_name = "audit_all_patients" in
   e
     "CREATE AUDIT EXPRESSION audit_all_patients AS SELECT * FROM patients \
      FOR SENSITIVE TABLE patients, PARTITION BY patientid";
-  e
-    "CREATE TRIGGER hipaa_log ON ACCESS TO audit_all_patients AS INSERT \
-     INTO log SELECT now(), user_id(), sql_text(), patientid FROM accessed";
+  Db.Disclosure.install db ~audit_name ();
 
   (* A day of queries from different users. *)
   let workload =
@@ -61,53 +62,29 @@ let () =
       ignore (Db.Database.exec db sql))
     workload;
 
-  (* Alice requests her disclosure report. *)
+  (* Alice requests her disclosure report: every access the online filter
+     logged, each re-checked offline with the exact deletion-semantics
+     auditor (Definition 2.3). *)
   print_endline "\n=== Disclosure report for Alice (patient 1) ===";
-  let flagged =
-    Db.Database.query db
-      "SELECT DISTINCT usr, sqltext FROM log WHERE patientid = 1"
-  in
+  let alice = Storage.Value.Int 1 in
+  let report = Db.Disclosure.report db ~audit_name ~id:alice in
   Printf.printf "online filter flagged %d distinct (user, query) pairs:\n"
-    (List.length flagged);
+    (List.length report);
   List.iter
-    (fun row ->
-      Printf.printf "  %-9s %s\n"
-        (Storage.Value.to_string row.(0))
-        (Storage.Value.to_string row.(1)))
-    flagged;
-
-  (* Offline verification: re-check each flagged query with the exact
-     deletion-semantics auditor (Definition 2.3). *)
+    (fun (r : Db.Disclosure.entry) -> Printf.printf "  %-9s %s\n" r.user r.sql)
+    report;
   print_endline "\noffline verification (exact, Definition 2.3):";
-  let view = Db.Database.audit_view db "audit_all_patients" in
-  let ctx = Db.Database.context db in
   let verified, false_positives =
-    List.partition
-      (fun row ->
-        let sql = Storage.Value.to_string row.(1) in
-        let plan = Db.Database.plan_sql db ~audits:[] ~prune:false sql in
-        Exec.Exec_ctx.reset_query_state ctx;
-        let exact =
-          Audit_core.Offline_exact.accessed ctx ~view
-            ~candidates:[ Storage.Value.Int 1 ] plan
-        in
-        exact <> [])
-      flagged
+    List.partition (fun (r : Db.Disclosure.entry) -> r.verified) report
   in
   List.iter
-    (fun row ->
-      Printf.printf "  CONFIRMED  %-9s %s\n"
-        (Storage.Value.to_string row.(0))
-        (Storage.Value.to_string row.(1)))
+    (fun (r : Db.Disclosure.entry) ->
+      Printf.printf "  CONFIRMED  %-9s %s\n" r.user r.sql)
     verified;
   List.iter
-    (fun row ->
-      Printf.printf "  DISCARDED  %-9s %s  (online false positive)\n"
-        (Storage.Value.to_string row.(0))
-        (Storage.Value.to_string row.(1)))
+    (fun (r : Db.Disclosure.entry) ->
+      Printf.printf "  DISCARDED  %-9s %s  (online false positive)\n" r.user
+        r.sql)
     false_positives;
-  Printf.printf
-    "\nAlice's record was revealed to: %s\n"
-    (String.concat ", "
-       (List.sort_uniq String.compare
-          (List.map (fun r -> Storage.Value.to_string r.(0)) verified)))
+  Printf.printf "\nAlice's record was revealed to: %s\n"
+    (String.concat ", " (Db.Disclosure.revealed_to db ~audit_name ~id:alice))

@@ -4,9 +4,10 @@
 
     The paper's offline auditor decides, per Definition 2.3, whether each
     sensitive tuple influences the query result. Re-executing the query
-    once per tuple ({!Offline_exact}) is exact but quadratic; computing
-    provenance is one pass, at the annotation cost the paper cites ("up to
-    5x") as the reason SELECT triggers use a no-op audit operator instead.
+    once per tuple ([Db.Database.exact_accessed]) is exact but quadratic;
+    computing provenance is one pass, at the annotation cost the paper
+    cites ("up to 5x") as the reason SELECT triggers use a no-op audit
+    operator instead.
     Here provenance is an ordinary plan that the engine runs: [rewrite p]
     produces every column of [p] followed by one ID column per sensitive
     scan, holding the partition key of the scanned row that contributed

@@ -1,8 +1,8 @@
 (** Why-provenance as a plan rewrite: the one-pass offline auditor, run by
     the same engine as every query. See the implementation header for the
     per-operator rules and for the agreement, over- and
-    under-approximation relationships with {!Offline_exact}, all of which
-    the test suite asserts. *)
+    under-approximation relationships with the exact auditor
+    ([Db.Database.exact_accessed]), all of which the test suite asserts. *)
 
 (** [rewrite ~audit p] strips [p]'s audit operators and returns a plan
     whose rows carry every column of [p] followed by one ID column per

@@ -548,6 +548,36 @@ let lineage db ~audit plan =
     |> List.filter (Audit_core.Sensitive_view.contains e.view)
     |> List.sort_uniq Value.compare_total
 
+(* The exact offline auditor, Definition 2.3: a candidate is accessed iff
+   virtually deleting its partition changes [plan]'s result, compared as
+   a multiset (ORDER BY ties and hash order may differ between runs). The
+   scans apply [hide] to whole base rows before any projection, so the
+   pruned plan a statement runs serves. The audit-stripped plan is
+   prepared once; the baseline is a fresh query (the verify policy
+   applies once), and each candidate re-runs the same prepared plan in
+   the session's engine. *)
+let exact_accessed db ~audit ?candidates plan =
+  let e = audit_entry db audit in
+  let p = prepare_plan db ~audits:[] (Plan.Logical.strip_audits plan) in
+  let canonical rows = List.sort Tuple.compare rows in
+  let baseline = canonical (run_plan db p) in
+  let table = e.expr.Audit_core.Audit_expr.sensitive_table in
+  let key_idx = e.view.Audit_core.Sensitive_view.key_idx in
+  let influences id =
+    Fun.protect
+      ~finally:(fun () -> db.ctx.hide <- None)
+      (fun () ->
+        db.ctx.hide <- Some (table, key_idx, id);
+        Exec.Exec_ctx.reset_query_state db.ctx;
+        let altered = run db p in
+        (* A changed row count needs no sort. *)
+        List.compare_lengths baseline altered <> 0
+        || not (List.equal Tuple.equal baseline (canonical altered)))
+  in
+  Option.value candidates ~default:(Audit_core.Sensitive_view.to_list e.view)
+  |> List.filter influences
+  |> List.sort Value.compare_total
+
 let verify_query db ?heuristic ?audits q =
   violations (prepare db ?heuristic ?audits q)
 

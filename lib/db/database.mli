@@ -323,6 +323,17 @@ val run_plan_count : t -> prepared -> int
     distinct non-NULL IDs it yields that the view contains, sorted. *)
 val lineage : t -> audit:string -> Plan.Logical.t -> Value.t list
 
+(** The exact offline auditor for [audit] on a planned read (Definition
+    2.3): the [candidates] (default: the view's IDs) whose partition,
+    virtually deleted, changes the result as a multiset; sorted. The
+    audit-stripped plan is prepared once and run by {!run_plan}, then
+    once per candidate, in the session's configuration. The ground truth
+    for tests and Figure 1's verifier, whose candidates are the online
+    auditIDs (sound: the heuristics have no false negatives). *)
+val exact_accessed :
+  t -> audit:string -> ?candidates:Value.t list -> Plan.Logical.t ->
+  Value.t list
+
 (** [violations] of a freshly prepared query, without executing
     anything. *)
 val verify_query :

@@ -19,9 +19,10 @@ type entry = {
   user : string;
   sql : string;
   verified : bool;
-      (** confirmed by the exact offline auditor (Definition 2.3) against
-          the *current* database state; [false] = discarded as an online
-          false positive *)
+      (** confirmed by {!Database.exact_accessed} (Definition 2.3)
+          against the *current* database state; [false] = discarded as an
+          online false positive, or a real access that a later write
+          undid *)
 }
 
 let log_table_of audit_name =
@@ -36,20 +37,28 @@ let install db ~audit_name () =
   let log_table = log_table_of audit_name in
   let catalog = Database.catalog db in
   if not (Catalog.mem catalog log_table) then begin
+    let view = Database.audit_view db audit_name in
+    let expr = view.Audit_core.Sensitive_view.expr in
+    (* [accessed_id] holds partition keys, so it takes the key's type. *)
+    let key =
+      Schema.col
+        (Table.schema (Catalog.find catalog expr.sensitive_table))
+        view.key_idx
+    in
     ignore
       (Database.exec db
          (Printf.sprintf
             "CREATE TABLE %s (at INT, usr VARCHAR, sqltext VARCHAR, \
-             accessed_id INT)"
-            log_table));
+             accessed_id %s)"
+            log_table
+            (Datatype.to_string key.Schema.ty)));
     ignore
       (Database.exec db
          (Printf.sprintf
             "CREATE TRIGGER %s ON ACCESS TO %s AS INSERT INTO %s SELECT \
              now(), user_id(), sql_text(), %s FROM accessed"
             (trigger_of audit_name) audit_name log_table
-            (Database.audit_expr db audit_name).Audit_core.Audit_expr
-              .partition_by))
+            expr.partition_by))
   end
 
 (** Remove the trigger and log table. *)
@@ -75,22 +84,19 @@ let flagged db ~audit_name ~(id : Value.t) : (int * string * string) list =
     rows
 
 (** The disclosure report for one individual: every flagged access,
-    verified with the exact offline auditor. Verification replays each
-    query against the current database state (the paper's offline systems
-    would roll back to the as-of state; a single-version engine verifies
-    against the present — the standard caveat of §VI's instance-dependent
-    semantics applies). *)
+    verified by {!Database.exact_accessed} with [id] as the only
+    candidate, in the session's configuration. Verification replays each
+    query against the current database state, not the state at the
+    access (the paper's offline systems would roll back to it), so a
+    later write can turn a real disclosure into [verified = false]. *)
 let report db ~audit_name ~(id : Value.t) : entry list =
-  let view = Database.audit_view db audit_name in
-  let ctx = Database.context db in
   List.map
     (fun (at, user, sql) ->
       let verified =
         match Sql.Parser.statement sql with
         | Sql.Ast.S_select q ->
-          let plan = Database.plan_query db ~audits:[] ~prune:false q in
-          Exec.Exec_ctx.reset_query_state ctx;
-          Audit_core.Offline_exact.accessed ctx ~view ~candidates:[ id ] plan
+          Database.exact_accessed db ~audit:audit_name ~candidates:[ id ]
+            (Database.plan_query db ~audits:[] q)
           <> []
         | _ | (exception _) ->
           (* Not replayable (e.g. the statement text was a script):

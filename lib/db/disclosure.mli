@@ -1,7 +1,7 @@
 (** Disclosure accounting — the paper's Figure-1 pipeline as a library:
     a SELECT trigger fills a per-audit log online; per-individual reports
-    are verified offline with the exact auditor to discard the online
-    filter's false positives (HIPAA accounting, Example 1.1). *)
+    are verified offline by {!Database.exact_accessed} to discard the
+    online filter's false positives (HIPAA accounting, Example 1.1). *)
 
 open Storage
 
@@ -10,12 +10,14 @@ type entry = {
   user : string;
   sql : string;
   verified : bool;
-      (** confirmed by the exact offline auditor against the current
-          database state; [false] = discarded online false positive *)
+      (** confirmed by {!Database.exact_accessed} against the *current*
+          database state; [false] = discarded online false positive, or a
+          real access that a later write undid *)
 }
 
-(** Create the audit-log table and logging SELECT trigger for an audit
-    expression. Idempotent. *)
+(** Create the audit-log table (its [accessed_id] column typed as the
+    partition key) and logging SELECT trigger for an audit expression.
+    Idempotent. *)
 val install : Database.t -> audit_name:string -> unit -> unit
 
 (** Drop the trigger and log table. *)
@@ -25,7 +27,9 @@ val uninstall : Database.t -> audit_name:string -> unit
 val flagged :
   Database.t -> audit_name:string -> id:Value.t -> (int * string * string) list
 
-(** The verified disclosure report for one individual. *)
+(** The verified disclosure report for one individual: each flagged
+    SELECT re-run by {!Database.exact_accessed} with the individual as
+    the only candidate, in the session's configuration. *)
 val report : Database.t -> audit_name:string -> id:Value.t -> entry list
 
 (** Users to whom the individual's data was verifiably revealed. *)

@@ -34,7 +34,7 @@ type t = {
   mutable hide : (string * int * Value.t) option;
       (** virtually delete the rows of [table] whose column equals the
           value — evaluates Q(D - t) for Definition 2.3 without mutating
-          the database *)
+          the database; set only by [Db.Database.exact_accessed] *)
   audit_sets : (string, audit_slot) Hashtbl.t;
       (** per audit expression: the shared probe table and this context's
           ACCESSED log *)

@@ -222,6 +222,20 @@ let ablation_static_json (rows : Figures.static_row list) : Json.t =
            ])
        rows)
 
+(** The Fig. 1 pipeline (§V-D): offline-only vs trigger-filtered exact
+    verification of one mixed workload. *)
+let pipeline_json (r : Pipeline.row) : Json.t =
+  Json.Obj
+    [
+      ("workload_size", Json.Int r.Pipeline.workload_size);
+      ("flagged", Json.Int r.flagged);
+      ("candidate_ids_full", Json.Int r.candidate_ids_full);
+      ("candidate_ids_filtered", Json.Int r.candidate_ids_filtered);
+      ("online_overhead_pct", Json.Float r.online_overhead_pct);
+      ("offline_full_time_s", Json.Float r.offline_full_time);
+      ("offline_filtered_time_s", Json.Float r.offline_filtered_time);
+    ]
+
 (* --------------------------------------------------------------- *)
 (* Expression compilation: before/after                             *)
 (* --------------------------------------------------------------- *)

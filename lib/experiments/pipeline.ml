@@ -111,13 +111,10 @@ let run (env : Setup.env) : row =
      above [sample_cap] are measured on a deterministic prefix and
      extrapolated linearly — the per-candidate cost of a given query is
      constant, so the estimate is tight (and labeled when used). *)
-  let unpruned =
-    List.map (fun sql -> (Setup.plan env ~prune:false sql).Db.Database.plan) sqls
-  in
   let all_ids = Audit_core.Sensitive_view.to_list view in
   let sample_cap = 150 in
   let extrapolated = ref false in
-  let verify_time plan candidates =
+  let verify_time p candidates =
     let n = List.length candidates in
     if n = 0 then 0.0
     else begin
@@ -125,22 +122,20 @@ let run (env : Setup.env) : row =
       if n > sample_cap then extrapolated := true;
       let t =
         Timing.time_once (fun () ->
-            Exec.Exec_ctx.reset_query_state ctx;
             ignore
-              (Audit_core.Offline_exact.accessed ctx ~view
-                 ~candidates:sample plan))
+              (Db.Database.exact_accessed db ~audit:env.Setup.audit_name
+                 ~candidates:sample p.Db.Database.plan))
       in
       t *. float_of_int n /. float_of_int (List.length sample)
     end
   in
   let full_t =
-    List.fold_left (fun acc plan -> acc +. verify_time plan all_ids) 0.0
-      unpruned
+    List.fold_left (fun acc p -> acc +. verify_time p all_ids) 0.0 base_plans
   in
   let filtered_t =
     List.fold_left2
-      (fun acc plan ids -> acc +. verify_time plan ids)
-      0.0 unpruned flagged_with_ids
+      (fun acc p ids -> acc +. verify_time p ids)
+      0.0 base_plans flagged_with_ids
   in
   if !extrapolated then
     Report.print_note

@@ -45,12 +45,11 @@ let describe env =
 (* --------------------------------------------------------------- *)
 
 (** Prepare a SQL text with a given heuristic (or uninstrumented). *)
-let plan env ?heuristic ?(prune = true) sql =
+let plan env ?heuristic sql =
   match heuristic with
-  | None -> Db.Database.prepare_sql env.db ~audits:[] ~prune sql
+  | None -> Db.Database.prepare_sql env.db ~audits:[] sql
   | Some h ->
-    Db.Database.prepare_sql env.db ~audits:[ env.audit_name ] ~heuristic:h
-      ~prune sql
+    Db.Database.prepare_sql env.db ~audits:[ env.audit_name ] ~heuristic:h sql
 
 (** Run a prepared plan, returning the number of distinct audited IDs. *)
 let audit_cardinality env p =

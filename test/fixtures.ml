@@ -122,11 +122,7 @@ let audit_ids db ~audit ~heuristic sql =
 
 (** Offline-exact accessed IDs for [audit] on [sql]. *)
 let exact_ids db ~audit sql =
-  let view = Db.Database.audit_view db audit in
-  let plan = Db.Database.plan_sql db ~audits:[] ~prune:false sql in
-  let ctx = Db.Database.context db in
-  Exec.Exec_ctx.reset_query_state ctx;
-  Audit_core.Offline_exact.accessed ctx ~view plan
+  Db.Database.exact_accessed db ~audit (Db.Database.plan_sql db ~audits:[] sql)
 
 (** Lineage (provenance-rewrite) accessed IDs for [audit] on [sql]. *)
 let lineage_ids db ~audit sql =

@@ -60,6 +60,31 @@ let test_untouched_individual_empty () =
     (List.length
        (Db.Disclosure.report db ~audit_name:"audit_all" ~id:(Value.Int 5)))
 
+(* The log's [accessed_id] column takes the partition key's type: a
+   VARCHAR key fits it, so the read is logged and then verified. *)
+let test_non_integer_partition_key () =
+  let db = Fixtures.create () in
+  List.iter
+    (fun sql -> ignore (Db.Database.exec db sql))
+    [
+      "CREATE TABLE staff (ssn VARCHAR PRIMARY KEY, name VARCHAR, salary INT)";
+      "INSERT INTO staff VALUES ('123-45', 'Ann', 100), ('678-90', 'Bob', 90)";
+      "CREATE AUDIT EXPRESSION audit_staff AS SELECT * FROM staff WHERE \
+       salary > 95 FOR SENSITIVE TABLE staff, PARTITION BY ssn";
+    ];
+  Db.Disclosure.install db ~audit_name:"audit_staff" ();
+  Db.Database.set_user db "hr";
+  check Alcotest.int "the read returns its row" 1
+    (List.length
+       (Db.Database.query db "SELECT name FROM staff WHERE ssn = '123-45'"));
+  match
+    Db.Disclosure.report db ~audit_name:"audit_staff" ~id:(Value.Str "123-45")
+  with
+  | [ e ] ->
+    check Alcotest.string "logged for hr" "hr" e.Db.Disclosure.user;
+    check Alcotest.bool "read verified" true e.Db.Disclosure.verified
+  | r -> Alcotest.failf "expected 1 entry, got %d" (List.length r)
+
 let test_uninstall () =
   let db = setup () in
   Db.Disclosure.uninstall db ~audit_name:"audit_all";
@@ -78,5 +103,7 @@ let suite =
       test_subquery_access_reported;
     Alcotest.test_case "untouched individual" `Quick
       test_untouched_individual_empty;
+    Alcotest.test_case "non-integer partition key" `Quick
+      test_non_integer_partition_key;
     Alcotest.test_case "uninstall" `Quick test_uninstall;
   ]

@@ -60,16 +60,10 @@ let test_exact_duplicate_elimination_caveat () =
 
 let test_exact_candidates_restriction () =
   let db = with_all (Fixtures.healthcare ()) in
-  let view = Db.Database.audit_view db "audit_all" in
-  let plan =
-    Db.Database.plan_sql db ~audits:[] ~prune:false
-      "SELECT * FROM patients WHERE age < 40"
-  in
-  let ctx = Db.Database.context db in
-  Exec.Exec_ctx.reset_query_state ctx;
   let restricted =
-    Audit_core.Offline_exact.accessed ctx ~view
-      ~candidates:[ vi 1; vi 3 ] plan
+    Db.Database.exact_accessed db ~audit:"audit_all"
+      ~candidates:[ vi 1; vi 3 ]
+      (Db.Database.plan_sql db ~audits:[] "SELECT * FROM patients WHERE age < 40")
   in
   check Fixtures.values "only candidates are tested" [ vi 1 ] restricted
 

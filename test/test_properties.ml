@@ -7,7 +7,8 @@
     - Theorem 3.7: hcn = exact on select–join queries;
     - the optimizer (pushdown + pruning) preserves semantics;
     - every configuration agrees with the oracle configuration, offline
-      lineage included (it runs in the drawn configuration);
+      lineage and the exact auditor included (both run in the drawn
+      configuration);
     - the compiled engine agrees with the row engine under Strict plan
       verification and with certified probe elision off or on;
     - ternary-logic partitioning (Rigger & Su, OOPSLA 2020): a
@@ -292,16 +293,21 @@ let exec_outcome config d sql =
     in
     let accessed = Db.Database.last_accessed db in
     let notes = Db.Database.notifications db in
-    Ok (rows, accessed, notes, Fixtures.lineage_ids db ~audit:"audit_pat" sql)
+    Ok
+      ( rows,
+        accessed,
+        notes,
+        Fixtures.lineage_ids db ~audit:"audit_pat" sql,
+        Fixtures.exact_ids db ~audit:"audit_pat" sql )
   | exception E.Error (E.Verify m) -> Error m
 
 (* The differential oracle over the configuration space: the row engine
    over heap tables with every probe kept, at the drawn verify mode. Any
    configuration must return its rows in the same order, the same
    ACCESSED sets, the same NOTIFY output through the full statement path
-   and the same offline lineage — or refuse the plan with the same Verify
-   error. Each side gets
-   its own database, so the two runs are independent. *)
+   and the same offline lineage and exact accessed sets — or refuse the
+   plan with the same Verify error. Each side gets its own database, so
+   the two runs are independent. *)
 let prop_config_oracle =
   QCheck.Test.make ~count:200 ~name:"every config agrees with the oracle"
     arb_case (fun (d, (sql, _), c) ->
