@@ -26,6 +26,8 @@ type t = {
       (** single-table predicate over the sensitive table's schema *)
   mutable dirty : bool;
   mutable maintenance_ops : int;  (** statistics: incremental updates done *)
+  mutable hooks : (Table.t * (Table.change -> unit)) list;
+      (** the change hooks {!detach} removes *)
 }
 
 let name t = t.expr.Audit_expr.name
@@ -73,6 +75,7 @@ let create catalog (expr : Audit_expr.t) : t =
       row_pred;
       dirty = true;
       maintenance_ops = 0;
+      hooks = [];
     }
   in
   (* Hook the sensitive table for incremental (or dirtying) maintenance. *)
@@ -106,17 +109,23 @@ let create catalog (expr : Audit_expr.t) : t =
             Value.Hashtbl_v.add t.ids id (ref 0)
         end
   in
-  Table.on_change table on_sensitive_change;
+  let hook tb f =
+    Table.on_change tb f;
+    t.hooks <- (tb, f) :: t.hooks
+  in
+  hook table on_sensitive_change;
   (* Other referenced tables only dirty the view. *)
   List.iter
     (fun tname ->
       if not (Schema.equal_names tname expr.Audit_expr.sensitive_table) then
         match Catalog.find_opt catalog tname with
-        | Some tb -> Table.on_change tb (fun _ -> t.dirty <- true)
+        | Some tb -> hook tb (fun _ -> t.dirty <- true)
         | None -> ())
     (Audit_expr.referenced_tables expr);
   recompute t;
   t
+
+let detach t = List.iter (fun (tb, f) -> Table.off_change tb f) t.hooks
 
 let refresh t = if t.dirty then recompute t
 

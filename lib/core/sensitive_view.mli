@@ -18,12 +18,18 @@ type t = {
       (** single-table predicate enabling exact incremental maintenance *)
   mutable dirty : bool;
   mutable maintenance_ops : int;  (** statistics *)
+  mutable hooks : (Table.t * (Table.change -> unit)) list;
+      (** the change hooks {!detach} removes *)
 }
 
 (** Build the view, load its IDs, and register maintenance hooks:
     incremental on the sensitive table (single-table expressions),
     dirty-and-recompute when a joined table changes. *)
 val create : Catalog.t -> Audit_expr.t -> t
+
+(** Remove the view's change hooks (DROP AUDIT EXPRESSION): the tables'
+    later changes no longer maintain it. *)
+val detach : t -> unit
 
 val name : t -> string
 

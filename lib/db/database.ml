@@ -400,12 +400,12 @@ let physical_sql db ?heuristic ?audits ?prune sql =
 (* The read pipeline                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every statement that reads rows — SELECT, INSERT ... SELECT, an IF
-   condition, each EXPLAIN form — and every harness run goes through the
-   same stages: [prepare] (bind, optimize, place, prune, lower, elide,
-   install the probed sets), then [enforce] or [violations] (the
-   verifier), then [run] (the engine dispatch), then the statement fires
-   its triggers. *)
+(* Every statement that reads rows — SELECT, INSERT ... SELECT, the
+   rows an UPDATE or DELETE modifies, an IF condition, each EXPLAIN
+   form — and every harness run goes through the same stages:
+   [prepare] (bind, optimize, place, prune, lower, elide, install the
+   probed sets), then [enforce] or [violations] (the verifier), then
+   [run] (the engine dispatch), then the statement fires its triggers. *)
 
 type prepared = {
   plan : Plan.Logical.t;
@@ -555,13 +555,19 @@ let lineage db ~audit plan =
    pruned plan a statement runs serves. The audit-stripped plan is
    prepared once; the baseline is a fresh query (the verify policy
    applies once), and each candidate re-runs the same prepared plan in
-   the session's engine. *)
+   the session's engine — unless no scan of the plan reads the sensitive
+   table, when hiding a partition cannot change the result. *)
 let exact_accessed db ~audit ?candidates plan =
   let e = audit_entry db audit in
   let p = prepare_plan db ~audits:[] (Plan.Logical.strip_audits plan) in
   let canonical rows = List.sort Tuple.compare rows in
   let baseline = canonical (run_plan db p) in
   let table = e.expr.Audit_core.Audit_expr.sensitive_table in
+  let rec scans (n : Plan.Physical.t) =
+    match n.op with
+    | Plan.Physical.Seq_scan { table = t; _ } -> Schema.equal_names t table
+    | _ -> List.exists scans (Plan.Physical.children n)
+  in
   let key_idx = e.view.Audit_core.Sensitive_view.key_idx in
   let influences id =
     Fun.protect
@@ -574,9 +580,11 @@ let exact_accessed db ~audit ?candidates plan =
         List.compare_lengths baseline altered <> 0
         || not (List.equal Tuple.equal baseline (canonical altered)))
   in
-  Option.value candidates ~default:(Audit_core.Sensitive_view.to_list e.view)
-  |> List.filter influences
-  |> List.sort Value.compare_total
+  if not (scans p.phys) then []
+  else
+    Option.value candidates ~default:(Audit_core.Sensitive_view.to_list e.view)
+    |> List.filter influences
+    |> List.sort Value.compare_total
 
 let verify_query db ?heuristic ?audits q =
   violations (prepare db ?heuristic ?audits q)
@@ -684,8 +692,8 @@ let find_table db table =
 
 (* A read inside a statement: prepared, then held to the session's
    verification policy. *)
-let prepare_read db q =
-  let p = prepare db q in
+let prepare_read db ?heuristic ?audits q =
+  let p = prepare db ?heuristic ?audits q in
   enforce db p;
   p
 
@@ -739,8 +747,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
          audit_name
          (Audit_core.Sensitive_view.cardinality view))
   | Sql.Ast.S_drop_audit name ->
-    if not (Hashtbl.mem db.audits (norm name)) then
-      err "unknown audit expression %s" name;
+    Audit_core.Sensitive_view.detach (audit_view db name);
     Hashtbl.remove db.audits (norm name);
     Done (Printf.sprintf "audit expression %s dropped" name)
   | Sql.Ast.S_create_trigger { trigger_name; event; timing; body } ->
@@ -997,48 +1004,6 @@ and run_dml_triggers db ~table ~event ~new_rows ~old_rows ~row_schema =
                   ts)))
   end
 
-(* §II-B: UPDATE and DELETE read the rows they modify, so the affected
-   sensitive rows count as accessed (traditional trigger semantics,
-   consistent with Definition 2.5). Sensitivity is decided against the
-   *pre-statement* view (a DELETE removes the ID from the view before any
-   post-hoc check could see it). *)
-and capture_dml_accesses db ~table ~(rows : Tuple.t list) :
-    (string * Value.t list) list =
-  if rows = [] then []
-  else
-    Hashtbl.fold
-      (fun _ entry acc ->
-        let expr = entry.expr in
-        if Schema.equal_names expr.Audit_core.Audit_expr.sensitive_table table
-        then begin
-          let key_idx = entry.view.Audit_core.Sensitive_view.key_idx in
-          let ids =
-            List.filter_map
-              (fun row ->
-                let id = Tuple.get row key_idx in
-                if Audit_core.Sensitive_view.contains entry.view id then
-                  Some id
-                else None)
-              rows
-          in
-          if ids = [] then acc
-          else (expr.Audit_core.Audit_expr.name, ids) :: acc
-        end
-        else acc)
-      db.audits []
-
-and apply_dml_accesses db (captured : (string * Value.t list) list) =
-  if captured <> [] then begin
-    List.iter
-      (fun (name, ids) ->
-        List.iter
-          (fun id ->
-            Exec.Exec_ctx.add_extra_accessed db.ctx ~audit_name:name id)
-          ids)
-      captured;
-    ignore (fire_select_triggers db ~timing:Sql.Ast.After captured)
-  end
-
 (* --------------------------------------------------------------- *)
 (* DML                                                              *)
 (* --------------------------------------------------------------- *)
@@ -1102,24 +1067,49 @@ and exec_insert db table columns source : result =
     ~old_rows:[] ~row_schema:schema;
   Affected (List.length rows)
 
-(* The prelude UPDATE and DELETE share: the target table, its bound
-   WHERE predicate, and the accesses of the rows it selects, captured
-   against the pre-statement view (§II-B). *)
-and dml_target db table where =
-  let t = find_table db table in
-  let schema = Table.schema t in
-  let pred =
-    match where with
-    | None -> fun _ -> true
-    | Some w ->
-      let s = Plan.Binder.scalar db.catalog schema w in
-      fun row -> Exec.Eval.truthy db.ctx row s
+(* §II-B: UPDATE and DELETE read the rows they modify. That read is an
+   ordinary one, [SELECT * FROM table [WHERE ...]] through the read
+   pipeline: hcn placement (exact on a select-only read, Theorem 3.7) of
+   every audit expression over [table] as well as the watched ones, so
+   the accesses are taken against the pre-statement view and fire AFTER
+   triggers as any read's do, before a row changes. The mutation then
+   touches exactly the rows the read returned, matched on the primary key
+   or, on a keyless table, on the whole row (rows equal on every column
+   satisfy the same WHERE). *)
+and dml_target db t where =
+  let table = Table.name t in
+  let watched = selected_audits db () in
+  let audits =
+    List.filter
+      (fun name ->
+        let e = audit_entry db name in
+        List.memq e watched
+        || Schema.equal_names e.expr.Audit_core.Audit_expr.sensitive_table table)
+      (audit_names db)
   in
-  let preview = Table.fold t (fun acc row -> if pred row then row :: acc else acc) [] in
-  (t, schema, pred, capture_dml_accesses db ~table ~rows:preview)
+  let p =
+    prepare_read db ~heuristic:Audit_core.Placement.Hcn ~audits
+      {
+        Sql.Ast.empty_query with
+        Sql.Ast.select = [ Sql.Ast.Si_star ];
+        from = [ Sql.Ast.Tr_table (table, None) ];
+        where;
+      }
+  in
+  let rows = audited db (fun () -> run db p) in
+  match Table.key t with
+  | Some k ->
+    let keys = Value.Hashtbl_v.create 16 in
+    List.iter (fun r -> Value.Hashtbl_v.replace keys (Tuple.get r k) ()) rows;
+    fun row -> Value.Hashtbl_v.mem keys (Tuple.get row k)
+  | None ->
+    let set = Tuple.Hashtbl_t.create 16 in
+    List.iter (fun r -> Tuple.Hashtbl_t.replace set r ()) rows;
+    Tuple.Hashtbl_t.mem set
 
 and exec_update db table sets where : result =
-  let t, schema, pred, captured = dml_target db table where in
+  let t = find_table db table in
+  let schema = Table.schema t in
   let set_bound =
     List.map
       (fun (c, e) ->
@@ -1128,9 +1118,10 @@ and exec_update db table sets where : result =
         | None -> err "unknown column %s in UPDATE %s" c table)
       sets
   in
+  let selected = dml_target db t where in
   let changes = ref [] in
   let n =
-    Table.update_where t pred (fun row ->
+    Table.update_where t selected (fun row ->
         let row' = Array.copy row in
         List.iter
           (fun (i, s) -> row'.(i) <- Exec.Eval.eval db.ctx row s)
@@ -1142,23 +1133,22 @@ and exec_update db table sets where : result =
     ~new_rows:(List.rev_map snd !changes)
     ~old_rows:(List.rev_map fst !changes)
     ~row_schema:schema;
-  apply_dml_accesses db captured;
   Affected n
 
 and exec_delete db table where : result =
-  let t, schema, pred, captured = dml_target db table where in
+  let t = find_table db table in
+  let selected = dml_target db t where in
   let deleted = ref [] in
   let n =
     Table.delete_where t (fun row ->
-        if pred row then begin
+        if selected row then begin
           deleted := row :: !deleted;
           true
         end
         else false)
   in
   run_dml_triggers db ~table ~event:Sql.Ast.Ev_delete ~new_rows:[]
-    ~old_rows:(List.rev !deleted) ~row_schema:schema;
-  apply_dml_accesses db captured;
+    ~old_rows:(List.rev !deleted) ~row_schema:(Table.schema t);
   Affected n
 
 (* ------------------------------------------------------------------ *)

@@ -4,9 +4,10 @@
     logical optimize → audit-operator placement (for every audit expression
     watched by a SELECT trigger) → column pruning → lower → elide → verify
     → execute → fire triggers. Every statement that reads rows (SELECT,
-    INSERT ... SELECT, an IF condition, each EXPLAIN form) takes the same
-    {!prepare} / {!violations} / engine stages, and a statement has one
-    ACCESSED set. See the implementation header for the trigger semantics
+    INSERT ... SELECT, the rows an UPDATE or DELETE modifies, an IF
+    condition, each EXPLAIN form) takes the same {!prepare} /
+    {!violations} / engine stages, and a statement has one ACCESSED set.
+    See the implementation header for the trigger semantics
     (§II): AFTER and BEFORE RETURN timings, cascades with a depth limit,
     the [ACCESSED]/[new]/[old] pseudo-relations, and the logical clock
     behind [now()]. *)
@@ -327,9 +328,10 @@ val lineage : t -> audit:string -> Plan.Logical.t -> Value.t list
     2.3): the [candidates] (default: the view's IDs) whose partition,
     virtually deleted, changes the result as a multiset; sorted. The
     audit-stripped plan is prepared once and run by {!run_plan}, then
-    once per candidate, in the session's configuration. The ground truth
-    for tests and Figure 1's verifier, whose candidates are the online
-    auditIDs (sound: the heuristics have no false negatives). *)
+    once per candidate, in the session's configuration (a plan that never
+    scans the audit's sensitive table runs once and yields none). The
+    ground truth for tests and Figure 1's verifier, whose candidates are
+    the online auditIDs (sound: the heuristics have no false negatives). *)
 val exact_accessed :
   t -> audit:string -> ?candidates:Value.t list -> Plan.Logical.t ->
   Value.t list

@@ -125,18 +125,13 @@ let hide_for ctx table =
   | Some (ht, col, v) when norm ht = norm table -> Some (col, v)
   | _ -> None
 
-let slot ctx key =
-  match Hashtbl.find_opt ctx.audit_sets key with
-  | Some s -> s
-  | None ->
-    let s = { marks = Value.Hashtbl_v.create 1; log = [] } in
-    Hashtbl.replace ctx.audit_sets key s;
-    s
-
 (** Install the sensitive-ID mark table an audit operator probes. A
     re-install mid-statement (trigger bodies re-install before running)
     keeps the log. *)
-let set_audit_ids ctx ~audit_name marks = (slot ctx (norm audit_name)).marks <- marks
+let set_audit_ids ctx ~audit_name marks =
+  match Hashtbl.find_opt ctx.audit_sets (norm audit_name) with
+  | Some s -> s.marks <- marks
+  | None -> Hashtbl.replace ctx.audit_sets (norm audit_name) { marks; log = [] }
 
 let audit_slot ctx ~audit_name = Hashtbl.find_opt ctx.audit_sets (norm audit_name)
 
@@ -186,12 +181,6 @@ let begin_read ctx =
       ctx.audit_sets []
   in
   fun () -> List.iter (fun (s, l) -> if l <> [] then s.log <- s.log @ l) saved
-
-(** Record an access for an ID that may no longer be in the sensitive view
-    (DML read-accesses, §II-B). *)
-let add_extra_accessed ctx ~audit_name v =
-  let s = slot ctx (norm audit_name) in
-  s.log <- v :: s.log
 
 (** Sorted, duplicate-free ACCESSED IDs of an audit expression for the
     current query: the log, never the whole probe table. *)

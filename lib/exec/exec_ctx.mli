@@ -88,7 +88,8 @@ val audit_slot : t -> audit_name:string -> audit_slot option
 (** The audit operator's per-row body, the one copy the row and
     compiled engines both call: count the probe (and in [stats]), look the
     ID up, and on a hit mark it, logging it the first time this statement
-    marks it. Never filters. *)
+    marks it. Never filters, and is the one writer of a statement's
+    ACCESSED log (the rows an UPDATE or DELETE modifies are read too). *)
 val probe : t -> audit_slot -> Metrics.op_stats option -> Value.t -> unit
 
 (** Start a read inside the current statement: from now on the logs
@@ -96,10 +97,6 @@ val probe : t -> audit_slot -> Metrics.op_stats option -> Value.t -> unit
     the statement already marked). The returned closure puts the
     statement's earlier accesses back under them. *)
 val begin_read : t -> unit -> unit
-
-(** Record an access for an ID that may no longer be in the sensitive view
-    (DML read-accesses, §II-B). *)
-val add_extra_accessed : t -> audit_name:string -> Value.t -> unit
 
 (** Start a fresh query: draws a new generation (every mark turns stale
     in O(1)), empties the logs and resets the correlation stack and

@@ -196,6 +196,7 @@ let lookup ?hide t ~col v : Tuple.t list option =
 
 let cardinality t = t.live
 let on_change t f = t.hooks <- f :: t.hooks
+let off_change t f = t.hooks <- List.filter (fun g -> g != f) t.hooks
 let notify t c = List.iter (fun f -> f c) t.hooks
 
 let check_row t (row : Tuple.t) =

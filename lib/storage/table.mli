@@ -52,6 +52,9 @@ val cardinality : t -> int
 (** Subscribe to every subsequent change. *)
 val on_change : t -> (change -> unit) -> unit
 
+(** Unsubscribe a hook given to {!on_change} (the same closure). *)
+val off_change : t -> (change -> unit) -> unit
+
 (** Coerce each cell to its declared column type (int→float,
     string→date). *)
 val coerce_row : t -> Tuple.t -> Tuple.t

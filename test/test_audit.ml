@@ -125,6 +125,29 @@ let test_join_view_refresh_on_other_table () =
   check Fixtures.values "all cancer rows gone" []
     (Audit_core.Sensitive_view.to_list v)
 
+(* DROP AUDIT EXPRESSION unhooks the view: later changes to the sensitive
+   table or a joined one no longer maintain it. *)
+let test_dropped_view_detached () =
+  let db = Fixtures.healthcare () in
+  ignore
+    (Db.Database.exec db
+       "CREATE AUDIT EXPRESSION au AS SELECT p.* FROM patients p, disease d \
+        WHERE p.patientid = d.patientid AND disease = 'cancer' FOR \
+        SENSITIVE TABLE patients, PARTITION BY patientid");
+  let v = view db "au" in
+  ignore (Audit_core.Sensitive_view.ids v);
+  ignore (Db.Database.exec db "DROP AUDIT EXPRESSION au");
+  let ops = v.Audit_core.Sensitive_view.maintenance_ops in
+  for _ = 1 to 10 do
+    ignore
+      (Db.Database.exec db "UPDATE patients SET age = age + 1 WHERE patientid = 1")
+  done;
+  ignore (Db.Database.exec db "INSERT INTO disease VALUES (5,'cancer')");
+  check Alcotest.int "no maintenance after the drop" ops
+    v.Audit_core.Sensitive_view.maintenance_ops;
+  check Alcotest.bool "a joined table no longer dirties it" false
+    v.Audit_core.Sensitive_view.dirty
+
 (* Maintenance agrees with recomputation under a random DML workload. *)
 let prop_maintenance_matches_recompute =
   QCheck.Test.make ~count:30 ~name:"view maintenance = recompute (random DML)"
@@ -220,6 +243,8 @@ let suite =
       test_incremental_key_update;
     Alcotest.test_case "join view refreshes on other tables" `Quick
       test_join_view_refresh_on_other_table;
+    Alcotest.test_case "dropped audit expression is no longer maintained"
+      `Quick test_dropped_view_detached;
     QCheck_alcotest.to_alcotest prop_maintenance_matches_recompute;
     Alcotest.test_case "sessions keep ACCESSED apart" `Quick
       test_sessions_keep_accessed_apart;

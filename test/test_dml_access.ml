@@ -73,6 +73,67 @@ let test_accessed_state_reset_between_statements () =
   ignore (Db.Database.exec db "UPDATE patients SET age = 0 WHERE name = 'Bob'");
   check Alcotest.int "still one entry" 1 (List.length (log db))
 
+(* A DML inside a trigger action reads like any read there: its access
+   joins the statement's ACCESSED set, but nothing fires (the depth
+   rule). *)
+let test_dml_in_trigger_action_fires_nothing () =
+  let db = setup () in
+  ignore (Db.Database.exec db "CREATE TABLE visits (patientid INT)");
+  ignore
+    (Db.Database.exec db
+       "CREATE TRIGGER bump ON visits AFTER INSERT AS UPDATE patients SET \
+        age = age + 1 WHERE patientid = 1");
+  ignore (Db.Database.exec db "INSERT INTO visits VALUES (1)");
+  check Fixtures.values "the action's read is in ACCESSED" [ vi 1 ]
+    (Exec.Exec_ctx.accessed_list (Db.Database.context db)
+       ~audit_name:"audit_alice");
+  check Fixtures.tuples "no SELECT trigger fired" [] (log db);
+  check Fixtures.tuples "the action's UPDATE ran" [ [| vi 35 |] ]
+    (Db.Database.query db "SELECT age FROM patients WHERE patientid = 1")
+
+(* The read of a DELETE completes, and fires, before the rows go: an ON
+   ACCESS action can still join the accessed IDs to the rows. *)
+let test_delete_trigger_sees_deleted_row () =
+  let db = setup () in
+  ignore (Db.Database.exec db "CREATE TABLE seen (patientid INT, name VARCHAR)");
+  ignore
+    (Db.Database.exec db
+       "CREATE TRIGGER keep ON ACCESS TO audit_alice AS INSERT INTO seen \
+        SELECT p.patientid, p.name FROM patients p, accessed a WHERE \
+        p.patientid = a.patientid");
+  ignore (Db.Database.exec db "DELETE FROM patients WHERE patientid = 1");
+  check Fixtures.tuples "the action saw Alice's row"
+    [ [| vi 1; Value.Str "Alice" |] ]
+    (Fixtures.rows_sorted db "SELECT * FROM seen");
+  check Fixtures.tuples "and she is gone" []
+    (Db.Database.query db "SELECT * FROM patients WHERE patientid = 1")
+
+(* A DML WHERE binds as a query's WHERE, subqueries included. *)
+let test_delete_where_in_subquery () =
+  let db = setup () in
+  ignore
+    (Db.Database.exec db
+       "DELETE FROM patients WHERE patientid IN (SELECT patientid FROM \
+        disease WHERE disease = 'cancer')");
+  check
+    Alcotest.(list (pair string Fixtures.values))
+    "last_accessed follows the read"
+    [ ("audit_alice", [ vi 1 ]) ]
+    (Db.Database.last_accessed db);
+  check Fixtures.tuples "Alice and Dave deleted"
+    [ [| vi 2 |]; [| vi 3 |]; [| vi 5 |] ]
+    (Fixtures.rows_sorted db "SELECT patientid FROM patients");
+  check Fixtures.tuples "Alice's access logged" [ [| vi 1 |] ] (log db);
+  (* The subquery is a read of its own: a watched audit expression over
+     another table instruments it too. *)
+  let db = setup () in
+  ignore
+    (Db.Database.exec db
+       "DELETE FROM disease WHERE patientid IN (SELECT patientid FROM \
+        patients WHERE name = 'Alice')");
+  check Fixtures.tuples "the subquery's read of Alice logged" [ [| vi 1 |] ]
+    (log db)
+
 let suite =
   [
     Alcotest.test_case "UPDATE records read-access" `Quick
@@ -89,4 +150,10 @@ let suite =
       test_insert_select_is_audited;
     Alcotest.test_case "no stale ACCESSED across statements" `Quick
       test_accessed_state_reset_between_statements;
+    Alcotest.test_case "DML in a trigger action fires nothing" `Quick
+      test_dml_in_trigger_action_fires_nothing;
+    Alcotest.test_case "DELETE's ON ACCESS trigger sees the row" `Quick
+      test_delete_trigger_sees_deleted_row;
+    Alcotest.test_case "DELETE ... WHERE IN (subquery)" `Quick
+      test_delete_where_in_subquery;
   ]

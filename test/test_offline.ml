@@ -67,6 +67,30 @@ let test_exact_candidates_restriction () =
   in
   check Fixtures.values "only candidates are tested" [ vi 1 ] restricted
 
+(* A plan that scans no sensitive table runs once: hiding a partition
+   cannot change its result. An [Op_next] fault armed one getNext past a
+   single run fires on any re-run. *)
+let test_exact_skips_unrelated_plan () =
+  let db = with_all (Fixtures.healthcare ()) in
+  let plan = Db.Database.plan_sql db ~audits:[] "SELECT count(*) FROM disease" in
+  let kit = Db.Database.faults db in
+  let rec past_one_run at =
+    Engine_core.Faultkit.arm kit
+      [ Engine_core.Faultkit.Op_next { op = "*"; at } ];
+    match
+      Db.Database.run_plan db (Db.Database.prepare_plan db ~audits:[] plan)
+    with
+    | _ -> at
+    | exception Engine_core.Faultkit.Fault_injected _ -> past_one_run (at + 1)
+  in
+  let at = past_one_run 1 in
+  Engine_core.Faultkit.arm kit [ Engine_core.Faultkit.Op_next { op = "*"; at } ];
+  check Fixtures.values "no candidate is accessed" []
+    (Db.Database.exact_accessed db ~audit:"audit_all" plan);
+  check Alcotest.(list string) "the plan ran once" []
+    (Engine_core.Faultkit.fired kit);
+  Engine_core.Faultkit.disarm kit
+
 (* --------------------------------------------------------------- *)
 (* Lineage = exact on the evaluation query classes                  *)
 (* --------------------------------------------------------------- *)
@@ -224,6 +248,8 @@ let suite =
       test_exact_duplicate_elimination_caveat;
     Alcotest.test_case "exact: candidate restriction" `Quick
       test_exact_candidates_restriction;
+    Alcotest.test_case "exact: a plan without the sensitive table runs once"
+      `Quick test_exact_skips_unrelated_plan;
     Alcotest.test_case "lineage = exact (evaluation classes)" `Quick
       test_lineage_equals_exact;
     Alcotest.test_case "lineage: top-k window" `Quick test_lineage_topk_window;

@@ -122,6 +122,21 @@ let test_row_budget_flushes_partial () =
   Alcotest.(check bool) "partial ACCESSED flushed on cancel" true partial;
   check_clean_query db
 
+(* UPDATE and DELETE select their rows with an ordinary read, so the
+   guards bound it; a cancelled read changes no row. *)
+let test_row_budget_cancels_dml () =
+  let db, _ = logged_db "dmlbudget" in
+  let before = Fixtures.rows_sorted db "SELECT * FROM patients" in
+  Db.Database.set_row_budget db (Some 2);
+  expect_cancelled E.Row_budget (fun () ->
+      Db.Database.exec db "UPDATE patients SET age = 0 WHERE age > 0");
+  expect_cancelled E.Row_budget (fun () ->
+      Db.Database.exec db "DELETE FROM patients WHERE age > 0");
+  Db.Database.set_row_budget db None;
+  Alcotest.(check Fixtures.tuples)
+    "no row changed" before
+    (Fixtures.rows_sorted db "SELECT * FROM patients")
+
 let test_mem_budget () =
   let db, _ = logged_db "membudget" in
   Db.Database.set_mem_budget db (Some 1);
@@ -401,6 +416,8 @@ let suite =
     Alcotest.test_case "timeout cancels; next query clean" `Quick test_timeout;
     Alcotest.test_case "row budget cancels and flushes partial ACCESSED"
       `Quick test_row_budget_flushes_partial;
+    Alcotest.test_case "row budget cancels UPDATE and DELETE" `Quick
+      test_row_budget_cancels_dml;
     Alcotest.test_case "memory budget cancels blocking operators" `Quick
       test_mem_budget;
     Alcotest.test_case "operator fault recovers" `Quick test_operator_fault;
