@@ -1073,9 +1073,10 @@ and exec_insert db table columns source : result =
    every audit expression over [table] as well as the watched ones, so
    the accesses are taken against the pre-statement view and fire AFTER
    triggers as any read's do, before a row changes. The mutation then
-   touches exactly the rows the read returned, matched on the primary key
-   or, on a keyless table, on the whole row (rows equal on every column
-   satisfy the same WHERE). *)
+   touches exactly the rows the read returned ([Table.update_rows]/
+   [delete_rows]): through the primary-key index on a keyed table, by a
+   whole-row match over every slot on a keyless one (rows equal on every
+   column satisfy the same WHERE). *)
 and dml_target db t where =
   let table = Table.name t in
   let watched = selected_audits db () in
@@ -1096,16 +1097,7 @@ and dml_target db t where =
         where;
       }
   in
-  let rows = audited db (fun () -> run db p) in
-  match Table.key t with
-  | Some k ->
-    let keys = Value.Hashtbl_v.create 16 in
-    List.iter (fun r -> Value.Hashtbl_v.replace keys (Tuple.get r k) ()) rows;
-    fun row -> Value.Hashtbl_v.mem keys (Tuple.get row k)
-  | None ->
-    let set = Tuple.Hashtbl_t.create 16 in
-    List.iter (fun r -> Tuple.Hashtbl_t.replace set r ()) rows;
-    Tuple.Hashtbl_t.mem set
+  audited db (fun () -> run db p)
 
 and exec_update db table sets where : result =
   let t = find_table db table in
@@ -1118,10 +1110,10 @@ and exec_update db table sets where : result =
         | None -> err "unknown column %s in UPDATE %s" c table)
       sets
   in
-  let selected = dml_target db t where in
+  let rows = dml_target db t where in
   let changes = ref [] in
   let n =
-    Table.update_where t selected (fun row ->
+    Table.update_rows t rows (fun row ->
         let row' = Array.copy row in
         List.iter
           (fun (i, s) -> row'.(i) <- Exec.Eval.eval db.ctx row s)
@@ -1137,19 +1129,10 @@ and exec_update db table sets where : result =
 
 and exec_delete db table where : result =
   let t = find_table db table in
-  let selected = dml_target db t where in
-  let deleted = ref [] in
-  let n =
-    Table.delete_where t (fun row ->
-        if selected row then begin
-          deleted := row :: !deleted;
-          true
-        end
-        else false)
-  in
+  let deleted = Table.delete_rows t (dml_target db t where) in
   run_dml_triggers db ~table ~event:Sql.Ast.Ev_delete ~new_rows:[]
-    ~old_rows:(List.rev !deleted) ~row_schema:(Table.schema t);
-  Affected n
+    ~old_rows:deleted ~row_schema:(Table.schema t);
+  Affected (List.length deleted)
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)

@@ -170,48 +170,48 @@ let rec compile ctx cs (e : Scalar.t) : kernel option =
     | _ -> None)
   | Scalar.In_list (Scalar.Col i, vs, neg) -> (
     let tbl = in_table vs in
+    let miss =
+      match Scalar.in_list_miss vs neg with
+      | Value.Null -> t_unknown
+      | _ -> of_bool neg
+    in
+    let verdict hit = if hit then of_bool (not neg) else miss in
     let nulls = CS.col_nulls cs i in
     let guard f s = if CS.Bitmap.get nulls s then t_unknown else f s in
     match (CS.col_data cs i, CS.col_type cs i) with
     | CS.Codes (a, d), _ ->
       let n = CS.Dict.size d in
-      let verdict =
+      let by_code =
         Array.init n (fun c ->
-            of_bool
-              (Value.Hashtbl_v.mem tbl (Value.Str (CS.Dict.decode d c)) <> neg))
+            verdict (Value.Hashtbl_v.mem tbl (Value.Str (CS.Dict.decode d c))))
       in
       Some
         (guard (fun s ->
              let c = Array.unsafe_get a s in
-             if c < n then Array.unsafe_get verdict c
+             if c < n then Array.unsafe_get by_code c
              else
-               of_bool
-                 (Value.Hashtbl_v.mem tbl (Value.Str (CS.Dict.decode d c))
-                 <> neg)))
+               verdict
+                 (Value.Hashtbl_v.mem tbl (Value.Str (CS.Dict.decode d c)))))
     | CS.Ints a, Datatype.T_int ->
       Some
         (guard (fun s ->
-             of_bool
-               (Value.Hashtbl_v.mem tbl (Value.Int (Array.unsafe_get a s))
-               <> neg)))
+             verdict (Value.Hashtbl_v.mem tbl (Value.Int (Array.unsafe_get a s)))))
     | CS.Ints a, Datatype.T_date ->
       Some
         (guard (fun s ->
-             of_bool
-               (Value.Hashtbl_v.mem tbl (Value.Date (Array.unsafe_get a s))
-               <> neg)))
+             verdict
+               (Value.Hashtbl_v.mem tbl (Value.Date (Array.unsafe_get a s)))))
     | CS.Ints a, Datatype.T_bool ->
       Some
         (guard (fun s ->
-             of_bool
-               (Value.Hashtbl_v.mem tbl (Value.Bool (Array.unsafe_get a s <> 0))
-               <> neg)))
+             verdict
+               (Value.Hashtbl_v.mem tbl
+                  (Value.Bool (Array.unsafe_get a s <> 0)))))
     | CS.Floats a, _ ->
       Some
         (guard (fun s ->
-             of_bool
-               (Value.Hashtbl_v.mem tbl (Value.Float (Array.unsafe_get a s))
-               <> neg)))
+             verdict
+               (Value.Hashtbl_v.mem tbl (Value.Float (Array.unsafe_get a s)))))
     | _ -> None)
   | e -> try_const ctx e
 

@@ -36,7 +36,9 @@ let rec eval (ctx : Exec_ctx.t) (row : Tuple.t) (e : Scalar.t) : Value.t =
   | Scalar.In_list (a, vs, neg) -> (
     match eval ctx row a with
     | Value.Null -> Value.Null
-    | v -> Value.Bool (Array.exists (Value.equal v) vs <> neg))
+    | v ->
+      if Array.exists (Value.equal v) vs then Value.Bool (not neg)
+      else Scalar.in_list_miss vs neg)
   | Scalar.Case (whens, els) ->
     let rec go = function
       | (c, v) :: rest -> (

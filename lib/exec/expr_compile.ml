@@ -93,10 +93,11 @@ let rec compile_value (ctx : Exec_ctx.t) (e : Scalar.t) : compiled =
     let f = compile_value ctx a in
     let tbl = Value.Hashtbl_v.create (max 8 (2 * Array.length vs)) in
     Array.iter (fun v -> Value.Hashtbl_v.replace tbl v ()) vs;
+    let hit = Value.Bool (not neg) and miss = Scalar.in_list_miss vs neg in
     fun row ->
       (match f row with
       | Value.Null -> Value.Null
-      | v -> Value.Bool (Value.Hashtbl_v.mem tbl v <> neg))
+      | v -> if Value.Hashtbl_v.mem tbl v then hit else miss)
   | Scalar.Case (whens, els) ->
     let whens =
       List.map (fun (c, v) -> (compile_value ctx c, compile_value ctx v)) whens

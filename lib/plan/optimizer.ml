@@ -90,7 +90,9 @@ let rec fold_scalar (e : Scalar.t) : Scalar.t =
     match fold_scalar a with
     | Scalar.Const Value.Null -> Scalar.Const Value.Null
     | Scalar.Const v ->
-      Scalar.Const (Value.Bool (Array.exists (Value.equal v) vs <> neg))
+      Scalar.Const
+        (if Array.exists (Value.equal v) vs then Value.Bool (not neg)
+         else Scalar.in_list_miss vs neg)
     | a -> Scalar.In_list (a, vs, neg))
   | Scalar.Case (whens, els) ->
     Scalar.Case

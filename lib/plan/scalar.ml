@@ -34,6 +34,13 @@ type t =
   | Case of (t * t) list * t option
   | Func of func * t list
 
+(** The value of [In_list (e, vs, neg)] when [e] is not NULL and equals
+    no member of [vs]: NULL if a member is NULL (it might be equal), else
+    FALSE, or TRUE when negated. A match gives TRUE (negated: FALSE), and
+    a NULL [e] gives NULL. *)
+let in_list_miss vs neg =
+  if Array.exists Value.is_null vs then Value.Null else Value.Bool neg
+
 let func_name = function
   | F_extract_year -> "extract_year"
   | F_extract_month -> "extract_month"

@@ -46,6 +46,12 @@ type index = {
   idx_map : int list ref Value.Hashtbl_v.t;  (** value -> slots *)
 }
 
+(* A heap column's cache of shared values (see [share]). *)
+type column_cache = {
+  mutable cells : Value.t array;  (** direct-mapped; [Null] marks a free slot *)
+  mutable credit : int;  (** sharing stops for good at 0 *)
+}
+
 type t = {
   name : string;
   schema : Schema.t;
@@ -56,6 +62,9 @@ type t = {
   pk_index : int Value.Hashtbl_v.t;  (** pk value -> slot *)
   mutable indexes : index list;  (** secondary (non-unique) indexes *)
   mutable hooks : (change -> unit) list;
+  mutable shared : column_cache array;
+      (** heap only: per-column caches of stored values (see [share_row]);
+          [[||]] until the slot array first grows *)
 }
 
 exception Duplicate_key of string
@@ -76,9 +85,11 @@ let create ?key ?(storage = Heap) ~name schema =
       | Columnar -> Col_store (Column_store.create schema));
     next_slot = 0;
     live = 0;
-    pk_index = Value.Hashtbl_v.create 64;
+    (* a keyless table (a trigger's [new]/[old], say) never fills it *)
+    pk_index = Value.Hashtbl_v.create (if key = None then 1 else 64);
     indexes = [];
     hooks = [];
+    shared = [||];
   }
 
 let name t = t.name
@@ -109,13 +120,112 @@ let slot_clear t s =
   | Heap_slots slots -> slots.(s) <- None
   | Col_store cs -> Column_store.erase cs s
 
+(* ------------------------------------------------------------------ *)
+(* Shared cells (heap only)                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A heap row is an array of boxed values, and most columns repeat a few
+   values across many rows (flags, modes, dates, small quantities, foreign
+   keys). Each heap column keeps a direct-mapped cache of the values it
+   stored last; a stored cell equal to the cached value in its cache slot
+   is replaced by that value, so the rows share one physical copy. Values
+   are immutable and "equal" here is strict — ints and dates by value,
+   floats by their bits ([-0.0] and [0.0] stay apart, NaN payloads are
+   kept), strings by content — so a shared value cannot be told apart
+   from the copy it replaces. Long strings (comments) are rarely repeated
+   and cost the most to hash, so they are stored as given.
+
+   The caches appear when the slot array first grows (a table of at most
+   16 rows, such as a trigger's [new]/[old]/[accessed], has none) and
+   grow with it up to [share_slots] entries per column. A column whose
+   values rarely repeat (keys, prices) spends its credit on misses and
+   then drops its cache for good, so it costs a bounded number of
+   lookups and no memory. *)
+
+let share_slots = 2048
+let share_max_len = 32
+
+(* A miss costs 1 credit and a hit earns [hit_credit], up to
+   [max_credit]: a column whose hit rate stays under 1 in 9 runs out. *)
+let max_credit = 2 * share_slots
+let hit_credit = 8
+let shared_true = Value.Bool true
+let shared_false = Value.Bool false
+
+(* Ints and dates index by their low bits, so a dense range (keys, days,
+   small quantities) fills the cache without a conflict. A float's bits
+   are mixed first: the low bits of a round number are all zero. *)
+let share_index mask (v : Value.t) =
+  match v with
+  | Value.Int i | Value.Date i -> i land mask
+  | Value.Float f ->
+    let h = Int64.to_int (Int64.bits_of_float f) in
+    let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land mask
+  | Value.Str s -> Hashtbl.hash s land mask
+  | Value.Null | Value.Bool _ -> 0
+
+let same_cell (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> Int.equal x y
+  | Value.Float x, Value.Float y ->
+    (Int64.bits_of_float x : int64) = Int64.bits_of_float y
+  | Value.Str x, Value.Str y -> String.equal x y
+  | _ -> false
+
+let share cc (v : Value.t) =
+  match v with
+  | Value.Null -> v
+  | Value.Bool b -> if b then shared_true else shared_false
+  | Value.Str s when String.length s > share_max_len -> v
+  | _ when cc.credit <= 0 -> v
+  | _ ->
+    let cells = cc.cells in
+    let i = share_index (Array.length cells - 1) v in
+    let c = Array.unsafe_get cells i in
+    if same_cell c v then begin
+      if cc.credit < max_credit then cc.credit <- cc.credit + hit_credit;
+      c
+    end
+    else begin
+      cc.credit <- cc.credit - 1;
+      if cc.credit > 0 then Array.unsafe_set cells i v else cc.cells <- [||];
+      v
+    end
+
+(* Replace the cells of a freshly coerced row (owned by the caller, of the
+   table's arity) by their shared copies. *)
+let share_row t (row : Tuple.t) =
+  let caches = t.shared in
+  if Array.length caches > 0 then
+    for i = 0 to Array.length row - 1 do
+      Array.unsafe_set row i
+        (share (Array.unsafe_get caches i) (Array.unsafe_get row i))
+    done
+
+(* Size the caches for a slot array of [capacity]. A grown cache starts
+   empty: its column re-learns its values within a few misses. *)
+let grow_shared t capacity =
+  let size = min share_slots capacity in
+  if Array.length t.shared = 0 then
+    t.shared <-
+      Array.init (Schema.arity t.schema) (fun _ ->
+          { cells = Array.make size Value.Null; credit = max_credit })
+  else
+    Array.iter
+      (fun cc ->
+        if cc.credit > 0 && Array.length cc.cells < size then
+          cc.cells <- Array.make size Value.Null)
+      t.shared
+
 let ensure_capacity t =
   match t.store with
   | Heap_slots slots ->
     if t.next_slot = Array.length slots then begin
       let bigger = Array.make (2 * Array.length slots) None in
       Array.blit slots 0 bigger 0 t.next_slot;
-      t.store <- Heap_slots bigger
+      t.store <- Heap_slots bigger;
+      grow_shared t (Array.length bigger)
     end
   | Col_store cs -> Column_store.ensure cs t.next_slot
 
@@ -239,6 +349,7 @@ let insert t row =
               (Value.to_string kv)))
   | None -> ());
   ensure_capacity t;
+  share_row t row;
   let slot = t.next_slot in
   slot_set t slot row;
   t.next_slot <- slot + 1;
@@ -284,6 +395,36 @@ let delete_where t pred =
   done;
   !n
 
+(* Replace the live [row] at [slot] by [f row], keeping the indexes. *)
+let update_slot t slot row f =
+  let row' = coerce_row t (f row) in
+  check_row t row';
+  (match t.key with
+  | Some k ->
+    let old_kv = Tuple.get row k and new_kv = Tuple.get row' k in
+    if not (Value.equal old_kv new_kv) then begin
+      if Value.Hashtbl_v.mem t.pk_index new_kv then
+        raise
+          (Duplicate_key
+             (Printf.sprintf "table %s: duplicate key %s on update" t.name
+                (Value.to_string new_kv)));
+      Value.Hashtbl_v.remove t.pk_index old_kv;
+      Value.Hashtbl_v.replace t.pk_index new_kv slot
+    end
+  | None -> ());
+  share_row t row';
+  slot_set t slot row';
+  List.iter
+    (fun idx ->
+      let old_v = Tuple.get row idx.idx_col in
+      let new_v = Tuple.get row' idx.idx_col in
+      if not (Value.equal old_v new_v) then begin
+        index_remove idx old_v slot;
+        index_add idx new_v slot
+      end)
+    t.indexes;
+  notify t (Updated { before = row; after = row' })
+
 (** In-place update of all rows satisfying [pred]; [f] builds the new row.
     Key updates are allowed as long as they do not collide. *)
 let update_where t pred f =
@@ -291,36 +432,53 @@ let update_where t pred f =
   for slot = 0 to t.next_slot - 1 do
     match slot_get t slot with
     | Some row when pred row ->
-      let row' = coerce_row t (f row) in
-      check_row t row';
-      (match t.key with
-      | Some k ->
-        let old_kv = Tuple.get row k and new_kv = Tuple.get row' k in
-        if not (Value.equal old_kv new_kv) then begin
-          if Value.Hashtbl_v.mem t.pk_index new_kv then
-            raise
-              (Duplicate_key
-                 (Printf.sprintf "table %s: duplicate key %s on update" t.name
-                    (Value.to_string new_kv)));
-          Value.Hashtbl_v.remove t.pk_index old_kv;
-          Value.Hashtbl_v.replace t.pk_index new_kv slot
-        end
-      | None -> ());
-      slot_set t slot row';
-      List.iter
-        (fun idx ->
-          let old_v = Tuple.get row idx.idx_col in
-          let new_v = Tuple.get row' idx.idx_col in
-          if not (Value.equal old_v new_v) then begin
-            index_remove idx old_v slot;
-            index_add idx new_v slot
-          end)
-        t.indexes;
-      incr n;
-      notify t (Updated { before = row; after = row' })
+      update_slot t slot row f;
+      incr n
     | _ -> ()
   done;
   !n
+
+(* The slots of the live rows that share a key (column [k]) with one of
+   [rows], ascending: the slots, and the order, in which a walk of every
+   slot would meet them. *)
+let key_slots t k rows =
+  List.sort_uniq Int.compare
+    (List.filter_map
+       (fun r -> Value.Hashtbl_v.find_opt t.pk_index (Tuple.get r k))
+       rows)
+
+let row_member rows =
+  let set = Tuple.Hashtbl_t.create 16 in
+  List.iter (fun r -> Tuple.Hashtbl_t.replace set r ()) rows;
+  Tuple.Hashtbl_t.mem set
+
+let update_rows t rows f =
+  match t.key with
+  | Some k ->
+    List.fold_left
+      (fun n slot ->
+        match slot_get t slot with
+        | Some row ->
+          update_slot t slot row f;
+          n + 1
+        | None -> n)
+      0 (key_slots t k rows)
+  | None -> update_where t (row_member rows) f
+
+let delete_rows t rows =
+  match t.key with
+  | Some k ->
+    List.filter_map
+      (fun slot ->
+        let row = slot_get t slot in
+        delete_slot t slot;
+        row)
+      (key_slots t k rows)
+  | None ->
+    let member = row_member rows and deleted = ref [] in
+    let pred row = member row && (deleted := row :: !deleted; true) in
+    ignore (delete_where t pred);
+    List.rev !deleted
 
 (** Sequential scan. [hide = (col, v)] virtually deletes the rows whose
     column [col] equals [v] without mutating the table — this is how the

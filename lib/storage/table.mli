@@ -60,7 +60,13 @@ val off_change : t -> (change -> unit) -> unit
 val coerce_row : t -> Tuple.t -> Tuple.t
 
 (** Insert a row. Raises {!Schema_mismatch} on arity/type errors and
-    {!Duplicate_key} on key conflicts (or NULL keys). *)
+    {!Duplicate_key} on key conflicts (or NULL keys).
+
+    A heap table stores a coerced copy of the row whose cells may be
+    shared with earlier rows: each column keeps a bounded cache of the
+    values it stored, and a cell equal to a cached one (floats by their
+    bits, strings by content) is stored as that value. Updates store their
+    new rows the same way. *)
 val insert : t -> Tuple.t -> unit
 
 (** Clustered-index point lookup. *)
@@ -91,6 +97,17 @@ val delete_where : t -> (Tuple.t -> bool) -> int
 (** Update rows satisfying the predicate via the mapping function; key
     changes are allowed unless they collide. Returns the count. *)
 val update_where : t -> (Tuple.t -> bool) -> (Tuple.t -> Tuple.t) -> int
+
+(** [update_rows t rows f] updates, through [f], the live rows equal to
+    [rows] (rows read from [t]), in slot order, as {!update_where} with a
+    membership test would. A keyed table reaches each row through its
+    primary-key index, matching on the key; a keyless one walks every
+    slot, matching whole rows. Returns the count. *)
+val update_rows : t -> Tuple.t list -> (Tuple.t -> Tuple.t) -> int
+
+(** [delete_rows t rows] deletes the live rows equal to [rows], found as
+    in {!update_rows}, and returns them in slot order. *)
+val delete_rows : t -> Tuple.t list -> Tuple.t list
 
 (** Pull-based cursor over live rows. [?hide:(col, v)] virtually deletes
     every row whose column [col] equals [v] for the duration of the scan —

@@ -72,14 +72,38 @@ let end_date = Value.date_of_string "1998-08-02"
 
 let money rng lo hi = Float.round (Rng.float rng lo hi *. 100.0) /. 100.0
 
+(* lineitem's returnflag/linestatus cut-over date *)
+let cutoff_date = Value.date_of_string "1995-06-17"
+
+(* The generator builds its strings by concatenation, once per cell of
+   the load. Where a string takes several random draws, they are bound in
+   a fixed order that the data set depends on (test_tpch pins its
+   digest). *)
+
+(* [n >= 0] zero-padded to [width] digits, as [%0*d] would. *)
+let zpad width n =
+  let s = string_of_int n in
+  let len = String.length s in
+  if len >= width then s else String.make (width - len) '0' ^ s
+
+let moods = [| "ironic"; "final"; "pending"; "bold"; "quiet" |]
+
 let comment rng noun =
-  Printf.sprintf "%s requests sleep %d furiously among the %s deposits" noun
-    (Rng.int rng 100000)
-    (Rng.choice rng [| "ironic"; "final"; "pending"; "bold"; "quiet" |])
+  let mood = Rng.choice rng moods in
+  let n = Rng.int rng 100000 in
+  String.concat ""
+    [
+      noun; " requests sleep "; string_of_int n; " furiously among the "; mood;
+      " deposits";
+    ]
 
 let phone rng nationkey =
-  Printf.sprintf "%d-%03d-%03d-%04d" (10 + nationkey) (Rng.range rng 100 999)
-    (Rng.range rng 100 999) (Rng.range rng 1000 9999)
+  let d = Rng.range rng 1000 9999 in
+  let c = Rng.range rng 100 999 in
+  let b = Rng.range rng 100 999 in
+  String.concat "-"
+    [ string_of_int (10 + nationkey); string_of_int b; string_of_int c;
+      string_of_int d ]
 
 (** Create the eight empty tables via DDL. *)
 let create_tables db =
@@ -111,8 +135,8 @@ let load_supplier catalog rng n =
     Table.insert t
       [|
         vi k;
-        vs (Printf.sprintf "Supplier#%09d" k);
-        vs (Printf.sprintf "addr sup %d" (Rng.int rng 100000));
+        vs ("Supplier#" ^ zpad 9 k);
+        vs ("addr sup " ^ string_of_int (Rng.int rng 100000));
         vi nation;
         vs (phone rng nation);
         vf (money rng (-999.99) 9999.99);
@@ -127,8 +151,8 @@ let load_customer catalog rng n =
     Table.insert t
       [|
         vi k;
-        vs (Printf.sprintf "Customer#%09d" k);
-        vs (Printf.sprintf "addr cust %d" (Rng.int rng 100000));
+        vs ("Customer#" ^ zpad 9 k);
+        vs ("addr cust " ^ string_of_int (Rng.int rng 100000));
         vi nation;
         vs (phone rng nation);
         vf (money rng (-999.99) 9999.99);
@@ -145,10 +169,10 @@ let load_part catalog rng n =
       [|
         vi k;
         vs
-          (Printf.sprintf "%s %s part"
-             (Rng.choice rng colors)
-             (Rng.choice rng colors));
-        vs (Printf.sprintf "Manufacturer#%d" (Rng.range rng 1 5));
+          (let second = Rng.choice rng colors in
+           let first = Rng.choice rng colors in
+           String.concat "" [ first; " "; second; " part" ]);
+        vs ("Manufacturer#" ^ string_of_int (Rng.range rng 1 5));
         vs (Rng.choice rng Tpch_schema.brands);
         vs (Rng.choice rng Tpch_schema.part_types);
         vi (Rng.range rng 1 50);
@@ -174,6 +198,9 @@ let load_partsupp catalog rng nparts nsupp =
     done
   done
 
+let returned_flags = [| "R"; "A" |]
+let order_statuses = [| "O"; "F"; "P" |]
+
 let load_orders_lineitem catalog rng ~orders:norders ~customers:ncust
     ~parts:nparts ~suppliers:nsupp =
   let ot = Catalog.find catalog "orders" in
@@ -194,13 +221,10 @@ let load_orders_lineitem catalog rng ~orders:norders ~customers:ncust
       let commitdate = orderdate + Rng.range rng 30 90 in
       let receiptdate = shipdate + Rng.range rng 1 30 in
       let returnflag =
-        if receiptdate <= Value.date_of_string "1995-06-17" then
-          Rng.choice rng [| "R"; "A" |]
+        if receiptdate <= cutoff_date then Rng.choice rng returned_flags
         else "N"
       in
-      let linestatus =
-        if shipdate > Value.date_of_string "1995-06-17" then "O" else "F"
-      in
+      let linestatus = if shipdate > cutoff_date then "O" else "F" in
       total := !total +. (extended *. (1.0 +. tax) *. (1.0 -. discount));
       lines :=
         [|
@@ -231,11 +255,11 @@ let load_orders_lineitem catalog rng ~orders:norders ~customers:ncust
       [|
         vi ok;
         vi custkey;
-        vs (Rng.choice rng [| "O"; "F"; "P" |]);
+        vs (Rng.choice rng order_statuses);
         vf (Float.round (!total *. 100.0) /. 100.0);
         vd orderdate;
         vs (Rng.choice rng Tpch_schema.order_priorities);
-        vs (Printf.sprintf "Clerk#%09d" (Rng.range rng 1 1000));
+        vs ("Clerk#" ^ zpad 9 (Rng.range rng 1 1000));
         vi 0;
         vs ocomment;
       |];

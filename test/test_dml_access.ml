@@ -134,6 +134,48 @@ let test_delete_where_in_subquery () =
   check Fixtures.tuples "the subquery's read of Alice logged" [ [| vi 1 |] ]
     (log db)
 
+(* A keyed UPDATE reaches its rows through the primary-key index but
+   changes them in slot order, as a walk of every slot would: shifting
+   consecutive keys up collides when the rows were stored in ascending key
+   order and succeeds when they were stored in descending order. *)
+let test_update_shifting_keys () =
+  List.iter
+    (fun (exec, storage) ->
+      let config = { Fixtures.config with Db.Config.exec; storage } in
+      let run values =
+        let db = Fixtures.create ~config () in
+        let e sql = ignore (Db.Database.exec db sql) in
+        e "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)";
+        e ("INSERT INTO t VALUES " ^ values);
+        let outcome =
+          match Db.Database.exec db "UPDATE t SET id = id + 1" with
+          | r -> Db.Database.result_to_string r
+          | exception Db.Database.Db_error m -> "error: " ^ m
+        in
+        (outcome, Fixtures.rows_sorted db "SELECT id, v FROM t")
+      in
+      let name = Fixtures.string_of_config config in
+      let outcome, rows = run "(1, 'a'), (2, 'b'), (3, 'c')" in
+      check Alcotest.string ("ascending: collides, " ^ name)
+        "error: execution error: table t: duplicate key 2 on update" outcome;
+      check Fixtures.tuples ("ascending: unchanged, " ^ name)
+        [ [| vi 1; Value.Str "a" |]; [| vi 2; Value.Str "b" |];
+          [| vi 3; Value.Str "c" |] ]
+        rows;
+      let outcome, rows = run "(3, 'c'), (2, 'b'), (1, 'a')" in
+      check Alcotest.string ("descending: succeeds, " ^ name)
+        "(3 rows affected)" outcome;
+      check Fixtures.tuples ("descending: shifted, " ^ name)
+        [ [| vi 2; Value.Str "a" |]; [| vi 3; Value.Str "b" |];
+          [| vi 4; Value.Str "c" |] ]
+        rows)
+    [
+      (`Row, Table.Heap);
+      (`Row, Table.Columnar);
+      (`Compiled, Table.Heap);
+      (`Compiled, Table.Columnar);
+    ]
+
 let suite =
   [
     Alcotest.test_case "UPDATE records read-access" `Quick
@@ -156,4 +198,6 @@ let suite =
       test_delete_trigger_sees_deleted_row;
     Alcotest.test_case "DELETE ... WHERE IN (subquery)" `Quick
       test_delete_where_in_subquery;
+    Alcotest.test_case "UPDATE shifting consecutive keys" `Quick
+      test_update_shifting_keys;
   ]

@@ -202,6 +202,44 @@ let test_null_semantics () =
     [ [| vf ((34.0 +. 22.0 +. 67.0 +. 45.0 +. 29.0) /. 5.0) |] ]
     (q db "SELECT avg(age) FROM patients")
 
+(* [x NOT IN (1, NULL)] is never TRUE: a miss against a list with a NULL
+   member is NULL. Checked on both engines over both storages (the
+   compiled engine's columnar kernels apply the rule on their own), for
+   each kind of column, and for a constant operand the optimizer folds. *)
+let test_in_list_null_member () =
+  List.iter
+    (fun (exec, storage) ->
+      let config = { Fixtures.config with Db.Config.exec; storage } in
+      let db = Fixtures.create ~config () in
+      let e sql = ignore (Db.Database.exec db sql) in
+      e "CREATE TABLE a (x INT, s VARCHAR, f FLOAT, d DATE)";
+      e
+        "INSERT INTO a VALUES (1, 'a', 1.0, DATE '1995-01-01'), (2, 'b', \
+         2.0, DATE '1995-01-02')";
+      let where cond expected =
+        check Fixtures.tuples
+          (Printf.sprintf "%s (%s)" cond (Fixtures.string_of_config config))
+          expected
+          (q db ("SELECT x FROM a WHERE " ^ cond))
+      in
+      where "x NOT IN (1, NULL)" [];
+      where "NOT (x IN (3, NULL))" [];
+      where "x IN (1, NULL)" [ [| vi 1 |] ];
+      where "x NOT IN (3, 4)" [ [| vi 1 |]; [| vi 2 |] ];
+      where "s NOT IN ('a', NULL)" [];
+      where "f NOT IN (1.0, NULL)" [];
+      where "d NOT IN (DATE '1995-01-01', NULL)" [];
+      where "1 NOT IN (2, NULL)" [];
+      check Fixtures.tuples "count(*) with NOT IN (1, NULL)"
+        [ [| vi 0 |] ]
+        (q db "SELECT count(*) FROM a WHERE x NOT IN (1, NULL)"))
+    [
+      (`Row, Table.Heap);
+      (`Row, Table.Columnar);
+      (`Compiled, Table.Heap);
+      (`Compiled, Table.Columnar);
+    ]
+
 let test_case_like_strings () =
   let db = fixture () in
   check Fixtures.tuples "case expression"
@@ -342,6 +380,8 @@ let suite =
     Alcotest.test_case "correlated IN (Fig 4c shape)" `Quick test_correlated_in;
     Alcotest.test_case "scalar subqueries" `Quick test_scalar_subquery;
     Alcotest.test_case "NULL semantics" `Quick test_null_semantics;
+    Alcotest.test_case "IN list with a NULL member" `Quick
+      test_in_list_null_member;
     Alcotest.test_case "CASE / LIKE / string functions" `Quick test_case_like_strings;
     Alcotest.test_case "date predicates" `Quick test_date_predicates;
     Alcotest.test_case "derived tables" `Quick test_derived_tables;

@@ -73,6 +73,37 @@ let test_in_list_nulls () =
   check vt "negated miss" (vb true)
     (eval (Scalar.In_list (c (vi 9), [| vi 1; vi 2 |], true)))
 
+(* A list with a NULL member answers NULL, not FALSE, for an operand it
+   does not contain: the operand might equal the NULL. Each of the four
+   places that apply the rule — the interpreter, the row compiler, the
+   constant folder, and (through SQL, in [test_exec]) the columnar
+   kernels — must agree. *)
+let test_in_list_null_member () =
+  let cases =
+    [
+      (* operand, members, negated, expected *)
+      (vi 1, [| vi 1; Value.Null |], false, vb true);
+      (vi 1, [| vi 2; Value.Null |], false, Value.Null);
+      (vi 1, [| vi 1; Value.Null |], true, vb false);
+      (vi 1, [| vi 2; Value.Null |], true, Value.Null);
+      (vi 1, [| vi 2; vi 3 |], true, vb true);
+      (Value.Null, [| vi 1 |], true, Value.Null);
+    ]
+  in
+  let compile_ctx = Lazy.force ctx in
+  List.iter
+    (fun (v, vs, neg, expected) ->
+      let what = Fmt.str "%a" Scalar.pp (Scalar.In_list (c v, vs, neg)) in
+      let over_col = Scalar.In_list (Scalar.Col 0, vs, neg) in
+      check vt ("eval " ^ what) expected (eval ~row:[| v |] over_col);
+      check vt ("compiled " ^ what) expected
+        ((Exec.Expr_compile.compile compile_ctx over_col) [| v |]);
+      check vt ("folded " ^ what) expected
+        (match Optimizer.fold_scalar (Scalar.In_list (c v, vs, neg)) with
+        | Scalar.Const r -> r
+        | e -> Alcotest.failf "not folded: %a" Scalar.pp e))
+    cases
+
 (* --------------------------------------------------------------- *)
 (* Functions                                                        *)
 (* --------------------------------------------------------------- *)
@@ -149,6 +180,8 @@ let suite =
       test_and_or_truth_tables;
     Alcotest.test_case "NULL comparisons" `Quick test_comparisons_null;
     Alcotest.test_case "IN lists and NULL" `Quick test_in_list_nulls;
+    Alcotest.test_case "IN list with a NULL member" `Quick
+      test_in_list_null_member;
     Alcotest.test_case "string functions" `Quick test_string_functions;
     Alcotest.test_case "CASE nesting" `Quick test_case_nesting;
     Alcotest.test_case "date functions" `Quick test_date_functions;

@@ -146,6 +146,92 @@ let test_catalog () =
   Alcotest.check_raises "unknown" (Catalog.Unknown_table "nope") (fun () ->
       ignore (Catalog.find c "nope"))
 
+(* Heap tables share repeated cells between rows; the sharing must be
+   invisible. Rows mix NULLs, [0.0] and [-0.0], two NaN payloads, ints
+   stored into a FLOAT column (coerced), short repeated strings and long
+   ones, and are enough to give the table its caches. After the inserts
+   and again after an UPDATE of every row, each stored cell is
+   bit-identical to the coerced input, and a columnar table given the same
+   statements holds the same cells. *)
+let mixed_schema =
+  Schema.of_list
+    [
+      Schema.column "i" Datatype.T_int;
+      Schema.column "f" Datatype.T_float;
+      Schema.column "s" Datatype.T_string;
+      Schema.column "d" Datatype.T_date;
+      Schema.column "b" Datatype.T_bool;
+    ]
+
+let gen_mixed_row =
+  let long = String.make 40 'x' in
+  let nan2 = Int64.float_of_bits 0x7FF8000000000001L in
+  QCheck.Gen.(
+    map
+      (fun (i, f, s, d, b) -> [| i; f; s; d; b |])
+      (tup5
+         (oneof [ return Value.Null; map (fun i -> Value.Int i) (int_range (-3) 3) ])
+         (oneofl
+            [
+              Value.Null; Value.Float 0.0; Value.Float (-0.0); Value.Float nan;
+              Value.Float nan2; Value.Float 1.5; Value.Int 0; Value.Int 2;
+              Value.Float 2.0;
+            ])
+         (oneofl
+            [ Value.Null; Value.Str ""; Value.Str "AIR"; Value.Str "MAIL";
+              Value.Str long; Value.Str (long ^ "y") ])
+         (oneof [ return Value.Null; map (fun d -> Value.Date d) (int_range 0 5) ])
+         (oneofl [ Value.Null; Value.Bool true; Value.Bool false ])))
+
+(* Same constructor and payload, floats by their bits. *)
+let identical_cell (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let identical_rows a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun r r' ->
+         Array.length r = Array.length r' && Array.for_all2 identical_cell r r')
+       a b
+
+let prop_shared_cells_identical =
+  QCheck.Test.make ~count:200 ~name:"shared heap cells are bit-identical"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 17 150) gen_mixed_row)
+           (list_size (return 150) gen_mixed_row)))
+    (fun (rows, replacements) ->
+      let run storage =
+        let t = Table.create ~storage ~name:"mixed" mixed_schema in
+        List.iter (Table.insert t) rows;
+        let inserted = Table.to_list t in
+        let pending = ref replacements in
+        ignore
+          (Table.update_where t
+             (fun _ -> true)
+             (fun _ ->
+               match !pending with
+               | r :: rest ->
+                 pending := rest;
+                 r
+               | [] -> assert false));
+        (t, inserted, Table.to_list t)
+      in
+      let heap, heap_inserted, heap_updated = run Table.Heap in
+      let _, col_inserted, col_updated = run Table.Columnar in
+      let coerced l = List.map (Table.coerce_row heap) l in
+      let updated_input =
+        List.filteri (fun i _ -> i < List.length rows) replacements
+      in
+      identical_rows heap_inserted (coerced rows)
+      && identical_rows heap_updated (coerced updated_input)
+      && identical_rows heap_inserted col_inserted
+      && identical_rows heap_updated col_updated)
+
 let suite =
   [
     Alcotest.test_case "insert and scan" `Quick test_insert_and_scan;
@@ -161,4 +247,5 @@ let suite =
     Alcotest.test_case "cursor hide (virtual delete)" `Quick test_cursor_hide;
     Alcotest.test_case "growth and holes" `Quick test_slots_reused_growth;
     Alcotest.test_case "catalog" `Quick test_catalog;
+    QCheck_alcotest.to_alcotest prop_shared_cells_identical;
   ]
