@@ -29,12 +29,19 @@
        the manifest checkpoint and the successor's creation. Recovery
        must keep every acked record, stay bounded (manifest + tail scan
        only, never the sealed segments), and accept appends again.
+     - preallocation: a child appends, fsyncs and acks records and is
+       SIGKILLed once it is past the first 64 KiB chunk, so it dies
+       partway into a zero-filled one.
+       The killed log must keep every acked record and its padding, read
+       as padding (not torn, not corrupt); reopening must truncate the
+       padding and leave [prealloc.wal] clean for walcheck.
 
    Exit status 0 when every scenario holds, 1 otherwise. Usage:
      crashcheck [scratch-dir] [scenario...]
-   with scenarios from: torn corrupt kill group rotate (default: all). *)
+   with scenarios from: torn corrupt kill group rotate prealloc (default:
+   all). *)
 
-let scenario_names = [ "torn"; "corrupt"; "kill"; "group"; "rotate" ]
+let scenario_names = [ "torn"; "corrupt"; "kill"; "group"; "rotate"; "prealloc" ]
 
 let scratch, selected =
   match List.tl (Array.to_list Sys.argv) with
@@ -185,6 +192,16 @@ let real_kill () =
 (* Scenario 4: SIGKILL a group-commit writer under concurrent submits  *)
 (* ------------------------------------------------------------------ *)
 
+(* Lines of [ack] the child finished writing: the kill may have torn the
+   last one. *)
+let read_acks ack =
+  if not (Sys.file_exists ack) then []
+  else
+    let content = In_channel.with_open_bin ack In_channel.input_all in
+    match String.rindex_opt content '\n' with
+    | Some i -> String.split_on_char '\n' (String.sub content 0 i)
+    | None -> []
+
 (* The invariant under test: [Group.submit] returning means the caller's
    records are durable. The child acks every returned submit to a side
    file (write + fsync, in that order), so after a cold kill the ack file
@@ -232,23 +249,7 @@ let group_commit () =
         | Audit_log.Wal.Note s -> Hashtbl.replace durable s ()
         | _ -> ())
       records;
-    let acked =
-      if not (Sys.file_exists ack) then []
-      else begin
-        let ic = open_in ack in
-        let n = in_channel_length ic in
-        let content = really_input_string ic n in
-        close_in ic;
-        (* Only complete lines: the kill may have torn the last write. *)
-        let upto =
-          match String.rindex_opt content '\n' with
-          | Some i -> String.sub content 0 i
-          | None -> ""
-        in
-        if upto = "" then []
-        else String.split_on_char '\n' upto
-      end
-    in
+    let acked = read_acks ack in
     check "group: child made progress before dying" (acked <> []);
     let missing =
       List.filter (fun t -> not (Hashtbl.mem durable t)) acked
@@ -281,10 +282,8 @@ let rotation_kill () =
   (* Clear any segment/manifest debris from a previous run. *)
   Array.iter
     (fun f ->
-      if
-        String.length f >= 10
-        && String.sub f 0 10 = "rotate"
-      then try Sys.remove (Filename.concat scratch f) with _ -> ())
+      if String.starts_with ~prefix:"rotate" f then
+        try Sys.remove (Filename.concat scratch f) with _ -> ())
     (try Sys.readdir scratch with _ -> [||]);
   let ack = fresh_path "rotate.ack" in
   match Unix.fork () with
@@ -316,21 +315,7 @@ let rotation_kill () =
         | Audit_log.Wal.Note s -> Hashtbl.replace durable s ()
         | _ -> ())
       records;
-    let acked =
-      if not (Sys.file_exists ack) then []
-      else begin
-        let ic = open_in ack in
-        let n = in_channel_length ic in
-        let content = really_input_string ic n in
-        close_in ic;
-        let upto =
-          match String.rindex_opt content '\n' with
-          | Some i -> String.sub content 0 i
-          | None -> ""
-        in
-        if upto = "" then [] else String.split_on_char '\n' upto
-      end
-    in
+    let acked = read_acks ack in
     check "rotate: child made progress before dying" (acked <> []);
     let missing = List.filter (fun t -> not (Hashtbl.mem durable t)) acked in
     if missing <> [] then
@@ -362,6 +347,78 @@ let rotation_kill () =
       r3.Audit_log.Wal.valid_records r3.Audit_log.Wal.segments
       r2.Audit_log.Wal.scanned_bytes !total_bytes
 
+(* ------------------------------------------------------------------ *)
+(* Scenario 6: SIGKILL partway into a preallocated chunk               *)
+(* ------------------------------------------------------------------ *)
+
+let prealloc_kill () =
+  let path = fresh_path "prealloc.wal" in
+  let ack = fresh_path "prealloc.ack" in
+  (* 8 + 5 + 188 = 201-byte frames: 400 of them fill more than one
+     64 KiB chunk. *)
+  let token i = Printf.sprintf "p-%06d" i in
+  let payload i = token i ^ String.make 180 '.' in
+  let past_first_chunk = 400 in
+  match Unix.fork () with
+  | 0 ->
+    let w, _ = Audit_log.Wal.open_ path in
+    let afd =
+      Unix.openfile ack [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+    in
+    let i = ref 0 in
+    while true do
+      incr i;
+      Audit_log.Wal.append w (Audit_log.Wal.Note (payload !i));
+      Audit_log.Wal.sync w;
+      let line = token !i ^ "\n" in
+      ignore (Unix.write_substring afd line 0 (String.length line));
+      Unix.fsync afd
+    done;
+    exit 0
+  | pid ->
+    let deadline = Unix.gettimeofday () +. 20.0 in
+    while
+      List.length (read_acks ack) < past_first_chunk
+      && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.005
+    done;
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    let acked = read_acks ack in
+    check "prealloc: child wrote past the first chunk"
+      (List.length acked >= past_first_chunk);
+    let size = (Unix.stat path).Unix.st_size in
+    let records, r = Audit_log.Wal.read_all path in
+    check "prealloc: no corruption after SIGKILL" (not r.Audit_log.Wal.corrupt);
+    check "prealloc: the killed log keeps its padding"
+      (r.Audit_log.Wal.padding_bytes > 0
+      && size
+         = r.Audit_log.Wal.valid_bytes + r.Audit_log.Wal.truncated_bytes
+           + r.Audit_log.Wal.padding_bytes);
+    let durable = Hashtbl.create 1024 in
+    List.iter
+      (function
+        | Audit_log.Wal.Note s when String.length s >= 8 ->
+          Hashtbl.replace durable (String.sub s 0 8) ()
+        | _ -> ())
+      records;
+    let missing = List.filter (fun t -> not (Hashtbl.mem durable t)) acked in
+    List.iter (Printf.printf "# prealloc: acked but not durable: %s\n") missing;
+    check "prealloc: every acked record survives the kill" (missing = []);
+    let w, r2 = Audit_log.Wal.open_ path in
+    Audit_log.Wal.close w;
+    let _, r3 = Audit_log.Wal.read_all path in
+    check "prealloc: reopening truncates the padding"
+      (r2.Audit_log.Wal.valid_records = List.length records
+      && r3.Audit_log.Wal.padding_bytes = 0
+      && (Unix.stat path).Unix.st_size = r.Audit_log.Wal.valid_bytes);
+    check "prealloc: the recovered log is clean"
+      ((not r3.Audit_log.Wal.corrupt) && r3.Audit_log.Wal.truncated_bytes = 0);
+    Printf.printf
+      "# prealloc: %d records, %d acked, %d padding bytes dropped of %d\n"
+      (List.length records) (List.length acked) r.Audit_log.Wal.padding_bytes size
+
 let needs_fork f name =
   try f ()
   with Unix.Unix_error _ ->
@@ -378,6 +435,7 @@ let () =
       | "kill" -> needs_fork real_kill "kill"
       | "group" -> needs_fork group_commit "group"
       | "rotate" -> needs_fork rotation_kill "rotate"
+      | "prealloc" -> needs_fork prealloc_kill "prealloc"
       | s ->
         incr failures;
         Printf.printf "FAIL - unknown scenario %s\n" s)

@@ -18,6 +18,9 @@
        --min-records N         total record count floor
        --min-segments N        the log must span >= N segment files
        --clean                 no corruption and no truncated tail
+                               (zero padding a writer preallocated past
+                               its last frame is reported as padding,
+                               never as a torn tail)
        --exactly-once          no duplicate (session, seq, audit) ACCESSED
                                evidence — the retry/exactly-once gate
 
@@ -158,6 +161,7 @@ let () =
               ("valid_bytes", Int r.Wal.valid_bytes);
               ("scanned_bytes", Int r.Wal.scanned_bytes);
               ("truncated_bytes", Int r.Wal.truncated_bytes);
+              ("padding_bytes", Int r.Wal.padding_bytes);
               ("corrupt", Bool r.Wal.corrupt);
               ( "duplicate_evidence",
                 List
@@ -180,10 +184,11 @@ let () =
   else begin
     Printf.printf
       "walcheck %s: %d records (%d accessed, %d trigger firings, %d notes), \
-       %d sessions, %d segments, %d bytes truncated, %d duplicates%s\n"
+       %d sessions, %d segments, %d bytes truncated, %d padding bytes, %d \
+       duplicates%s\n"
       path (List.length records) !accessed !fired !notes
       (Hashtbl.length sessions) r.Wal.segments r.Wal.truncated_bytes
-      (List.length duplicates)
+      r.Wal.padding_bytes (List.length duplicates)
       (if r.Wal.corrupt then ", CORRUPT" else "");
     List.iter
       (fun (name, ok) ->

@@ -9,7 +9,9 @@
     ends the valid prefix, and the file is truncated there (a torn tail is
     the expected shape after a crash mid-write — later bytes are
     unverifiable and must not masquerade as audit evidence). Intact
-    records are never dropped.
+    records are never dropped. The writer preallocates zero bytes past
+    its last frame (see {!preallocate}); a zero tail is the end of the
+    log, and {!close} truncates it.
 
     Appends are failure-atomic: the pre-append size is remembered and the
     file is truncated back to it if the write fails midway, so a failed
@@ -243,6 +245,9 @@ type recovery = {
   valid_records : int;  (** intact records in the recovered prefix *)
   valid_bytes : int;  (** file size after truncating the torn tail *)
   truncated_bytes : int;  (** torn/corrupt bytes dropped from the tail *)
+  padding_bytes : int;
+      (** preallocated zero bytes after the last frame: the end of the
+          log, neither torn nor corrupt *)
   corrupt : bool;
       (** true when the tail failed its checksum (vs a clean short tail) *)
   segments : int;  (** segment files covered (1 for a single-file log) *)
@@ -258,6 +263,7 @@ let no_recovery =
     valid_records = 0;
     valid_bytes = 0;
     truncated_bytes = 0;
+    padding_bytes = 0;
     corrupt = false;
     segments = 1;
     tail_segment = 0;
@@ -265,7 +271,21 @@ let no_recovery =
   }
 
 (** Scan [contents], returning the intact records and the recovery
-    report. Never raises: an unreadable byte ends the valid prefix. *)
+    report. Never raises: an unreadable byte ends the valid prefix.
+
+    The writer preallocates zero bytes past its last frame, so a log
+    left by a crash ends in zeros. Let [z] be where that zero suffix
+    starts. The log ends cleanly at a frame boundary at or past [z] (a
+    zero length with only zeros after it is padding, not a frame). A
+    frame that fails its checksum is torn, not corrupt, when it ends
+    inside the zero suffix before the end of the file: the write stopped
+    inside preallocated space ({!preallocate} never lets a frame end
+    exactly at the end of the padding). A bit flip in the last frame
+    before the padding, in a payload that ends in zero bytes, also reads
+    as torn; both end the valid prefix at the same place. The writer
+    never frames an empty payload, so a zero length anywhere else is
+    corrupt. A tail that is not all zeros keeps the rules of an unpadded
+    file, and a corrupt tail counts as truncated, padding and all. *)
 let scan (contents : string) : record list * recovery =
   let len = String.length contents in
   if len < String.length magic || String.sub contents 0 (String.length magic) <> magic
@@ -280,11 +300,18 @@ let scan (contents : string) : record list * recovery =
         scanned_bytes = len;
       } )
   else begin
+    let zeros_from =
+      let z = ref len in
+      while !z > 0 && contents.[!z - 1] = '\000' do
+        decr z
+      done;
+      !z
+    in
     let records = ref [] in
     let pos = ref (String.length magic) in
     let corrupt = ref false in
     (try
-       while !pos < len do
+       while !pos < zeros_from do
          let at = ref !pos in
          if !at + frame_header_len > len then raise Exit;
          let plen = get_u32 contents at in
@@ -292,7 +319,8 @@ let scan (contents : string) : record list * recovery =
          if !at + plen > len then raise Exit;
          let payload = String.sub contents !at plen in
          if crc32 payload <> crc then begin
-           corrupt := true;
+           let ends = !at + plen in
+           corrupt := plen = 0 || ends <= zeros_from || ends = len;
            raise Exit
          end;
          (match decode payload with
@@ -303,12 +331,14 @@ let scan (contents : string) : record list * recovery =
          pos := !at + plen
        done
      with Exit -> ());
+    let data_end = if !corrupt then len else max !pos zeros_from in
     ( List.rev !records,
       {
         no_recovery with
         valid_records = List.length !records;
         valid_bytes = !pos;
-        truncated_bytes = len - !pos;
+        truncated_bytes = data_end - !pos;
+        padding_bytes = len - data_end;
         corrupt = !corrupt;
         scanned_bytes = len;
       } )
@@ -375,6 +405,7 @@ let read_all path : record list * recovery =
           List.fold_left (fun a (_, r) -> a + r.valid_bytes) tr.valid_bytes
             sealed;
         truncated_bytes = tr.truncated_bytes;
+        padding_bytes = tr.padding_bytes;
         corrupt = !corrupt || tr.corrupt;
         segments = tail_index + 1;
         tail_segment = tail_index;
@@ -414,6 +445,9 @@ type t = {
   mutable size : int;
       (** bytes of validated + successfully appended data in the active
           file (the only segment of a single-file log) *)
+  mutable allocated : int;
+      (** length of the active file: [size] plus the preallocated zero
+          bytes after it *)
   mutable appended : int;  (** records appended through this handle *)
   mutable syncs : int;  (** fsyncs issued through this handle *)
   mutable dirty : bool;  (** appended since the last fsync *)
@@ -524,6 +558,7 @@ let open_ ?(policy = Fail_closed) ?faults ?max_segment_size path : t * recovery
           valid_records = sealed_records + tr.valid_records;
           valid_bytes = sealed_bytes + tr.valid_bytes;
           truncated_bytes = tr.truncated_bytes;
+          padding_bytes = tr.padding_bytes;
           corrupt = tr.corrupt || mr.corrupt;
           segments = tail_index + 1;
           tail_segment = tail_index;
@@ -538,6 +573,7 @@ let open_ ?(policy = Fail_closed) ?faults ?max_segment_size path : t * recovery
         fd = Some fd;
         policy;
         size = active_size;
+        allocated = active_size;
         appended = 0;
         syncs = 0;
         dirty = false;
@@ -557,18 +593,81 @@ let write_all fd bytes off len =
     remaining := !remaining - n
   done
 
-(** Truncate back to the pre-append size; on failure the handle dies. *)
+(* Preallocation. An append that grows the file makes the fsync after it
+   commit the new size to the filesystem journal as well as the data;
+   overwriting blocks that already hold zeros flushes the data only. So
+   when a frame would pass the allocated end, the active file grows by
+   [prealloc_chunk] zero bytes (real writes, not a hole: a hole or an
+   unwritten extent needs the same metadata commit on first write), and
+   appends then overwrite them. The extension is written from one page of
+   zeros, never from a chunk-sized buffer. Readers treat the zero tail as
+   the end of the log ({!scan}); {!close}, {!heal} and rotation truncate
+   it, so a cleanly closed log holds exactly its frames. *)
+let prealloc_chunk = 64 * 1024
+let zero_page = String.make 4096 '\000'
+
+(* Make room for a frame ending at [need]. Either the frame ends strictly
+   inside the allocated space, so at least one zero byte follows it, or
+   the file holds no padding when the frame is written, so a frame torn
+   by a crash is cut at the end of the file: {!scan} tells the two apart
+   from a corrupt frame by that. The extension is whole chunks and never
+   passes a segment's rotation threshold; when it cannot fit, or fails
+   (it is undone), the padding is dropped and the frame is appended at
+   the end of the file as without preallocation. *)
+let preallocate t fd need =
+  if need >= t.allocated then begin
+    let limit = match t.seg with Some s -> s.max_bytes | None -> max_int in
+    let chunks = 1 + ((need - t.allocated) / prealloc_chunk) in
+    let target = min limit (t.allocated + (chunks * prealloc_chunk)) in
+    match
+      if target <= need then raise Exit;
+      ignore (Unix.lseek fd t.allocated Unix.SEEK_SET);
+      let pos = ref t.allocated in
+      while !pos < target do
+        let n = min (String.length zero_page) (target - !pos) in
+        pos := !pos + Unix.write_substring fd zero_page 0 n
+      done;
+      ignore (Unix.lseek fd t.size Unix.SEEK_SET)
+    with
+    | () -> t.allocated <- target
+    | exception Exit when t.allocated = t.size -> ()
+    | exception (Exit | Unix.Unix_error _) -> (
+      try
+        Unix.ftruncate fd t.size;
+        t.allocated <- t.size;
+        ignore (Unix.lseek fd t.size Unix.SEEK_SET)
+      with Unix.Unix_error _ -> ())
+  end
+
+(* Write a whole frame at the end of the data. *)
+let write_frame t fd bytes len =
+  preallocate t fd (t.size + len);
+  write_all fd bytes 0 len
+
+(* Account for a frame [write_frame] wrote. *)
+let wrote t len =
+  t.size <- t.size + len;
+  t.allocated <- max t.allocated t.size;
+  t.appended <- t.appended + 1;
+  t.dirty <- true;
+  match t.seg with Some s -> s.seg_records <- s.seg_records + 1 | None -> ()
+
+(** Truncate back to the pre-append size, padding included; on failure
+    the handle dies. *)
 let heal t =
   match t.fd with
   | None -> ()
   | Some fd -> (
     try
       Unix.ftruncate fd t.size;
+      t.allocated <- t.size;
       ignore (Unix.lseek fd t.size Unix.SEEK_SET)
     with Unix.Unix_error _ ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       t.fd <- None)
 
+(** Drop the handle as a crash would: nothing is truncated or synced, so
+    padding and any torn frame stay on disk for recovery. *)
 let kill t =
   (match t.seg with
   | Some ({ manifest = Some mfd; _ } as s) ->
@@ -601,6 +700,13 @@ let rotate t =
       | None ->
         log_io (Printf.sprintf "audit log %s: manifest handle is dead" t.path)
     in
+    (* A sealed segment holds exactly its frames: drop the padding before
+       the fsync that the checkpoint vouches for. *)
+    if t.allocated > t.size then begin
+      Unix.ftruncate fd t.size;
+      t.allocated <- t.size;
+      t.dirty <- true
+    end;
     if t.dirty then begin
       Unix.fsync fd;
       t.dirty <- false;
@@ -627,7 +733,8 @@ let rotate t =
     s.seg_index <- next;
     s.seg_records <- 0;
     s.rotations <- s.rotations + 1;
-    t.size <- String.length magic
+    t.size <- String.length magic;
+    t.allocated <- t.size
 
 (* ENOSPC on a segmented log: rotate into a fresh segment and retry the
    frame once, instead of healing forever against a full segment. If the
@@ -639,15 +746,9 @@ let rotate t =
 let enospc_retry t bytes len msg =
   match
     rotate t;
-    write_all (fd_exn t) bytes 0 len
+    write_frame t (fd_exn t) bytes len
   with
-  | () ->
-    t.size <- t.size + len;
-    t.appended <- t.appended + 1;
-    t.dirty <- true;
-    (match t.seg with
-    | Some s -> s.seg_records <- s.seg_records + 1
-    | None -> ())
+  | () -> wrote t len
   | exception (Unix.Unix_error _ | Engine_error.Error _ | Failure _) ->
     (match t.policy with Fail_closed -> kill t | Fail_open -> heal t);
     log_io
@@ -680,21 +781,22 @@ let append t (r : record) : unit =
     else enospc_retry t bytes len "injected ENOSPC"
   | Some Faultkit.Crash_before_sync ->
     (* Half a frame hits the disk, then the "process" dies: the torn tail
-       stays for recovery to truncate, and the handle is unusable. *)
-    (try write_all fd bytes 0 (max 1 (len / 2)) with Unix.Unix_error _ -> ());
+       and the padding after it stay for recovery to truncate, and the
+       handle is unusable. *)
+    (try
+       preallocate t fd (t.size + len);
+       write_all fd bytes 0 (max 1 (len / 2))
+     with Unix.Unix_error _ -> ());
     kill t;
     log_io
       (Printf.sprintf "audit log %s: injected crash before fsync" t.path)
   | None -> (
-    match write_all fd bytes 0 len with
+    match write_frame t fd bytes len with
     | () -> (
-      t.size <- t.size + len;
-      t.appended <- t.appended + 1;
-      t.dirty <- true;
+      wrote t len;
       match t.seg with
       | None -> ()
       | Some s ->
-        s.seg_records <- s.seg_records + 1;
         if t.size >= s.max_bytes then (
           (* Size-based rotation. The record above is already written;
              a failed rotation loses nothing durable. Fail-closed still
@@ -736,7 +838,15 @@ let sync t =
           (Printf.sprintf "audit log %s: fsync failed (%s)" t.path
              (Unix.error_message e)))
 
-let close t = kill t
+(** Close cleanly: the padding is truncated first, so the file holds
+    exactly its frames. A failed truncation leaves padding that the next
+    {!open_} drops. *)
+let close t =
+  (match t.fd with
+  | Some fd when t.allocated > t.size -> (
+    try Unix.ftruncate fd t.size with Unix.Unix_error _ -> ())
+  | _ -> ());
+  kill t
 
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)

@@ -1,10 +1,13 @@
 (** Durable, append-only audit log with checksummed record framing.
 
     File layout: 8-byte magic, then frames of
-    [u32 length | u32 crc32(payload) | payload] (big-endian). {!open_}
-    recovers: intact records are kept, the torn tail after a crash is
-    truncated. {!append} is failure-atomic (the log is healed back to the
-    pre-append size on a failed write). All failures raise
+    [u32 length | u32 crc32(payload) | payload] (big-endian). The writer
+    grows the file 64 KiB of zero bytes at a time and overwrites them, so
+    a log that was not {!close}d may end in zero padding: a zero length
+    with only zeros after it is the end of the log. {!open_} recovers:
+    intact records are kept, the padding and the torn tail after a crash
+    are truncated. {!append} is failure-atomic (the log is healed back to
+    the pre-append size on a failed write). All failures raise
     [Engine_core.Engine_error.Error (Log_io _)] — the policy layer in
     [Db.Database] decides fail-closed vs fail-open.
 
@@ -50,6 +53,9 @@ type recovery = {
   valid_records : int;  (** intact records in the recovered prefix *)
   valid_bytes : int;  (** file size after truncating the torn tail *)
   truncated_bytes : int;  (** torn/corrupt bytes dropped from the tail *)
+  padding_bytes : int;
+      (** preallocated zero bytes after the last frame: the clean end of
+          a log whose writer did not {!close} it; never counted as torn *)
   corrupt : bool;
       (** the tail failed its checksum (vs a clean short tail) *)
   segments : int;  (** segment files covered (1 for a single-file log) *)
@@ -96,7 +102,15 @@ val append : t -> record -> unit
 (** Flush appended records to stable storage (fsync). *)
 val sync : t -> unit
 
+(** Close cleanly: the preallocated zero tail is truncated, so the file
+    holds the magic and its frames and nothing else. *)
 val close : t -> unit
+
+(** Drop the handle as a crash would: no truncation, no fsync. The
+    padding (and a torn frame, after an injected crash) stays on disk
+    for {!open_} to recover. *)
+val kill : t -> unit
+
 val path : t -> string
 val policy : t -> policy
 val set_policy : t -> policy -> unit
@@ -128,6 +142,14 @@ val read_all : string -> record list * recovery
 
 (** CRC32 (IEEE) of a string — exposed for integrity checks in tests. *)
 val crc32 : string -> int
+
+(** The on-disk bytes of one record: length, checksum and payload. A
+    cleanly closed log is the magic followed by the frames of its
+    records. *)
+val frame : record -> string
+
+(** The 8-byte magic that starts every log and segment file. *)
+val magic : string
 
 type wal = t
 (** alias usable inside {!Group}, where [t] names the group writer *)

@@ -29,6 +29,9 @@ type t =
   | Verify of string
       (** the plan-invariant verifier rejected an optimized plan in
           [Strict] mode: executing it could break the auditing guarantee *)
+  | Dependency of { obj : string; dependents : string list }
+      (** DDL refused: dropping [obj] would leave [dependents] (e.g. the
+          triggers on an audit expression) naming an object that is gone *)
   | Internal of string
 
 exception Error of t
@@ -48,6 +51,9 @@ let to_string = function
   | Log_io m -> "audit-log I/O error: " ^ m
   | Fault m -> "injected fault: " ^ m
   | Verify m -> "plan verification failed: " ^ m
+  | Dependency { obj; dependents } ->
+    Printf.sprintf "dependency error: cannot drop %s: %s depends on it" obj
+      (String.concat ", " dependents)
   | Internal m -> "internal error: " ^ m
 
 let raise_ e = raise (Error e)

@@ -1,7 +1,7 @@
 (** Typed engine errors: one variant per failure class, a single
     [to_string], and the [Error] carrier exception. The robustness-critical
-    classes ([Cancelled], [Log_io], [Fault]) propagate typed out of
-    [Db.Database.exec]; the legacy classes are re-surfaced as
+    classes ([Cancelled], [Log_io], [Fault]) and [Dependency] propagate
+    typed out of [Db.Database.exec]; the legacy classes are re-surfaced as
     [Db_error (to_string e)] for compatibility. *)
 
 type cancel_reason =
@@ -20,6 +20,9 @@ type t =
   | Verify of string
       (** the plan-invariant verifier rejected an optimized plan in
           [Strict] mode *)
+  | Dependency of { obj : string; dependents : string list }
+      (** DDL refused: dropping [obj] would leave [dependents] naming an
+          object that is gone *)
   | Internal of string
 
 exception Error of t

@@ -747,7 +747,18 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
          audit_name
          (Audit_core.Sensitive_view.cardinality view))
   | Sql.Ast.S_drop_audit name ->
-    Audit_core.Sensitive_view.detach (audit_view db name);
+    let view = audit_view db name in
+    (match Audit_core.Trigger.on_access db.triggers ~audit_name:name with
+    | [] -> ()
+    | ts ->
+      Engine_core.Engine_error.raise_
+        (Engine_core.Engine_error.Dependency
+           {
+             obj = "audit expression " ^ name;
+             dependents =
+               List.map (fun tr -> "trigger " ^ tr.Audit_core.Trigger.name) ts;
+           }));
+    Audit_core.Sensitive_view.detach view;
     Hashtbl.remove db.audits (norm name);
     Done (Printf.sprintf "audit expression %s dropped" name)
   | Sql.Ast.S_create_trigger { trigger_name; event; timing; body } ->
@@ -1062,8 +1073,9 @@ and exec_insert db table columns source : result =
         (audited db (fun () -> run db p))
   in
   List.iter (Table.insert t) rows;
-  let inserted = List.map (Table.coerce_row t) rows in
-  run_dml_triggers db ~table ~event:Sql.Ast.Ev_insert ~new_rows:inserted
+  (* [new] coerces the rows as [t] did: it is built with [t]'s schema, and
+     only when an INSERT trigger fires. *)
+  run_dml_triggers db ~table ~event:Sql.Ast.Ev_insert ~new_rows:rows
     ~old_rows:[] ~row_schema:schema;
   Affected (List.length rows)
 

@@ -207,7 +207,8 @@ val result_to_string : result -> string
 (** {1 Statement execution} *)
 
 (** Execute one SQL statement. Raises {!Db_error} (with parse/bind/execute
-    context) or {!Access_denied}. *)
+    context) or {!Access_denied}; a DROP refused because other objects
+    name its target raises [Engine_core.Engine_error.Error (Dependency _)]. *)
 val exec : t -> string -> result
 
 (** Execute a ';'-separated script, returning results in order. *)

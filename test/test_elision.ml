@@ -525,8 +525,10 @@ let test_cached_audit_side_invalidated () =
   check (list vt) "BUILDING audit: AUTOMOBILE read certified"
     [ Analysis.Independence.Independent ] v;
   check Fixtures.values "nothing accessed" [] acc;
+  e "DROP TRIGGER w";
   e "DROP AUDIT EXPRESSION audit_customer";
   e (Tpch.Queries.audit_segment ~segment:"AUTOMOBILE" ());
+  e "CREATE TRIGGER w ON ACCESS TO audit_customer AS NOTIFY 'seen'";
   let v, acc, notes = run automobile in
   check (list vt) "re-created audit: the probe is kept"
     [ Analysis.Independence.Overlapping ] v;

@@ -404,6 +404,64 @@ let test_nested_explain_keeps_evidence () =
     "the triggering SELECT's ACCESSED record" [ [ "1" ] ]
     (accessed_ids records)
 
+(* [new] holds the rows as the table stored them: an INT inserted into a
+   FLOAT column reaches an INSERT trigger as a float, so [x / 2] divides
+   as floats (an INT would truncate to 0). *)
+let test_insert_new_is_coerced () =
+  List.iter
+    (fun storage ->
+      let db = Fixtures.create ~config:{ Fixtures.config with Db.Config.storage } () in
+      List.iter
+        (fun sql -> ignore (Db.Database.exec db sql))
+        [
+          "CREATE TABLE m (id INT PRIMARY KEY, x FLOAT)";
+          "CREATE TABLE copy (id INT, half FLOAT)";
+          "CREATE TRIGGER cp ON m AFTER INSERT AS INSERT INTO copy SELECT id, \
+           x / 2 FROM new";
+          "INSERT INTO m VALUES (1, 1), (2, 3)";
+        ];
+      check Fixtures.tuples
+        (Printf.sprintf "new.x is a float (%s)" (Table.storage_to_string storage))
+        [ [| vi 1; Value.Float 0.5 |]; [| vi 2; Value.Float 1.5 |] ]
+        (Fixtures.rows_sorted db "SELECT * FROM copy"))
+    [ Table.Heap; Table.Columnar ]
+
+(* DROP AUDIT EXPRESSION is refused while an ON ACCESS trigger names the
+   expression: dropping it would leave a trigger that a dump cannot
+   replay and that a re-created expression of the same name revives. *)
+let test_drop_audit_with_dependent_trigger () =
+  let db = db_with_log () in
+  (match Db.Database.exec db "DROP AUDIT EXPRESSION audit_alice" with
+  | exception
+      Engine_core.Engine_error.Error
+        (Engine_core.Engine_error.Dependency { obj; dependents }) ->
+    check Alcotest.string "the refused object" "audit expression audit_alice" obj;
+    check Alcotest.(list string) "the dependent trigger is named"
+      [ "trigger log_alice" ] dependents
+  | _ -> Alcotest.fail "DROP AUDIT EXPRESSION with a dependent trigger succeeded");
+  check Alcotest.(list string) "the audit expression stays" [ "audit_alice" ]
+    (Db.Database.audit_names db);
+  ignore (Db.Database.exec db "SELECT * FROM patients WHERE name = 'Alice'");
+  check Alcotest.int "its trigger still fires" 1 (List.length (log_rows db));
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  ignore (Db.Database.exec replayed "SELECT * FROM patients WHERE name = 'Alice'");
+  check Alcotest.int "the dump replays with the trigger" 2
+    (List.length (log_rows replayed));
+  ignore (Db.Database.exec db "DROP TRIGGER log_alice");
+  ignore (Db.Database.exec db "DROP AUDIT EXPRESSION audit_alice");
+  check Alcotest.(list string) "dropped once the trigger is gone" []
+    (Db.Database.audit_names db);
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  check Alcotest.(list string) "the dump replays without it" []
+    (Db.Database.audit_names replayed);
+  ignore
+    (Db.Database.exec replayed
+       "CREATE AUDIT EXPRESSION audit_alice AS SELECT * FROM patients WHERE \
+        name = 'Alice' FOR SENSITIVE TABLE patients, PARTITION BY patientid");
+  ignore (Db.Database.exec replayed "SELECT * FROM patients WHERE name = 'Alice'");
+  check Alcotest.int "re-creating the expression revives no trigger" 1
+    (List.length (log_rows replayed))
+
 let suite =
   [
     Alcotest.test_case "SELECT trigger fires and logs" `Quick
@@ -444,4 +502,8 @@ let suite =
       test_explain_analyze_fires;
     Alcotest.test_case "nested EXPLAIN ANALYZE keeps the evidence" `Quick
       test_nested_explain_keeps_evidence;
+    Alcotest.test_case "INSERT trigger reads new as stored" `Quick
+      test_insert_new_is_coerced;
+    Alcotest.test_case "DROP AUDIT EXPRESSION refused while a trigger names it"
+      `Quick test_drop_audit_with_dependent_trigger;
   ]

@@ -298,6 +298,233 @@ let test_segmented_enospc_rotates () =
   Alcotest.(check int) "two segments" 2 r.Wal.segments;
   Alcotest.(check bool) "clean" false r.Wal.corrupt
 
+(* ------------------------------------------------------------------ *)
+(* Preallocated padding                                                *)
+(* ------------------------------------------------------------------ *)
+
+let file_size p = (Unix.stat p).Unix.st_size
+let read_bytes p = In_channel.with_open_bin p In_channel.input_all
+
+let frames rs = String.concat "" (List.map Wal.frame rs)
+
+(* A note whose frame is [8 + 5 + size] bytes. *)
+let sized_note i size =
+  let tag = Printf.sprintf "n%05d" i in
+  Wal.Note (tag ^ String.make (max 0 (size - String.length tag)) 'z')
+
+(* Segment by segment, the records a segmented writer puts in each file:
+   it rotates once an append brings the active file to [max] bytes. *)
+let split_segments ~max rs =
+  let segs, cur, _ =
+    List.fold_left
+      (fun (segs, cur, size) r ->
+        let size = size + String.length (Wal.frame r) in
+        if size >= max then
+          (List.rev (r :: cur) :: segs, [], String.length Wal.magic)
+        else (segs, r :: cur, size))
+      ([], [], String.length Wal.magic)
+      rs
+  in
+  List.rev (List.rev cur :: segs)
+
+(* After [close] a log holds the magic and its frames, byte for byte:
+   the padding a live writer keeps past its last frame is gone, and no
+   sealed segment ever holds any. Records cross a 64 KiB chunk boundary,
+   and some payloads end in zero bytes. *)
+let test_close_drops_padding () =
+  let rs =
+    List.init 40 (fun i -> sized_note i (if i mod 3 = 0 then 4000 else 30))
+    @ [ Wal.Note ""; List.nth sample 4 ]
+  in
+  let path = fresh_path "closed" in
+  let w, _ = Wal.open_ path in
+  List.iter (Wal.append w) rs;
+  Wal.sync w;
+  let data = String.length Wal.magic + String.length (frames rs) in
+  Alcotest.(check bool) "a live writer keeps padding past its frames" true
+    (file_size path > data);
+  let got, r = Wal.read_all path in
+  Alcotest.check records "padding is not read as records" rs got;
+  Alcotest.(check int) "padding is not a torn tail" 0 r.Wal.truncated_bytes;
+  Alcotest.(check int) "padding is reported as padding" (file_size path - data)
+    r.Wal.padding_bytes;
+  Wal.close w;
+  Alcotest.(check string) "closed single-file log = magic ^ frames"
+    (Wal.magic ^ frames rs) (read_bytes path);
+  let path = fresh_path "closedseg" in
+  let max_segment_size = 16 * 1024 in
+  let w, _ = Wal.open_ ~max_segment_size path in
+  List.iter (Wal.append w) rs;
+  Wal.sync w;
+  let segs = split_segments ~max:max_segment_size rs in
+  Alcotest.(check int) "the writer rotated where expected" (List.length segs)
+    (Wal.segments w);
+  List.iteri
+    (fun i seg ->
+      if i < List.length segs - 1 then
+        Alcotest.(check string)
+          (Printf.sprintf "sealed segment %d = magic ^ frames, while open" i)
+          (Wal.magic ^ frames seg)
+          (read_bytes (Wal.segment_path path i)))
+    segs;
+  let tail = List.length segs - 1 in
+  let tail_size = file_size (Wal.segment_path path tail) in
+  Alcotest.(check bool) "the live tail segment is padded" true
+    (tail_size > String.length Wal.magic + String.length (frames (List.nth segs tail)));
+  Alcotest.(check bool) "padding never passes the rotation threshold" true
+    (tail_size <= max_segment_size);
+  Wal.close w;
+  List.iteri
+    (fun i seg ->
+      Alcotest.(check string)
+        (Printf.sprintf "closed segment %d = magic ^ frames" i)
+        (Wal.magic ^ frames seg)
+        (read_bytes (Wal.segment_path path i)))
+    segs;
+  let got, r = Wal.read_all path in
+  Alcotest.check records "segmented history intact" rs got;
+  Alcotest.(check int) "no padding left" 0 r.Wal.padding_bytes;
+  (* ENOSPC seals a padded segment before its threshold. *)
+  let path = fresh_path "enospcseg" in
+  let kit = F.create () in
+  F.arm kit [ F.Log_io { at = 3; fault = F.Enospc } ];
+  let w, _ = Wal.open_ ~faults:kit ~max_segment_size:(1 lsl 20) path in
+  List.iter (Wal.append w) [ note 1; note 2; note 3 ];
+  Wal.sync w;
+  Alcotest.(check string) "a segment sealed by ENOSPC = magic ^ frames"
+    (Wal.magic ^ frames [ note 1; note 2 ])
+    (read_bytes (Wal.segment_path path 0));
+  Wal.close w
+
+(* A frame torn by a crash reads as torn, not corrupt, wherever it ends:
+   inside the padding of a chunk it had to extend, exactly at the end of
+   a chunk, or exactly at a segment's rotation threshold (the writer then
+   drops the padding and appends it unpadded). *)
+let test_torn_frame_in_padding () =
+  let crash_on path ?max_segment_size before r =
+    let kit = F.create () in
+    F.arm kit
+      [ F.Log_io { at = List.length before + 1; fault = F.Crash_before_sync } ];
+    let w, _ = Wal.open_ ~faults:kit ?max_segment_size path in
+    List.iter (Wal.append w) before;
+    Wal.sync w;
+    expect_log_io (fun () -> Wal.append w r);
+    let got, rec_ = Wal.read_all path in
+    Alcotest.check records "synced records survive" before got;
+    Alcotest.(check bool) "the torn frame is torn" true
+      (rec_.Wal.truncated_bytes > 0);
+    Alcotest.(check bool) "and not corrupt" false rec_.Wal.corrupt
+  in
+  (* 60 KiB of frames, then one that passes the first chunk's end. *)
+  crash_on (fresh_path "tornchunk")
+    (List.init 15 (fun i -> sized_note i 4000))
+    (sized_note 99 8000);
+  (* A frame ending exactly where the first chunk ends. *)
+  crash_on (fresh_path "tornchunkend")
+    [ sized_note 0 32000 ]
+    (sized_note 1 (65536 - 32013 - 13));
+  (* A frame ending exactly at the 4 KiB threshold of a segment. *)
+  crash_on (fresh_path "tornseg") ~max_segment_size:4096
+    [ sized_note 0 1000 ]
+    (sized_note 1 (4096 - String.length Wal.magic - 1013 - 13))
+
+type crash = Kill | Torn  (** plain [kill]; injected crash mid-frame *)
+
+let gen_crash_case =
+  QCheck.Gen.(
+    let record =
+      map2 sized_note (int_bound 99999)
+        (frequency [ (3, int_range 0 64); (1, int_range 2000 9000) ])
+    in
+    let steps = list_size (int_range 1 40) (pair record bool) in
+    map
+      (fun (steps, (cut, crash, segmented, poke)) ->
+        let k = cut mod (List.length steps + 1) in
+        (steps, k, crash, segmented, poke))
+      (pair steps
+         (quad nat (oneofl [ Kill; Torn ]) bool (int_bound 1_000_000))))
+
+let print_crash_case (steps, k, crash, segmented, _) =
+  Printf.sprintf "%d records (sizes %s), crash after %d by %s, %s" (List.length steps)
+    (String.concat ","
+       (List.map (fun (r, _) -> string_of_int (String.length (Wal.frame r))) steps))
+    k
+    (match crash with Kill -> "kill" | Torn -> "torn frame")
+    (if segmented then "segmented" else "single file")
+
+let remove_log path =
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    (path :: Wal.manifest_path path :: List.init 64 (Wal.segment_path path))
+
+(* A writer dies ([kill], never [close]) after [k] appends, at a random
+   point of a padded chunk, with random fsyncs before; [Torn] also leaves
+   half of the next frame inside the padding. Nothing may be lost or
+   called corrupt, the padding must still be on disk, and recovery must
+   drop it. A non-zero byte after a zero header is still corruption. *)
+let prop_kill_keeps_padding =
+  QCheck.Test.make ~count:60 ~name:"kill leaves padding; recovery keeps every record"
+    (QCheck.make ~print:print_crash_case gen_crash_case)
+    (fun (steps, k, crash, segmented, poke) ->
+      let path = fresh_path "prop" in
+      let max_segment_size = if segmented then Some (16 * 1024) else None in
+      let kit = F.create () in
+      if crash = Torn then
+        F.arm kit [ F.Log_io { at = k + 1; fault = F.Crash_before_sync } ];
+      let w, _ = Wal.open_ ~faults:kit ?max_segment_size path in
+      let written = List.filteri (fun i _ -> i < k) steps |> List.map fst in
+      List.iteri
+        (fun i (r, sync) ->
+          if i < k then begin
+            Wal.append w r;
+            if sync then Wal.sync w
+          end
+          else if i = k && crash = Torn then
+            match Wal.append w r with
+            | () -> QCheck.Test.fail_report "injected crash did not fire"
+            | exception E.Error (E.Log_io _) -> ())
+        steps;
+      Wal.kill w;
+      let got, r = Wal.read_all path in
+      let torn = crash = Torn && k < List.length steps in
+      if got <> written then QCheck.Test.fail_report "records lost or invented";
+      if r.Wal.corrupt then QCheck.Test.fail_report "a zero tail read as corrupt";
+      if torn <> (r.Wal.truncated_bytes > 0) then
+        QCheck.Test.fail_reportf "torn frame %b but %d torn bytes" torn
+          r.Wal.truncated_bytes;
+      if (not segmented) && k > 0 && r.Wal.padding_bytes = 0 then
+        QCheck.Test.fail_report "kill truncated the padding";
+      (* A non-zero byte after a zero header, in a copy of the log. *)
+      if (not segmented) && (not torn) && r.Wal.padding_bytes > 8 then begin
+        let at = r.Wal.valid_bytes + 8 + (poke mod (r.Wal.padding_bytes - 8)) in
+        let b = Bytes.of_string (read_bytes path) in
+        Bytes.set b at '\001';
+        let copy = path ^ ".poked" in
+        Out_channel.with_open_bin copy (fun oc -> Out_channel.output_bytes oc b);
+        let got', r' = Wal.read_all copy in
+        Sys.remove copy;
+        if not r'.Wal.corrupt then
+          QCheck.Test.fail_report "a non-zero byte after a zero header is not corrupt";
+        if got' <> written then QCheck.Test.fail_report "the poke cost a record"
+      end;
+      let w, r = Wal.open_ ?max_segment_size path in
+      if r.Wal.valid_records <> k then QCheck.Test.fail_report "recovery lost records";
+      let _, r = Wal.read_all path in
+      if r.Wal.padding_bytes <> 0 || r.Wal.truncated_bytes <> 0 then
+        QCheck.Test.fail_report "recovery left padding or a torn tail";
+      Wal.append w (Wal.Note "after recovery");
+      Wal.close w;
+      let got, _ = Wal.read_all path in
+      if got <> written @ [ Wal.Note "after recovery" ] then
+        QCheck.Test.fail_report "append after recovery";
+      if not segmented then begin
+        let expected = Wal.magic ^ frames got in
+        if read_bytes path <> expected then
+          QCheck.Test.fail_report "closed log is not magic ^ frames"
+      end;
+      remove_log path;
+      true)
+
 let test_crc32 () =
   (* The standard CRC32 (IEEE 802.3) check value. *)
   Alcotest.(check int)
@@ -326,4 +553,9 @@ let suite =
     Alcotest.test_case "segmented: ENOSPC rotates and retries" `Quick
       test_segmented_enospc_rotates;
     Alcotest.test_case "crc32 check value" `Quick test_crc32;
+    Alcotest.test_case "close leaves magic ^ frames, sealed segments too"
+      `Quick test_close_drops_padding;
+    Alcotest.test_case "a frame torn inside the padding reads as torn" `Quick
+      test_torn_frame_in_padding;
+    QCheck_alcotest.to_alcotest prop_kill_keeps_padding;
   ]
