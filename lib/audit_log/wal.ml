@@ -639,18 +639,20 @@ let preallocate t fd need =
       with Unix.Unix_error _ -> ())
   end
 
-(* Write a whole frame at the end of the data. *)
+(* Write frames at the end of the data. *)
 let write_frame t fd bytes len =
   preallocate t fd (t.size + len);
   write_all fd bytes 0 len
 
-(* Account for a frame [write_frame] wrote. *)
-let wrote t len =
+(* Account for [records] frames, [len] bytes, that [write_frame] wrote. *)
+let wrote t ~records len =
   t.size <- t.size + len;
   t.allocated <- max t.allocated t.size;
-  t.appended <- t.appended + 1;
+  t.appended <- t.appended + records;
   t.dirty <- true;
-  match t.seg with Some s -> s.seg_records <- s.seg_records + 1 | None -> ()
+  match t.seg with
+  | Some s -> s.seg_records <- s.seg_records + records
+  | None -> ()
 
 (** Truncate back to the pre-append size, padding included; on failure
     the handle dies. *)
@@ -737,18 +739,18 @@ let rotate t =
     t.allocated <- t.size
 
 (* ENOSPC on a segmented log: rotate into a fresh segment and retry the
-   frame once, instead of healing forever against a full segment. If the
+   frames once, instead of healing forever against a full segment. If the
    rotation or the retried write also fails, stop degrading gracefully —
    fail-closed poisons the handle (every later operation raises, queries
    are withheld), fail-open heals it for a later attempt. Single-file
    logs keep the legacy heal-and-raise behaviour (handled by the caller
    before reaching here). *)
-let enospc_retry t bytes len msg =
+let enospc_retry t ~records bytes len msg =
   match
     rotate t;
     write_frame t (fd_exn t) bytes len
   with
-  | () -> wrote t len
+  | () -> wrote t ~records len
   | exception (Unix.Unix_error _ | Engine_error.Error _ | Failure _) ->
     (match t.policy with Fail_closed -> kill t | Fail_open -> heal t);
     log_io
@@ -756,33 +758,61 @@ let enospc_retry t bytes len msg =
          msg
          (policy_to_string t.policy))
 
-(** Append one record (no fsync — call {!sync} before releasing results).
-    Failure-atomic: on error the log is either exactly as before the call
-    or (after a simulated crash) carries a torn tail that {!open_} will
-    truncate. Raises [Engine_error.Error (Log_io _)] on any failure. *)
-let append t (r : record) : unit =
-  let fd = fd_exn t in
-  let bytes = frame r in
+(* One write of [records] whole frames, then the size-based rotation when
+   the last of them reached the segment threshold. *)
+let write_run t ~records bytes =
   let len = String.length bytes in
-  let injected =
-    match t.faults with None -> None | Some k -> Faultkit.on_log_append k
-  in
-  match injected with
-  | Some (Faultkit.Short_write n) ->
+  match write_frame t (fd_exn t) bytes len with
+  | () -> (
+    wrote t ~records len;
+    match t.seg with
+    | None -> ()
+    | Some s ->
+      if t.size >= s.max_bytes then (
+        (* Size-based rotation. The records above are already written;
+           a failed rotation loses nothing durable. Fail-closed still
+           poisons (the next checkpoint can no longer be trusted to
+           happen); fail-open stays on the oversized segment and will
+           retry rotating at the next append. *)
+        match rotate t with
+        | () -> ()
+        | exception (Unix.Unix_error _ | Engine_error.Error _ | Failure _)
+          -> (
+          match t.policy with
+          | Fail_closed ->
+            kill t;
+            log_io
+              (Printf.sprintf "audit log %s: segment rotation failed" t.path)
+          | Fail_open -> ())))
+  | exception Unix.Unix_error (e, _, _) ->
+    heal t;
+    if e = Unix.ENOSPC && t.seg <> None then
+      enospc_retry t ~records bytes len "write failed (ENOSPC)"
+    else
+      log_io
+        (Printf.sprintf "audit log %s: write failed (%s)" t.path
+           (Unix.error_message e))
+
+(* The injected fault of one record's frame. *)
+let inject t bytes = function
+  | Faultkit.Short_write n ->
     (* Write a torn prefix, then heal — exercising failure-atomicity. *)
-    (try write_all fd bytes 0 (min n len) with Unix.Unix_error _ -> ());
+    let len = String.length bytes in
+    (try write_all (fd_exn t) bytes 0 (min n len) with Unix.Unix_error _ -> ());
     heal t;
     log_io
       (Printf.sprintf "audit log %s: injected short write (%d/%d bytes)"
          t.path (min n len) len)
-  | Some Faultkit.Enospc ->
+  | Faultkit.Enospc ->
     if t.seg = None then
       log_io (Printf.sprintf "audit log %s: injected ENOSPC" t.path)
-    else enospc_retry t bytes len "injected ENOSPC"
-  | Some Faultkit.Crash_before_sync ->
+    else
+      enospc_retry t ~records:1 bytes (String.length bytes) "injected ENOSPC"
+  | Faultkit.Crash_before_sync ->
     (* Half a frame hits the disk, then the "process" dies: the torn tail
        and the padding after it stay for recovery to truncate, and the
        handle is unusable. *)
+    let fd = fd_exn t and len = String.length bytes in
     (try
        preallocate t fd (t.size + len);
        write_all fd bytes 0 (max 1 (len / 2))
@@ -790,38 +820,50 @@ let append t (r : record) : unit =
     kill t;
     log_io
       (Printf.sprintf "audit log %s: injected crash before fsync" t.path)
-  | None -> (
-    match write_frame t fd bytes len with
-    | () -> (
-      wrote t len;
-      match t.seg with
-      | None -> ()
-      | Some s ->
-        if t.size >= s.max_bytes then (
-          (* Size-based rotation. The record above is already written;
-             a failed rotation loses nothing durable. Fail-closed still
-             poisons (the next checkpoint can no longer be trusted to
-             happen); fail-open stays on the oversized segment and will
-             retry rotating at the next append. *)
-          match rotate t with
-          | () -> ()
-          | exception (Unix.Unix_error _ | Engine_error.Error _ | Failure _)
-            -> (
-            match t.policy with
-            | Fail_closed ->
-              kill t;
-              log_io
-                (Printf.sprintf "audit log %s: segment rotation failed"
-                   t.path)
-            | Fail_open -> ())))
-    | exception Unix.Unix_error (e, _, _) ->
-      heal t;
-      if e = Unix.ENOSPC && t.seg <> None then
-        enospc_retry t bytes len "write failed (ENOSPC)"
-      else
-        log_io
-          (Printf.sprintf "audit log %s: write failed (%s)" t.path
-             (Unix.error_message e)))
+
+(** Append records in order (no fsync — call {!sync} before releasing
+    results). The frames go out in one write, split only where a record
+    reaches the segment threshold (rotation follows it) and before a
+    record the fault kit hits, which it consults once per record. Each
+    write is failure-atomic: on error the log is either exactly as
+    before that write or (after a simulated crash) carries a torn tail
+    that {!open_} will truncate. Raises [Engine_error.Error (Log_io _)]
+    on any failure. *)
+let append_all t (records : record list) : unit =
+  let run = Buffer.create 256 in
+  let flush n =
+    if n > 0 then begin
+      let bytes = Buffer.contents run in
+      Buffer.clear run;
+      write_run t ~records:n bytes
+    end
+  in
+  let threshold = match t.seg with Some s -> s.max_bytes | None -> max_int in
+  let rec go n = function
+    | [] -> flush n
+    | r :: rest -> (
+      ignore (fd_exn t);
+      let bytes = frame r in
+      match t.faults with
+      | Some k -> (
+        match Faultkit.on_log_append k with
+        | Some fault ->
+          flush n;
+          inject t bytes fault;
+          go 0 rest
+        | None -> add n bytes rest)
+      | None -> add n bytes rest)
+  and add n bytes rest =
+    Buffer.add_string run bytes;
+    if t.size + Buffer.length run >= threshold then begin
+      flush (n + 1);
+      go 0 rest
+    end
+    else go (n + 1) rest
+  in
+  go 0 records
+
+let append t r = append_all t [ r ]
 
 (** Flush appended records to stable storage (no-op when clean). *)
 let sync t =
@@ -859,7 +901,7 @@ type wal = t
 
     Leader/follower group commit: a session's {!Group.submit} enqueues its
     records, then either becomes the {e leader} — draining the whole queue
-    through {!append} and issuing a single {!sync} for everyone in the
+    through one {!append_all} and issuing a single {!sync} for everyone in the
     batch — or waits until a leader's fsync covers its records. While the
     leader is inside [fsync(2)] (a blocking section that releases the
     OCaml runtime lock), other sessions keep executing and enqueueing, so
@@ -961,8 +1003,9 @@ module Group = struct
   let fail_dead g msg =
     log_io (Printf.sprintf "group writer on %s: %s" g.wal.path msg)
 
-  (* Drain the queue as the leader: append every queued record, one fsync
-     for the lot. Called with [g.mu] held; releases it around the I/O. *)
+  (* Drain the queue as the leader: every queued record in one write
+     (split only by rotation or an injected fault), one fsync for the
+     lot. Called with [g.mu] held; releases it around the I/O. *)
   let lead g =
     g.flushing <- true;
     let batch = List.rev g.queue in
@@ -974,7 +1017,7 @@ module Group = struct
     Mutex.unlock g.mu;
     let outcome =
       try
-        List.iter (append g.wal) batch;
+        append_all g.wal batch;
         sync g.wal;
         Ok ()
       with

@@ -95,8 +95,16 @@ val segment_path : string -> int -> string
 (** Manifest path of a segmented log rooted at the base path. *)
 val manifest_path : string -> string
 
-(** Append one record (call {!sync} before releasing query results).
-    Failure-atomic; consults the fault kit's [Log_io] points. *)
+(** Append records in order (call {!sync} before releasing query
+    results): their frames go out in one write, split only right after a
+    record that reaches the segment threshold (the segment rotates
+    there) and right before a record the fault kit hits. The fault kit's
+    [Log_io] points are consulted once per record, in order, so a fault
+    injected at record k leaves records 1…k−1 written. Each write is
+    failure-atomic. *)
+val append_all : t -> record list -> unit
+
+(** [append_all] of one record. *)
 val append : t -> record -> unit
 
 (** Flush appended records to stable storage (fsync). *)

@@ -42,6 +42,70 @@ exception Deny_signal of string
 type verify_mode = Config.verify_mode = Off | Warn | Strict
 type elision_mode = Config.elision_mode = Elide_off | Elide_certified
 
+(* ------------------------------------------------------------------ *)
+(* Statement shapes                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A statement's shape is its optimized logical plan with every literal
+   but TRUE, FALSE and NULL lifted into a slot (Scalar.lift). Everything
+   [prepare] derives from the optimized plan before the independence
+   analysis — placement, pruning, lowering and the verifier's verdict —
+   reads no literal's value, so it is built once per shape and filled
+   with each statement's literals. [stamp] records everything else it
+   read; a shape whose stamp no longer matches the session is rebuilt. *)
+
+type stamp = {
+  settings :
+    Audit_core.Placement.heuristic * elision_mode * verify_mode * bool;
+      (** the session's heuristic, elision, verify and instrumentation *)
+  epoch : int;  (** of the audit expressions and triggers *)
+  tables : (string * int * int * int list) list;
+      (** per scanned table: name, [Table.id], row count, indexed
+          columns (what lowering and cardinality estimates read); id -1
+          for a name the catalog lacks (the FROM-less SELECT's dual) *)
+}
+
+type built = {
+  stamp : stamp;
+  placed : Plan.Logical.t;  (** placed and pruned, with slots *)
+  slotted : Plan.Physical.t;  (** [placed], lowered *)
+  entries : audit_entry list;
+  heuristic : Audit_core.Placement.heuristic;
+  specs : Analysis.Plan_verify.audit_spec list;
+  verdict : Analysis.Plan_verify.violation list Lazy.t;
+      (** the verifier on [placed] and [slotted] with no certificates *)
+}
+
+module Shape_key = struct
+  type t = {
+    hash : int;
+    heuristic : Audit_core.Placement.heuristic option;
+    audits : string list option;
+    prune : bool;
+    plan : Plan.Logical.t;  (** the optimized plan, with slots *)
+  }
+
+  let hash k = k.hash
+
+  let equal a b =
+    a.hash = b.hash && a.prune = b.prune && a.heuristic = b.heuristic
+    && a.audits = b.audits && a.plan = b.plan
+end
+
+module Shapes = Hashtbl.Make (Shape_key)
+
+type shape = {
+  mutable built : built;
+  mutable hits : int;  (** executions served without building *)
+  mutable rebuilds : int;
+  mutable reason : string option;  (** why it was last rebuilt *)
+  mutable used : int;  (** the cache's clock at the last use *)
+}
+
+(* The bound on shapes kept per session; the least recently used one
+   makes room for a new shape. *)
+let max_shapes = 64
+
 type t = {
   catalog : Catalog.t;
   ctx : Exec.Exec_ctx.t;
@@ -81,6 +145,11 @@ type t = {
   fired : (string * Value.t, unit) Hashtbl.t;
       (** per audit expression, the IDs the current statement has passed
           to its AFTER triggers *)
+  epoch : int ref;
+      (** shared by every session: bumped by each CREATE or DROP of an
+          audit expression or trigger *)
+  shapes : shape Shapes.t;  (** this session's statement shapes *)
+  mutable clock : int;  (** prepares through [shapes], for eviction *)
 }
 
 let max_trigger_depth = 8
@@ -106,6 +175,9 @@ let create ?(config = Config.default) () =
     config;
     last_elision = [];
     fired = Hashtbl.create 8;
+    epoch = ref 0;
+    shapes = Shapes.create 16;
+    clock = 0;
   }
 
 (** A further session over the same engine: the catalog, audit
@@ -137,6 +209,9 @@ let create_session ?(session_id = 0) parent =
     config = parent.config;
     last_elision = [];
     fired = Hashtbl.create 8;
+    epoch = parent.epoch;
+    shapes = Shapes.create 16;
+    clock = 0;
   }
 
 let catalog db = db.catalog
@@ -373,17 +448,25 @@ let selected_audits db ?audits () =
       |> List.filter_map (fun n -> Hashtbl.find_opt db.audits n)
     else []
 
-let plan_query db ?heuristic ?audits ?(prune = true) (q : Sql.Ast.query) :
-    Plan.Logical.t =
-  let plan = Plan.Binder.query db.catalog q in
-  let plan = Plan.Optimizer.logical_optimize ~catalog:db.catalog plan in
-  let heuristic = Option.value heuristic ~default:db.heuristic in
+let optimize db q =
+  Plan.Optimizer.logical_optimize ~catalog:db.catalog
+    (Plan.Binder.query db.catalog q)
+
+(* Placement of the selected audit expressions, then pruning. *)
+let place ~heuristic ~entries ~prune plan =
   let plan =
     Audit_core.Placement.instrument_all heuristic
-      ~audits:(List.map (fun e -> e.expr) (selected_audits db ?audits ()))
+      ~audits:(List.map (fun e -> e.expr) entries)
       plan
   in
   if prune then Plan.Optimizer.prune plan else plan
+
+let plan_query db ?heuristic ?audits ?(prune = true) (q : Sql.Ast.query) :
+    Plan.Logical.t =
+  place
+    ~heuristic:(Option.value heuristic ~default:db.heuristic)
+    ~entries:(selected_audits db ?audits ())
+    ~prune (optimize db q)
 
 let plan_sql db ?heuristic ?audits ?prune sql =
   plan_query db ?heuristic ?audits ?prune (Sql.Parser.query sql)
@@ -415,6 +498,8 @@ type prepared = {
   decisions : Analysis.Independence.decision list;
   heuristic : Audit_core.Placement.heuristic;
   specs : Analysis.Plan_verify.audit_spec list;
+  verdict : Analysis.Plan_verify.violation list Lazy.t option;
+      (** the verdict of the statement's shape, when it came from one *)
 }
 
 (* The independence analysis of [phys]'s probes of [entries]. *)
@@ -423,53 +508,225 @@ let analyze db entries phys =
     ~audits:(List.map (fun e -> e.info) entries)
     phys
 
-let prepare_plan (db : t) ?heuristic ?audits plan =
-  let heuristic = Option.value heuristic ~default:db.heuristic in
-  let entries = selected_audits db ?audits () in
-  let lowered = physical db plan in
-  let phys, certificates, decisions =
-    match (db.config.elision, entries) with
-    | Elide_off, _ | Elide_certified, [] -> (lowered, [], [])
-    | Elide_certified, _ ->
-      let decisions = analyze db entries lowered in
-      let r = Analysis.Elide.apply ~decisions lowered in
-      (r.Analysis.Elide.plan, r.Analysis.Elide.certificates, decisions)
-  in
-  db.last_elision <- decisions;
-  install_audit_sets db;
-  let specs =
-    List.map
-      (fun e ->
-        {
-          Analysis.Plan_verify.name = e.expr.Audit_core.Audit_expr.name;
-          sensitive_table = e.expr.Audit_core.Audit_expr.sensitive_table;
-          partition_by = e.expr.Audit_core.Audit_expr.partition_by;
-        })
-      entries
-  in
-  { plan; lowered; phys; certificates; decisions; heuristic; specs }
-
-let prepare db ?heuristic ?audits ?prune q =
-  prepare_plan db ?heuristic ?audits
-    (plan_query db ?heuristic ?audits ?prune q)
-
-let prepare_sql db ?heuristic ?audits ?prune sql =
-  prepare db ?heuristic ?audits ?prune (Sql.Parser.query sql)
+let specs_of entries =
+  List.map
+    (fun e ->
+      {
+        Analysis.Plan_verify.name = e.expr.Audit_core.Audit_expr.name;
+        sensitive_table = e.expr.Audit_core.Audit_expr.sensitive_table;
+        partition_by = e.expr.Audit_core.Audit_expr.partition_by;
+      })
+    entries
 
 (* Leaf-heuristic probes sit at or below hcn positions, so both verify
    against the hcn commute relation (Claim 3.6). Highest is checked
    against its own, wider relation: the verifier then certifies position
    consistency only, matching the heuristic's weaker guarantee. *)
-let violations p =
+let check ~heuristic ~specs ~certificates plan phys =
   let commute =
-    match p.heuristic with
+    match heuristic with
     | Audit_core.Placement.Leaf | Audit_core.Placement.Hcn ->
       Analysis.Plan_verify.hcn_commute
     | Audit_core.Placement.Highest -> Analysis.Plan_verify.highest_commute
   in
-  Analysis.Plan_verify.verify_logical ~commute ~audits:p.specs p.plan
-  @ Analysis.Plan_verify.verify ~commute ~certificates:p.certificates
-      ~audits:p.specs p.phys
+  Analysis.Plan_verify.verify_logical ~commute ~audits:specs plan
+  @ Analysis.Plan_verify.verify ~commute ~certificates ~audits:specs phys
+
+(* A shape's clean verdict stands for every statement of that shape
+   whose analysis certified nothing: the verifier reads no literal. Any
+   other statement is verified as it is, so a violation names its own
+   literals. *)
+let violations p =
+  match (p.certificates, p.verdict) with
+  | [], Some v when Lazy.force v = [] -> []
+  | _ ->
+    check ~heuristic:p.heuristic ~specs:p.specs ~certificates:p.certificates
+      p.plan p.phys
+
+(* The per-statement end of [prepare]: the independence analysis and
+   elision (certificates depend on the literals), then the probed sets. *)
+let finish db ~heuristic ~entries ~specs ~verdict plan lowered =
+  let phys, certificates, decisions =
+    match (db.config.elision, entries) with
+    | Elide_off, _ | Elide_certified, [] -> (lowered, [], [])
+    | Elide_certified, _ ->
+      let decisions = analyze db entries lowered in
+      if
+        List.exists
+          (fun (d : Analysis.Independence.decision) -> d.certificate <> None)
+          decisions
+      then
+        let r = Analysis.Elide.apply ~decisions lowered in
+        (r.Analysis.Elide.plan, r.Analysis.Elide.certificates, decisions)
+      else (lowered, [], decisions)
+  in
+  db.last_elision <- decisions;
+  install_audit_sets db;
+  { plan; lowered; phys; certificates; decisions; heuristic; specs; verdict }
+
+let prepare_plan (db : t) ?heuristic ?audits plan =
+  let entries = selected_audits db ?audits () in
+  finish db
+    ~heuristic:(Option.value heuristic ~default:db.heuristic)
+    ~entries ~specs:(specs_of entries) ~verdict:None plan (physical db plan)
+
+let settings (db : t) =
+  (db.heuristic, db.config.elision, db.config.verify, db.instrument)
+
+(* Why [b] no longer describes the session, if it does not. *)
+let stale (db : t) b =
+  if b.stamp.epoch <> !(db.epoch) then Some "audit/trigger epoch"
+  else if b.stamp.settings <> settings db then Some "session setting"
+  else
+    List.find_map
+      (fun (name, id, rows, indexed) ->
+        match Catalog.find_opt db.catalog name with
+        | Some t when Table.id t = id ->
+          if Table.cardinality t <> rows then Some "row count"
+          else if Table.indexed_columns t <> indexed then Some "index set"
+          else None
+        | None when id < 0 -> None
+        | _ -> Some "table replaced")
+      b.stamp.tables
+
+let build (db : t) (k : Shape_key.t) =
+  let heuristic = Option.value k.heuristic ~default:db.heuristic in
+  let entries = selected_audits db ?audits:k.audits () in
+  let specs = specs_of entries in
+  let placed = place ~heuristic ~entries ~prune:k.prune k.plan in
+  let slotted = physical db placed in
+  let tables =
+    Plan.Logical.scan_tables placed
+    |> List.map fst
+    |> List.sort_uniq String.compare
+    |> List.map (fun name ->
+           match Catalog.find_opt db.catalog name with
+           | Some t ->
+             (name, Table.id t, Table.cardinality t, Table.indexed_columns t)
+           | None -> (name, -1, 0, []))
+  in
+  {
+    stamp = { settings = settings db; epoch = !(db.epoch); tables };
+    placed;
+    slotted;
+    entries;
+    heuristic;
+    specs;
+    verdict =
+      lazy (check ~heuristic ~specs ~certificates:[] placed slotted);
+  }
+
+(* The shape of [k], built or rebuilt as needed, counted as used. *)
+let shape (db : t) (k : Shape_key.t) =
+  db.clock <- db.clock + 1;
+  match Shapes.find_opt db.shapes k with
+  | Some s ->
+    (match stale db s.built with
+    | None -> s.hits <- s.hits + 1
+    | Some why ->
+      s.built <- build db k;
+      s.rebuilds <- s.rebuilds + 1;
+      s.reason <- Some why);
+    s.used <- db.clock;
+    s
+  | None ->
+    if Shapes.length db.shapes >= max_shapes then begin
+      let oldest =
+        Shapes.fold
+          (fun k s acc ->
+            match acc with
+            | Some (_, u) when u <= s.used -> acc
+            | _ -> Some (k, s.used))
+          db.shapes None
+      in
+      Option.iter (fun (k, _) -> Shapes.remove db.shapes k) oldest
+    end;
+    let s =
+      { built = build db k; hits = 0; rebuilds = 0; reason = None; used = db.clock }
+    in
+    Shapes.replace db.shapes k s;
+    s
+
+(* Lift the literals of an optimized plan (constant folding and literal
+   coercion happened there) and fill its shape's plans with them. *)
+let prepare_shape (db : t) ?heuristic ?audits ~prune optimized =
+  let lits = ref [] and n = ref 0 in
+  let next v =
+    lits := v :: !lits;
+    incr n;
+    !n - 1
+  in
+  let plan = Plan.Logical.map_scalars (Plan.Scalar.lift next) optimized in
+  let b =
+    (shape db
+       {
+         Shape_key.hash =
+           Hashtbl.hash
+             (Hashtbl.hash_param 64 256 plan, heuristic, audits, prune);
+         heuristic;
+         audits;
+         prune;
+         plan;
+       })
+      .built
+  in
+  let plan, lowered =
+    match !lits with
+    | [] -> (b.placed, b.slotted)
+    | l ->
+      let fill = Plan.Scalar.fill (Array.of_list (List.rev l)) in
+      (Plan.Logical.map_scalars fill b.placed, Plan.Physical.map_scalars fill b.slotted)
+  in
+  finish db ~heuristic:b.heuristic ~entries:b.entries ~specs:b.specs
+    ~verdict:(Some b.verdict) plan lowered
+
+(* The relations a trigger action sees, bound afresh for each firing. *)
+let trigger_relations = [ "accessed"; "new"; "old" ]
+
+(* A read of a trigger relation could never hit its shape (each firing
+   binds a new table), and keeping its plans would only promote them to
+   the major heap, so it is prepared without the cache. *)
+let prepare (db : t) ?heuristic ?audits ?(prune = true) q =
+  let optimized = optimize db q in
+  if
+    List.exists
+      (fun (table, _) -> List.mem table trigger_relations)
+      (Plan.Logical.scan_tables optimized)
+  then
+    prepare_plan db ?heuristic ?audits
+      (place
+         ~heuristic:(Option.value heuristic ~default:db.heuristic)
+         ~entries:(selected_audits db ?audits ())
+         ~prune optimized)
+  else prepare_shape db ?heuristic ?audits ~prune optimized
+
+let prepare_sql db ?heuristic ?audits ?prune sql =
+  prepare db ?heuristic ?audits ?prune (Sql.Parser.query sql)
+
+type shape_info = {
+  shape : string;
+  hits : int;
+  rebuilds : int;
+  reason : string option;
+}
+
+(* The placed plan of each shape on one line, most recently used
+   first. *)
+let plan_shapes db =
+  Shapes.fold (fun _ s acc -> s :: acc) db.shapes []
+  |> List.sort (fun a b -> Int.compare b.used a.used)
+  |> List.map (fun (s : shape) ->
+         {
+           shape =
+             Plan.Logical.to_string s.built.placed
+             |> String.split_on_char '\n'
+             |> List.filter_map (fun l ->
+                    match String.trim l with "" -> None | l -> Some l)
+             |> String.concat " | ";
+           hits = s.hits;
+           rebuilds = s.rebuilds;
+           reason = s.reason;
+         })
 
 (* Apply the session verification policy to a prepared statement. *)
 let enforce db p =
@@ -742,6 +999,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       }
     in
     Hashtbl.replace db.audits (norm audit_name) { expr; view; info };
+    incr db.epoch;
     Done
       (Printf.sprintf "audit expression %s created (%d sensitive IDs)"
          audit_name
@@ -760,6 +1018,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
            }));
     Audit_core.Sensitive_view.detach view;
     Hashtbl.remove db.audits (norm name);
+    incr db.epoch;
     Done (Printf.sprintf "audit expression %s dropped" name)
   | Sql.Ast.S_create_trigger { trigger_name; event; timing; body } ->
     (match event with
@@ -774,9 +1033,11 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
           trigger_name);
     Audit_core.Trigger.add db.triggers
       { Audit_core.Trigger.name = trigger_name; event; timing; body };
+    incr db.epoch;
     Done (Printf.sprintf "trigger %s created" trigger_name)
   | Sql.Ast.S_drop_trigger name ->
     Audit_core.Trigger.remove db.triggers name;
+    incr db.epoch;
     Done (Printf.sprintf "trigger %s dropped" name)
   | Sql.Ast.S_if (cond, body) ->
     (* The condition is a FROM-less SELECT (so scalar subqueries work),
@@ -1195,7 +1456,7 @@ let repair_session db =
          (if db.in_before_trigger then ", in_before_trigger" else ""));
     db.trigger_depth <- 0;
     db.in_before_trigger <- false;
-    List.iter (drop_temp db) [ "accessed"; "new"; "old" ]
+    List.iter (drop_temp db) trigger_relations
   end
 
 (* Run one top-level statement with the failure-atomic audit pipeline:

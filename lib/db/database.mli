@@ -264,7 +264,9 @@ val physical_sql :
     executes ([phys]: [lowered] minus the probes certified elision
     stripped, whose [certificates] the verifier re-validates). [decisions]
     are the per-probe verdicts of certified elision ([[]] when it did not
-    run). *)
+    run). [verdict] is the verifier's verdict on the statement's shape
+    ({!prepare}), which {!violations} reuses while it is clean and no
+    probe was elided. *)
 type prepared = private {
   plan : Plan.Logical.t;
   lowered : Plan.Physical.t;
@@ -273,6 +275,7 @@ type prepared = private {
   decisions : Analysis.Independence.decision list;
   heuristic : Audit_core.Placement.heuristic;
   specs : Analysis.Plan_verify.audit_spec list;
+  verdict : Analysis.Plan_verify.violation list Lazy.t option;
 }
 
 (** Lower a planned read, elide its probes under the session's elision
@@ -286,7 +289,21 @@ val prepare_plan :
   Plan.Logical.t ->
   prepared
 
-(** {!plan_query}, then {!prepare_plan}. *)
+(** {!plan_query}, then {!prepare_plan}, with the stages that read no
+    literal done once per statement shape. Binding and the logical
+    optimizer run on every call; the optimized plan's literals (all but
+    TRUE, FALSE and NULL) are then lifted into slots, and the session
+    keeps, per shape and per [heuristic]/[audits]/[prune] arguments, the
+    placed, pruned and lowered plans with slots and the verifier's
+    verdict on them. A call fills those plans with its own literals and
+    runs the independence analysis and elision on the result, so it
+    returns what {!prepare_plan} of {!plan_query} returns. A shape is
+    rebuilt when the session's heuristic, elision, verification or
+    instrumentation setting, the audit expressions or triggers, or a
+    scanned table's identity, row count or index set changed since it
+    was built. The session keeps a bounded number of shapes, dropping
+    the least recently used. A read of a trigger relation ([new], [old],
+    [accessed]) bypasses the shapes: each firing binds a fresh table. *)
 val prepare :
   t ->
   ?heuristic:Audit_core.Placement.heuristic ->
@@ -302,6 +319,20 @@ val prepare_sql :
   ?prune:bool ->
   string ->
   prepared
+
+(** The statement shapes {!prepare} keeps for this session, most
+    recently used first: the placed plan on one line, with [$1…$n] for
+    the literals; the executions served without building it; how many
+    times it was rebuilt, and why the last time ("audit/trigger epoch",
+    "session setting", "table replaced", "row count", "index set"). *)
+type shape_info = {
+  shape : string;
+  hits : int;
+  rebuilds : int;
+  reason : string option;
+}
+
+val plan_shapes : t -> shape_info list
 
 (** The plan-invariant verifier's full rule catalog over a prepared read:
     its logical tree, and the physical plan that executes with the

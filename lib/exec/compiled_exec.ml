@@ -442,23 +442,14 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
     let lkey = Expr_compile.compile ctx left_key in
     let rkey = Expr_compile.compile ctx right_key in
     fun () ->
-      let keys = Value.Hashtbl_v.create 256 in
+      let side = Executor.semi_join_side () in
       timed st (fun () ->
           let rsrc = rfact () in
-          rsrc (fun row ->
-              let k = rkey row in
-              if not (Value.is_null k) then begin
-                Exec_ctx.note_materialized ctx;
-                Value.Hashtbl_v.replace keys k ()
-              end));
+          rsrc (fun row -> Executor.semi_join_add ctx side (rkey row)));
       let lsrc = lfact () in
       fun sink ->
         lsrc (fun row ->
-            let k = lkey row in
-            let matched =
-              (not (Value.is_null k)) && Value.Hashtbl_v.mem keys k
-            in
-            if matched <> anti then sink row)
+            if Executor.semi_join_passes ~anti side (lkey row) then sink row)
   | Physical.Hash_agg { keys; aggs; child } ->
     (* The generic path is always compiled (and its operators registered
        for metrics); the fused kernel takes over at open time when the

@@ -18,6 +18,7 @@ let rec eval (ctx : Exec_ctx.t) (row : Tuple.t) (e : Scalar.t) : Value.t =
     match ctx.Exec_ctx.params with
     | outer :: _ -> outer.(i)
     | [] -> err "correlation parameter ?%d outside an Apply" i)
+  | Scalar.Slot (i, _) -> err "unfilled literal slot $%d" (i + 1)
   | Scalar.Binop (op, a, b) -> eval_binop ctx row op a b
   | Scalar.Neg a -> Value.neg (eval ctx row a)
   | Scalar.Not a -> (

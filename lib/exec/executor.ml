@@ -147,6 +147,37 @@ let index_probe ctx ~left_key ~table ~base_col ~cols ~chain :
    Registration happens before children compile, so reports come out in plan
    pre-order; the record is found again later by physical node identity
    (EXPLAIN ANALYZE walks the same tree). *)
+(* A hash semi-join's build side: its non-NULL keys, whether it had a
+   row, and whether one of its keys was NULL. *)
+type semi_join_side = {
+  keys : unit Value.Hashtbl_v.t;
+  mutable built : bool;
+  mutable null_built : bool;
+}
+
+let semi_join_side () =
+  { keys = Value.Hashtbl_v.create 256; built = false; null_built = false }
+
+let semi_join_add ctx side k =
+  side.built <- true;
+  if Value.is_null k then side.null_built <- true
+  else begin
+    Exec_ctx.note_materialized ctx;
+    Value.Hashtbl_v.replace side.keys k ()
+  end
+
+(* [x IN (subquery)] by SQL's three-valued rule, keeping the rows where
+   it is TRUE (semi) or where [x NOT IN (subquery)] is TRUE (anti): a
+   NOT IN row passes iff the subquery is empty, or its key is non-NULL,
+   unseen, and no NULL was built. *)
+let semi_join_passes ~anti side k =
+  if anti then
+    (not side.built)
+    || (not (Value.is_null k))
+       && (not side.null_built)
+       && not (Value.Hashtbl_v.mem side.keys k)
+  else (not (Value.is_null k)) && Value.Hashtbl_v.mem side.keys k
+
 let rec compile (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
   let base =
     if not (Metrics.enabled ctx.Exec_ctx.metrics) then compile_op ctx plan
@@ -225,17 +256,13 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
     let lkey = Expr_compile.compile ctx left_key in
     let rkey = Expr_compile.compile ctx right_key in
     fun () ->
-      let keys = Value.Hashtbl_v.create 256 in
+      let side = semi_join_side () in
       let rc = rf () in
       let rec build () =
         match rc () with
         | None -> ()
         | Some row ->
-          let k = rkey row in
-          if not (Value.is_null k) then begin
-            Exec_ctx.note_materialized ctx;
-            Value.Hashtbl_v.replace keys k ()
-          end;
+          semi_join_add ctx side (rkey row);
           build ()
       in
       build ();
@@ -244,11 +271,7 @@ and compile_op (ctx : Exec_ctx.t) (plan : Physical.t) : factory =
         match lc () with
         | None -> None
         | Some row ->
-          let k = lkey row in
-          let matched =
-            (not (Value.is_null k)) && Value.Hashtbl_v.mem keys k
-          in
-          if matched <> anti then Some row else next ()
+          if semi_join_passes ~anti side (lkey row) then Some row else next ()
       in
       next
   | Physical.Apply { kind; outer; inner } -> compile_apply ctx kind outer inner

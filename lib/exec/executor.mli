@@ -54,6 +54,20 @@ val compile_sorter :
   Tuple.t list ->
   Tuple.t list
 
+(** A hash semi-join's build side — shared with the compiled engine. *)
+type semi_join_side
+
+val semi_join_side : unit -> semi_join_side
+
+(** Add one build-side key (a NULL is remembered, not stored). *)
+val semi_join_add : Exec_ctx.t -> semi_join_side -> Value.t -> unit
+
+(** Does a probe row with key [k] pass? Semi ([anti = false]): [k] is
+    non-NULL and was built. Anti, SQL's [k NOT IN (build side)]: the
+    build side is empty, or [k] is non-NULL, was not built, and no NULL
+    was built. *)
+val semi_join_passes : anti:bool -> semi_join_side -> Value.t -> bool
+
 (** Compile and run, materializing all rows. *)
 val run_list : Exec_ctx.t -> Plan.Physical.t -> Tuple.t list
 

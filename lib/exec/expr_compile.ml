@@ -71,6 +71,7 @@ let rec compile_value (ctx : Exec_ctx.t) (e : Scalar.t) : compiled =
       match ctx.Exec_ctx.params with
       | outer :: _ -> outer.(i)
       | [] -> err "correlation parameter ?%d outside an Apply" i)
+  | Scalar.Slot (i, _) -> err "unfilled literal slot $%d" (i + 1)
   | Scalar.Binop (op, a, b) -> compile_binop ctx op a b
   | Scalar.Neg a ->
     let f = compile_value ctx a in

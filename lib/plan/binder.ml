@@ -39,6 +39,7 @@ let rec infer_type (schema : Schema.t) (e : Scalar.t) : Datatype.t =
     | Value.Str _ -> Datatype.T_string
     | Value.Date _ -> Datatype.T_date)
   | Scalar.Param _ -> Datatype.T_float
+  | Scalar.Slot (_, ty) -> ty
   | Scalar.Binop (op, a, b) -> (
     match op with
     | Sql.Ast.And | Sql.Ast.Or | Sql.Ast.Eq | Sql.Ast.Neq | Sql.Ast.Lt
@@ -369,11 +370,15 @@ and bind_conjunct env plan (c : Sql.Ast.expr) : Logical.t =
       let inner = bind_query { env with outer = Some schema } sub in
       if Logical.arity inner <> 1 then
         err "correlated IN subquery must select exactly one expression";
-      let inner =
-        Logical.Filter
-          { pred = Scalar.Binop (Sql.Ast.Eq, Scalar.Col 0, lifted_e);
-            child = inner }
+      (* NOT IN is FALSE when some inner value equals [x] and NULL when a
+         comparison is NULL, so the anti-apply keeps the outer row only
+         when no comparison is TRUE or NULL. *)
+      let eq = Scalar.Binop (Sql.Ast.Eq, Scalar.Col 0, lifted_e) in
+      let pred =
+        if neg then Scalar.Binop (Sql.Ast.Or, eq, Scalar.Is_null (eq, false))
+        else eq
       in
+      let inner = Logical.Filter { pred; child = inner } in
       Logical.Apply
         {
           kind = (if neg then Logical.A_anti else Logical.A_semi);

@@ -17,7 +17,7 @@ let rec selectivity (e : Scalar.t) : float =
   match e with
   | Scalar.Const (Value.Bool true) -> 1.0
   | Scalar.Const (Value.Bool false) -> 0.0
-  | Scalar.Const _ | Scalar.Col _ | Scalar.Param _ -> 0.5
+  | Scalar.Const _ | Scalar.Slot _ | Scalar.Col _ | Scalar.Param _ -> 0.5
   | Scalar.Binop (Sql.Ast.And, a, b) -> selectivity a *. selectivity b
   | Scalar.Binop (Sql.Ast.Or, a, b) ->
     let sa = selectivity a and sb = selectivity b in

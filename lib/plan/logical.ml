@@ -140,6 +140,46 @@ let rec strip_audits = function
   | Set_op s ->
     Set_op { s with left = strip_audits s.left; right = strip_audits s.right }
 
+(** Rewrite every scalar of the plan with [f]: a node's own scalars
+    first, then its children, left to right, so a stateful [f] (literal
+    lifting) numbers equal plans alike. *)
+let rec map_scalars f p =
+  let go = map_scalars f in
+  let keyed keys = List.map (fun (e, x) -> (f e, x)) keys in
+  match p with
+  | Scan _ -> p
+  | Filter { pred; child } ->
+    let pred = f pred in
+    Filter { pred; child = go child }
+  | Project { cols; child } ->
+    let cols = keyed cols in
+    Project { cols; child = go child }
+  | Join j ->
+    let pred = Option.map f j.pred in
+    let left = go j.left in
+    Join { j with pred; left; right = go j.right }
+  | Semi_join s ->
+    let left_key = f s.left_key in
+    let right_key = f s.right_key in
+    let left = go s.left in
+    Semi_join { s with left_key; right_key; left; right = go s.right }
+  | Apply a ->
+    let outer = go a.outer in
+    Apply { a with outer; inner = go a.inner }
+  | Group_by { keys; aggs; child } ->
+    let keys = keyed keys in
+    let aggs = List.map (fun a -> { a with arg = Option.map f a.arg }) aggs in
+    Group_by { keys; aggs; child = go child }
+  | Sort { keys; child } ->
+    let keys = keyed keys in
+    Sort { keys; child = go child }
+  | Limit l -> Limit { l with child = go l.child }
+  | Distinct c -> Distinct (go c)
+  | Audit a -> Audit { a with child = go a.child }
+  | Set_op s ->
+    let left = go s.left in
+    Set_op { s with left; right = go s.right }
+
 (** Scan aliases present in a plan (excluding subquery inners). *)
 let rec scan_tables = function
   | Scan { table; alias; _ } -> [ (table, alias) ]

@@ -47,7 +47,7 @@ let eval_pure_binop (op : Sql.Ast.binop) (a : Value.t) (b : Value.t) :
 
 let rec fold_scalar (e : Scalar.t) : Scalar.t =
   match e with
-  | Scalar.Col _ | Scalar.Const _ | Scalar.Param _ -> e
+  | Scalar.Col _ | Scalar.Const _ | Scalar.Param _ | Scalar.Slot _ -> e
   | Scalar.Binop (op, a, b) -> (
     let a = fold_scalar a and b = fold_scalar b in
     match (op, a, b) with

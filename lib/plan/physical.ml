@@ -272,6 +272,65 @@ let rec audits { op; _ } =
   | Audit_probe { audit_name; id_col; child } ->
     (audit_name, id_col) :: audits child
 
+let rec map_scalars f p =
+  let go = map_scalars f in
+  let keyed keys = List.map (fun (e, x) -> (f e, x)) keys in
+  let op =
+    match p.op with
+    | Seq_scan _ as op -> op
+    | Filter { pred; child } -> Filter { pred = f pred; child = go child }
+    | Project { cols; child } -> Project { cols = keyed cols; child = go child }
+    | Hash_join j ->
+      Hash_join
+        {
+          j with
+          lkeys = Array.map f j.lkeys;
+          rkeys = Array.map f j.rkeys;
+          residual = Option.map f j.residual;
+          left = go j.left;
+          right = go j.right;
+        }
+    | Nl_join j ->
+      Nl_join
+        { j with pred = Option.map f j.pred; left = go j.left; right = go j.right }
+    | Index_nl_join j ->
+      Index_nl_join
+        {
+          j with
+          left_key = f j.left_key;
+          residual = Option.map f j.residual;
+          left = go j.left;
+          chain = go j.chain;
+        }
+    | Hash_semi_join s ->
+      Hash_semi_join
+        {
+          s with
+          left_key = f s.left_key;
+          right_key = f s.right_key;
+          left = go s.left;
+          right = go s.right;
+        }
+    | Apply a -> Apply { a with outer = go a.outer; inner = go a.inner }
+    | Hash_agg { keys; aggs; child } ->
+      Hash_agg
+        {
+          keys = keyed keys;
+          aggs =
+            List.map
+              (fun (a : Logical.agg) -> { a with arg = Option.map f a.arg })
+              aggs;
+          child = go child;
+        }
+    | Sort { keys; child } -> Sort { keys = keyed keys; child = go child }
+    | Top_k t -> Top_k { t with keys = keyed t.keys; child = go t.child }
+    | Limit l -> Limit { l with child = go l.child }
+    | Distinct c -> Distinct (go c)
+    | Audit_probe a -> Audit_probe { a with child = go a.child }
+    | Set_op s -> Set_op { s with left = go s.left; right = go s.right }
+  in
+  { p with op }
+
 (** Direct children of a node (the probe chain counts as a child). *)
 let children { op; _ } =
   match op with

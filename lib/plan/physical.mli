@@ -99,6 +99,10 @@ val split_equi :
     statistics and stamping each node with its estimated cardinality. *)
 val plan_of_logical : catalog:Catalog.t -> Logical.t -> t
 
+(** Rewrite every scalar of the plan with [f] (the shape cache fills
+    literal slots with it); estimates and strategies are kept. *)
+val map_scalars : (Scalar.t -> Scalar.t) -> t -> t
+
 (** All audit operators in the plan, pre-order, with their ID column. *)
 val audits : t -> (string * int) list
 

@@ -2,8 +2,11 @@
 
     Column references are positional ([Col i] indexes the input tuple).
     [Param i] references column [i] of the outer row of the nearest enclosing
-    [Apply] operator (correlated subqueries). Subqueries themselves never
-    appear here — the binder hoists them into plan operators. *)
+    [Apply] operator (correlated subqueries). [Slot] is a literal lifted
+    out of a statement shape ({!lift}); only the database's shape cache
+    builds plans with slots, and it fills them ({!fill}) before any engine
+    sees the plan. Subqueries themselves never appear here — the binder
+    hoists them into plan operators. *)
 
 open Storage
 
@@ -25,6 +28,7 @@ type t =
   | Col of int
   | Const of Value.t
   | Param of int
+  | Slot of int * Datatype.t  (** the [i]-th lifted literal, with its type *)
   | Binop of Sql.Ast.binop * t * t
   | Neg of t
   | Not of t
@@ -59,6 +63,7 @@ let rec pp ppf = function
   | Col i -> Fmt.pf ppf "#%d" i
   | Const v -> Fmt.pf ppf "%s" (Value.to_sql_literal v)
   | Param i -> Fmt.pf ppf "?%d" i
+  | Slot (i, _) -> Fmt.pf ppf "$%d" (i + 1)
   | Binop (op, a, b) ->
     Fmt.pf ppf "(%a %s %a)" pp a (Sql.Ast.string_of_binop op) pp b
   | Neg e -> Fmt.pf ppf "(-%a)" pp e
@@ -89,7 +94,7 @@ let to_string e = Fmt.str "%a" pp e
 let rec fold f acc e =
   let acc = f acc e in
   match e with
-  | Col _ | Const _ | Param _ -> acc
+  | Col _ | Const _ | Param _ | Slot _ -> acc
   | Neg a | Not a | Is_null (a, _) -> fold f acc a
   | Binop (_, a, b) | Like (a, b, _) -> fold f (fold f acc a) b
   | In_list (a, _, _) -> fold f acc a
@@ -110,21 +115,34 @@ let free_params e =
   fold (fun acc -> function Param i -> i :: acc | _ -> acc) [] e
   |> List.sort_uniq Int.compare
 
-let rec map_cols f e =
+(** Rebuild [e] with every leaf ([Col], [Const], [Param], [Slot])
+    replaced by [f leaf], visiting the leaves left to right (a stateful
+    [f] numbers equal expressions alike). *)
+let rec map_leaves f e =
   match e with
-  | Col i -> f i
-  | Const _ | Param _ -> e
-  | Binop (op, a, b) -> Binop (op, map_cols f a, map_cols f b)
-  | Neg a -> Neg (map_cols f a)
-  | Not a -> Not (map_cols f a)
-  | Is_null (a, n) -> Is_null (map_cols f a, n)
-  | Like (a, b, n) -> Like (map_cols f a, map_cols f b, n)
-  | In_list (a, vs, n) -> In_list (map_cols f a, vs, n)
+  | Col _ | Const _ | Param _ | Slot _ -> f e
+  | Binop (op, a, b) ->
+    let a = map_leaves f a in
+    Binop (op, a, map_leaves f b)
+  | Neg a -> Neg (map_leaves f a)
+  | Not a -> Not (map_leaves f a)
+  | Is_null (a, n) -> Is_null (map_leaves f a, n)
+  | Like (a, b, n) ->
+    let a = map_leaves f a in
+    Like (a, map_leaves f b, n)
+  | In_list (a, vs, n) -> In_list (map_leaves f a, vs, n)
   | Case (whens, els) ->
-    Case
-      ( List.map (fun (c, v) -> (map_cols f c, map_cols f v)) whens,
-        Option.map (map_cols f) els )
-  | Func (fn, args) -> Func (fn, List.map (map_cols f) args)
+    let whens =
+      List.map
+        (fun (c, v) ->
+          let c = map_leaves f c in
+          (c, map_leaves f v))
+        whens
+    in
+    Case (whens, Option.map (map_leaves f) els)
+  | Func (fn, args) -> Func (fn, List.map (map_leaves f) args)
+
+let map_cols f = map_leaves (function Col i -> f i | e -> e)
 
 (** Renumber column references via [m] (total on referenced columns). *)
 let shift_cols m e = map_cols (fun i -> Col (m i)) e
@@ -132,21 +150,26 @@ let shift_cols m e = map_cols (fun i -> Col (m i)) e
 (** Substitute each column reference by a scalar (inlining a projection). *)
 let subst_cols defs e = map_cols (fun i -> defs i) e
 
-let rec map_params f e =
-  match e with
-  | Param i -> f i
-  | Col _ | Const _ -> e
-  | Binop (op, a, b) -> Binop (op, map_params f a, map_params f b)
-  | Neg a -> Neg (map_params f a)
-  | Not a -> Not (map_params f a)
-  | Is_null (a, n) -> Is_null (map_params f a, n)
-  | Like (a, b, n) -> Like (map_params f a, map_params f b, n)
-  | In_list (a, vs, n) -> In_list (map_params f a, vs, n)
-  | Case (whens, els) ->
-    Case
-      ( List.map (fun (c, v) -> (map_params f c, map_params f v)) whens,
-        Option.map (map_params f) els )
-  | Func (fn, args) -> Func (fn, List.map (map_params f) args)
+let map_params f = map_leaves (function Param i -> f i | e -> e)
+
+(* ------------------------------------------------------------------ *)
+(* Statement shapes                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Replace every literal except TRUE, FALSE and NULL by a slot, left to
+    right; [next v] records the literal and returns its slot number.
+    Booleans stay: {!Cardinality.selectivity} reads them, and no stage
+    after the logical optimizer reads any other literal's value. *)
+let lift next =
+  map_leaves (function
+    | Const (Value.Int _ as v) -> Slot (next v, Datatype.T_int)
+    | Const (Value.Float _ as v) -> Slot (next v, Datatype.T_float)
+    | Const (Value.Str _ as v) -> Slot (next v, Datatype.T_string)
+    | Const (Value.Date _ as v) -> Slot (next v, Datatype.T_date)
+    | e -> e)
+
+(** Put literal [lits.(i)] back into every [Slot i]. *)
+let fill lits = map_leaves (function Slot (i, _) -> Const lits.(i) | e -> e)
 
 (** Conjunction splitting: [a AND b AND c] -> [a; b; c]. *)
 let rec conjuncts = function

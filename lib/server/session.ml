@@ -25,6 +25,8 @@
      \timeout <s|off>              per-query wall-clock budget
      \budget <rows|mem> <n|off>    per-query scan / materialization budget
      \session                      session id, user and counters
+     \plans                        cached statement shapes: hits, rebuilds
+                                   and the last rebuild's reason
 
    Not available over the wire: \log (except \log status), \fault, \tpch,
    \dump and \q. The audit log belongs to the server, fault injection and
@@ -51,7 +53,7 @@ let shared_usage =
    \\plan <sql> \\analyze <sql> \\verify <sql|mode <off|warn|strict>> \
    \\elide [off|certified] \\exec [row|compiled] \\storage [heap|columnar] \
    \\heuristic <leaf|hcn|highest> \\user <name> \\timeout <s|off> \
-   \\budget <rows|mem> <n|off> \\session"
+   \\budget <rows|mem> <n|off> \\session \\plans"
 
 let usage_commands =
   "commands: " ^ shared_usage ^ " \\log status (\\q quits client-side)"
@@ -194,6 +196,17 @@ let command t parts =
     Some
       (Printf.sprintf "session %d user=%s queries=%d errors=%d" t.id
          (D.user db) t.queries t.errors)
+  | [ "\\plans" ] ->
+    Some
+      (lines
+         (List.map
+            (fun (s : D.shape_info) ->
+              Printf.sprintf "hits=%d rebuilds=%d%s  %s" s.hits s.rebuilds
+                (match s.reason with
+                | Some r -> Printf.sprintf " (last: %s)" r
+                | None -> "")
+                s.shape)
+            (D.plan_shapes db)))
   | _ -> None
 
 (* The wire's interpreter: the shared commands, [\log status], and a

@@ -31,4 +31,5 @@ let () =
       ("wal", Test_wal.suite);
       ("server", Test_server.suite);
       ("robustness", Test_robustness.suite);
+      ("plan_cache", Test_plan_cache.suite);
     ]

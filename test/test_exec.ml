@@ -344,6 +344,45 @@ let test_from_less_select () =
     [ [| vi 5 |] ]
     (q db "SELECT (SELECT count(*) FROM patients)")
 
+(* [x NOT IN (subquery)] by SQL's three-valued rule: FALSE when the
+   subquery holds [x], NULL when it holds a NULL or [x] is NULL (over a
+   non-empty subquery), TRUE over an empty one; WHERE keeps only TRUE. *)
+let test_not_in_subquery_nulls () =
+  List.iter
+    (fun (exec, storage) ->
+      let config = { Fixtures.config with Db.Config.exec; storage } in
+      let db = Fixtures.create ~config () in
+      let e sql = ignore (Db.Database.exec db sql) in
+      e "CREATE TABLE a (x INT)";
+      e "CREATE TABLE b (y INT, g INT)";
+      e "CREATE TABLE b2 (y INT, g INT)";
+      e "CREATE TABLE empty (y INT)";
+      e "INSERT INTO a VALUES (1), (2), (NULL)";
+      e "INSERT INTO b VALUES (1, 1), (NULL, 1)";
+      e "INSERT INTO b2 VALUES (1, 1)";
+      let where cond expected =
+        check Fixtures.tuples
+          (Printf.sprintf "%s (%s)" cond (Fixtures.string_of_config config))
+          (List.sort Tuple.compare expected)
+          (q db ("SELECT x FROM a WHERE " ^ cond))
+      in
+      let null = Value.Null in
+      where "x NOT IN (SELECT y FROM b)" [];
+      where "x NOT IN (SELECT y FROM empty)" [ [| vi 1 |]; [| vi 2 |]; [| null |] ];
+      where "x NOT IN (SELECT y FROM b2)" [ [| vi 2 |] ];
+      where "x IN (SELECT y FROM b)" [ [| vi 1 |] ];
+      where "NOT EXISTS (SELECT y FROM b)" [];
+      where "NOT EXISTS (SELECT y FROM empty)" [ [| vi 1 |]; [| vi 2 |]; [| null |] ];
+      (* correlated: an Apply over the filtered subquery *)
+      where "x NOT IN (SELECT b.y FROM b WHERE b.g <= a.x)" [ [| null |] ];
+      where "x NOT IN (SELECT b2.y FROM b2 WHERE b2.g <> a.x OR a.x IS NULL)"
+        [ [| vi 1 |]; [| vi 2 |] ];
+      where "x IN (SELECT b.y FROM b WHERE b.g <= a.x)" [ [| vi 1 |] ];
+      check Fixtures.tuples "count(*) with NOT IN over a NULL"
+        [ [| vi 0 |] ]
+        (q db "SELECT count(*) FROM a WHERE x NOT IN (SELECT y FROM b)"))
+    [ (`Row, Table.Heap); (`Compiled, Table.Columnar) ]
+
 let string_contains haystack needle =
   let lh = String.length haystack and ln = String.length needle in
   let rec go i =
@@ -390,4 +429,6 @@ let suite =
     Alcotest.test_case "WITH (CTEs)" `Quick test_with_cte;
     Alcotest.test_case "FROM-less SELECT" `Quick test_from_less_select;
     Alcotest.test_case "error messages" `Quick test_error_messages;
+    Alcotest.test_case "NOT IN subquery with NULLs (3VL)" `Quick
+      test_not_in_subquery_nulls;
   ]

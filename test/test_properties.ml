@@ -666,6 +666,169 @@ let prop_compiled_fault_plans =
       fault_outcome { c with exec = `Row } d sql seed
       = fault_outcome { c with exec = `Compiled } d sql seed)
 
+(* --------------------------------------------------------------- *)
+(* The statement-shape cache                                        *)
+(* --------------------------------------------------------------- *)
+
+(* What changes between a statement and a second one of its shape. *)
+type between =
+  | Nothing
+  | Index  (** CREATE INDEX on a scanned table *)
+  | Insert  (** one row more in patients *)
+  | Audit of int  (** DROP and CREATE the trigger and audit expression *)
+  | Elide  (** flip certified elision *)
+  | Verify of Db.Config.verify_mode
+  | Heuristic of Audit_core.Placement.heuristic
+
+let gen_between =
+  QCheck.Gen.(
+    oneof
+      [
+        return Nothing;
+        return Index;
+        return Insert;
+        map (fun k -> Audit k) (int_range 0 9);
+        return Elide;
+        map (fun v -> Verify v) (oneofl Db.Config.[ Off; Warn; Strict ]);
+        map (fun h -> Heuristic h)
+          (oneofl Audit_core.Placement.[ Leaf; Hcn; Highest ]);
+      ])
+
+let string_of_between = function
+  | Nothing -> "nothing"
+  | Index -> "CREATE INDEX"
+  | Insert -> "INSERT"
+  | Audit k -> Printf.sprintf "re-create audit_pat (age > %d)" k
+  | Elide -> "\\elide flip"
+  | Verify v -> "\\verify mode " ^ Db.Config.verify_to_string v
+  | Heuristic h -> "\\heuristic " ^ Audit_core.Placement.heuristic_name h
+
+let apply_between db = function
+  | Nothing -> ()
+  | Index ->
+    ignore (Db.Database.exec db "CREATE INDEX visits_cost ON visits (cost)")
+  | Insert ->
+    ignore (Db.Database.exec db "INSERT INTO patients VALUES (100, 5, 1)")
+  | Audit k ->
+    List.iter
+      (fun sql -> ignore (Db.Database.exec db sql))
+      [
+        "DROP TRIGGER w";
+        "DROP AUDIT EXPRESSION audit_pat";
+        Printf.sprintf
+          "CREATE AUDIT EXPRESSION audit_pat AS SELECT * FROM patients WHERE \
+           age > %d FOR SENSITIVE TABLE patients, PARTITION BY pid"
+          k;
+        "CREATE TRIGGER w ON ACCESS TO audit_pat AS NOTIFY 'hit'";
+      ]
+  | Elide ->
+    Db.Database.set_elision_mode db
+      (match Db.Database.elision_mode db with
+      | Db.Config.Elide_off -> Db.Config.Elide_certified
+      | Db.Config.Elide_certified -> Db.Config.Elide_off)
+  | Verify v -> Db.Database.set_verify_plans db v
+  | Heuristic h -> Db.Database.set_heuristic db h
+
+(* One query shape with two sets of integer literals: [sql lits] is the
+   statement for one set. *)
+let gen_shape_pair =
+  QCheck.Gen.(
+    let* shape = int_range 0 7 in
+    let* join = bool in
+    let* op1 = oneofl [ ">"; "<"; "=" ] in
+    let* op2 = oneofl [ ">"; "<="; "<>" ] in
+    let* desc = bool in
+    let* topn = int_range 1 4 in
+    let lits = triple (int_range 0 9) (int_range 0 9) (int_range 0 2) in
+    let* l1 = lits in
+    let* l2 = lits in
+    let sql (a, b, c) =
+      let from = if join then "patients p, visits v" else "patients p" in
+      let where cond =
+        if join then
+          Printf.sprintf "p.pid = v.pid AND v.cost %s %d AND %s" op2 b cond
+        else cond
+      in
+      let age = Printf.sprintf "p.age %s %d" op1 a in
+      match shape with
+      | 0 -> Printf.sprintf "SELECT p.pid, p.age FROM %s WHERE %s" from (where age)
+      | 1 ->
+        Printf.sprintf
+          "SELECT p.zip, count(*), sum(p.age) FROM %s WHERE %s GROUP BY \
+           p.zip HAVING count(*) > %d"
+          from (where age) c
+      | 2 ->
+        Printf.sprintf "SELECT TOP %d p.pid FROM %s WHERE %s ORDER BY p.age %s, p.pid"
+          topn from
+          (where (Printf.sprintf "p.zip <= %d" c))
+          (if desc then "DESC" else "ASC")
+      | 3 -> Printf.sprintf "SELECT DISTINCT p.zip FROM %s WHERE %s" from (where age)
+      | 4 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE EXISTS (SELECT 1 FROM visits v \
+           WHERE v.pid = p.pid AND v.cost %s %d) AND %s"
+          op2 b age
+      | 5 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE p.zip NOT IN (SELECT v.cost \
+           FROM visits v WHERE v.cost %s %d) AND %s"
+          op2 b age
+      | 6 ->
+        Printf.sprintf
+          "SELECT p.pid, p.zip FROM patients p WHERE %s %s SELECT p.pid, \
+           p.age FROM patients p WHERE p.zip <= %d"
+          age (if desc then "UNION ALL" else "UNION") c
+      | _ ->
+        Printf.sprintf "SELECT p.pid + %d, 'k%d' FROM %s WHERE %s" b c from
+          (where age)
+    in
+    return (sql l1, sql l2))
+
+(* The cached [prepare] against the uncached oracle, field by field, and
+   the statement's rows, ACCESSED and trigger firings against a fresh
+   session's (whose shapes are all new). *)
+let shape_outcome a b sql =
+  let module D = Db.Database in
+  let attempt f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  let fields (p : D.prepared) =
+    ( (p.plan, p.lowered, p.phys),
+      (p.decisions, p.certificates, p.heuristic, p.specs),
+      D.violations p )
+  in
+  let cached = attempt (fun () -> fields (D.prepare_sql a sql)) in
+  let oracle = attempt (fun () -> fields (D.prepare_plan a (D.plan_sql a sql))) in
+  let run db =
+    D.clear_notifications db;
+    let rows =
+      attempt (fun () ->
+          match D.exec db sql with
+          | D.Rows { rows; _ } -> rows
+          | r -> [ [| Value.Str (D.result_to_string r) |] ])
+    in
+    (rows, D.last_accessed db, D.notifications db)
+  in
+  (cached = oracle, run a = run (D.create_session b))
+
+let prop_shape_cache =
+  QCheck.Test.make ~count:300
+    ~name:"cached prepare = uncached oracle, across invalidations"
+    (QCheck.make
+       ~print:(fun ((d, (s1, s2), c), between) ->
+         Printf.sprintf "%s\nthen %s, then\n%s"
+           (print_case (d, s1, c)) (string_of_between between) s2)
+       ~shrink:(fun ((d, q, c), between) yield ->
+         shrink_config c (fun c -> yield ((d, q, c), between)))
+       QCheck.Gen.(pair (triple gen_dataset gen_shape_pair gen_config) gen_between))
+    (fun ((d, (s1, s2), c), between) ->
+      let a = build_db c d and b = build_db c d in
+      let first = shape_outcome a b s1 in
+      apply_between a between;
+      apply_between b between;
+      (* the first statement again, then its sibling: a hit or a rebuild *)
+      let again = shape_outcome a b s1 in
+      let second = shape_outcome a b s2 in
+      first = (true, true) && again = (true, true) && second = (true, true))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -683,4 +846,5 @@ let suite =
       prop_compiled_cancel_parity;
       prop_compiled_fault_fallback;
       prop_compiled_fault_plans;
+      prop_shape_cache;
     ]

@@ -532,6 +532,44 @@ let test_crc32 () =
     (Wal.crc32 "123456789");
   Alcotest.(check int) "crc32 of empty string" 0 (Wal.crc32 "")
 
+(* A group commit's batch goes out through one [append_all]: the fault
+   kit is still consulted once per record, so a fault at record k leaves
+   records 1..k-1 written, and a segment still rotates right after the
+   record that reaches the threshold, so a batch writes the same segment
+   files as one append per record. *)
+let test_append_all_splits () =
+  let read path = fst (Wal.read_all path) in
+  let notes = List.init 5 (fun i -> note (i + 1)) in
+  List.iter
+    (fun (fault, survives) ->
+      let path = fresh_path "batch" in
+      let kit = F.create () in
+      F.arm kit [ F.Log_io { at = 3; fault } ];
+      let w, _ = Wal.open_ ~faults:kit path in
+      expect_log_io (fun () -> Wal.append_all w notes);
+      if Wal.is_open w then Wal.close w else Wal.kill w;
+      Alcotest.check records "records before the fault" survives (read path))
+    [
+      (F.Short_write 3, [ note 1; note 2 ]);
+      (F.Crash_before_sync, [ note 1; note 2 ]);
+      (F.Enospc, [ note 1; note 2 ]);
+    ];
+  let batch = fresh_path "seg_batch" and single = fresh_path "seg_single" in
+  let n = 40 in
+  let segs = write_segmented single n in
+  let w, _ = Wal.open_ ~max_segment_size:256 batch in
+  Wal.append_all w (List.init n (fun i -> note (i + 1)));
+  Wal.sync w;
+  Alcotest.(check int) "same segment count" segs (Wal.segments w);
+  Wal.close w;
+  Alcotest.check records "full history" (read single) (read batch);
+  for i = 0 to segs - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "segment %d byte-identical" i)
+      (In_channel.with_open_bin (Wal.segment_path single i) In_channel.input_all)
+      (In_channel.with_open_bin (Wal.segment_path batch i) In_channel.input_all)
+  done
+
 let suite =
   [
     Alcotest.test_case "roundtrip all record variants" `Quick test_roundtrip;
@@ -558,4 +596,6 @@ let suite =
     Alcotest.test_case "a frame torn inside the padding reads as torn" `Quick
       test_torn_frame_in_padding;
     QCheck_alcotest.to_alcotest prop_kill_keeps_padding;
+    Alcotest.test_case "append_all: faults and rotation split a batch" `Quick
+      test_append_all_splits;
   ]
