@@ -54,27 +54,9 @@ let env_or (a : env) (b : env) : env =
       match (x, y) with Some a, Some b -> Some (AD.join a b) | _ -> None)
     a b
 
-let rec const_of (e : Scalar.t) : Value.t option =
-  match e with
-  | Scalar.Const v -> Some v
-  | Scalar.Neg e -> (
-    match const_of e with
-    | Some v -> ( try Some (Value.neg v) with Value.Type_error _ -> None)
-    | None -> None)
-  | Scalar.Binop (((Sql.Ast.Add | Sql.Ast.Sub | Sql.Ast.Mul | Sql.Ast.Div) as op), a, b)
-    -> (
-    match (const_of a, const_of b) with
-    | Some x, Some y -> (
-      let f =
-        match op with
-        | Sql.Ast.Add -> Value.add
-        | Sql.Ast.Sub -> Value.sub
-        | Sql.Ast.Mul -> Value.mul
-        | _ -> Value.div
-      in
-      try Some (f x y) with Value.Type_error _ -> None)
-    | _ -> None)
-  | _ -> None
+(* The value of a closed subtree, by the evaluator that runs it. *)
+let const_of (e : Scalar.t) : Value.t option =
+  match Plan.Optimizer.fold_scalar e with Scalar.Const v -> Some v | _ -> None
 
 (* [col_side e = Some (i, inv)] means  e cmp k ⟺ Col i cmp (inv k) —
    integer shifts only: adding an integer constant is injective and

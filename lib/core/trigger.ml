@@ -46,12 +46,13 @@ let on_access ?timing m ~audit_name =
       && match timing with None -> true | Some tm -> t.timing = tm)
     m.triggers
 
-(** Triggers watching a DML event on a table. *)
-let on_dml m ~table ~event =
+(** Triggers watching a table, optionally restricted to one DML event. *)
+let on_dml ?event m ~table =
   List.filter
     (fun t ->
       match t.event with
-      | Sql.Ast.On_dml (tb, ev) -> eq_name tb table && ev = event
+      | Sql.Ast.On_dml (tb, ev) ->
+        eq_name tb table && (match event with None -> true | Some e -> ev = e)
       | Sql.Ast.On_access _ -> false)
     m.triggers
 

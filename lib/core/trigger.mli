@@ -28,8 +28,8 @@ val all : manager -> t list
 val on_access :
   ?timing:Sql.Ast.trigger_timing -> manager -> audit_name:string -> t list
 
-(** DML triggers watching a table event. *)
-val on_dml : manager -> table:string -> event:Sql.Ast.dml_event -> t list
+(** DML triggers watching a table, optionally restricted to one event. *)
+val on_dml : ?event:Sql.Ast.dml_event -> manager -> table:string -> t list
 
 (** Lower-cased names of audit expressions watched by any SELECT trigger —
     the set of expressions that must instrument incoming queries. *)

@@ -954,6 +954,20 @@ let prepare_read db ?heuristic ?audits q =
   enforce db p;
   p
 
+(* DDL refuses to drop [obj] while triggers name it: they would outlive it
+   in the dump, which could not replay them, and a re-created [obj] of
+   the same name would revive them. *)
+let refuse_drop obj = function
+  | [] -> ()
+  | ts ->
+    Engine_core.Engine_error.raise_
+      (Engine_core.Engine_error.Dependency
+         {
+           obj;
+           dependents =
+             List.map (fun tr -> "trigger " ^ tr.Audit_core.Trigger.name) ts;
+         })
+
 let rec exec_statement db (stmt : Sql.Ast.statement) : result =
   match stmt with
   | Sql.Ast.S_select q ->
@@ -976,6 +990,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       (Table.create ?key ~storage:db.config.storage ~name:table schema);
     Done (Printf.sprintf "table %s created" table)
   | Sql.Ast.S_drop_table name ->
+    refuse_drop ("table " ^ name) (Audit_core.Trigger.on_dml db.triggers ~table:name);
     Catalog.remove db.catalog name;
     Done (Printf.sprintf "table %s dropped" name)
   | Sql.Ast.S_insert { table; columns; source } -> exec_insert db table columns source
@@ -1006,16 +1021,8 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
          (Audit_core.Sensitive_view.cardinality view))
   | Sql.Ast.S_drop_audit name ->
     let view = audit_view db name in
-    (match Audit_core.Trigger.on_access db.triggers ~audit_name:name with
-    | [] -> ()
-    | ts ->
-      Engine_core.Engine_error.raise_
-        (Engine_core.Engine_error.Dependency
-           {
-             obj = "audit expression " ^ name;
-             dependents =
-               List.map (fun tr -> "trigger " ^ tr.Audit_core.Trigger.name) ts;
-           }));
+    refuse_drop ("audit expression " ^ name)
+      (Audit_core.Trigger.on_access db.triggers ~audit_name:name);
     Audit_core.Sensitive_view.detach view;
     Hashtbl.remove db.audits (norm name);
     incr db.epoch;

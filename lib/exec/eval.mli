@@ -1,6 +1,7 @@
-(** Scalar evaluation with SQL three-valued logic: NULL-propagating
-    comparisons, Kleene AND/OR, LIKE, CASE, date intervals and the session
-    functions [now()]/[user_id()]/[sql_text()]. *)
+(** The reference interpreter of scalars: {!Plan.Scalar_eval}, the one
+    definition of SQL's scalar rules (three-valued logic, Kleene AND/OR,
+    LIKE, CASE, date intervals), applied to a context's correlation stack
+    and its session functions [now()]/[user_id()]/[sql_text()]. *)
 
 open Storage
 

@@ -19,162 +19,35 @@ open Storage
 (* Constant folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let eval_pure_binop (op : Sql.Ast.binop) (a : Value.t) (b : Value.t) :
-    Value.t option =
-  let cmp f =
-    match Value.compare_sql a b with
-    | None -> Some Value.Null
-    | Some c -> Some (Value.Bool (f c))
-  in
-  match op with
-  | Sql.Ast.Add -> ( try Some (Value.add a b) with _ -> None)
-  | Sql.Ast.Sub -> ( try Some (Value.sub a b) with _ -> None)
-  | Sql.Ast.Mul -> ( try Some (Value.mul a b) with _ -> None)
-  | Sql.Ast.Div -> ( try Some (Value.div a b) with _ -> None)
-  | Sql.Ast.Mod -> ( try Some (Value.modulo a b) with _ -> None)
-  | Sql.Ast.Eq -> cmp (fun c -> c = 0)
-  | Sql.Ast.Neq -> cmp (fun c -> c <> 0)
-  | Sql.Ast.Lt -> cmp (fun c -> c < 0)
-  | Sql.Ast.Le -> cmp (fun c -> c <= 0)
-  | Sql.Ast.Gt -> cmp (fun c -> c > 0)
-  | Sql.Ast.Ge -> cmp (fun c -> c >= 0)
-  | Sql.Ast.Concat -> (
-    match (a, b) with
-    | Value.Null, _ | _, Value.Null -> Some Value.Null
-    | Value.Str x, Value.Str y -> Some (Value.Str (x ^ y))
-    | _ -> None)
-  | Sql.Ast.And | Sql.Ast.Or -> None (* handled by the shortcut rules *)
+(* No closed subtree reads the environment: [Col], [Param] and [Slot]
+   never fold, nor do the session functions, whose values belong to the
+   execution (a cached plan must not freeze them). *)
+let closed = { Scalar_eval.params = []; now = 0; user = ""; sql = "" }
 
 let rec fold_scalar (e : Scalar.t) : Scalar.t =
-  match e with
-  | Scalar.Col _ | Scalar.Const _ | Scalar.Param _ | Scalar.Slot _ -> e
-  | Scalar.Binop (op, a, b) -> (
-    let a = fold_scalar a and b = fold_scalar b in
-    match (op, a, b) with
-    | Sql.Ast.And, Scalar.Const (Value.Bool true), x
-    | Sql.Ast.And, x, Scalar.Const (Value.Bool true) ->
-      x
-    | Sql.Ast.And, Scalar.Const (Value.Bool false), _
-    | Sql.Ast.And, _, Scalar.Const (Value.Bool false) ->
-      Scalar.Const (Value.Bool false)
-    | Sql.Ast.Or, Scalar.Const (Value.Bool false), x
-    | Sql.Ast.Or, x, Scalar.Const (Value.Bool false) ->
-      x
-    | Sql.Ast.Or, Scalar.Const (Value.Bool true), _
-    | Sql.Ast.Or, _, Scalar.Const (Value.Bool true) ->
-      Scalar.Const (Value.Bool true)
-    | _, Scalar.Const va, Scalar.Const vb -> (
-      match eval_pure_binop op va vb with
-      | Some v -> Scalar.Const v
-      | None -> Scalar.Binop (op, a, b))
-    | _ -> Scalar.Binop (op, a, b))
-  | Scalar.Neg a -> (
-    match fold_scalar a with
-    | Scalar.Const v -> ( try Scalar.Const (Value.neg v) with _ -> Scalar.Neg (Scalar.Const v))
-    | a -> Scalar.Neg a)
-  | Scalar.Not a -> (
-    match fold_scalar a with
-    | Scalar.Const (Value.Bool b) -> Scalar.Const (Value.Bool (not b))
-    | Scalar.Const Value.Null -> Scalar.Const Value.Null
-    | a -> Scalar.Not a)
-  | Scalar.Is_null (a, neg) -> (
-    match fold_scalar a with
-    | Scalar.Const v -> Scalar.Const (Value.Bool (Value.is_null v <> neg))
-    | a -> Scalar.Is_null (a, neg))
-  | Scalar.Like (a, p, neg) -> (
-    match (fold_scalar a, fold_scalar p) with
-    | Scalar.Const (Value.Str s), Scalar.Const (Value.Str pat) ->
-      Scalar.Const (Value.Bool (Value.like_match ~pattern:pat s <> neg))
-    | a, p -> Scalar.Like (a, p, neg))
-  | Scalar.In_list (a, vs, neg) -> (
-    match fold_scalar a with
-    | Scalar.Const Value.Null -> Scalar.Const Value.Null
-    | Scalar.Const v ->
-      Scalar.Const
-        (if Array.exists (Value.equal v) vs then Value.Bool (not neg)
-         else Scalar.in_list_miss vs neg)
-    | a -> Scalar.In_list (a, vs, neg))
-  | Scalar.Case (whens, els) ->
-    Scalar.Case
-      ( List.map (fun (c, v) -> (fold_scalar c, fold_scalar v)) whens,
-        Option.map fold_scalar els )
-  | Scalar.Func (f, args) -> (
-    let args = List.map fold_scalar args in
-    let consts =
-      List.filter_map
-        (function Scalar.Const v -> Some v | _ -> None)
-        args
-    in
-    if List.length consts = List.length args then
-      match (f, consts) with
-      | Scalar.F_date_add u, [ Value.Date z; Value.Int n ] ->
-        Scalar.Const
-          (Value.Date
-             (match u with
-             | Sql.Ast.Days -> Value.add_days z n
-             | Sql.Ast.Months -> Value.add_months z n
-             | Sql.Ast.Years -> Value.add_years z n))
-      | Scalar.F_date_sub u, [ Value.Date z; Value.Int n ] ->
-        Scalar.Const
-          (Value.Date
-             (match u with
-             | Sql.Ast.Days -> Value.add_days z (-n)
-             | Sql.Ast.Months -> Value.add_months z (-n)
-             | Sql.Ast.Years -> Value.add_years z (-n)))
-      | Scalar.F_extract_year, [ v ] -> (
-        try Scalar.Const (Value.extract_year v)
-        with _ -> Scalar.Func (f, args))
-      | Scalar.F_extract_month, [ v ] -> (
-        try Scalar.Const (Value.extract_month v)
-        with _ -> Scalar.Func (f, args))
-      | _ -> Scalar.Func (f, args)
-    else Scalar.Func (f, args))
+  match Scalar.map_children fold_scalar e with
+  | Scalar.Binop (Sql.Ast.And, Scalar.Const (Value.Bool true), x)
+  | Scalar.Binop (Sql.Ast.And, x, Scalar.Const (Value.Bool true))
+  | Scalar.Binop (Sql.Ast.Or, Scalar.Const (Value.Bool false), x)
+  | Scalar.Binop (Sql.Ast.Or, x, Scalar.Const (Value.Bool false)) ->
+    x
+  | Scalar.Binop (Sql.Ast.And, Scalar.Const (Value.Bool false), _)
+  | Scalar.Binop (Sql.Ast.And, _, Scalar.Const (Value.Bool false)) ->
+    Scalar.Const (Value.Bool false)
+  | Scalar.Binop (Sql.Ast.Or, Scalar.Const (Value.Bool true), _)
+  | Scalar.Binop (Sql.Ast.Or, _, Scalar.Const (Value.Bool true)) ->
+    Scalar.Const (Value.Bool true)
+  | ( Scalar.Col _ | Scalar.Const _ | Scalar.Param _ | Scalar.Slot _
+    | Scalar.Func ((Scalar.F_now | Scalar.F_user_id | Scalar.F_sql_text), _) )
+    as e ->
+    e
+  | e when List.for_all (function Scalar.Const _ -> true | _ -> false)
+             (Scalar.children e) -> (
+    (* An error stays in the plan, to be raised at run time. *)
+    try Scalar.Const (Scalar_eval.eval closed [||] e) with _ -> e)
+  | e -> e
 
-(** Rewrite every scalar in a plan, descending into subquery inners. *)
-let rec map_all_scalars f (p : Logical.t) : Logical.t =
-  let m = map_all_scalars f in
-  match p with
-  | Logical.Scan _ -> p
-  | Logical.Filter { pred; child } ->
-    Logical.Filter { pred = f pred; child = m child }
-  | Logical.Project { cols; child } ->
-    Logical.Project
-      { cols = List.map (fun (s, c) -> (f s, c)) cols; child = m child }
-  | Logical.Join j ->
-    Logical.Join
-      { j with pred = Option.map f j.pred; left = m j.left; right = m j.right }
-  | Logical.Semi_join s ->
-    Logical.Semi_join
-      {
-        s with
-        left_key = f s.left_key;
-        right_key = f s.right_key;
-        left = m s.left;
-        right = m s.right;
-      }
-  | Logical.Apply a ->
-    Logical.Apply { a with outer = m a.outer; inner = m a.inner }
-  | Logical.Group_by g ->
-    Logical.Group_by
-      {
-        keys = List.map (fun (s, c) -> (f s, c)) g.keys;
-        aggs =
-          List.map
-            (fun (a : Logical.agg) ->
-              { a with Logical.arg = Option.map f a.Logical.arg })
-            g.aggs;
-        child = m g.child;
-      }
-  | Logical.Sort s ->
-    Logical.Sort
-      { keys = List.map (fun (k, d) -> (f k, d)) s.keys; child = m s.child }
-  | Logical.Limit l -> Logical.Limit { l with child = m l.child }
-  | Logical.Distinct c -> Logical.Distinct (m c)
-  | Logical.Audit a -> Logical.Audit { a with child = m a.child }
-  | Logical.Set_op so ->
-    Logical.Set_op { so with left = m so.left; right = m so.right }
-
-let fold_constants p = map_all_scalars fold_scalar p
+let fold_constants p = Logical.map_scalars fold_scalar p
 
 (* ------------------------------------------------------------------ *)
 (* Correlation-scoped parameter utilities                              *)

@@ -6,7 +6,12 @@
     [prune] runs after it (pruning is audit-aware and keeps partition-key
     columns alive — forced ID propagation, §IV-A2). *)
 
-(** Fold one scalar expression (exposed for tests). *)
+(** Fold one scalar expression: [TRUE AND x] is [x] (and the other
+    AND/OR identities), and any other node whose operands are all
+    constants is replaced by its value under {!Scalar_eval.eval}. A node
+    whose evaluation raises stays, so the error surfaces at run time;
+    [Col], [Param], [Slot] and the session functions [now()],
+    [user_id()], [sql_text()] never fold. *)
 val fold_scalar : Scalar.t -> Scalar.t
 
 (** Constant folding over a whole plan. *)

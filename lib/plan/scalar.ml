@@ -91,19 +91,42 @@ let to_string e = Fmt.str "%a" pp e
 (* Structural traversals                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec fold f acc e =
-  let acc = f acc e in
-  match e with
-  | Col _ | Const _ | Param _ | Slot _ -> acc
-  | Neg a | Not a | Is_null (a, _) -> fold f acc a
-  | Binop (_, a, b) | Like (a, b, _) -> fold f (fold f acc a) b
-  | In_list (a, _, _) -> fold f acc a
+(** The direct sub-expressions of [e], left to right. *)
+let children = function
+  | Col _ | Const _ | Param _ | Slot _ -> []
+  | Neg a | Not a | Is_null (a, _) | In_list (a, _, _) -> [ a ]
+  | Binop (_, a, b) | Like (a, b, _) -> [ a; b ]
   | Case (whens, els) ->
-    let acc =
-      List.fold_left (fun acc (c, v) -> fold f (fold f acc c) v) acc whens
+    List.concat_map (fun (c, v) -> [ c; v ]) whens @ Option.to_list els
+  | Func (_, args) -> args
+
+(** Rebuild [e] with [f] applied to each direct sub-expression, left to
+    right. *)
+let map_children f e =
+  match e with
+  | Col _ | Const _ | Param _ | Slot _ -> e
+  | Binop (op, a, b) ->
+    let a = f a in
+    Binop (op, a, f b)
+  | Neg a -> Neg (f a)
+  | Not a -> Not (f a)
+  | Is_null (a, n) -> Is_null (f a, n)
+  | Like (a, b, n) ->
+    let a = f a in
+    Like (a, f b, n)
+  | In_list (a, vs, n) -> In_list (f a, vs, n)
+  | Case (whens, els) ->
+    let whens =
+      List.map
+        (fun (c, v) ->
+          let c = f c in
+          (c, f v))
+        whens
     in
-    (match els with Some e -> fold f acc e | None -> acc)
-  | Func (_, args) -> List.fold_left (fold f) acc args
+    Case (whens, Option.map f els)
+  | Func (fn, args) -> Func (fn, List.map f args)
+
+let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
 
 (** Set of input-column indexes referenced. *)
 let free_cols e =
@@ -121,26 +144,7 @@ let free_params e =
 let rec map_leaves f e =
   match e with
   | Col _ | Const _ | Param _ | Slot _ -> f e
-  | Binop (op, a, b) ->
-    let a = map_leaves f a in
-    Binop (op, a, map_leaves f b)
-  | Neg a -> Neg (map_leaves f a)
-  | Not a -> Not (map_leaves f a)
-  | Is_null (a, n) -> Is_null (map_leaves f a, n)
-  | Like (a, b, n) ->
-    let a = map_leaves f a in
-    Like (a, map_leaves f b, n)
-  | In_list (a, vs, n) -> In_list (map_leaves f a, vs, n)
-  | Case (whens, els) ->
-    let whens =
-      List.map
-        (fun (c, v) ->
-          let c = map_leaves f c in
-          (c, map_leaves f v))
-        whens
-    in
-    Case (whens, Option.map (map_leaves f) els)
-  | Func (fn, args) -> Func (fn, List.map (map_leaves f) args)
+  | e -> map_children (map_leaves f) e
 
 let map_cols f = map_leaves (function Col i -> f i | e -> e)
 

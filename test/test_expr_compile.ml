@@ -238,6 +238,207 @@ let test_3vl_corners () =
         (Exec.Eval.eval ctx [||] e))
     cases
 
+(* --------------------------------------------------------------- *)
+(* Constant folding = evaluation                                    *)
+(* --------------------------------------------------------------- *)
+
+(* Folding evaluates closed subtrees with the evaluator itself, so a
+   folded expression means what the original means wherever the original
+   evaluates at all (an erroring subtree stays unfolded). *)
+let prop_fold_agrees =
+  QCheck.Test.make ~count:2000 ~max_gen:20_000
+    ~name:"Eval (fold_scalar e) = Eval e wherever Eval e succeeds" arb_case
+    (fun (e, row) ->
+      let ctx = Lazy.force ctx in
+      match outcome (fun () -> Exec.Eval.eval ctx row e) with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok v ->
+        outcome (fun () -> Exec.Eval.eval ctx row (Optimizer.fold_scalar e))
+        = Ok v)
+
+let scalar = Alcotest.testable Scalar.pp Scalar.equal
+
+(* The session functions read the execution, never the plan: a folded
+   [now()] would be frozen into a cached statement shape. *)
+let test_fold_pinned () =
+  let c v = Scalar.Const v and str s = Scalar.Const (Value.Str s) in
+  let now = Scalar.Func (Scalar.F_now, []) in
+  let user = Scalar.Func (Scalar.F_user_id, []) in
+  let sql = Scalar.Func (Scalar.F_sql_text, []) in
+  List.iter
+    (fun e ->
+      Alcotest.check scalar ("stays: " ^ Scalar.to_string e) e
+        (Optimizer.fold_scalar e))
+    [
+      now;
+      user;
+      sql;
+      Scalar.Binop (Sql.Ast.Add, now, c (Value.Int 1));
+      Scalar.Func (Scalar.F_upper, [ user ]);
+      Scalar.Binop (Sql.Ast.Eq, sql, str "x");
+      Scalar.Case ([ (Scalar.Binop (Sql.Ast.Gt, now, c (Value.Int 0)), str "later") ], None);
+      Scalar.Binop (Sql.Ast.Div, c (Value.Int 1), c (Value.Int 0));
+    ];
+  let date s = Value.Date (Value.date_of_string s) in
+  List.iter
+    (fun (e, v) ->
+      Alcotest.check scalar ("folds: " ^ Scalar.to_string e) (c v)
+        (Optimizer.fold_scalar e))
+    [
+      ( Scalar.Func
+          (Scalar.F_date_sub Sql.Ast.Days, [ c (date "1998-12-01"); c (Value.Int 90) ]),
+        date "1998-09-02" );
+      ( Scalar.Case
+          ( [ (Scalar.Binop (Sql.Ast.Gt, c (Value.Int 2), c (Value.Int 1)), str "big") ],
+            Some (str "small") ),
+        Value.Str "big" );
+      (Scalar.Func (Scalar.F_upper, [ str "a" ]), Value.Str "A");
+      (Scalar.Like (c Value.Null, str "x", false), Value.Null);
+      (Scalar.Binop (Sql.Ast.Concat, c (Value.Int 1), str "a"), Value.Str "1a");
+    ]
+
+(* --------------------------------------------------------------- *)
+(* Columnar predicate kernels = evaluation                          *)
+(* --------------------------------------------------------------- *)
+
+(* A typed store: INT, FLOAT, VARCHAR, DATE and BOOL columns, NULL-heavy,
+   with some slots erased after they were written (their strings stay in
+   the dictionary). *)
+let col_types = Datatype.[| T_int; T_float; T_string; T_date; T_bool |]
+
+let gen_cell ty =
+  QCheck.Gen.(
+    let v =
+      match ty with
+      | Datatype.T_int -> map (fun i -> Value.Int i) (int_range (-3) 3)
+      | Datatype.T_float ->
+        map (fun i -> Value.Float (float_of_int i /. 2.0)) (int_range (-4) 4)
+      | Datatype.T_string ->
+        oneofl (List.map (fun s -> Value.Str s) [ ""; "a"; "ab"; "Alice"; "flu" ])
+      | Datatype.T_date ->
+        oneofl
+          (List.map
+             (fun s -> Value.Date (Value.date_of_string s))
+             [ "1995-01-31"; "1995-06-17"; "1996-12-01" ])
+      | Datatype.T_bool -> map (fun b -> Value.Bool b) bool
+    in
+    frequency [ (1, return Value.Null); (3, v) ])
+
+let gen_store_rows =
+  QCheck.Gen.(
+    let row =
+      map Array.of_list (flatten_l (List.map gen_cell (Array.to_list col_types)))
+    in
+    let erased = frequency [ (1, return true); (4, return false) ] in
+    list_size (int_range 1 12) (pair row erased))
+
+(* Predicates in the shapes the kernels accept, with constant sides drawn
+   from every type (cross-type comparisons included) and sometimes left
+   as closed subtrees for the kernel to fold. *)
+let gen_col_pred =
+  QCheck.Gen.(
+    let col = int_range 0 (Array.length col_types - 1) in
+    let const =
+      frequency
+        [
+          (4, map (fun v -> Scalar.Const v) gen_value);
+          ( 1,
+            map2
+              (fun a b -> Scalar.Binop (Sql.Ast.Add, Scalar.Const a, Scalar.Const b))
+              gen_value gen_value );
+        ]
+    in
+    let cmp = oneofl Sql.Ast.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+    let leaf =
+      frequency
+        [
+          ( 4,
+            map3
+              (fun op (i, k) flip ->
+                if flip then Scalar.Binop (op, k, Scalar.Col i)
+                else Scalar.Binop (op, Scalar.Col i, k))
+              cmp (pair col const) bool );
+          (1, map2 (fun i neg -> Scalar.Is_null (Scalar.Col i, neg)) col bool);
+          ( 2,
+            map3
+              (fun i p neg -> Scalar.Like (Scalar.Col i, Scalar.Const p, neg))
+              (frequency [ (3, return 2); (1, col) ])
+              (frequency
+                 [
+                   (4, map (fun p -> Value.Str p) gen_like_pattern);
+                   (1, return Value.Null);
+                 ])
+              bool );
+          ( 2,
+            map3
+              (fun i vs neg -> Scalar.In_list (Scalar.Col i, Array.of_list vs, neg))
+              col
+              (list_size (int_range 0 4) gen_value)
+              bool );
+          (1, return (Scalar.Col 4));
+          (1, map (fun v -> Scalar.Const v) (oneofl Value.[ Bool true; Bool false; Null ]));
+          (1, map3 (fun op a b -> Scalar.Binop (op, a, b)) cmp const const);
+        ]
+    in
+    sized_size (int_range 0 4)
+    @@ fix (fun self n ->
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun a -> Scalar.Not a) sub);
+                 (2, map2 (fun a b -> Scalar.Binop (Sql.Ast.And, a, b)) sub sub);
+                 (2, map2 (fun a b -> Scalar.Binop (Sql.Ast.Or, a, b)) sub sub);
+               ]))
+
+let arb_col_pred =
+  QCheck.make
+    ~print:(fun (rows, e) ->
+      Printf.sprintf "%s\nrows = %s" (Scalar.to_string e)
+        (String.concat " "
+           (List.map
+              (fun (r, erased) ->
+                Printf.sprintf "[%s]%s"
+                  (String.concat "; " (Array.to_list (Array.map Value.to_string r)))
+                  (if erased then "(erased)" else ""))
+              rows)))
+    QCheck.Gen.(pair gen_store_rows gen_col_pred)
+
+let prop_col_pred_agrees =
+  QCheck.Test.make ~count:1000 ~max_gen:20_000
+    ~name:"Col_pred kernel verdict = Eval on the materialized row" arb_col_pred
+    (fun (rows, e) ->
+      let ctx = Lazy.force ctx in
+      let cs =
+        Column_store.create
+          (Schema.of_list
+             (Array.to_list
+                (Array.mapi (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty) col_types)))
+      in
+      List.iteri (fun slot (row, _) -> Column_store.write cs slot row) rows;
+      List.iteri (fun slot (_, erased) -> if erased then Column_store.erase cs slot) rows;
+      match Exec.Col_pred.compile ctx cs e with
+      | None -> QCheck.assume_fail ()
+      | Some kernel ->
+        List.for_all
+          (fun slot ->
+            (not (Column_store.is_live cs slot))
+            ||
+            match outcome (fun () -> Exec.Eval.eval ctx (Column_store.read cs slot) e) with
+            | Error _ -> true
+            | Ok v ->
+              let expected =
+                match v with
+                | Value.Bool true -> 1
+                | Value.Bool false -> 0
+                | Value.Null -> 2
+                | _ -> -1
+              in
+              kernel slot = expected)
+          (List.init (List.length rows) Fun.id))
+
 let suite =
   Alcotest.test_case "three-valued-logic corners (compiled)" `Quick
     test_3vl_corners
@@ -248,3 +449,8 @@ let suite =
          prop_oracle_mode;
          prop_like_classifier;
        ]
+  @ [
+      Alcotest.test_case "session functions never fold; closed nodes do" `Quick
+        test_fold_pinned;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_fold_agrees; prop_col_pred_agrees ]

@@ -462,6 +462,50 @@ let test_drop_audit_with_dependent_trigger () =
   check Alcotest.int "re-creating the expression revives no trigger" 1
     (List.length (log_rows replayed))
 
+(* DROP TABLE is refused while a DML trigger is ON the table: dropping it
+   would leave a trigger that a dump cannot replay ("trigger k references
+   unknown table p") and that a re-created table of the same name would
+   fire again. *)
+let test_drop_table_with_dependent_trigger () =
+  let db = Fixtures.create () in
+  let e db sql = ignore (Db.Database.exec db sql) in
+  let history db = Fixtures.rows_sorted db "SELECT * FROM hist" in
+  List.iter (e db)
+    [
+      "CREATE TABLE p (id INT PRIMARY KEY, v INT)";
+      "CREATE TABLE hist (id INT)";
+      "CREATE TRIGGER k ON p AFTER UPDATE AS INSERT INTO hist SELECT id FROM \
+       new";
+      "INSERT INTO p VALUES (1, 10)";
+    ];
+  (match Db.Database.exec db "DROP TABLE p" with
+  | exception
+      Engine_core.Engine_error.Error
+        (Engine_core.Engine_error.Dependency { obj; dependents }) ->
+    check Alcotest.string "the refused object" "table p" obj;
+    check Alcotest.(list string) "the dependent trigger is named"
+      [ "trigger k" ] dependents
+  | _ -> Alcotest.fail "DROP TABLE with a DML trigger on it succeeded");
+  e db "UPDATE p SET v = 11 WHERE id = 1";
+  check Fixtures.tuples "the table and its trigger stay" [ [| vi 1 |] ]
+    (history db);
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  e replayed "UPDATE p SET v = 12 WHERE id = 1";
+  check Fixtures.tuples "the dump replays with the trigger"
+    [ [| vi 1 |]; [| vi 1 |] ]
+    (history replayed);
+  e db "DROP TRIGGER k";
+  e db "DROP TABLE p";
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  List.iter
+    (fun db ->
+      e db "CREATE TABLE p (id INT PRIMARY KEY, v INT)";
+      e db "INSERT INTO p VALUES (2, 20)";
+      e db "UPDATE p SET v = 21 WHERE id = 2";
+      check Fixtures.tuples "re-creating the table revives no trigger"
+        [ [| vi 1 |] ] (history db))
+    [ db; replayed ]
+
 let suite =
   [
     Alcotest.test_case "SELECT trigger fires and logs" `Quick
@@ -506,4 +550,6 @@ let suite =
       test_insert_new_is_coerced;
     Alcotest.test_case "DROP AUDIT EXPRESSION refused while a trigger names it"
       `Quick test_drop_audit_with_dependent_trigger;
+    Alcotest.test_case "DROP TABLE refused while a DML trigger is on it"
+      `Quick test_drop_table_with_dependent_trigger;
   ]
