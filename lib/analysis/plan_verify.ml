@@ -29,8 +29,11 @@
     - {b Est_rows} — every node carries a finite, non-negative
       cardinality estimate.
 
-    Violations come back as a typed list with a path to the offending
-    node; the caller decides whether to warn or to refuse the plan. *)
+    Coverage, Commute_path and Id_provenance are written once, over a
+    small adapter per IR (labels, inputs, scans, probes and one trace
+    step); the other three are physical-only lowering rules. Violations
+    come back as a typed list with a path to the offending node; the
+    caller decides whether to warn or to refuse the plan. *)
 
 open Storage
 open Plan
@@ -123,543 +126,408 @@ let hcn_commute =
 let highest_commute = { hcn_commute with loj_right = true; limit = true }
 
 (* ------------------------------------------------------------------ *)
-(* Physical-plan helpers                                               *)
+(* One adapter per IR                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let norm = String.lowercase_ascii
 
-(* A node path like "Limit/HashJoin.l/Filter/SeqScan(customer)". *)
-let ( /: ) path seg = if path = "" then seg else path ^ "/" ^ seg
+let ( /: ) path seg =
+  if seg = "" then path else if path = "" then seg else path ^ "/" ^ seg
 
-(* The edges a provenance trace can descend, annotated with the commute
-   flag that must hold for an audit operator to sit above that edge. *)
-let edge_commute (c : commute) (p : Physical.t) ~(to_chain : bool)
-    ~(to_right : bool) : bool option =
-  (* [None] = edge is always fine (no commute constraint); [Some b] = the
-     audit operator commutes with this node iff [b]. *)
-  match p.Physical.op with
-  | Physical.Seq_scan _ -> None
-  | Physical.Audit_probe _ -> None (* a probe is a no-op *)
-  | Physical.Filter _ -> Some c.filter
-  | Physical.Project _ -> Some c.project
-  | Physical.Sort _ -> Some c.sort
-  | Physical.Limit _ -> Some c.limit
-  | Physical.Top_k _ -> Some (c.sort && c.limit)
-  | Physical.Distinct _ -> Some false
-  | Physical.Hash_agg _ -> Some false
-  | Physical.Set_op _ -> Some false
-  | Physical.Hash_join { kind; _ } | Physical.Nl_join { kind; _ } -> (
-    match kind with
-    | Logical.J_inner -> Some (if to_right then c.join_right else c.join_left)
-    | Logical.J_left -> Some (if to_right then c.loj_right else c.loj_left))
-  | Physical.Index_nl_join { kind; _ } -> (
-    (* From above, the lookup chain is just the join's right input; probes
-       *inside* the chain are the probe-in-chain rule, not this one. *)
-    match kind with
-    | Logical.J_inner -> Some (if to_chain then c.join_right else c.join_left)
-    | Logical.J_left -> Some (if to_chain then c.loj_right else c.loj_left))
-  | Physical.Hash_semi_join _ -> Some c.semi_left
-  | Physical.Apply _ -> Some c.apply_outer
+(* Where output column [i] of a node comes from: base column [b] of the
+   node itself (a scan), column [col] of the input reached through path
+   segment [seg], or nothing the rules can follow (a computed column).
+   [commutes] says whether an audit operator may sit above the node on
+   that edge. *)
+type 'n source =
+  | Base of int
+  | Input of { seg : string; input : 'n; col : int; commutes : bool }
+  | Computed
 
-(* Trace output column [col] of [p] down to the base scan it came from.
-   Returns the scan node itself (compared by physical identity), its path,
-   table, base-schema column index, and the list of (node, to_chain,
-   to_right) edges crossed on the way (excluding the scan). [None] when the
-   column is computed (aggregate, scalar apply, non-column projection). *)
-type traced = {
-  scan : Physical.t;
-  spath : string;
-  table : string;
-  base : int;
-  edges : (Physical.t * bool * bool) list;
+(* What the audit rules need of an IR. [inputs] pairs each input with its
+   path segment ("" continues the node's own path); [scan] gives a base
+   scan's table and full schema; [probe] an audit operator's name and ID
+   column; [step] one trace step under a commute relation. *)
+type 'n ir = {
+  label : 'n -> string;
+  inputs : 'n -> (string * 'n) list;
+  scan : 'n -> (string * Schema.t) option;
+  probe : 'n -> (string * int) option;
+  step : commute -> 'n -> int -> 'n source;
 }
 
-let rec trace (path : string) (p : Physical.t) (col : int) : traced option =
-  let via ?(to_chain = false) ?(to_right = false) seg child col' =
-    match trace (path /: seg) child col' with
-    | Some t -> Some { t with edges = (p, to_chain, to_right) :: t.edges }
-    | None -> None
-  in
-  match p.Physical.op with
-  | Physical.Seq_scan { table; schema; cols; _ } ->
-    let base = match cols with None -> col | Some idxs -> idxs.(col) in
-    if base >= 0 && base < Schema.arity schema then
-      Some
-        {
-          scan = p;
-          spath = path /: Printf.sprintf "SeqScan(%s)" table;
-          table = norm table;
-          base;
-          edges = [];
-        }
-    else None
-  | Physical.Filter { child; _ } -> via "Filter" child col
-  | Physical.Sort { child; _ } -> via "Sort" child col
-  | Physical.Limit { child; _ } -> via "Limit" child col
-  | Physical.Top_k { child; _ } -> via "TopK" child col
-  | Physical.Distinct child -> via "Distinct" child col
-  | Physical.Audit_probe { child; _ } -> via "AuditProbe" child col
-  | Physical.Project { cols; child } -> (
-    match List.nth_opt cols col with
-    | Some (Scalar.Col i, _) -> via "Project" child i
-    | _ -> None)
-  | Physical.Hash_join { left; right; _ } ->
-    let la = Physical.arity left in
-    if col < la then via "HashJoin.l" left col
-    else via ~to_right:true "HashJoin.r" right (col - la)
-  | Physical.Nl_join { left; right; _ } ->
-    let la = Physical.arity left in
-    if col < la then via "NLJoin.l" left col
-    else via ~to_right:true "NLJoin.r" right (col - la)
-  | Physical.Index_nl_join { left; chain; _ } ->
-    let la = Physical.arity left in
-    if col < la then via "IndexNLJoin.l" left col
-    else via ~to_chain:true "IndexNLJoin.chain" chain (col - la)
-  | Physical.Hash_semi_join { left; _ } -> via "SemiJoin.l" left col
-  | Physical.Apply { outer; _ } ->
-    if col < Physical.arity outer then via "Apply.outer" outer col else None
-  | Physical.Hash_agg { keys; child; _ } -> (
-    match List.nth_opt keys col with
-    | Some (Scalar.Col i, _) -> via "HashAgg" child i
-    | _ -> None)
-  | Physical.Set_op { left; _ } -> via "SetOp.l" left col
+let via ?(seg = "") input col commutes = Input { seg; input; col; commutes }
+
+(* A projected scan's output column [col] in the table's schema. *)
+let scan_base cols col =
+  match cols with
+  | None -> col
+  | Some idxs -> if col < Array.length idxs then idxs.(col) else -1
+
+(* Output column [col] of a join: the left input's columns, then the
+   right's (an index join's lookup chain is its right input). *)
+let join_source c kind ~arity ~right_seg left right col =
+  let la = arity left in
+  match kind with
+  | Logical.J_inner when col < la -> via ~seg:"l" left col c.join_left
+  | Logical.J_left when col < la -> via ~seg:"l" left col c.loj_left
+  | Logical.J_inner -> via ~seg:right_seg right (col - la) c.join_right
+  | Logical.J_left -> via ~seg:right_seg right (col - la) c.loj_right
+
+(* A grouping or projection list: column [col] is followed only when it
+   is a bare input column. *)
+let keyed keys col commutes child =
+  match List.nth_opt keys col with
+  | Some (Scalar.Col i, _) -> via child i commutes
+  | _ -> Computed
+
+let physical : Physical.t ir =
+  let open Physical in
+  {
+    label;
+    inputs =
+      (fun p ->
+        match p.op with
+        | Seq_scan _ -> []
+        | Filter { child; _ }
+        | Project { child; _ }
+        | Hash_agg { child; _ }
+        | Sort { child; _ }
+        | Top_k { child; _ }
+        | Limit { child; _ }
+        | Audit_probe { child; _ }
+        | Distinct child ->
+          [ ("", child) ]
+        | Hash_join { left; right; _ }
+        | Nl_join { left; right; _ }
+        | Hash_semi_join { left; right; _ }
+        | Set_op { left; right; _ } ->
+          [ ("l", left); ("r", right) ]
+        | Index_nl_join { left; chain; _ } -> [ ("l", left); ("chain", chain) ]
+        | Apply { outer; inner; _ } -> [ ("outer", outer); ("inner", inner) ]);
+    scan =
+      (fun p ->
+        match p.op with
+        | Seq_scan { table; schema; _ } -> Some (table, schema)
+        | _ -> None);
+    probe =
+      (fun p ->
+        match p.op with
+        | Audit_probe { audit_name; id_col; _ } -> Some (audit_name, id_col)
+        | _ -> None);
+    step =
+      (fun c p col ->
+        match p.op with
+        | Seq_scan { cols; _ } -> Base (scan_base cols col)
+        | Filter { child; _ } -> via child col c.filter
+        | Project { cols; child } -> keyed cols col c.project child
+        | Sort { child; _ } -> via child col c.sort
+        | Limit { child; _ } -> via child col c.limit
+        | Top_k { child; _ } -> via child col (c.sort && c.limit)
+        | Distinct child -> via child col false
+        | Audit_probe { child; _ } -> via child col true (* a probe is a no-op *)
+        | Hash_agg { keys; child; _ } -> keyed keys col false child
+        | Set_op { left; _ } -> via ~seg:"l" left col false
+        | Hash_join { kind; left; right; _ } | Nl_join { kind; left; right; _ } ->
+          join_source c kind ~arity ~right_seg:"r" left right col
+        | Index_nl_join { kind; left; chain; _ } ->
+          join_source c kind ~arity ~right_seg:"chain" left chain col
+        | Hash_semi_join { left; _ } -> via ~seg:"l" left col c.semi_left
+        | Apply { outer; _ } ->
+          if col < arity outer then via ~seg:"outer" outer col c.apply_outer
+          else Computed);
+  }
+
+let logical : Logical.t ir =
+  let open Logical in
+  {
+    label =
+      (function
+      | Scan { table; _ } -> Printf.sprintf "Scan(%s)" table
+      | Filter _ -> "Filter"
+      | Project _ -> "Project"
+      | Join _ -> "Join"
+      | Semi_join _ -> "SemiJoin"
+      | Apply _ -> "Apply"
+      | Group_by _ -> "GroupBy"
+      | Sort _ -> "Sort"
+      | Limit _ -> "Limit"
+      | Distinct _ -> "Distinct"
+      | Audit _ -> "Audit"
+      | Set_op _ -> "SetOp");
+    inputs =
+      (function
+      | Scan _ -> []
+      | Filter { child; _ }
+      | Project { child; _ }
+      | Group_by { child; _ }
+      | Sort { child; _ }
+      | Limit { child; _ }
+      | Audit { child; _ }
+      | Distinct child ->
+        [ ("", child) ]
+      | Join { left; right; _ }
+      | Semi_join { left; right; _ }
+      | Set_op { left; right; _ } ->
+        [ ("l", left); ("r", right) ]
+      | Apply { outer; inner; _ } -> [ ("outer", outer); ("inner", inner) ]);
+    scan =
+      (function Scan { table; schema; _ } -> Some (table, schema) | _ -> None);
+    probe =
+      (function
+      | Audit { audit_name; id_col; _ } -> Some (audit_name, id_col) | _ -> None);
+    step =
+      (fun c p col ->
+        match p with
+        | Scan { cols; _ } -> Base (scan_base cols col)
+        | Filter { child; _ } -> via child col c.filter
+        | Project { cols; child } -> keyed cols col c.project child
+        | Sort { child; _ } -> via child col c.sort
+        | Limit { child; _ } -> via child col c.limit
+        | Distinct child -> via child col false
+        | Audit { child; _ } -> via child col true
+        | Group_by { keys; child; _ } -> keyed keys col false child
+        | Set_op { left; _ } -> via ~seg:"l" left col false
+        | Join { kind; left; right; _ } ->
+          join_source c kind ~arity ~right_seg:"r" left right col
+        | Semi_join { left; _ } -> via ~seg:"l" left col c.semi_left
+        | Apply { outer; _ } ->
+          if col < arity outer then via ~seg:"outer" outer col c.apply_outer
+          else Computed);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* The physical verifier                                               *)
+(* Coverage, Commute_path and Id_provenance, for any IR                *)
 (* ------------------------------------------------------------------ *)
+
+(* A node's path, innermost first: each node with the input segment that
+   led to it. Rendered only when a violation names it, as each node's
+   label with the segment before it: "Limit 2/HashJoin/l/SeqScan t". *)
+let render ir path =
+  List.fold_right (fun (seg, n) acc -> acc /: seg /: ir.label n) path ""
+
+(* Pre-order: [f] sees each node with its path. *)
+let rec walk ir f path n =
+  f path n;
+  List.iter (fun (seg, c) -> walk ir f ((seg, c) :: path) c) (ir.inputs n)
+
+(* Column [col] of [n] (at [path]) traced down to the base scan it
+   came from, with the labels of the non-commuting nodes crossed on the
+   way, top-down. [None] when the column is computed. *)
+type 'n traced = {
+  scan : 'n;
+  spath : (string * 'n) list;
+  table : string;
+  schema : Schema.t;
+  base : int;
+  blocked : string list;
+}
+
+let rec trace ir c path n col =
+  match if col < 0 then Computed else ir.step c n col with
+  | Computed -> None
+  | Base base -> (
+    match ir.scan n with
+    | Some (table, schema) when base >= 0 && base < Schema.arity schema ->
+      Some { scan = n; spath = path; table = norm table; schema; base; blocked = [] }
+    | _ -> None)
+  | Input { seg; input; col; commutes } ->
+    Option.map
+      (fun t -> if commutes then t else { t with blocked = ir.label n :: t.blocked })
+      (trace ir c ((seg, input) :: path) input col)
 
 let partition_index schema partition_by =
   match Schema.find_all schema partition_by with i :: _ -> Some i | [] -> None
 
-let verify ?(commute = hcn_commute) ?(certificates = [])
-    ~(audits : audit_spec list) (plan : Physical.t) : violation list =
-  let violations = ref [] in
-  let add rule path detail = violations := { rule; path; detail } :: !violations in
-  (* Collected during the walk: every base scan and every probe, with the
-     subtree under the probe (for provenance) and its path. *)
-  let scans = ref [] (* (path, table, schema, node) *) in
-  let probes = ref [] (* (path, name, id_col, node) *) in
-  let rec walk ~in_chain path (p : Physical.t) =
-    let label = Physical.label p in
-    let here = path /: label in
-    (* Est_rows *)
-    let est = p.Physical.est in
-    if not (Float.is_finite est) then
-      add Est_rows here (Printf.sprintf "estimate is %f" est)
-    else if est < 0. then
-      add Est_rows here (Printf.sprintf "negative estimate %f" est);
-    (* Schema_wf: expression liveness + arity bookkeeping per node. *)
-    let check_exprs what arity exprs =
-      List.iter
-        (fun e ->
-          List.iter
-            (fun i ->
-              if i < 0 || i >= arity then
-                add Schema_wf here
-                  (Printf.sprintf "%s references column %d outside arity %d"
-                     what i arity))
-            (Scalar.free_cols e))
-        exprs
-    in
-    (match p.Physical.op with
-    | Physical.Seq_scan { schema; cols; _ } -> (
-      match cols with
-      | None -> ()
-      | Some idxs ->
-        Array.iter
-          (fun i ->
-            if i < 0 || i >= Schema.arity schema then
-              add Schema_wf here
-                (Printf.sprintf "scan projection index %d outside schema" i))
-          idxs)
-    | Physical.Filter { pred; child } ->
-      check_exprs "filter predicate" (Physical.arity child) [ pred ]
-    | Physical.Project { cols; child } ->
-      check_exprs "projection" (Physical.arity child) (List.map fst cols)
-    | Physical.Hash_join { lkeys; rkeys; residual; left; right; right_arity; _ } ->
-      let la = Physical.arity left and ra = Physical.arity right in
-      if right_arity <> ra then
-        add Schema_wf here
-          (Printf.sprintf "recorded right arity %d <> subtree arity %d"
-             right_arity ra);
-      check_exprs "left key" la (Array.to_list lkeys);
-      check_exprs "right key" ra (Array.to_list rkeys);
-      check_exprs "residual" (la + ra) (Option.to_list residual)
-    | Physical.Nl_join { pred; left; right; right_arity; _ } ->
-      let la = Physical.arity left and ra = Physical.arity right in
-      if right_arity <> ra then
-        add Schema_wf here
-          (Printf.sprintf "recorded right arity %d <> subtree arity %d"
-             right_arity ra);
-      check_exprs "join predicate" (la + ra) (Option.to_list pred)
-    | Physical.Index_nl_join { left; left_key; chain; residual; right_arity; _ }
-      ->
-      let la = Physical.arity left and ca = Physical.arity chain in
-      if right_arity <> ca then
-        add Schema_wf here
-          (Printf.sprintf "recorded right arity %d <> chain arity %d"
-             right_arity ca);
-      check_exprs "lookup key" la [ left_key ];
-      check_exprs "residual" (la + ca) (Option.to_list residual)
-    | Physical.Hash_semi_join { left; left_key; right; right_key; _ } ->
-      check_exprs "left key" (Physical.arity left) [ left_key ];
-      check_exprs "right key" (Physical.arity right) [ right_key ]
-    | Physical.Apply _ -> ()
-    | Physical.Hash_agg { keys; aggs; child } ->
-      let a = Physical.arity child in
-      check_exprs "group key" a (List.map fst keys);
-      check_exprs "aggregate argument" a
-        (List.filter_map (fun (g : Logical.agg) -> g.Logical.arg) aggs)
-    | Physical.Sort { keys; child } | Physical.Top_k { keys; child; _ } ->
-      check_exprs "sort key" (Physical.arity child) (List.map fst keys)
-    | Physical.Limit _ | Physical.Distinct _ -> ()
-    | Physical.Audit_probe { id_col; child; _ } ->
-      let a = Physical.arity child in
-      if id_col < 0 || id_col >= a then
-        add Schema_wf here
-          (Printf.sprintf "audit ID column %d outside arity %d" id_col a)
-    | Physical.Set_op { left; right; _ } ->
-      let la = Physical.arity left and ra = Physical.arity right in
-      if la <> ra then
-        add Schema_wf here
-          (Printf.sprintf "set-operation branch arities differ (%d vs %d)" la
-             ra));
-    (* Collect scans and probes. *)
-    (match p.Physical.op with
-    | Physical.Seq_scan { table; schema; _ } ->
-      scans := (here, norm table, schema, p) :: !scans
-    | Physical.Audit_probe { audit_name; id_col; _ } ->
-      if in_chain then
-        add Probe_in_chain here
-          (Printf.sprintf "audit operator %s inside an index lookup chain"
-             audit_name);
-      probes := (here, audit_name, id_col, p) :: !probes
-    | _ -> ());
-    (* Recurse. *)
-    let step seg child = walk ~in_chain (here /: seg) child in
-    match p.Physical.op with
-    | Physical.Seq_scan _ -> ()
-    | Physical.Filter { child; _ }
-    | Physical.Project { child; _ }
-    | Physical.Sort { child; _ }
-    | Physical.Top_k { child; _ }
-    | Physical.Limit { child; _ }
-    | Physical.Audit_probe { child; _ }
-    | Physical.Hash_agg { child; _ } ->
-      walk ~in_chain here child
-    | Physical.Distinct child -> walk ~in_chain here child
-    | Physical.Hash_join { left; right; _ } | Physical.Nl_join { left; right; _ }
-      ->
-      step "l" left;
-      step "r" right
-    | Physical.Index_nl_join { left; chain; _ } ->
-      step "l" left;
-      walk ~in_chain:true (here /: "chain") chain
-    | Physical.Hash_semi_join { left; right; _ } ->
-      step "l" left;
-      step "r" right
-    | Physical.Apply { outer; inner; _ } ->
-      step "outer" outer;
-      step "inner" inner
-    | Physical.Set_op { left; right; _ } ->
-      step "l" left;
-      step "r" right
-  in
-  walk ~in_chain:false "" plan;
-  let specs_by_name n =
-    List.find_opt (fun s -> norm s.name = norm n) audits
-  in
-  (* Id_provenance + Commute_path, per probe. *)
+(* The three audit rules on [plan]. [exempt scan spec] is a sensitive
+   scan's other way to pass Coverage (a valid elision certificate). *)
+let audit_rules ir ~commute ~exempt ~audits add plan =
+  let add rule path detail = add rule (render ir path) detail in
+  let scans = ref [] and probes = ref [] in
+  walk ir
+    (fun path n ->
+      Option.iter (fun (t, _) -> scans := (path, norm t, n) :: !scans) (ir.scan n);
+      Option.iter (fun (a, i) -> probes := (path, a, i, n) :: !probes) (ir.probe n))
+    [ ("", plan) ] plan;
   let covered = ref [] (* (scan node, audit name), nodes by identity *) in
   List.iter
-    (fun (ppath, name, id_col, (node : Physical.t)) ->
-      let child =
-        match node.Physical.op with
-        | Physical.Audit_probe { child; _ } -> child
-        | _ -> assert false
-      in
-      match trace ppath child id_col with
+    (fun (ppath, name, id_col, n) ->
+      match trace ir commute ppath n id_col with
       | None ->
         add Id_provenance ppath
           (Printf.sprintf
              "ID column %d of audit operator %s does not trace to a base \
               column"
              id_col name)
-      | Some { scan; spath; table; base; edges } -> (
-        (* Commute_path: every edge crossed must commute. *)
+      | Some t -> (
         List.iter
-          (fun ((n : Physical.t), to_chain, to_right) ->
-            match edge_commute commute n ~to_chain ~to_right with
-            | Some false ->
-              add Commute_path ppath
-                (Printf.sprintf
-                   "audit operator %s sits above non-commuting %s on the \
-                    path to %s"
-                   name (Physical.label n) spath)
-            | _ -> ())
-          edges;
-        match specs_by_name name with
+          (fun label ->
+            add Commute_path ppath
+              (Printf.sprintf
+                 "audit operator %s sits above non-commuting %s on the path \
+                  to %s"
+                 name label (render ir t.spath)))
+          t.blocked;
+        match List.find_opt (fun s -> norm s.name = norm name) audits with
         | None -> () (* unknown audit: provenance to a base column suffices *)
-        | Some spec ->
-          if norm spec.sensitive_table <> table then
+        | Some spec when norm spec.sensitive_table <> t.table ->
+          add Id_provenance ppath
+            (Printf.sprintf "audit operator %s observes table %s, expected %s"
+               name t.table spec.sensitive_table)
+        | Some spec -> (
+          match partition_index t.schema spec.partition_by with
+          | Some want when want = t.base -> covered := (t.scan, norm name) :: !covered
+          | Some want ->
             add Id_provenance ppath
               (Printf.sprintf
-                 "audit operator %s observes table %s, expected %s" name table
-                 spec.sensitive_table)
-          else (
-            match scan.Physical.op with
-            | Physical.Seq_scan { schema; _ } -> (
-              match partition_index schema spec.partition_by with
-              | Some want when want = base ->
-                covered := (scan, norm name) :: !covered
-              | Some want ->
-                add Id_provenance ppath
-                  (Printf.sprintf
-                     "ID column traces to %s column %d, partition key %s is \
-                      column %d"
-                     table base spec.partition_by want)
-              | None ->
-                add Id_provenance ppath
-                  (Printf.sprintf "partition key %s not in schema of %s"
-                     spec.partition_by table))
-            | _ -> ())))
+                 "ID column traces to %s column %d, partition key %s is column \
+                  %d"
+                 t.table t.base spec.partition_by want)
+          | None ->
+            add Id_provenance ppath
+              (Printf.sprintf "partition key %s not in schema of %s"
+                 spec.partition_by t.table))))
     !probes;
-  (* Coverage: every sensitive scan carries a well-traced probe — or a
-     valid elision certificate naming exactly this scan. The scan is
-     matched by its pre-order ordinal (stable under probe elision), the
-     certificate is re-validated here so a tampered or mis-targeted one
-     never silences the rule. *)
-  let certified node table spec =
-    match Independence.scan_ordinal plan ~scan:node with
+  List.iter
+    (fun (spath, table, n) ->
+      List.iter
+        (fun spec ->
+          if
+            norm spec.sensitive_table = table
+            && (not (List.exists (fun (s, a) -> s == n && a = norm spec.name) !covered))
+            && not (exempt n spec)
+          then
+            add Coverage spath
+              (Printf.sprintf
+                 "scan of sensitive table %s is not dominated by an audit \
+                  operator for %s"
+                 table spec.name))
+        audits)
+    !scans
+
+let collect f =
+  let vs = ref [] in
+  f (fun rule path detail -> vs := { rule; path; detail } :: !vs);
+  List.rev !vs
+
+(* ------------------------------------------------------------------ *)
+(* The verifiers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The physical-only lowering rules: Est_rows, Schema_wf, Probe_in_chain. *)
+let rec lowering report ~in_chain path (p : Physical.t) =
+  let add rule detail = report rule (render physical path) detail in
+  let est = p.Physical.est in
+  if not (Float.is_finite est) then
+    add Est_rows (Printf.sprintf "estimate is %f" est)
+  else if est < 0. then
+    add Est_rows (Printf.sprintf "negative estimate %f" est);
+  let check_exprs what arity exprs =
+    List.iter
+      (fun e ->
+        List.iter
+          (fun i ->
+            if i < 0 || i >= arity then
+              add Schema_wf
+                (Printf.sprintf "%s references column %d outside arity %d" what
+                   i arity))
+          (Scalar.free_cols e))
+      exprs
+  in
+  let check_right_arity what recorded actual =
+    if recorded <> actual then
+      add Schema_wf
+        (Printf.sprintf "recorded right arity %d <> %s arity %d" recorded what
+           actual)
+  in
+  (match p.Physical.op with
+  | Physical.Seq_scan { schema; cols; _ } ->
+    Option.iter
+      (Array.iter (fun i ->
+           if i < 0 || i >= Schema.arity schema then
+             add Schema_wf
+               (Printf.sprintf "scan projection index %d outside schema" i)))
+      cols
+  | Physical.Filter { pred; child } ->
+    check_exprs "filter predicate" (Physical.arity child) [ pred ]
+  | Physical.Project { cols; child } ->
+    check_exprs "projection" (Physical.arity child) (List.map fst cols)
+  | Physical.Hash_join { lkeys; rkeys; residual; left; right; right_arity; _ } ->
+    let la = Physical.arity left and ra = Physical.arity right in
+    check_right_arity "subtree" right_arity ra;
+    check_exprs "left key" la (Array.to_list lkeys);
+    check_exprs "right key" ra (Array.to_list rkeys);
+    check_exprs "residual" (la + ra) (Option.to_list residual)
+  | Physical.Nl_join { pred; left; right; right_arity; _ } ->
+    let la = Physical.arity left and ra = Physical.arity right in
+    check_right_arity "subtree" right_arity ra;
+    check_exprs "join predicate" (la + ra) (Option.to_list pred)
+  | Physical.Index_nl_join { left; left_key; chain; residual; right_arity; _ } ->
+    let la = Physical.arity left and ca = Physical.arity chain in
+    check_right_arity "chain" right_arity ca;
+    check_exprs "lookup key" la [ left_key ];
+    check_exprs "residual" (la + ca) (Option.to_list residual)
+  | Physical.Hash_semi_join { left; left_key; right; right_key; _ } ->
+    check_exprs "left key" (Physical.arity left) [ left_key ];
+    check_exprs "right key" (Physical.arity right) [ right_key ]
+  | Physical.Apply _ | Physical.Limit _ | Physical.Distinct _ -> ()
+  | Physical.Hash_agg { keys; aggs; child } ->
+    let a = Physical.arity child in
+    check_exprs "group key" a (List.map fst keys);
+    check_exprs "aggregate argument" a
+      (List.filter_map (fun (g : Logical.agg) -> g.Logical.arg) aggs)
+  | Physical.Sort { keys; child } | Physical.Top_k { keys; child; _ } ->
+    check_exprs "sort key" (Physical.arity child) (List.map fst keys)
+  | Physical.Audit_probe { audit_name; id_col; child } ->
+    let a = Physical.arity child in
+    if id_col < 0 || id_col >= a then
+      add Schema_wf
+        (Printf.sprintf "audit ID column %d outside arity %d" id_col a);
+    if in_chain then
+      add Probe_in_chain
+        (Printf.sprintf "audit operator %s inside an index lookup chain"
+           audit_name)
+  | Physical.Set_op { left; right; _ } ->
+    let la = Physical.arity left and ra = Physical.arity right in
+    if la <> ra then
+      add Schema_wf
+        (Printf.sprintf "set-operation branch arities differ (%d vs %d)" la ra));
+  List.iter
+    (fun (seg, c) ->
+      lowering report ~in_chain:(in_chain || seg = "chain") ((seg, c) :: path) c)
+    (physical.inputs p)
+
+(* A sensitive scan with no dominating probe passes Coverage when a
+   certificate names exactly this scan — matched by its pre-order ordinal,
+   which probe elision leaves stable — and replays, so a tampered or
+   mis-targeted certificate never silences the rule. *)
+let certified certificates plan (scan : Physical.t) spec =
+  match scan.Physical.op with
+  | Physical.Seq_scan { table; alias; _ } when certificates <> [] -> (
+    match Independence.scan_ordinal plan ~scan with
     | None -> false
     | Some ord ->
-      let alias =
-        match node.Physical.op with
-        | Physical.Seq_scan { alias; _ } -> alias
-        | _ -> ""
-      in
       List.exists
         (fun (c : Certificate.t) ->
           norm c.Certificate.audit_name = norm spec.name
-          && norm c.Certificate.scan_table = table
+          && norm c.Certificate.scan_table = norm table
           && c.Certificate.scan_alias = alias
           && c.Certificate.scan_ordinal = ord
           && Certificate.validate c = Ok ())
-        certificates
-  in
-  List.iter
-    (fun (spath, table, _schema, node) ->
-      List.iter
-        (fun spec ->
-          if
-            norm spec.sensitive_table = table
-            && (not
-                  (List.exists
-                     (fun (s, n) -> s == node && n = norm spec.name)
-                     !covered))
-            && not (certified node table spec)
-          then
-            add Coverage spath
-              (Printf.sprintf
-                 "scan of sensitive table %s is not dominated by an audit \
-                  operator for %s"
-                 table spec.name))
-        audits)
-    !scans;
-  List.rev !violations
+        certificates)
+  | _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Logical-plan verifier (pre-lowering): Coverage / Commute_path /      *)
-(* Id_provenance on the logical operators. Implemented by re-using the  *)
-(* physical machinery on a loss-free logical embedding is not possible  *)
-(* (strategies are not chosen yet), so a direct walk mirrors the rules. *)
-(* ------------------------------------------------------------------ *)
-
-type ltraced = {
-  lscan : Logical.t;
-  lspath : string;
-  ltable : string;
-  lbase : int;
-  ledges : (Logical.t * bool) list;
-}
-
-let rec ltrace (path : string) (p : Logical.t) (col : int) : ltraced option =
-  let via ?(to_right = false) seg child col' =
-    match ltrace (path /: seg) child col' with
-    | Some t -> Some { t with ledges = (p, to_right) :: t.ledges }
-    | None -> None
-  in
-  match p with
-  | Logical.Scan { table; schema; cols; _ } ->
-    let base = match cols with None -> col | Some idxs -> idxs.(col) in
-    if base >= 0 && base < Schema.arity schema then
-      Some
-        {
-          lscan = p;
-          lspath = path /: Printf.sprintf "Scan(%s)" table;
-          ltable = norm table;
-          lbase = base;
-          ledges = [];
-        }
-    else None
-  | Logical.Filter { child; _ } -> via "Filter" child col
-  | Logical.Sort { child; _ } -> via "Sort" child col
-  | Logical.Limit { child; _ } -> via "Limit" child col
-  | Logical.Distinct child -> via "Distinct" child col
-  | Logical.Audit { child; _ } -> via "Audit" child col
-  | Logical.Project { cols; child } -> (
-    match List.nth_opt cols col with
-    | Some (Scalar.Col i, _) -> via "Project" child i
-    | _ -> None)
-  | Logical.Join { left; right; _ } ->
-    let la = Logical.arity left in
-    if col < la then via "Join.l" left col
-    else via ~to_right:true "Join.r" right (col - la)
-  | Logical.Semi_join { left; _ } -> via "SemiJoin.l" left col
-  | Logical.Apply { outer; _ } ->
-    if col < Logical.arity outer then via "Apply.outer" outer col else None
-  | Logical.Group_by { keys; child; _ } -> (
-    match List.nth_opt keys col with
-    | Some (Scalar.Col i, _) -> via "GroupBy" child i
-    | _ -> None)
-  | Logical.Set_op { left; _ } -> via "SetOp.l" left col
-
-let ledge_commute (c : commute) (p : Logical.t) ~(to_right : bool) =
-  match p with
-  | Logical.Scan _ | Logical.Audit _ -> None
-  | Logical.Filter _ -> Some c.filter
-  | Logical.Project _ -> Some c.project
-  | Logical.Sort _ -> Some c.sort
-  | Logical.Limit _ -> Some c.limit
-  | Logical.Distinct _ -> Some false
-  | Logical.Group_by _ -> Some false
-  | Logical.Set_op _ -> Some false
-  | Logical.Join { kind = Logical.J_inner; _ } ->
-    Some (if to_right then c.join_right else c.join_left)
-  | Logical.Join { kind = Logical.J_left; _ } ->
-    Some (if to_right then c.loj_right else c.loj_left)
-  | Logical.Semi_join _ -> Some c.semi_left
-  | Logical.Apply _ -> Some c.apply_outer
+let verify ?(commute = hcn_commute) ?(certificates = [])
+    ~(audits : audit_spec list) (plan : Physical.t) : violation list =
+  collect (fun add ->
+      lowering add ~in_chain:false [ ("", plan) ] plan;
+      audit_rules physical ~commute ~exempt:(certified certificates plan) ~audits
+        add plan)
 
 let verify_logical ?(commute = hcn_commute) ~(audits : audit_spec list)
     (plan : Logical.t) : violation list =
-  let violations = ref [] in
-  let add rule path detail = violations := { rule; path; detail } :: !violations in
-  let scans = ref [] and probes = ref [] in
-  let rec walk path (p : Logical.t) =
-    let seg =
-      match p with
-      | Logical.Scan { table; _ } -> Printf.sprintf "Scan(%s)" table
-      | Logical.Filter _ -> "Filter"
-      | Logical.Project _ -> "Project"
-      | Logical.Join _ -> "Join"
-      | Logical.Semi_join _ -> "SemiJoin"
-      | Logical.Apply _ -> "Apply"
-      | Logical.Group_by _ -> "GroupBy"
-      | Logical.Sort _ -> "Sort"
-      | Logical.Limit _ -> "Limit"
-      | Logical.Distinct _ -> "Distinct"
-      | Logical.Audit _ -> "Audit"
-      | Logical.Set_op _ -> "SetOp"
-    in
-    let here = path /: seg in
-    (match p with
-    | Logical.Scan { table; schema; _ } ->
-      scans := (here, norm table, schema, p) :: !scans
-    | Logical.Audit { audit_name; id_col; child } ->
-      probes := (here, audit_name, id_col, child) :: !probes
-    | _ -> ());
-    match p with
-    | Logical.Scan _ -> ()
-    | Logical.Filter { child; _ }
-    | Logical.Project { child; _ }
-    | Logical.Group_by { child; _ }
-    | Logical.Sort { child; _ }
-    | Logical.Limit { child; _ }
-    | Logical.Audit { child; _ } ->
-      walk here child
-    | Logical.Distinct c -> walk here c
-    | Logical.Join { left; right; _ } | Logical.Set_op { left; right; _ } ->
-      walk (here /: "l") left;
-      walk (here /: "r") right
-    | Logical.Semi_join { left; right; _ } ->
-      walk (here /: "l") left;
-      walk (here /: "r") right
-    | Logical.Apply { outer; inner; _ } ->
-      walk (here /: "outer") outer;
-      walk (here /: "inner") inner
-  in
-  walk "" plan;
-  let covered = ref [] in
-  List.iter
-    (fun (ppath, name, id_col, child) ->
-      match ltrace ppath child id_col with
-      | None ->
-        add Id_provenance ppath
-          (Printf.sprintf
-             "ID column %d of audit operator %s does not trace to a base \
-              column"
-             id_col name)
-      | Some { lscan; lspath; ltable; lbase; ledges } -> (
-        List.iter
-          (fun (n, to_right) ->
-            match ledge_commute commute n ~to_right with
-            | Some false ->
-              add Commute_path ppath
-                (Printf.sprintf
-                   "audit operator %s sits above a non-commuting operator on \
-                    the path to %s"
-                   name lspath)
-            | _ -> ())
-          ledges;
-        match
-          List.find_opt
-            (fun s -> norm s.name = norm name)
-            audits
-        with
-        | None -> ()
-        | Some spec ->
-          if norm spec.sensitive_table <> ltable then
-            add Id_provenance ppath
-              (Printf.sprintf "audit operator %s observes table %s, expected %s"
-                 name ltable spec.sensitive_table)
-          else (
-            match lscan with
-            | Logical.Scan { schema; _ } -> (
-              match partition_index schema spec.partition_by with
-              | Some want when want = lbase ->
-                covered := (lscan, norm name) :: !covered
-              | Some want ->
-                add Id_provenance ppath
-                  (Printf.sprintf
-                     "ID column traces to %s column %d, partition key %s is \
-                      column %d"
-                     ltable lbase spec.partition_by want)
-              | None ->
-                add Id_provenance ppath
-                  (Printf.sprintf "partition key %s not in schema of %s"
-                     spec.partition_by ltable))
-            | _ -> ())))
-    !probes;
-  List.iter
-    (fun (spath, table, _schema, node) ->
-      List.iter
-        (fun spec ->
-          if
-            norm spec.sensitive_table = table
-            && not
-                 (List.exists
-                    (fun (s, n) -> s == node && n = norm spec.name)
-                    !covered)
-          then
-            add Coverage spath
-              (Printf.sprintf
-                 "scan of sensitive table %s is not dominated by an audit \
-                  operator for %s"
-                 table spec.name))
-        audits)
-    !scans;
-  List.rev !violations
+  collect (fun add ->
+      audit_rules logical ~commute ~exempt:(fun _ _ -> false) ~audits add plan)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -73,9 +73,10 @@ val verify :
   Plan.Physical.t ->
   violation list
 
-(** The same catalog of rules on the logical tree before lowering
-    (coverage / commute / provenance; lowering-specific rules are
-    physical-only). *)
+(** Coverage, Commute_path and Id_provenance on the logical tree before
+    lowering — the same rule code {!verify} runs, over the logical IR's
+    adapter, with no certificates. The lowering rules (Probe_in_chain,
+    Schema_wf, Est_rows) are physical-only. *)
 val verify_logical :
   ?commute:commute -> audits:audit_spec list -> Plan.Logical.t -> violation list
 

@@ -954,19 +954,31 @@ let prepare_read db ?heuristic ?audits q =
   enforce db p;
   p
 
-(* DDL refuses to drop [obj] while triggers name it: they would outlive it
-   in the dump, which could not replay them, and a re-created [obj] of
-   the same name would revive them. *)
+(* DDL refuses to drop [obj] while [dependents] name it: they would
+   outlive it in the dump, which could not replay them, and a re-created
+   [obj] of the same name would revive them. *)
 let refuse_drop obj = function
   | [] -> ()
-  | ts ->
+  | dependents ->
     Engine_core.Engine_error.raise_
-      (Engine_core.Engine_error.Dependency
-         {
-           obj;
-           dependents =
-             List.map (fun tr -> "trigger " ^ tr.Audit_core.Trigger.name) ts;
-         })
+      (Engine_core.Engine_error.Dependency { obj; dependents })
+
+let trigger_names ts = List.map (fun tr -> "trigger " ^ tr.Audit_core.Trigger.name) ts
+
+(* The audit expressions whose views read [table]: exactly those whose
+   change hooks are on it. A view that outlived its table would keep its
+   IDs and never see the rows of a re-created table — a false negative. *)
+let audits_reading db table =
+  match Catalog.find_opt db.catalog table with
+  | None -> []
+  | Some tb ->
+    Hashtbl.fold
+      (fun _ a acc ->
+        if List.exists (fun (t, _) -> t == tb) a.view.Audit_core.Sensitive_view.hooks
+        then ("audit expression " ^ a.expr.Audit_core.Audit_expr.name) :: acc
+        else acc)
+      db.audits []
+    |> List.sort compare
 
 let rec exec_statement db (stmt : Sql.Ast.statement) : result =
   match stmt with
@@ -990,7 +1002,9 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       (Table.create ?key ~storage:db.config.storage ~name:table schema);
     Done (Printf.sprintf "table %s created" table)
   | Sql.Ast.S_drop_table name ->
-    refuse_drop ("table " ^ name) (Audit_core.Trigger.on_dml db.triggers ~table:name);
+    refuse_drop ("table " ^ name)
+      (trigger_names (Audit_core.Trigger.on_dml db.triggers ~table:name)
+      @ audits_reading db name);
     Catalog.remove db.catalog name;
     Done (Printf.sprintf "table %s dropped" name)
   | Sql.Ast.S_insert { table; columns; source } -> exec_insert db table columns source
@@ -1022,7 +1036,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
   | Sql.Ast.S_drop_audit name ->
     let view = audit_view db name in
     refuse_drop ("audit expression " ^ name)
-      (Audit_core.Trigger.on_access db.triggers ~audit_name:name);
+      (trigger_names (Audit_core.Trigger.on_access db.triggers ~audit_name:name));
     Audit_core.Sensitive_view.detach view;
     Hashtbl.remove db.audits (norm name);
     incr db.epoch;

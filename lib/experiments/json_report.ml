@@ -26,16 +26,19 @@ let op_json (r : Exec.Metrics.op_report) : Json.t =
     ]
 
 (** Run [plan] once with metrics collection on; returns the per-operator
-    report and the share of root wall time spent inside audit operators. *)
+    report and the share of the run's wall time spent inside audit
+    operators. The share is of the measured run, not of the root's
+    [getNext] time, which leaves out a blocking operator's build phase. *)
 let operator_breakdown (env : Setup.env) plan :
     Exec.Metrics.op_report list * float =
   let ctx = Db.Database.context env.Setup.db in
   let m = ctx.Exec.Exec_ctx.metrics in
   let was = Exec.Metrics.enabled m in
   Exec.Metrics.set_enabled m true;
-  ignore (Db.Database.run_plan_count env.Setup.db plan);
+  let total =
+    Timing.time_once (fun () -> ignore (Db.Database.run_plan_count env.Setup.db plan))
+  in
   let report = Exec.Metrics.report m in
-  let total = Exec.Metrics.total_time_s m in
   (* Operator times are inclusive. An audit operator has exactly one child,
      registered immediately after it in pre-order, so its *self* time is the
      difference to the next entry. *)

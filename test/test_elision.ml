@@ -484,14 +484,26 @@ let prop_certificates_replay =
             <> Analysis.Independence.Independent)
         (Db.Database.last_elision db))
 
+(* [DROP TABLE table] is refused while audit expression [audit] reads it. *)
+let check_drop_refused db ~table ~audit =
+  match Db.Database.exec db ("DROP TABLE " ^ table) with
+  | exception
+      Engine_core.Engine_error.Error
+        (Engine_core.Engine_error.Dependency { obj; dependents }) ->
+    check string "the refused table" ("table " ^ table) obj;
+    check (list string) "the reading audit expression is named"
+      [ "audit expression " ^ audit ] dependents
+  | _ -> failf "DROP TABLE %s under audit %s succeeded" table audit
+
 (* --------------------------------------------------------------- *)
 (* The cached audit side                                            *)
 (* --------------------------------------------------------------- *)
 
 (** The analysis builds each audit expression's side once and reuses it.
-    A re-created expression, or a sensitive table re-created with another
-    column order, must rebuild it: a stale side would certify a probe on
-    rows that are sensitive — a false negative. *)
+    A re-created expression, or one re-created over a sensitive table
+    re-created with another column order, must rebuild it: a stale side
+    would certify a probe on rows that are sensitive — a false negative.
+    The table itself cannot be dropped while the expression reads it. *)
 let test_cached_audit_side_invalidated () =
   let db = Fixtures.create () in
   Db.Database.set_elision_mode db Db.Database.Elide_certified;
@@ -537,9 +549,14 @@ let test_cached_audit_side_invalidated () =
   (* Same expression, sensitive table re-created with c_mktsegment and
      c_name swapped. Against the old positions, c_name = 'b' would meet
      the audit's {AUTOMOBILE} and certify the probe. *)
+  check_drop_refused db ~table:"customer" ~audit:"audit_customer";
+  e "DROP TRIGGER w";
+  e "DROP AUDIT EXPRESSION audit_customer";
   e "DROP TABLE customer";
   load "c_custkey INT PRIMARY KEY, c_mktsegment VARCHAR, c_name VARCHAR"
     (fun k name seg -> Printf.sprintf "(%d, '%s', '%s')" k seg name);
+  e (Tpch.Queries.audit_segment ~segment:"AUTOMOBILE" ());
+  e "CREATE TRIGGER w ON ACCESS TO audit_customer AS NOTIFY 'seen'";
   let v, acc, notes =
     run
       "SELECT * FROM customer WHERE c_mktsegment = 'AUTOMOBILE' AND c_name \
@@ -616,19 +633,21 @@ let test_plan_derived_side () =
     side_cases
 
 (** The side depends on every table the definition's plan scans, not only
-    the sensitive one. Dropping a joined table leaves a definition that no
-    longer plans: its probes must stay ([Unknown]) and reads must still
-    run. Re-creating the table, even with another layout, rebuilds the
-    side. *)
+    the sensitive one. A joined table cannot be dropped while the
+    expression reads it; dropped after the expression and re-created,
+    even with another layout, it yields a rebuilt side. *)
 let test_dropped_definition_table () =
   let db = Fixtures.healthcare () in
   Db.Database.set_elision_mode db Db.Database.Elide_certified;
   let e sql = ignore (Db.Database.exec db sql) in
-  e
-    "CREATE AUDIT EXPRESSION audit_cancer AS SELECT * FROM patients p, \
-     disease d WHERE p.patientid = d.patientid AND d.disease = 'cancer' AND \
-     p.age >= 40 FOR SENSITIVE TABLE patients, PARTITION BY patientid";
-  e "CREATE TRIGGER w ON ACCESS TO audit_cancer AS NOTIFY 'cancer'";
+  let create_audit () =
+    e
+      "CREATE AUDIT EXPRESSION audit_cancer AS SELECT * FROM patients p, \
+       disease d WHERE p.patientid = d.patientid AND d.disease = 'cancer' \
+       AND p.age >= 40 FOR SENSITIVE TABLE patients, PARTITION BY patientid";
+    e "CREATE TRIGGER w ON ACCESS TO audit_cancer AS NOTIFY 'cancer'"
+  in
+  create_audit ();
   let run sql =
     match Db.Database.exec db sql with
     | Db.Database.Rows { rows; _ } ->
@@ -642,18 +661,15 @@ let test_dropped_definition_table () =
   check (pair int (list vt)) "side built: young read certified"
     (2, [ Analysis.Independence.Independent ])
     (run young);
-  e "DROP TABLE disease";
-  check (pair int (list vt)) "definition table dropped: the read still runs"
-    (1, [ Analysis.Independence.Unknown ])
-    (run "SELECT * FROM patients WHERE patientid = 1");
-  check (pair int (list vt)) "no stale side certifies the young read"
-    (2, [ Analysis.Independence.Unknown ])
+  check_drop_refused db ~table:"disease" ~audit:"audit_cancer";
+  check (pair int (list vt)) "the refused drop keeps the side"
+    (2, [ Analysis.Independence.Independent ])
     (run young);
-  check bool "the reason names the definition" true
-    (List.exists
-       (fun d -> contains d.Analysis.Independence.detail "does not plan")
-       (Db.Database.last_elision db));
+  e "DROP TRIGGER w";
+  e "DROP AUDIT EXPRESSION audit_cancer";
+  e "DROP TABLE disease";
   e "CREATE TABLE disease (patientid INT, since INT, disease VARCHAR)";
+  create_audit ();
   check (pair int (list vt)) "re-created with an extra column: side rebuilt"
     (2, [ Analysis.Independence.Independent ])
     (run young)

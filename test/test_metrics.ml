@@ -223,6 +223,29 @@ let test_json_emitter () =
   in
   check Alcotest.string "pretty JSON" expected (Json.to_string j)
 
+(* The audit operators' share of a run is a share of its measured wall
+   time, so it lies in [0, 100] even when a blocking operator (a hash
+   aggregate's build) runs its audited input outside the root's getNext. *)
+let test_audit_time_share () =
+  let env =
+    Experiments.Setup.prepare
+      { Experiments.Setup.default_config with sf = 0.002; repeats = 1; warmup = 0 }
+  in
+  List.iter
+    (fun (q : Tpch.Queries.query) ->
+      match Experiments.Json_report.instrumented_profile env q.Tpch.Queries.sql with
+      | Benchkit.Json.Obj fields -> (
+        match List.assoc_opt "audit_operator_time_pct" fields with
+        | Some (Benchkit.Json.Float pct) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: audit operator time %.1f%% in [0, 100]"
+               q.Tpch.Queries.id pct)
+            true
+            (pct >= 0.0 && pct <= 100.0)
+        | _ -> Alcotest.fail "no audit_operator_time_pct")
+      | _ -> Alcotest.fail "profile is not an object")
+    Tpch.Queries.customer_workload
+
 let suite =
   [
     Alcotest.test_case "audit operator transparent in metrics" `Quick
@@ -237,4 +260,6 @@ let suite =
     Alcotest.test_case "EXPLAIN ANALYZE rows agree on index-NL and Apply"
       `Quick test_explain_analyze_inl_apply;
     Alcotest.test_case "JSON emitter" `Quick test_json_emitter;
+    Alcotest.test_case "audit operator time is a share of the run" `Quick
+      test_audit_time_share;
   ]

@@ -506,6 +506,55 @@ let test_drop_table_with_dependent_trigger () =
         [ [| vi 1 |] ] (history db))
     [ db; replayed ]
 
+(* DROP TABLE is refused while an audit expression's view reads the
+   table: the view would keep its IDs and hooks on the dropped table, so
+   a re-created table of the same name would be read unaudited — a false
+   negative — while the audit still listed its old sensitive IDs. *)
+let test_drop_table_under_audit () =
+  let db = Fixtures.create () in
+  let e db sql = ignore (Db.Database.exec db sql) in
+  let read db =
+    Db.Database.clear_notifications db;
+    e db "SELECT * FROM p";
+    Db.Database.notifications db
+  in
+  let refused what db =
+    match Db.Database.exec db "DROP TABLE p" with
+    | exception
+        Engine_core.Engine_error.Error
+          (Engine_core.Engine_error.Dependency { obj; dependents }) ->
+      check Alcotest.string (what ^ ": the refused object") "table p" obj;
+      check Alcotest.(list string) (what ^ ": the audit expression is named")
+        [ "audit expression au" ] dependents
+    | _ -> Alcotest.fail (what ^ ": DROP TABLE under an audit succeeded")
+  in
+  List.iter (e db)
+    [
+      "CREATE TABLE p (id INT PRIMARY KEY, v INT)";
+      "INSERT INTO p VALUES (1, 10)";
+      "CREATE AUDIT EXPRESSION au AS SELECT * FROM p WHERE v = 10 FOR \
+       SENSITIVE TABLE p, PARTITION BY id";
+      "CREATE TRIGGER w ON ACCESS TO au AS NOTIFY 'hit'";
+    ];
+  refused "with its trigger" db;
+  check Alcotest.(list string) "the table stays audited" [ "hit" ] (read db);
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  check Alcotest.(list string) "the dump replays the audit" [ "hit" ]
+    (read replayed);
+  e db "DROP TRIGGER w";
+  refused "after DROP TRIGGER" db;
+  e db "DROP AUDIT EXPRESSION au";
+  e db "DROP TABLE p";
+  let replayed = Db.Database.restore (Db.Database.dump db) in
+  List.iter
+    (fun db ->
+      check Alcotest.(list string) "no audit left" [] (Db.Database.audit_names db);
+      e db "CREATE TABLE p (id INT PRIMARY KEY, v INT)";
+      e db "INSERT INTO p VALUES (2, 10)";
+      check Alcotest.(list string) "re-creating the table revives no trigger"
+        [] (read db))
+    [ db; replayed ]
+
 let suite =
   [
     Alcotest.test_case "SELECT trigger fires and logs" `Quick
@@ -552,4 +601,6 @@ let suite =
       `Quick test_drop_audit_with_dependent_trigger;
     Alcotest.test_case "DROP TABLE refused while a DML trigger is on it"
       `Quick test_drop_table_with_dependent_trigger;
+    Alcotest.test_case "DROP TABLE refused while an audit expression reads it"
+      `Quick test_drop_table_under_audit;
   ]

@@ -7,13 +7,15 @@
     - a mutation harness: each verifier rule is shown to catch at least
       one plan corruption of its kind (stripped probes, probes folded
       into index-lookup chains, probes hoisted past non-commuting
-      operators, corrupted ID columns, arity damage, broken estimates);
-    - QCheck soundness: optimizer output always verifies; the strip
-      mutation is always caught; an FGA NO-ACCESS verdict implies the
-      offline exact auditor finds nothing. *)
+      operators, corrupted ID columns, arity damage, broken estimates),
+      and the three audit rules shown the same way on the logical tree;
+    - QCheck soundness: optimizer output always verifies, on both trees;
+      the strip mutation is always caught, on both trees; an FGA
+      NO-ACCESS verdict implies the offline exact auditor finds nothing. *)
 
 open Analysis
 module P = Plan.Physical
+module L = Plan.Logical
 
 (* --------------------------------------------------------------- *)
 (* Plan surgery                                                     *)
@@ -54,6 +56,42 @@ let rewrite_id_col f =
       | P.Audit_probe { audit_name; id_col; child } ->
         { n with P.op = P.Audit_probe { audit_name; id_col = f id_col; child } }
       | _ -> n)
+
+(** The same surgery on the logical tree. *)
+let rec map_logical (f : L.t -> L.t) (p : L.t) : L.t =
+  let r = map_logical f in
+  f
+    (match p with
+    | L.Scan _ -> p
+    | L.Filter c -> L.Filter { c with child = r c.child }
+    | L.Project c -> L.Project { c with child = r c.child }
+    | L.Join c -> L.Join { c with left = r c.left; right = r c.right }
+    | L.Semi_join c -> L.Semi_join { c with left = r c.left; right = r c.right }
+    | L.Apply c -> L.Apply { c with outer = r c.outer; inner = r c.inner }
+    | L.Group_by c -> L.Group_by { c with child = r c.child }
+    | L.Sort c -> L.Sort { c with child = r c.child }
+    | L.Limit c -> L.Limit { c with child = r c.child }
+    | L.Distinct c -> L.Distinct (r c)
+    | L.Audit c -> L.Audit { c with child = r c.child }
+    | L.Set_op c -> L.Set_op { c with left = r c.left; right = r c.right })
+
+(* Strip the first probe met bottom-up, leaving any others. *)
+let strip_one_probe () =
+  let stripped = ref false in
+  map_plan (fun n ->
+      match n.P.op with
+      | P.Audit_probe { child; _ } when not !stripped ->
+        stripped := true;
+        child
+      | _ -> n)
+
+let strip_one_audit () =
+  let stripped = ref false in
+  map_logical (function
+    | L.Audit { child; _ } when not !stripped ->
+      stripped := true;
+      child
+    | n -> n)
 
 let has_rule rule vs = List.exists (fun v -> v.Plan_verify.rule = rule) vs
 let only_rule rule vs = vs <> [] && List.for_all (fun v -> v.Plan_verify.rule = rule) vs
@@ -194,6 +232,69 @@ let test_mutation_est_rows () =
     (verify { phys with P.est = Float.nan })
 
 (* --------------------------------------------------------------- *)
+(* The same audit rules on the placed logical plan                 *)
+(* --------------------------------------------------------------- *)
+
+let alice_plan db ?(heuristic = Audit_core.Placement.Hcn) sql =
+  Db.Database.plan_sql db ~audits:[ "audit_alice" ] ~heuristic sql
+
+let verify_logical ?commute plan =
+  Plan_verify.verify_logical ?commute ~audits:[ alice_spec ] plan
+
+(* [vs] breaks exactly [rules]. *)
+let check_rules name rules vs =
+  let names rs = List.sort_uniq compare (List.map Plan_verify.rule_name rs) in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s caught by exactly its rules" name)
+    (names rules)
+    (names (List.map (fun v -> v.Plan_verify.rule) vs))
+
+let test_logical_mutation_coverage () =
+  let db = Fixtures.healthcare_with_alice () in
+  let plan =
+    alice_plan db "SELECT name FROM patients p, disease d WHERE p.patientid \
+                   = d.patientid AND d.disease = 'cancer'"
+  in
+  Alcotest.(check (list string)) "original verifies clean" []
+    (List.map Plan_verify.string_of_violation (verify_logical plan));
+  check_rules "stripped Audit" [ Plan_verify.Coverage ]
+    (verify_logical (L.strip_audits plan))
+
+let test_logical_mutation_commute_path () =
+  let db = Fixtures.healthcare_with_alice () in
+  let sql = "SELECT TOP 2 name FROM patients ORDER BY age, patientid" in
+  let plan = alice_plan db ~heuristic:Audit_core.Placement.Highest sql in
+  let rec above_limit under = function
+    | L.Limit _ -> under
+    | L.Audit { child; _ } -> above_limit true child
+    | L.Project { child; _ } | L.Sort { child; _ } | L.Filter { child; _ } ->
+      above_limit under child
+    | _ -> false
+  in
+  Alcotest.(check bool) "the Audit sits above the Limit" true
+    (above_limit false plan);
+  Alcotest.(check (list string)) "clean under the highest-node relation" []
+    (List.map Plan_verify.string_of_violation
+       (verify_logical ~commute:Plan_verify.highest_commute plan));
+  check_rules "Audit above Limit" [ Plan_verify.Commute_path ]
+    (verify_logical ~commute:Plan_verify.hcn_commute plan)
+
+let test_logical_mutation_id_provenance () =
+  let db = Fixtures.healthcare_with_alice () in
+  let plan = alice_plan db "SELECT patientid, name FROM patients WHERE age > 30" in
+  let mutant =
+    map_logical
+      (function
+        | L.Audit a -> L.Audit { a with id_col = a.id_col + 1 } | n -> n)
+      plan
+  in
+  (* An Audit that observes the wrong column covers no scan, so its scan
+     is uncovered too — as on the physical tree. *)
+  check_rules "ID column points at 'name'"
+    [ Plan_verify.Id_provenance; Plan_verify.Coverage ]
+    (verify_logical mutant)
+
+(* --------------------------------------------------------------- *)
 (* TPC-H corpus: clean under every heuristic, and under Strict      *)
 (* --------------------------------------------------------------- *)
 
@@ -321,6 +422,31 @@ let prop_strip_always_caught =
       has_rule Plan_verify.Coverage
         (Plan_verify.verify ~audits:[ pat_spec ] (strip_probes phys)))
 
+(* Leaf probes sit at or below hcn positions; Highest is held to its own
+   relation, as the statement path does. *)
+let commute_of = function
+  | Audit_core.Placement.Highest -> Plan_verify.highest_commute
+  | Audit_core.Placement.Leaf | Audit_core.Placement.Hcn -> Plan_verify.hcn_commute
+
+let prop_both_trees =
+  QCheck.Test.make ~count:120
+    ~name:"both trees verify clean; one stripped probe is caught on both"
+    Test_properties.arb_case (fun (d, (sql, _), c) ->
+      let db = Test_properties.build_db c d in
+      List.for_all
+        (fun h ->
+          let commute = commute_of h in
+          let plan = Db.Database.plan_sql db ~audits:[ "audit_pat" ] ~heuristic:h sql in
+          let phys = Db.Database.physical db plan in
+          let logical p = Plan_verify.verify_logical ~commute ~audits:[ pat_spec ] p in
+          let physical p = Plan_verify.verify ~commute ~audits:[ pat_spec ] p in
+          logical plan = []
+          && physical phys = []
+          && (L.audits plan = []
+             || has_rule Plan_verify.Coverage (logical (strip_one_audit () plan))
+                && has_rule Plan_verify.Coverage (physical (strip_one_probe () phys))))
+        Audit_core.Placement.[ Leaf; Hcn; Highest ])
+
 (* An audit definition with a WHERE clause, so NO-ACCESS verdicts are
    reachable on the generated queries (ages range over 0–9; queries
    constrain [p.age] with random comparisons). *)
@@ -356,6 +482,12 @@ let suite =
       test_mutation_schema_wf;
     Alcotest.test_case "mutation: broken estimates -> est-rows" `Quick
       test_mutation_est_rows;
+    Alcotest.test_case "logical mutation: stripped Audit -> coverage" `Quick
+      test_logical_mutation_coverage;
+    Alcotest.test_case "logical mutation: Audit above Limit -> commute-path"
+      `Quick test_logical_mutation_commute_path;
+    Alcotest.test_case "logical mutation: wrong ID column -> id-provenance"
+      `Quick test_logical_mutation_id_provenance;
     Alcotest.test_case "TPC-H corpus verifies clean (all heuristics)" `Slow
       test_tpch_corpus_verifies;
     Alcotest.test_case "TPC-H corpus executes under Strict" `Slow
@@ -369,5 +501,6 @@ let suite =
       [
         prop_verifier_accepts_optimizer;
         prop_strip_always_caught;
+        prop_both_trees;
         prop_no_access_implies_exact_empty;
       ]
