@@ -3,7 +3,9 @@
     predicates are abstracted with positional columns, and a
     scan-to-probe walk projects every constraint back onto the covered
     scan's base schema. The same walk over the audit definition's own
-    plan yields the audit side. *)
+    plan yields the audit side, and over a statement shape's plan, in a
+    domain that tracks what the literals decide, says whether any
+    filling of the shape can certify a probe. *)
 
 open Storage
 module AD = Abstract_domain
@@ -41,18 +43,8 @@ let norm = String.lowercase_ascii
 
 module Imap = Map.Make (Int)
 
-(* Column index -> abstract value; absent = Top. *)
-type env = AD.t Imap.t
-
-let env_meet : env -> env -> env =
-  Imap.union (fun _ a b -> Some (AD.meet a b))
-
-(* Disjunction: a column is constrained only if both branches constrain it. *)
-let env_or (a : env) (b : env) : env =
-  Imap.merge
-    (fun _ x y ->
-      match (x, y) with Some a, Some b -> Some (AD.join a b) | _ -> None)
-    a b
+(* Column index -> abstract value; absent = top. *)
+type 'd env = 'd Imap.t
 
 (* The value of a closed subtree, by the evaluator that runs it. *)
 let const_of (e : Scalar.t) : Value.t option =
@@ -117,15 +109,14 @@ let like_domain pat =
     then AD.prefix (String.sub pat 0 (n - 1))
     else AD.Top
 
-let singleton i d : env = if d = AD.Top then Imap.empty else Imap.singleton i d
+let singleton i d : AD.t env =
+  if d = AD.Top then Imap.empty else Imap.singleton i d
 
-(* Rows surviving [p] under 3VL satisfy the returned env (every
-   uninterpretable shape maps to the empty env = Top — sound). *)
-let rec eval_pred (p : Scalar.t) : env =
+(* Rows satisfying one atomic predicate (a comparison, IN list, IS NULL
+   or LIKE) under 3VL satisfy the returned env; every uninterpretable
+   shape maps to the empty env = Top — sound. *)
+let atom_env (p : Scalar.t) : AD.t env =
   match p with
-  | Scalar.Binop (Sql.Ast.And, a, b) -> env_meet (eval_pred a) (eval_pred b)
-  | Scalar.Binop (Sql.Ast.Or, a, b) -> env_or (eval_pred a) (eval_pred b)
-  | Scalar.Not a -> eval_neg a
   | Scalar.Binop
       (((Sql.Ast.Eq | Sql.Ast.Neq | Sql.Ast.Lt | Sql.Ast.Le | Sql.Ast.Gt | Sql.Ast.Ge) as op),
        a, b) -> (
@@ -151,12 +142,11 @@ let rec eval_pred (p : Scalar.t) : env =
     match col_side e with
     | Some (i, inv) ->
       (* NOT IN: conjunction of ≠; non-invertible members just drop out. *)
-      Array.fold_left
-        (fun acc v ->
-          match inv v with
-          | Some v' -> env_meet acc (singleton i (AD.neq v'))
-          | None -> acc)
-        Imap.empty vs
+      singleton i
+        (Array.fold_left
+           (fun d v ->
+             match inv v with Some v' -> AD.meet d (AD.neq v') | None -> d)
+           AD.Top vs)
     | None -> Imap.empty)
   | Scalar.Is_null (Scalar.Col i, negated) ->
     singleton i (if negated then AD.neq Value.Null else AD.eq Value.Null)
@@ -164,351 +154,456 @@ let rec eval_pred (p : Scalar.t) : env =
     singleton i (like_domain pat)
   | _ -> Imap.empty
 
-and eval_neg (p : Scalar.t) : env =
+(* The atom NOT [p] is, when [p] is an atom with a negated form. *)
+let negate_atom (p : Scalar.t) : Scalar.t option =
   match p with
-  | Scalar.Not a -> eval_pred a
-  | Scalar.Binop (Sql.Ast.And, a, b) -> env_or (eval_neg a) (eval_neg b)
-  | Scalar.Binop (Sql.Ast.Or, a, b) -> env_meet (eval_neg a) (eval_neg b)
-  | Scalar.Binop (op, a, b) -> (
-    match negate_cmp op with
-    | Some op' -> eval_pred (Scalar.Binop (op', a, b))
-    | None -> Imap.empty)
-  | Scalar.In_list (e, vs, n) -> eval_pred (Scalar.In_list (e, vs, not n))
-  | Scalar.Is_null (e, n) -> eval_pred (Scalar.Is_null (e, not n))
-  | _ -> Imap.empty
+  | Scalar.Binop (op, a, b) ->
+    Option.map (fun op' -> Scalar.Binop (op', a, b)) (negate_cmp op)
+  | Scalar.In_list (e, vs, n) -> Some (Scalar.In_list (e, vs, not n))
+  | Scalar.Is_null (e, n) -> Some (Scalar.Is_null (e, not n))
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Compositional per-output-column constraints                          *)
+(* The values the walk computes with                                   *)
 (* ------------------------------------------------------------------ *)
 
-let safe (a : AD.t array) i = if i >= 0 && i < Array.length a then a.(i) else AD.Top
+(* The walk below is written once over a value domain. [Concrete] is the
+   abstract domain itself, for a plan whose literals are filled in.
+   [Symbolic] runs the same walk over a statement shape's plan, whose
+   literals are slots ({!Plan.Scalar.lift}), and says for each value what
+   it is across every filling of the slots. *)
+module type DOMAIN = sig
+  type t
 
-let meet_into (a : AD.t array) i d =
-  if i >= 0 && i < Array.length a then a.(i) <- AD.meet a.(i) d
+  val top : t
+  val is_top : t -> bool
+  val meet : t -> t -> t
+  val join : t -> t -> t
 
-let apply_env (a : AD.t array) (env : env) = Imap.iter (meet_into a) env
+  val atom : Scalar.t -> t env
+  (** what rows satisfying an atomic predicate satisfy *)
 
-(* Column-to-column equality conjuncts of a compiled predicate. *)
-let equalities (pred : Scalar.t option) : (int * int) list =
-  match pred with
-  | None -> []
-  | Some p ->
-    List.filter_map
-      (function
-        | Scalar.Binop (Sql.Ast.Eq, Scalar.Col a, Scalar.Col b) -> Some (a, b)
-        | _ -> None)
-      (Scalar.conjuncts p)
+  val output : Scalar.t -> t
+  (** the value of a projected expression that is no column *)
 
-(* Constraints guaranteed to hold on every output row of [p]. *)
-let rec out_env (p : P.t) : AD.t array =
-  match p.P.op with
-  | P.Seq_scan _ -> Array.make (P.arity p) AD.Top
-  | P.Filter { pred; child } ->
-    let e = Array.copy (out_env child) in
-    apply_env e (eval_pred pred);
-    List.iter
-      (fun (a, b) ->
-        let d = AD.meet (safe e a) (safe e b) in
-        meet_into e a d;
-        meet_into e b d)
-      (equalities (Some pred));
-    e
-  | P.Project { cols; child } ->
-    let ce = out_env child in
-    Array.of_list
-      (List.map
-         (fun (s, _) ->
-           match s with
-           | Scalar.Col i -> safe ce i
-           | Scalar.Const v -> AD.eq v
-           | _ -> AD.Top)
-         cols)
-  | P.Hash_join { kind; lkeys; rkeys; residual; left; right; right_arity; _ }
-    -> (
-    let le = out_env left in
-    match kind with
-    | Logical.J_left -> Array.append le (Array.make right_arity AD.Top)
-    | Logical.J_inner ->
-      let re = out_env right in
-      let la = Array.length le in
-      let comb = Array.append le re in
-      Array.iteri
-        (fun i lk ->
-          match (lk, rkeys.(i)) with
-          | Scalar.Col a, Scalar.Col b ->
-            let d = AD.meet (safe comb a) (safe comb (la + b)) in
-            meet_into comb a d;
-            meet_into comb (la + b) d
-          | _ -> ())
-        lkeys;
-      Option.iter (fun r -> apply_env comb (eval_pred r)) residual;
-      comb)
-  | P.Nl_join { kind; pred; left; right; right_arity; _ } -> (
-    let le = out_env left in
-    match kind with
-    | Logical.J_left -> Array.append le (Array.make right_arity AD.Top)
-    | Logical.J_inner ->
-      let comb = Array.append le (out_env right) in
-      Option.iter (fun r -> apply_env comb (eval_pred r)) pred;
-      List.iter
-        (fun (a, b) ->
-          let d = AD.meet (safe comb a) (safe comb b) in
-          meet_into comb a d;
-          meet_into comb b d)
-        (equalities pred);
-      comb)
-  | P.Index_nl_join { kind; left; chain; residual; right_arity; _ } -> (
-    let le = out_env left in
-    match kind with
-    | Logical.J_left -> Array.append le (Array.make right_arity AD.Top)
-    | Logical.J_inner ->
-      let comb = Array.append le (out_env chain) in
-      Option.iter (fun r -> apply_env comb (eval_pred r)) residual;
-      comb)
-  | P.Hash_semi_join { anti; left; left_key; right; right_key } ->
-    let le = Array.copy (out_env left) in
-    (if not anti then
-       match (left_key, right_key) with
-       | Scalar.Col a, Scalar.Col b -> meet_into le a (safe (out_env right) b)
-       | _ -> ());
-    le
-  | P.Apply { kind = Logical.A_outer; outer; inner } ->
-    Array.append (out_env outer) (Array.make (P.arity inner) AD.Top)
-  | P.Apply { outer; _ } -> out_env outer
-  | P.Hash_agg { keys; aggs; child } ->
-    let ce = out_env child in
-    Array.of_list
-      (List.map
-         (fun (s, _) ->
-           match s with Scalar.Col i -> safe ce i | _ -> AD.Top)
-         keys
-      @ List.map (fun _ -> AD.Top) aggs)
-  | P.Sort { child; _ }
-  | P.Top_k { child; _ }
-  | P.Limit { child; _ }
-  | P.Audit_probe { child; _ } ->
-    out_env child
-  | P.Distinct c -> out_env c
-  | P.Set_op { op; left; right } -> (
-    let le = out_env left in
-    match op with
-    | Sql.Ast.Union | Sql.Ast.Union_all ->
-      let re = out_env right in
-      Array.mapi (fun i d -> AD.join d (safe re i)) le
-    | Sql.Ast.Intersect ->
-      let re = out_env right in
-      Array.mapi (fun i d -> AD.meet d (safe re i)) le
-    | Sql.Ast.Except -> le)
+  val to_string : t -> string
+end
+
+module Concrete = struct
+  type t = AD.t
+
+  let top = AD.Top
+  let is_top d = d = AD.Top
+  let meet = AD.meet
+  let join = AD.join
+  let atom = atom_env
+  let output = function Scalar.Const v -> AD.eq v | _ -> AD.Top
+  let to_string = AD.to_string
+end
+
+module Symbolic = struct
+  (* A value over every filling of a shape's slots: [Exact d] is [d] in
+     every filling; [Never_bot] depends on a slot but is never Bot;
+     [May_be_bot] depends on a slot and may be Bot. One filled atom is
+     never Bot (a comparison's, a LIKE pattern's or a NOT IN's
+     constraint is not, and an IN list has a member), and a join lies
+     above both of its sides; only a meet that adds a constraint to a
+     slot's can reach Bot. *)
+  type t = Exact of AD.t | Never_bot | May_be_bot
+
+  let top = Exact AD.Top
+  let is_top = function Exact AD.Top -> true | _ -> false
+
+  let meet a b =
+    match (a, b) with
+    | Exact x, Exact y -> Exact (AD.meet x y)
+    | (Exact AD.Bot as bot), _ | _, (Exact AD.Bot as bot) -> bot
+    | Exact AD.Top, v | v, Exact AD.Top -> v
+    | _ -> May_be_bot
+
+  let join a b =
+    match (a, b) with
+    | Exact x, Exact y -> Exact (AD.join x y)
+    | (Exact AD.Top as top), _ | _, (Exact AD.Top as top) -> top
+    | Exact AD.Bot, v | v, Exact AD.Bot -> v
+    | May_be_bot, May_be_bot -> May_be_bot
+    | _ -> Never_bot
+
+  (* A filled atom constrains at most one of the columns it reads. *)
+  let atom p =
+    if Scalar.fold (fun acc -> function | Scalar.Slot _ -> true | _ -> acc) false p
+    then
+      List.fold_left
+        (fun env i -> Imap.add i Never_bot env)
+        Imap.empty (Scalar.free_cols p)
+    else Imap.map (fun d -> Exact d) (atom_env p)
+
+  let output = function
+    | Scalar.Slot _ -> Never_bot
+    | e -> Exact (Concrete.output e)
+
+  let to_string = function
+    | Exact d -> AD.to_string d
+    | Never_bot -> "$"
+    | May_be_bot -> "$?"
+end
 
 (* ------------------------------------------------------------------ *)
-(* Scan-to-probe walk: project every constraint onto base columns       *)
+(* Compositional per-output-column constraints, and the scan-to-probe  *)
+(* walk that projects every constraint onto base columns              *)
 (* ------------------------------------------------------------------ *)
 
 (* One sensitive scan feeding the subtree: [base_env] accumulates the
    constraints every row of this scan that reaches the subtree's output
    provably satisfies, over the scan's base schema; [log] the derivation. *)
-type scan_src = {
+type 'd scan_src = {
   scan : P.t;
   alias : string;
   schema : Schema.t;
-  base_env : AD.t array;
+  base_env : 'd array;
   mutable log : string list;  (* reversed *)
 }
 
-type tracked = { src : scan_src; colmap : int -> int option }
+type 'd tracked = { src : 'd scan_src; colmap : int -> int option }
 
 let colname (schema : Schema.t) i =
   if i >= 0 && i < Schema.arity schema then norm schema.(i).Schema.name
   else Printf.sprintf "#%d" i
 
-let note (t : tracked) what base d =
-  t.src.log <-
-    Printf.sprintf "%s: %s /\\= %s" what (colname t.src.schema base)
-      (AD.to_string d)
-    :: t.src.log
+module Make (D : DOMAIN) = struct
+  let env_meet : D.t env -> D.t env -> D.t env =
+    Imap.union (fun _ a b -> Some (D.meet a b))
 
-(* Meet [d] (a constraint on output column [i] of the current node) into
-   the base column it traces to, if any. *)
-let constrain1 what (t : tracked) i d =
-  if d <> AD.Top then
-    match t.colmap i with
-    | Some b ->
-      meet_into t.src.base_env b d;
-      note t what b d
-    | None -> ()
+  (* Disjunction: a column is constrained only if both branches constrain it. *)
+  let env_or (a : D.t env) (b : D.t env) : D.t env =
+    Imap.merge
+      (fun _ x y ->
+        match (x, y) with Some a, Some b -> Some (D.join a b) | _ -> None)
+      a b
 
-let constrain what (t : tracked) (env : env) =
-  Imap.iter (constrain1 what t) env
+  (* Rows surviving [p] under 3VL satisfy the returned env. *)
+  let rec eval_pred (p : Scalar.t) : D.t env =
+    match p with
+    | Scalar.Binop (Sql.Ast.And, a, b) -> env_meet (eval_pred a) (eval_pred b)
+    | Scalar.Binop (Sql.Ast.Or, a, b) -> env_or (eval_pred a) (eval_pred b)
+    | Scalar.Not a -> eval_neg a
+    | _ -> D.atom p
 
-let shift_left la (t : tracked) =
-  { t with colmap = (fun j -> if j >= 0 && j < la then t.colmap j else None) }
+  and eval_neg (p : Scalar.t) : D.t env =
+    match p with
+    | Scalar.Not a -> eval_pred a
+    | Scalar.Binop (Sql.Ast.And, a, b) -> env_or (eval_neg a) (eval_neg b)
+    | Scalar.Binop (Sql.Ast.Or, a, b) -> env_meet (eval_neg a) (eval_neg b)
+    | _ -> (
+      match negate_atom p with Some q -> D.atom q | None -> Imap.empty)
 
-let shift_right la (t : tracked) =
-  { t with colmap = (fun j -> if j >= la then t.colmap (j - la) else None) }
+  let safe (a : D.t array) i = if i >= 0 && i < Array.length a then a.(i) else D.top
 
-(* All scans of [sensitive] feeding [p]'s output, with their accumulated
-   base-column constraints. Set-operation subtrees are abandoned (probes
-   never cross set operations under our placement; a probe above one
-   classifies as [Unknown]); Apply inners and semi-join right sides
-   cannot forward an ID column, so their scans are dropped too. *)
-let rec walk ~sensitive (p : P.t) : tracked list =
-  match p.P.op with
-  | P.Seq_scan { table; alias; schema; cols } ->
-    if norm table <> sensitive then []
-    else
-      let arity = Schema.arity schema in
-      let src =
-        { scan = p; alias; schema; base_env = Array.make arity AD.Top; log = [] }
-      in
-      let colmap =
-        match cols with
-        | None -> fun j -> if j >= 0 && j < arity then Some j else None
-        | Some idxs ->
-          fun j -> if j >= 0 && j < Array.length idxs then Some idxs.(j) else None
-      in
-      [ { src; colmap } ]
-  | P.Filter { pred; child } ->
-    let ts = walk ~sensitive child in
-    if ts <> [] then begin
-      List.iter (fun t -> constrain "Filter" t (eval_pred pred)) ts;
-      let ce = lazy (out_env child) in
+  let meet_into (a : D.t array) i d =
+    if i >= 0 && i < Array.length a then a.(i) <- D.meet a.(i) d
+
+  let apply_env (a : D.t array) (env : D.t env) = Imap.iter (meet_into a) env
+
+  (* Column-to-column equality conjuncts of a compiled predicate. *)
+  let equalities (pred : Scalar.t option) : (int * int) list =
+    match pred with
+    | None -> []
+    | Some p ->
+      List.filter_map
+        (function
+          | Scalar.Binop (Sql.Ast.Eq, Scalar.Col a, Scalar.Col b) -> Some (a, b)
+          | _ -> None)
+        (Scalar.conjuncts p)
+
+  (* Constraints guaranteed to hold on every output row of [p]. *)
+  let rec out_env (p : P.t) : D.t array =
+    match p.P.op with
+    | P.Seq_scan _ -> Array.make (P.arity p) D.top
+    | P.Filter { pred; child } ->
+      let e = Array.copy (out_env child) in
+      apply_env e (eval_pred pred);
       List.iter
         (fun (a, b) ->
-          let d = AD.meet (safe (Lazy.force ce) a) (safe (Lazy.force ce) b) in
-          List.iter
-            (fun t ->
-              constrain1 "Filter equality" t a d;
-              constrain1 "Filter equality" t b d)
-            ts)
-        (equalities (Some pred))
-    end;
-    ts
-  | P.Project { cols; child } ->
-    let ts = walk ~sensitive child in
-    let arr = Array.of_list (List.map fst cols) in
-    List.map
-      (fun t ->
-        {
-          t with
-          colmap =
-            (fun j ->
-              if j >= 0 && j < Array.length arr then
-                match arr.(j) with Scalar.Col i -> t.colmap i | _ -> None
-              else None);
-        })
+          let d = D.meet (safe e a) (safe e b) in
+          meet_into e a d;
+          meet_into e b d)
+        (equalities (Some pred));
+      e
+    | P.Project { cols; child } ->
+      let ce = out_env child in
+      Array.of_list
+        (List.map
+           (fun (s, _) ->
+             match s with Scalar.Col i -> safe ce i | s -> D.output s)
+           cols)
+    | P.Hash_join { kind; lkeys; rkeys; residual; left; right; right_arity; _ }
+      -> (
+      let le = out_env left in
+      match kind with
+      | Logical.J_left -> Array.append le (Array.make right_arity D.top)
+      | Logical.J_inner ->
+        let re = out_env right in
+        let la = Array.length le in
+        let comb = Array.append le re in
+        Array.iteri
+          (fun i lk ->
+            match (lk, rkeys.(i)) with
+            | Scalar.Col a, Scalar.Col b ->
+              let d = D.meet (safe comb a) (safe comb (la + b)) in
+              meet_into comb a d;
+              meet_into comb (la + b) d
+            | _ -> ())
+          lkeys;
+        Option.iter (fun r -> apply_env comb (eval_pred r)) residual;
+        comb)
+    | P.Nl_join { kind; pred; left; right; right_arity; _ } -> (
+      let le = out_env left in
+      match kind with
+      | Logical.J_left -> Array.append le (Array.make right_arity D.top)
+      | Logical.J_inner ->
+        let comb = Array.append le (out_env right) in
+        Option.iter (fun r -> apply_env comb (eval_pred r)) pred;
+        List.iter
+          (fun (a, b) ->
+            let d = D.meet (safe comb a) (safe comb b) in
+            meet_into comb a d;
+            meet_into comb b d)
+          (equalities pred);
+        comb)
+    | P.Index_nl_join { kind; left; chain; residual; right_arity; _ } -> (
+      let le = out_env left in
+      match kind with
+      | Logical.J_left -> Array.append le (Array.make right_arity D.top)
+      | Logical.J_inner ->
+        let comb = Array.append le (out_env chain) in
+        Option.iter (fun r -> apply_env comb (eval_pred r)) residual;
+        comb)
+    | P.Hash_semi_join { anti; left; left_key; right; right_key } ->
+      let le = Array.copy (out_env left) in
+      (if not anti then
+         match (left_key, right_key) with
+         | Scalar.Col a, Scalar.Col b -> meet_into le a (safe (out_env right) b)
+         | _ -> ());
+      le
+    | P.Apply { kind = Logical.A_outer; outer; inner } ->
+      Array.append (out_env outer) (Array.make (P.arity inner) D.top)
+    | P.Apply { outer; _ } -> out_env outer
+    | P.Hash_agg { keys; aggs; child } ->
+      let ce = out_env child in
+      Array.of_list
+        (List.map
+           (fun (s, _) -> match s with Scalar.Col i -> safe ce i | _ -> D.top)
+           keys
+        @ List.map (fun _ -> D.top) aggs)
+    | P.Sort { child; _ }
+    | P.Top_k { child; _ }
+    | P.Limit { child; _ }
+    | P.Audit_probe { child; _ } ->
+      out_env child
+    | P.Distinct c -> out_env c
+    | P.Set_op { op; left; right } -> (
+      let le = out_env left in
+      match op with
+      | Sql.Ast.Union | Sql.Ast.Union_all ->
+        let re = out_env right in
+        Array.mapi (fun i d -> D.join d (safe re i)) le
+      | Sql.Ast.Intersect ->
+        let re = out_env right in
+        Array.mapi (fun i d -> D.meet d (safe re i)) le
+      | Sql.Ast.Except -> le)
+
+  let note (t : D.t tracked) what base d =
+    t.src.log <-
+      Printf.sprintf "%s: %s /\\= %s" what (colname t.src.schema base)
+        (D.to_string d)
+      :: t.src.log
+
+  (* Meet [d] (a constraint on output column [i] of the current node) into
+     the base column it traces to, if any. *)
+  let constrain1 what (t : D.t tracked) i d =
+    if not (D.is_top d) then
+      match t.colmap i with
+      | Some b ->
+        meet_into t.src.base_env b d;
+        note t what b d
+      | None -> ()
+
+  let constrain what (t : D.t tracked) (env : D.t env) =
+    Imap.iter (constrain1 what t) env
+
+  let shift_left la (t : D.t tracked) =
+    { t with colmap = (fun j -> if j >= 0 && j < la then t.colmap j else None) }
+
+  let shift_right la (t : D.t tracked) =
+    { t with colmap = (fun j -> if j >= la then t.colmap (j - la) else None) }
+
+  (* All scans of [sensitive] feeding [p]'s output, with their accumulated
+     base-column constraints. Set-operation subtrees are abandoned (probes
+     never cross set operations under our placement; a probe above one
+     classifies as [Unknown]); Apply inners and semi-join right sides
+     cannot forward an ID column, so their scans are dropped too. *)
+  let rec walk ~sensitive (p : P.t) : D.t tracked list =
+    match p.P.op with
+    | P.Seq_scan { table; alias; schema; cols } ->
+      if norm table <> sensitive then []
+      else
+        let arity = Schema.arity schema in
+        let src =
+          { scan = p; alias; schema; base_env = Array.make arity D.top; log = [] }
+        in
+        let colmap =
+          match cols with
+          | None -> fun j -> if j >= 0 && j < arity then Some j else None
+          | Some idxs ->
+            fun j -> if j >= 0 && j < Array.length idxs then Some idxs.(j) else None
+        in
+        [ { src; colmap } ]
+    | P.Filter { pred; child } ->
+      let ts = walk ~sensitive child in
+      if ts <> [] then begin
+        List.iter (fun t -> constrain "Filter" t (eval_pred pred)) ts;
+        let ce = lazy (out_env child) in
+        List.iter
+          (fun (a, b) ->
+            let d = D.meet (safe (Lazy.force ce) a) (safe (Lazy.force ce) b) in
+            List.iter
+              (fun t ->
+                constrain1 "Filter equality" t a d;
+                constrain1 "Filter equality" t b d)
+              ts)
+          (equalities (Some pred))
+      end;
       ts
-  | P.Hash_join { kind; lkeys; rkeys; residual; left; right; _ } ->
-    let la = P.arity left in
-    let lts = List.map (shift_left la) (walk ~sensitive left)
-    and rts = List.map (shift_right la) (walk ~sensitive right) in
-    let inner = kind = Logical.J_inner in
-    if lts <> [] || rts <> [] then begin
-      let le = lazy (out_env left) and re = lazy (out_env right) in
-      (* Equi-key transfer: output rows (matched rows, for the outer
-         right side) satisfy left-key = right-key, so each side inherits
-         the other's constraint on the paired column. Left rows of a LEFT
-         join survive unmatched — no constraint for them. *)
-      Array.iteri
-        (fun i lk ->
-          match (lk, rkeys.(i)) with
-          | Scalar.Col a, Scalar.Col b ->
-            let d = AD.meet (safe (Lazy.force le) a) (safe (Lazy.force re) b) in
-            if inner then List.iter (fun t -> constrain1 "equi-join" t a d) lts;
-            List.iter (fun t -> constrain1 "equi-join" t (la + b) d) rts
-          | _ -> ())
-        lkeys;
-      let renv =
-        match residual with Some r -> eval_pred r | None -> Imap.empty
-      in
-      if inner then List.iter (fun t -> constrain "join residual" t renv) lts;
-      List.iter (fun t -> constrain "join residual" t renv) rts
-    end;
-    lts @ rts
-  | P.Nl_join { kind; pred; left; right; _ } ->
-    let la = P.arity left in
-    let lts = List.map (shift_left la) (walk ~sensitive left)
-    and rts = List.map (shift_right la) (walk ~sensitive right) in
-    let inner = kind = Logical.J_inner in
-    if lts <> [] || rts <> [] then begin
-      let env = match pred with Some p -> eval_pred p | None -> Imap.empty in
-      if inner then List.iter (fun t -> constrain "join predicate" t env) lts;
-      List.iter (fun t -> constrain "join predicate" t env) rts;
-      let comb =
-        lazy
-          (let e = Array.append (out_env left) (out_env right) in
-           Option.iter (fun r -> apply_env e (eval_pred r)) pred;
-           e)
-      in
-      List.iter
-        (fun (a, b) ->
-          let d = AD.meet (safe (Lazy.force comb) a) (safe (Lazy.force comb) b) in
-          let hit t =
-            constrain1 "join equality" t a d;
-            constrain1 "join equality" t b d
-          in
-          if inner then List.iter hit lts;
-          List.iter hit rts)
-        (equalities pred)
-    end;
-    lts @ rts
-  | P.Index_nl_join { kind; left; left_key; base_col; chain; residual; _ } ->
-    let la = P.arity left in
-    let lts = List.map (shift_left la) (walk ~sensitive left)
-    and cts = walk ~sensitive chain in
-    let inner = kind = Logical.J_inner in
-    (* Every fetched right row has its indexed column equal to the left
-       key value — the lookup is an equi-join — so the left side's
-       constraint on the key lands directly on the chain scans' base
-       column. *)
-    (match left_key with
-     | Scalar.Col a when cts <> [] ->
-       let d = safe (out_env left) a in
-       if d <> AD.Top then
-         List.iter
-           (fun t ->
-             meet_into t.src.base_env base_col d;
-             note t "index lookup" base_col d)
-           cts
-     | _ -> ());
-    let cts = List.map (shift_right la) cts in
-    (if residual <> None && (lts <> [] || cts <> []) then
-       let renv = match residual with Some r -> eval_pred r | None -> Imap.empty in
-       begin
-         if inner then List.iter (fun t -> constrain "join residual" t renv) lts;
-         List.iter (fun t -> constrain "join residual" t renv) cts
-       end);
-    lts @ cts
-  | P.Hash_semi_join { anti; left; left_key; right; right_key; _ } ->
-    let ts = walk ~sensitive left in
-    (if (not anti) && ts <> [] then
-       match (left_key, right_key) with
-       | Scalar.Col a, Scalar.Col b ->
-         let d = safe (out_env right) b in
-         List.iter (fun t -> constrain1 "semi-join membership" t a d) ts
+    | P.Project { cols; child } ->
+      let ts = walk ~sensitive child in
+      let arr = Array.of_list (List.map fst cols) in
+      List.map
+        (fun t ->
+          {
+            t with
+            colmap =
+              (fun j ->
+                if j >= 0 && j < Array.length arr then
+                  match arr.(j) with Scalar.Col i -> t.colmap i | _ -> None
+                else None);
+          })
+        ts
+    | P.Hash_join { kind; lkeys; rkeys; residual; left; right; _ } ->
+      let la = P.arity left in
+      let lts = List.map (shift_left la) (walk ~sensitive left)
+      and rts = List.map (shift_right la) (walk ~sensitive right) in
+      let inner = kind = Logical.J_inner in
+      if lts <> [] || rts <> [] then begin
+        let le = lazy (out_env left) and re = lazy (out_env right) in
+        (* Equi-key transfer: output rows (matched rows, for the outer
+           right side) satisfy left-key = right-key, so each side inherits
+           the other's constraint on the paired column. Left rows of a LEFT
+           join survive unmatched — no constraint for them. *)
+        Array.iteri
+          (fun i lk ->
+            match (lk, rkeys.(i)) with
+            | Scalar.Col a, Scalar.Col b ->
+              let d = D.meet (safe (Lazy.force le) a) (safe (Lazy.force re) b) in
+              if inner then List.iter (fun t -> constrain1 "equi-join" t a d) lts;
+              List.iter (fun t -> constrain1 "equi-join" t (la + b) d) rts
+            | _ -> ())
+          lkeys;
+        let renv =
+          match residual with Some r -> eval_pred r | None -> Imap.empty
+        in
+        if inner then List.iter (fun t -> constrain "join residual" t renv) lts;
+        List.iter (fun t -> constrain "join residual" t renv) rts
+      end;
+      lts @ rts
+    | P.Nl_join { kind; pred; left; right; _ } ->
+      let la = P.arity left in
+      let lts = List.map (shift_left la) (walk ~sensitive left)
+      and rts = List.map (shift_right la) (walk ~sensitive right) in
+      let inner = kind = Logical.J_inner in
+      if lts <> [] || rts <> [] then begin
+        let env = match pred with Some p -> eval_pred p | None -> Imap.empty in
+        if inner then List.iter (fun t -> constrain "join predicate" t env) lts;
+        List.iter (fun t -> constrain "join predicate" t env) rts;
+        let comb =
+          lazy
+            (let e = Array.append (out_env left) (out_env right) in
+             Option.iter (fun r -> apply_env e (eval_pred r)) pred;
+             e)
+        in
+        List.iter
+          (fun (a, b) ->
+            let d = D.meet (safe (Lazy.force comb) a) (safe (Lazy.force comb) b) in
+            let hit t =
+              constrain1 "join equality" t a d;
+              constrain1 "join equality" t b d
+            in
+            if inner then List.iter hit lts;
+            List.iter hit rts)
+          (equalities pred)
+      end;
+      lts @ rts
+    | P.Index_nl_join { kind; left; left_key; base_col; chain; residual; _ } ->
+      let la = P.arity left in
+      let lts = List.map (shift_left la) (walk ~sensitive left)
+      and cts = walk ~sensitive chain in
+      let inner = kind = Logical.J_inner in
+      (* Every fetched right row has its indexed column equal to the left
+         key value — the lookup is an equi-join — so the left side's
+         constraint on the key lands directly on the chain scans' base
+         column. *)
+      (match left_key with
+       | Scalar.Col a when cts <> [] ->
+         let d = safe (out_env left) a in
+         if not (D.is_top d) then
+           List.iter
+             (fun t ->
+               meet_into t.src.base_env base_col d;
+               note t "index lookup" base_col d)
+             cts
        | _ -> ());
-    ts
-  | P.Apply { outer; _ } -> walk ~sensitive outer
-  | P.Hash_agg { keys; child; _ } ->
-    let ts = walk ~sensitive child in
-    let arr = Array.of_list (List.map fst keys) in
-    List.map
-      (fun t ->
-        {
-          t with
-          colmap =
-            (fun j ->
-              if j >= 0 && j < Array.length arr then
-                match arr.(j) with Scalar.Col i -> t.colmap i | _ -> None
-              else None);
-        })
+      let cts = List.map (shift_right la) cts in
+      (if residual <> None && (lts <> [] || cts <> []) then
+         let renv = match residual with Some r -> eval_pred r | None -> Imap.empty in
+         begin
+           if inner then List.iter (fun t -> constrain "join residual" t renv) lts;
+           List.iter (fun t -> constrain "join residual" t renv) cts
+         end);
+      lts @ cts
+    | P.Hash_semi_join { anti; left; left_key; right; right_key; _ } ->
+      let ts = walk ~sensitive left in
+      (if (not anti) && ts <> [] then
+         match (left_key, right_key) with
+         | Scalar.Col a, Scalar.Col b ->
+           let d = safe (out_env right) b in
+           List.iter (fun t -> constrain1 "semi-join membership" t a d) ts
+         | _ -> ());
       ts
-  | P.Sort { child; _ }
-  | P.Top_k { child; _ }
-  | P.Limit { child; _ }
-  | P.Audit_probe { child; _ } ->
-    walk ~sensitive child
-  | P.Distinct c -> walk ~sensitive c
-  | P.Set_op _ -> []
+    | P.Apply { outer; _ } -> walk ~sensitive outer
+    | P.Hash_agg { keys; child; _ } ->
+      let ts = walk ~sensitive child in
+      let arr = Array.of_list (List.map fst keys) in
+      List.map
+        (fun t ->
+          {
+            t with
+            colmap =
+              (fun j ->
+                if j >= 0 && j < Array.length arr then
+                  match arr.(j) with Scalar.Col i -> t.colmap i | _ -> None
+                else None);
+          })
+        ts
+    | P.Sort { child; _ }
+    | P.Top_k { child; _ }
+    | P.Limit { child; _ }
+    | P.Audit_probe { child; _ } ->
+      walk ~sensitive child
+    | P.Distinct c -> walk ~sensitive c
+    | P.Set_op _ -> []
+end
+
+module C = Make (Concrete)
+module S = Make (Symbolic)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical scan ordinals                                              *)
@@ -588,7 +683,7 @@ let build_side ~catalog (info : audit_info) :
       Result.map
         (fun def ->
           let aenv =
-            match walk ~sensitive:(norm info.sensitive_table) def with
+            match C.walk ~sensitive:(norm info.sensitive_table) def with
             | [ t ] -> t.src.base_env
             | _ -> Array.make (Schema.arity schema) AD.Top
           in
@@ -647,124 +742,176 @@ let audit_side ~catalog (info : audit_info) : (audit_side, string) result =
         side)
       (build_side ~catalog info)
 
+(* What classifies a probe, whatever the literals: the one sensitive
+   scan below it that its ID column traces to, on its audit's partition
+   key, with that audit's side and the witness candidates — or why the
+   probe is [Unknown]. [walk] is the concrete or the symbolic walk. *)
+type 'd traced = {
+  info : audit_info;
+  side : audit_side;
+  t : 'd tracked;
+  candidates : int list;
+}
+
+let trace ~catalog ~audits ~walk (probe : P.t) : ('d traced, string) result =
+  let audit_name, id_col, child =
+    match probe.P.op with
+    | P.Audit_probe { audit_name; id_col; child } -> (audit_name, id_col, child)
+    | _ -> assert false
+  in
+  match List.find_opt (fun a -> norm a.name = norm audit_name) audits with
+  | None -> Error "audit expression not declared to the analysis"
+  | Some info -> (
+    match audit_side ~catalog info with
+    | Error detail -> Error detail
+    | Ok side -> (
+      match
+        walk ~sensitive:(norm info.sensitive_table) child
+        |> List.filter (fun t -> t.colmap id_col <> None)
+      with
+      | [] ->
+        Error
+          (Printf.sprintf
+             "ID column does not trace to a scan of %s below the probe"
+             info.sensitive_table)
+      | _ :: _ :: _ -> Error "ID column traces to more than one sensitive scan"
+      | [ t ] ->
+        if t.colmap id_col <> Some side.ppos then
+          Error
+            (Printf.sprintf
+               "ID column traces to base column %s, not partition key %s"
+               (match t.colmap id_col with
+                | Some b -> colname side.schema b
+                | None -> "?")
+               info.partition_by)
+        else
+          (* Witness search: the partition column is unconditionally
+             sound; other columns only under a unique key. *)
+          Ok
+            {
+              info;
+              side;
+              t;
+              candidates =
+                side.ppos
+                :: (if side.key_unique then
+                      List.init (Array.length side.aenv) Fun.id
+                      |> List.filter (fun i -> i <> side.ppos)
+                    else []);
+            }))
+
+let audit_name_of (probe : P.t) =
+  match probe.P.op with P.Audit_probe { audit_name; _ } -> audit_name | _ -> assert false
+
 let analyze_plan ~catalog ~(audits : audit_info list) (plan : P.t) :
     decision list =
   let next_id = ref 0 in
   let classify (probe : P.t) : decision =
-    let audit_name, id_col, child =
-      match probe.P.op with
-      | P.Audit_probe { audit_name; id_col; child } -> (audit_name, id_col, child)
-      | _ -> assert false
-    in
-    let unknown detail =
+    let audit_name = audit_name_of probe in
+    match trace ~catalog ~audits ~walk:C.walk probe with
+    | Error detail ->
       { probe; audit_name; verdict = Unknown; certificate = None; detail }
-    in
-    match List.find_opt (fun a -> norm a.name = norm audit_name) audits with
-    | None -> unknown "audit expression not declared to the analysis"
-    | Some info -> (
-      match audit_side ~catalog info with
-      | Error detail -> unknown detail
-      | Ok { schema; ppos; key_unique; aenv } -> (
-        let sensitive = norm info.sensitive_table in
-        let matching =
-          walk ~sensitive child
-          |> List.filter (fun t -> t.colmap id_col <> None)
+    | Ok { info; side = { schema; ppos; key_unique; aenv }; t; candidates } -> (
+      let sensitive = norm info.sensitive_table in
+      let witness =
+        List.find_opt
+          (fun i -> AD.is_bot (AD.meet (C.safe t.src.base_env i) (C.safe aenv i)))
+          candidates
+      in
+      match witness with
+      | None ->
+        {
+          probe;
+          audit_name;
+          verdict = Overlapping;
+          certificate = None;
+          detail =
+            Printf.sprintf "no empty intersection (partition key: %s /\\ %s)"
+              (AD.to_string (C.safe t.src.base_env ppos))
+              (AD.to_string (C.safe aenv ppos));
+        }
+      | Some w ->
+        incr next_id;
+        let scan_table, scan_alias =
+          match t.src.scan.P.op with
+          | P.Seq_scan { table; alias; _ } -> (norm table, alias)
+          | _ -> (sensitive, t.src.alias)
         in
-        match matching with
-        | [] ->
-          unknown
-            (Printf.sprintf
-               "ID column does not trace to a scan of %s below the probe"
-               info.sensitive_table)
-        | _ :: _ :: _ ->
-          unknown "ID column traces to more than one sensitive scan"
-        | [ t ] -> (
-          if t.colmap id_col <> Some ppos then
-            unknown
-              (Printf.sprintf
-                 "ID column traces to base column %s, not partition key %s"
-                 (match t.colmap id_col with
-                  | Some b -> colname schema b
-                  | None -> "?")
-                 info.partition_by)
-          else
-            (* Witness search: the partition column is unconditionally
-               sound; other columns only under a unique key. *)
-            let candidates =
-              ppos
-              :: (if key_unique then
-                    List.init (Array.length aenv) Fun.id
-                    |> List.filter (fun i -> i <> ppos)
-                  else [])
-            in
-            let witness =
-              List.find_opt
-                (fun i ->
-                  AD.is_bot (AD.meet (safe t.src.base_env i) (safe aenv i)))
-                candidates
-            in
-            match witness with
-            | None ->
+        let steps =
+          List.init (Array.length t.src.base_env) (fun i ->
+              let q = t.src.base_env.(i) and a = C.safe aenv i in
               {
-                probe;
-                audit_name;
-                verdict = Overlapping;
-                certificate = None;
-                detail =
-                  Printf.sprintf
-                    "no empty intersection (partition key: %s /\\ %s)"
-                    (AD.to_string (safe t.src.base_env ppos))
-                    (AD.to_string (safe aenv ppos));
-              }
-            | Some w ->
-              incr next_id;
-              let scan_table, scan_alias =
-                match t.src.scan.P.op with
-                | P.Seq_scan { table; alias; _ } -> (norm table, alias)
-                | _ -> (sensitive, t.src.alias)
-              in
-              let steps =
-                List.init (Array.length t.src.base_env) (fun i ->
-                    let q = t.src.base_env.(i) and a = safe aenv i in
-                    {
-                      Certificate.column = colname schema i;
-                      query_side = q;
-                      audit_side = a;
-                      meet = AD.meet q a;
-                    })
-              in
-              let derivation =
-                List.rev t.src.log
-                @ [
-                    Printf.sprintf "witness %s: %s /\\ %s = Bot"
-                      (colname schema w)
-                      (AD.to_string (safe t.src.base_env w))
-                      (AD.to_string (safe aenv w));
-                  ]
-              in
-              let cert =
-                {
-                  Certificate.id = !next_id;
-                  audit_name;
-                  sensitive_table = sensitive;
-                  partition_by = norm info.partition_by;
-                  key_unique;
-                  scan_table;
-                  scan_alias;
-                  scan_ordinal =
-                    Option.value ~default:(-1)
-                      (scan_ordinal plan ~scan:t.src.scan);
-                  witness = colname schema w;
-                  steps;
-                  derivation;
-                }
-              in
-              {
-                probe;
-                audit_name;
-                verdict = Independent;
-                certificate = Some cert;
-                detail = Certificate.summary cert;
-              })))
+                Certificate.column = colname schema i;
+                query_side = q;
+                audit_side = a;
+                meet = AD.meet q a;
+              })
+        in
+        let derivation =
+          List.rev t.src.log
+          @ [
+              Printf.sprintf "witness %s: %s /\\ %s = Bot" (colname schema w)
+                (AD.to_string (C.safe t.src.base_env w))
+                (AD.to_string (C.safe aenv w));
+            ]
+        in
+        let cert =
+          {
+            Certificate.id = !next_id;
+            audit_name;
+            sensitive_table = sensitive;
+            partition_by = norm info.partition_by;
+            key_unique;
+            scan_table;
+            scan_alias;
+            scan_ordinal =
+              Option.value ~default:(-1) (scan_ordinal plan ~scan:t.src.scan);
+            witness = colname schema w;
+            steps;
+            derivation;
+          }
+        in
+        {
+          probe;
+          audit_name;
+          verdict = Independent;
+          certificate = Some cert;
+          detail = Certificate.summary cert;
+        })
   in
   List.map classify (probes_preorder plan)
+
+(* ------------------------------------------------------------------ *)
+(* Per-shape classification                                             *)
+(* ------------------------------------------------------------------ *)
+
+type scope = Shape | Statement of { audit_name : string; column : string }
+
+(* The symbolic walk over the slotted plan traces every probe as the
+   concrete walk traces it in any filling (tracing reads no literal).
+   A candidate can witness in some filling unless its query-side value
+   meets the audit side to a value that is never Bot: [Exact] and not
+   Bot, or [Never_bot] against an unconstrained audit column. An
+   [Exact] Bot witnesses in every filling, and its certificate still
+   names the statement's literals, so that shape is per statement too. *)
+let shape_scope ~catalog ~(audits : audit_info list) (plan : P.t) : scope =
+  let certifiable (tr : Symbolic.t traced) i =
+    match
+      Symbolic.meet (S.safe tr.t.src.base_env i)
+        (Symbolic.Exact (C.safe tr.side.aenv i))
+    with
+    | Symbolic.Exact d -> AD.is_bot d
+    | Symbolic.Never_bot -> false
+    | Symbolic.May_be_bot -> true
+  in
+  List.find_map
+    (fun probe ->
+      match trace ~catalog ~audits ~walk:S.walk probe with
+      | Error _ -> None
+      | Ok tr ->
+        List.find_opt (certifiable tr) tr.candidates
+        |> Option.map (fun i ->
+               Statement
+                 { audit_name = tr.info.name; column = colname tr.side.schema i }))
+    (probes_preorder plan)
+  |> Option.value ~default:Shape

@@ -76,6 +76,29 @@ val analyze_plan :
   P.t ->
   decision list
 
+(** Whether the literals of a statement shape can change its verdicts. *)
+type scope =
+  | Shape
+      (** no filling of the shape's slots certifies any probe: every
+          statement of the shape gets [Overlapping] or [Unknown]
+          decisions, so it needs no analysis to run as it would after one *)
+  | Statement of { audit_name : string; column : string }
+      (** some filling may certify [audit_name]'s probe with [column] as
+          witness (or every filling does), so each statement is analysed *)
+
+(** Classify a plan whose literals are lifted into slots, treating
+    each slot as an unknown constant. The walk of {!analyze_plan} runs
+    once over it, tracking which values a slot decides: one slot's
+    constraint, or a join above one, is never Bot, while a meet that
+    adds another constraint to it may be. A candidate witness column
+    that a slot constrains makes the shape [Statement] when the audit
+    side constrains it too, or when the query constrains it more than
+    once; a column no slot reaches is decided as in any filling.
+    Conservative: [Shape] implies that {!analyze_plan} of every filling
+    certifies nothing. *)
+val shape_scope :
+  catalog:Storage.Catalog.t -> audits:audit_info list -> P.t -> scope
+
 (** Base-table scans of a plan in canonical pre-order
     ({!P.children} order) — certificate scan ordinals index into this
     sequence, which probe elision leaves unchanged (only interior unary

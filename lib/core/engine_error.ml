@@ -32,6 +32,9 @@ type t =
   | Dependency of { obj : string; dependents : string list }
       (** DDL refused: dropping [obj] would leave [dependents] (e.g. the
           triggers on an audit expression) naming an object that is gone *)
+  | Reserved of string
+      (** DDL refused: the name belongs to a relation that trigger actions
+          bind ([new], [old], [accessed]) *)
   | Internal of string
 
 exception Error of t
@@ -54,6 +57,8 @@ let to_string = function
   | Dependency { obj; dependents } ->
     Printf.sprintf "dependency error: cannot drop %s: %s depends on it" obj
       (String.concat ", " dependents)
+  | Reserved name ->
+    Printf.sprintf "reserved name: %s is a trigger relation" name
   | Internal m -> "internal error: " ^ m
 
 let raise_ e = raise (Error e)

@@ -1,8 +1,8 @@
 (** Typed engine errors: one variant per failure class, a single
     [to_string], and the [Error] carrier exception. The robustness-critical
-    classes ([Cancelled], [Log_io], [Fault]) and [Dependency] propagate
-    typed out of [Db.Database.exec]; the legacy classes are re-surfaced as
-    [Db_error (to_string e)] for compatibility. *)
+    classes ([Cancelled], [Log_io], [Fault]), [Dependency] and [Reserved]
+    propagate typed out of [Db.Database.exec]; the legacy classes are
+    re-surfaced as [Db_error (to_string e)] for compatibility. *)
 
 type cancel_reason =
   | Timeout  (** wall-clock deadline exceeded *)
@@ -23,6 +23,9 @@ type t =
   | Dependency of { obj : string; dependents : string list }
       (** DDL refused: dropping [obj] would leave [dependents] naming an
           object that is gone *)
+  | Reserved of string
+      (** DDL refused: the name belongs to a relation that trigger actions
+          bind *)
   | Internal of string
 
 exception Error of t

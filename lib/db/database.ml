@@ -51,8 +51,10 @@ type elision_mode = Config.elision_mode = Elide_off | Elide_certified
    [prepare] derives from the optimized plan before the independence
    analysis — placement, pruning, lowering and the verifier's verdict —
    reads no literal's value, so it is built once per shape and filled
-   with each statement's literals. [stamp] records everything else it
-   read; a shape whose stamp no longer matches the session is rebuilt. *)
+   with each statement's literals. So is the independence analysis of a
+   shape that no literal can certify ([scope]). [stamp] records
+   everything else it read; a shape whose stamp no longer matches the
+   session is rebuilt. *)
 
 type stamp = {
   settings :
@@ -74,6 +76,9 @@ type built = {
   specs : Analysis.Plan_verify.audit_spec list;
   verdict : Analysis.Plan_verify.violation list Lazy.t;
       (** the verifier on [placed] and [slotted] with no certificates *)
+  scope : Analysis.Independence.scope Lazy.t;
+      (** whether a literal can change the independence verdicts, forced
+          on the shape's first hit *)
 }
 
 module Shape_key = struct
@@ -139,7 +144,7 @@ type t = {
   mutable config : Config.t;
       (** engine, storage for tables created from now on, probe elision
           and plan verification; {!create_session} copies it *)
-  mutable last_elision : Analysis.Independence.decision list;
+  mutable last_elision : Analysis.Independence.decision list Lazy.t;
       (** per-probe verdicts of the last [prepare] (EXPLAIN / [\verify]
           diagnostics) *)
   fired : (string * Value.t, unit) Hashtbl.t;
@@ -173,7 +178,7 @@ let create ?(config = Config.default) () =
     pending_log = [];
     alarms = [];
     config;
-    last_elision = [];
+    last_elision = Lazy.from_val [];
     fired = Hashtbl.create 8;
     epoch = ref 0;
     shapes = Shapes.create 16;
@@ -207,7 +212,7 @@ let create_session ?(session_id = 0) parent =
     pending_log = [];
     alarms = [];
     config = parent.config;
-    last_elision = [];
+    last_elision = Lazy.from_val [];
     fired = Hashtbl.create 8;
     epoch = parent.epoch;
     shapes = Shapes.create 16;
@@ -224,7 +229,7 @@ let set_storage_mode db storage = db.config <- { db.config with storage }
 let storage_mode db = db.config.storage
 let set_elision_mode db elision = db.config <- { db.config with elision }
 let elision_mode db = db.config.elision
-let last_elision db = db.last_elision
+let last_elision db = Lazy.force db.last_elision
 
 let set_user db u = db.ctx.Exec.Exec_ctx.user <- u
 let user db = db.ctx.Exec.Exec_ctx.user
@@ -495,7 +500,7 @@ type prepared = {
   lowered : Plan.Physical.t;
   phys : Plan.Physical.t;
   certificates : Analysis.Certificate.t list;
-  decisions : Analysis.Independence.decision list;
+  decisions : Analysis.Independence.decision list Lazy.t;
   heuristic : Audit_core.Placement.heuristic;
   specs : Analysis.Plan_verify.audit_spec list;
   verdict : Analysis.Plan_verify.violation list Lazy.t option;
@@ -544,11 +549,16 @@ let violations p =
       p.plan p.phys
 
 (* The per-statement end of [prepare]: the independence analysis and
-   elision (certificates depend on the literals), then the probed sets. *)
-let finish db ~heuristic ~entries ~specs ~verdict plan lowered =
+   elision (certificates depend on the literals), then the probed sets.
+   A statement of a shape no literal can certify ([per_shape]) skips
+   both: its plan is [lowered], and its decisions, which certify
+   nothing, are analysed only if a diagnostic asks for them. *)
+let finish db ~heuristic ~entries ~specs ~verdict ~per_shape plan lowered =
   let phys, certificates, decisions =
     match (db.config.elision, entries) with
-    | Elide_off, _ | Elide_certified, [] -> (lowered, [], [])
+    | Elide_off, _ | Elide_certified, [] -> (lowered, [], Lazy.from_val [])
+    | Elide_certified, _ when per_shape ->
+      (lowered, [], lazy (analyze db entries lowered))
     | Elide_certified, _ ->
       let decisions = analyze db entries lowered in
       if
@@ -557,8 +567,8 @@ let finish db ~heuristic ~entries ~specs ~verdict plan lowered =
           decisions
       then
         let r = Analysis.Elide.apply ~decisions lowered in
-        (r.Analysis.Elide.plan, r.Analysis.Elide.certificates, decisions)
-      else (lowered, [], decisions)
+        (r.Analysis.Elide.plan, r.Analysis.Elide.certificates, Lazy.from_val decisions)
+      else (lowered, [], Lazy.from_val decisions)
   in
   db.last_elision <- decisions;
   install_audit_sets db;
@@ -568,7 +578,8 @@ let prepare_plan (db : t) ?heuristic ?audits plan =
   let entries = selected_audits db ?audits () in
   finish db
     ~heuristic:(Option.value heuristic ~default:db.heuristic)
-    ~entries ~specs:(specs_of entries) ~verdict:None plan (physical db plan)
+    ~entries ~specs:(specs_of entries) ~verdict:None ~per_shape:false plan
+    (physical db plan)
 
 let settings (db : t) =
   (db.heuristic, db.config.elision, db.config.verify, db.instrument)
@@ -614,21 +625,35 @@ let build (db : t) (k : Shape_key.t) =
     specs;
     verdict =
       lazy (check ~heuristic ~specs ~certificates:[] placed slotted);
+    scope =
+      lazy
+        (match (db.config.elision, entries) with
+        | Elide_off, _ | Elide_certified, [] -> Analysis.Independence.Shape
+        | Elide_certified, _ ->
+          Analysis.Independence.shape_scope ~catalog:db.catalog
+            ~audits:(List.map (fun e -> e.info) entries)
+            slotted);
   }
 
-(* The shape of [k], built or rebuilt as needed, counted as used. *)
+(* The shape of [k], built or rebuilt as needed, counted as used, and
+   whether it was a hit. *)
 let shape (db : t) (k : Shape_key.t) =
   db.clock <- db.clock + 1;
   match Shapes.find_opt db.shapes k with
   | Some s ->
-    (match stale db s.built with
-    | None -> s.hits <- s.hits + 1
-    | Some why ->
-      s.built <- build db k;
-      s.rebuilds <- s.rebuilds + 1;
-      s.reason <- Some why);
+    let hit =
+      match stale db s.built with
+      | None ->
+        s.hits <- s.hits + 1;
+        true
+      | Some why ->
+        s.built <- build db k;
+        s.rebuilds <- s.rebuilds + 1;
+        s.reason <- Some why;
+        false
+    in
     s.used <- db.clock;
-    s
+    (s.built, hit)
   | None ->
     if Shapes.length db.shapes >= max_shapes then begin
       let oldest =
@@ -645,7 +670,7 @@ let shape (db : t) (k : Shape_key.t) =
       { built = build db k; hits = 0; rebuilds = 0; reason = None; used = db.clock }
     in
     Shapes.replace db.shapes k s;
-    s
+    (s.built, false)
 
 (* Lift the literals of an optimized plan (constant folding and literal
    coercion happened there) and fill its shape's plans with them. *)
@@ -657,18 +682,16 @@ let prepare_shape (db : t) ?heuristic ?audits ~prune optimized =
     !n - 1
   in
   let plan = Plan.Logical.map_scalars (Plan.Scalar.lift next) optimized in
-  let b =
-    (shape db
-       {
-         Shape_key.hash =
-           Hashtbl.hash
-             (Hashtbl.hash_param 64 256 plan, heuristic, audits, prune);
-         heuristic;
-         audits;
-         prune;
-         plan;
-       })
-      .built
+  let b, hit =
+    shape db
+      {
+        Shape_key.hash =
+          Hashtbl.hash (Hashtbl.hash_param 64 256 plan, heuristic, audits, prune);
+        heuristic;
+        audits;
+        prune;
+        plan;
+      }
   in
   let plan, lowered =
     match !lits with
@@ -677,8 +700,11 @@ let prepare_shape (db : t) ?heuristic ?audits ~prune optimized =
       let fill = Plan.Scalar.fill (Array.of_list (List.rev l)) in
       (Plan.Logical.map_scalars fill b.placed, Plan.Physical.map_scalars fill b.slotted)
   in
+  (* Classified on the first hit, so a shape that never repeats pays
+     nothing for it. *)
+  let per_shape = hit && Lazy.force b.scope = Analysis.Independence.Shape in
   finish db ~heuristic:b.heuristic ~entries:b.entries ~specs:b.specs
-    ~verdict:(Some b.verdict) plan lowered
+    ~verdict:(Some b.verdict) ~per_shape plan lowered
 
 (* The relations a trigger action sees, bound afresh for each firing. *)
 let trigger_relations = [ "accessed"; "new"; "old" ]
@@ -708,6 +734,7 @@ type shape_info = {
   hits : int;
   rebuilds : int;
   reason : string option;
+  analysis : string;
 }
 
 (* The placed plan of each shape on one line, most recently used
@@ -726,6 +753,13 @@ let plan_shapes db =
            hits = s.hits;
            rebuilds = s.rebuilds;
            reason = s.reason;
+           analysis =
+             (if not (Lazy.is_val s.built.scope) then "pending"
+              else
+                match Lazy.force s.built.scope with
+                | Analysis.Independence.Shape -> "shape"
+                | Analysis.Independence.Statement { audit_name; column } ->
+                  Printf.sprintf "statement (%s.%s)" audit_name column);
          })
 
 (* Apply the session verification policy to a prepared statement. *)
@@ -872,7 +906,9 @@ let elision_annot decisions (p : Plan.Physical.t) : string option =
 (* EXPLAIN's tree: the pre-elision plan, elided probes annotated with
    their certificate rather than silently missing. *)
 let explain_tree p =
-  Plan.Physical.to_string_annotated ~annot:(elision_annot p.decisions) p.lowered
+  Plan.Physical.to_string_annotated
+    ~annot:(elision_annot (Lazy.force p.decisions))
+    p.lowered
 
 (* Certificate summaries of a statement's elision decisions. *)
 let certificates_report decisions =
@@ -890,7 +926,7 @@ let certificates_report decisions =
            certs)
 
 (** Certificate summaries of the last prepared statement ([\verify]). *)
-let elision_report db = certificates_report db.last_elision
+let elision_report db = certificates_report (last_elision db)
 
 (* ------------------------------------------------------------------ *)
 (* Static auditing baseline (Oracle FGA style, §VI)                   *)
@@ -987,6 +1023,10 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     audited db ~deny:true (fun () ->
         Rows { schema = Plan.Logical.schema p.plan; rows = run db p })
   | Sql.Ast.S_create_table { table; columns } ->
+    (* A user table named like a trigger relation would be shadowed
+       inside trigger actions, and its audits would probe the relation. *)
+    if List.mem (norm table) trigger_relations then
+      Engine_core.Engine_error.raise_ (Engine_core.Engine_error.Reserved table);
     if Catalog.mem db.catalog table then err "table %s already exists" table;
     let schema =
       Schema.of_list
@@ -1103,7 +1143,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     Done
       (explain_tree p ^ "\n"
       ^ Analysis.Plan_verify.report (violations p)
-      ^ certificates_report p.decisions)
+      ^ certificates_report (Lazy.force p.decisions))
   | Sql.Ast.S_explain { analyze = false; query; _ } ->
     Done (explain_tree (prepare_read db query))
   | Sql.Ast.S_explain { analyze = true; query; _ } ->
@@ -1132,7 +1172,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
                         "probe elided: Independent (certificate #%d, %s)\n"
                         c.Analysis.Certificate.id d.audit_name)
                     d.certificate)
-                p.decisions
+                (Lazy.force p.decisions)
             in
             Done (Exec.Explain.render db.ctx p.phys ^ String.concat "" elided)))
   | Sql.Ast.S_notify msg ->

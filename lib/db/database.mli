@@ -101,7 +101,8 @@ val elision_mode : t -> elision_mode
 
 (** Per-probe decisions of the most recent {!prepare}; empty when it ran
     no independence analysis (elision off, or no instrumenting audit
-    expressions). *)
+    expressions). Forces the analysis a statement of a shape no literal
+    can certify skipped. *)
 val last_elision : t -> Analysis.Independence.decision list
 
 (** Human-readable certificate dump for {!last_elision} (the shell's
@@ -264,7 +265,9 @@ val physical_sql :
     executes ([phys]: [lowered] minus the probes certified elision
     stripped, whose [certificates] the verifier re-validates). [decisions]
     are the per-probe verdicts of certified elision ([[]] when it did not
-    run). [verdict] is the verifier's verdict on the statement's shape
+    run); for a statement of a shape no literal can certify they are
+    analysed only when forced, and certify nothing. [verdict] is the
+    verifier's verdict on the statement's shape
     ({!prepare}), which {!violations} reuses while it is clean and no
     probe was elided. *)
 type prepared = private {
@@ -272,7 +275,7 @@ type prepared = private {
   lowered : Plan.Physical.t;
   phys : Plan.Physical.t;
   certificates : Analysis.Certificate.t list;
-  decisions : Analysis.Independence.decision list;
+  decisions : Analysis.Independence.decision list Lazy.t;
   heuristic : Audit_core.Placement.heuristic;
   specs : Analysis.Plan_verify.audit_spec list;
   verdict : Analysis.Plan_verify.violation list Lazy.t option;
@@ -297,7 +300,10 @@ val prepare_plan :
     placed, pruned and lowered plans with slots and the verifier's
     verdict on them. A call fills those plans with its own literals and
     runs the independence analysis and elision on the result, so it
-    returns what {!prepare_plan} of {!plan_query} returns. A shape is
+    returns what {!prepare_plan} of {!plan_query} returns. On a shape's
+    first hit, {!Analysis.Independence.shape_scope} classifies its
+    lowered plan; from then on, when no literal can certify a probe of
+    the shape, its statements skip the analysis and elision. A shape is
     rebuilt when the session's heuristic, elision, verification or
     instrumentation setting, the audit expressions or triggers, or a
     scanned table's identity, row count or index set changed since it
@@ -324,12 +330,18 @@ val prepare_sql :
     recently used first: the placed plan on one line, with [$1…$n] for
     the literals; the executions served without building it; how many
     times it was rebuilt, and why the last time ("audit/trigger epoch",
-    "session setting", "table replaced", "row count", "index set"). *)
+    "session setting", "table replaced", "row count", "index set"); and
+    where its independence verdicts come from: "shape" (no literal can
+    certify a probe, so no statement is analysed), "statement
+    (<audit>.<column>)" (a literal may certify that audit's probe on
+    that column, so each statement is), or "pending" (built or rebuilt,
+    not yet hit). *)
 type shape_info = {
   shape : string;
   hits : int;
   rebuilds : int;
   reason : string option;
+  analysis : string;
 }
 
 val plan_shapes : t -> shape_info list

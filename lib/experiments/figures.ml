@@ -653,7 +653,7 @@ let elision (env : Setup.env) =
             elided.Db.Database.certificates
         in
         let verdict =
-          match elided.Db.Database.decisions with
+          match Lazy.force elided.Db.Database.decisions with
           | [] -> "none"
           | ds ->
             List.map

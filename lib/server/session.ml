@@ -201,11 +201,12 @@ let command t parts =
       (lines
          (List.map
             (fun (s : D.shape_info) ->
-              Printf.sprintf "hits=%d rebuilds=%d%s  %s" s.hits s.rebuilds
+              Printf.sprintf "hits=%d rebuilds=%d%s analysis=%s  %s" s.hits
+                s.rebuilds
                 (match s.reason with
                 | Some r -> Printf.sprintf " (last: %s)" r
                 | None -> "")
-                s.shape)
+                s.analysis s.shape)
             (D.plan_shapes db)))
   | _ -> None
 

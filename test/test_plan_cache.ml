@@ -56,10 +56,13 @@ let test_plans_counters () =
     | None -> Alcotest.fail "\\plans is not a session command"
   in
   exec db "SELECT v FROM t WHERE id = 1";
-  check Alcotest.string "built" "hits=0 rebuilds=0  Project [v] | *Audit[au] id=#0 | Filter (#0 = $1) | Scan t"
+  check Alcotest.string "built"
+    "hits=0 rebuilds=0 analysis=pending  Project [v] | *Audit[au] id=#0 | \
+     Filter (#0 = $1) | Scan t"
     (plans ());
   exec db "SELECT v FROM t WHERE id = 2";
-  check Alcotest.bool "hit" true (Fixtures.contains (plans ()) "hits=1 rebuilds=0 ");
+  check Alcotest.bool "hit, classified" true
+    (Fixtures.contains (plans ()) "hits=1 rebuilds=0 analysis=shape ");
   exec db "INSERT INTO t VALUES (6, 6)";
   exec db "SELECT v FROM t WHERE id = 3";
   check Alcotest.bool "rebuilt after the row count changed" true
@@ -127,6 +130,128 @@ let test_same_shape_other_certificate () =
     (Plan.Physical.audits p.phys = []);
   check Alcotest.int "verified with its certificate" 0
     (List.length (D.violations p))
+
+(* The segment audit over a customer table with a unique key, so every
+   column is a witness candidate, and a second table to join it to. *)
+let segment_db () =
+  let config =
+    { Fixtures.config with Db.Config.elision = Db.Config.Elide_certified }
+  in
+  let db = Fixtures.create ~config () in
+  exec db
+    "CREATE TABLE customer (c_custkey INT PRIMARY KEY, c_mktsegment VARCHAR, \
+     c_nationkey INT)";
+  exec db
+    "INSERT INTO customer VALUES (1, 'BUILDING', 1), (2, 'AUTOMOBILE', 2), \
+     (3, 'BUILDING', 3), (4, 'MACHINERY', 1)";
+  exec db "CREATE TABLE segment (s_name VARCHAR, s_rank INT)";
+  exec db "INSERT INTO segment VALUES ('BUILDING', 1), ('AUTOMOBILE', 2)";
+  exec db
+    "CREATE AUDIT EXPRESSION audit_customer AS SELECT * FROM customer WHERE \
+     c_mktsegment = 'BUILDING' FOR SENSITIVE TABLE customer, PARTITION BY \
+     c_custkey";
+  exec db "CREATE TRIGGER w ON ACCESS TO audit_customer AS NOTIFY 'hit'";
+  db
+
+let certified db =
+  List.exists
+    (fun (d : Analysis.Independence.decision) -> d.certificate <> None)
+    (D.last_elision db)
+
+(* One shape whose literal decides certification: its statements are
+   analysed one by one, so one filling is elided and another probed. *)
+let test_literal_decides () =
+  let db = segment_db () in
+  let read segment =
+    Printf.sprintf "SELECT c_custkey FROM customer WHERE c_mktsegment = '%s'"
+      segment
+  in
+  exec db (read "MACHINERY");
+  let p = D.prepare_sql db (read "AUTOMOBILE") in
+  check Alcotest.bool "AUTOMOBILE: certified and elided" true
+    (p.certificates <> [] && Plan.Physical.audits p.phys = []);
+  exec db (read "BUILDING");
+  check Alcotest.bool "BUILDING: probed" false (certified db);
+  check Alcotest.(list (pair string (list Fixtures.value))) "BUILDING: accessed"
+    [ ("audit_customer", [ Value.Int 1; Value.Int 3 ]) ]
+    (List.map (fun (a, ids) -> (a, List.sort Value.compare_total ids))
+       (D.last_accessed db));
+  let s = shape_of db "Scan customer" in
+  check Alcotest.int "both are hits of one entry" 2 s.hits;
+  check Alcotest.string "analysed per statement"
+    "statement (audit_customer.c_mktsegment)" s.analysis
+
+(* A key lookup, for a read and for the rows of an UPDATE, is the same
+   verdict whatever the key: the shape's hits skip the analysis, and
+   forcing their decisions gives what the analysis of the statement
+   gives. *)
+let test_key_lookups_are_fixed () =
+  let db = segment_db () in
+  let read k = Printf.sprintf "SELECT * FROM customer WHERE c_custkey = %d" k in
+  exec db (read 1);
+  exec db (read 2);
+  check Alcotest.string "point read" "shape" (shape_of db "Scan customer").analysis;
+  let p = D.prepare_sql db (read 3) in
+  check Alcotest.bool "no analysis ran" false (Lazy.is_val p.decisions);
+  check Alcotest.bool "the probe runs" true (p.phys == p.lowered && p.certificates = []);
+  let oracle = D.prepare_plan db (D.plan_sql db (read 3)) in
+  check Alcotest.bool "forced decisions = the statement's analysis" true
+    (Lazy.force p.decisions = Lazy.force oracle.decisions
+    && Lazy.force p.decisions <> []);
+  exec db (read 3);
+  check Alcotest.int "the hit still audits" 1 (List.length (D.last_accessed db));
+  let db = segment_db () in
+  exec db "UPDATE customer SET c_nationkey = 5 WHERE c_custkey = 1";
+  exec db "UPDATE customer SET c_nationkey = 6 WHERE c_custkey = 2";
+  check Alcotest.string "update by key" "shape"
+    (shape_of db "Scan customer").analysis
+
+(* Shapes where some literals certify: a column the query constrains
+   twice, a disjunction or a negation on the audited column, and a slot
+   that reaches the audited column through an equi-join. Each is
+   analysed per statement, and its second statement is certified. *)
+let test_literals_that_certify () =
+  List.iter
+    (fun (sql, column, first, second) ->
+      let db = segment_db () in
+      exec db (sql first);
+      exec db (sql second);
+      check Alcotest.string (sql second)
+        (Printf.sprintf "statement (audit_customer.%s)" column)
+        (shape_of db "Scan customer").analysis;
+      check Alcotest.bool (sql second ^ ": certified") true (certified db))
+    [
+      ( (fun (a, b) ->
+          Printf.sprintf
+            "SELECT c_custkey FROM customer WHERE c_nationkey = %s AND \
+             c_nationkey = %s"
+            a b),
+        "c_nationkey",
+        ("1", "3"),
+        ("1", "2") );
+      ( (fun (a, b) ->
+          Printf.sprintf
+            "SELECT c_custkey FROM customer WHERE c_mktsegment = '%s' OR \
+             c_mktsegment = '%s'"
+            a b),
+        "c_mktsegment",
+        ("BUILDING", "MACHINERY"),
+        ("AUTOMOBILE", "MACHINERY") );
+      ( (fun (a, _) ->
+          Printf.sprintf
+            "SELECT c_custkey FROM customer WHERE NOT (c_mktsegment = '%s')" a),
+        "c_mktsegment",
+        ("MACHINERY", ""),
+        ("BUILDING", "") );
+      ( (fun (a, _) ->
+          Printf.sprintf
+            "SELECT c.c_custkey FROM customer c, segment s WHERE \
+             c.c_mktsegment = s.s_name AND s.s_name = '%s'"
+            a),
+        "c_mktsegment",
+        ("BUILDING", ""),
+        ("AUTOMOBILE", "") );
+    ]
 
 (* Trigger bodies read [accessed] and [new], tables that exist only while
    the body runs: their reads bypass the cache, so no shape holds (or
@@ -206,6 +331,12 @@ let suite =
       test_plans_counters;
     Alcotest.test_case "same shape, other literal: own certificate" `Quick
       test_same_shape_other_certificate;
+    Alcotest.test_case "a literal decides: analysed per statement" `Quick
+      test_literal_decides;
+    Alcotest.test_case "key lookups: one verdict per shape" `Quick
+      test_key_lookups_are_fixed;
+    Alcotest.test_case "literals that certify: per statement" `Quick
+      test_literals_that_certify;
     Alcotest.test_case "trigger temp tables are never served" `Quick
       test_trigger_temp_table;
     Alcotest.test_case "sessions share the epoch, not shapes" `Quick

@@ -729,9 +729,9 @@ let apply_between db = function
   | Verify v -> Db.Database.set_verify_plans db v
   | Heuristic h -> Db.Database.set_heuristic db h
 
-(* One query shape with two sets of integer literals: [sql lits] is the
-   statement for one set. *)
-let gen_shape_pair =
+(* One query shape over integer literals: [sql lits] is the statement
+   for one set of literals, drawn by [lits]. *)
+let gen_shape =
   QCheck.Gen.(
     let* shape = int_range 0 7 in
     let* join = bool in
@@ -740,8 +740,6 @@ let gen_shape_pair =
     let* desc = bool in
     let* topn = int_range 1 4 in
     let lits = triple (int_range 0 9) (int_range 0 9) (int_range 0 2) in
-    let* l1 = lits in
-    let* l2 = lits in
     let sql (a, b, c) =
       let from = if join then "patients p, visits v" else "patients p" in
       let where cond =
@@ -782,6 +780,14 @@ let gen_shape_pair =
         Printf.sprintf "SELECT p.pid + %d, 'k%d' FROM %s WHERE %s" b c from
           (where age)
     in
+    return (sql, lits))
+
+(* One query shape with two sets of integer literals. *)
+let gen_shape_pair =
+  QCheck.Gen.(
+    let* sql, lits = gen_shape in
+    let* l1 = lits in
+    let* l2 = lits in
     return (sql l1, sql l2))
 
 (* The cached [prepare] against the uncached oracle, field by field, and
@@ -792,7 +798,7 @@ let shape_outcome a b sql =
   let attempt f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
   let fields (p : D.prepared) =
     ( (p.plan, p.lowered, p.phys),
-      (p.decisions, p.certificates, p.heuristic, p.specs),
+      (Lazy.force p.decisions, p.certificates, p.heuristic, p.specs),
       D.violations p )
   in
   let cached = attempt (fun () -> fields (D.prepare_sql a sql)) in
@@ -829,6 +835,129 @@ let prop_shape_cache =
       let second = shape_outcome a b s2 in
       first = (true, true) && again = (true, true) && second = (true, true))
 
+(* --------------------------------------------------------------- *)
+(* Per-shape independence verdicts                                  *)
+(* --------------------------------------------------------------- *)
+
+(* Shapes whose literals may or may not decide a probe's verdict: the
+   [gen_shape] family, and disjunctions, negations, IN lists,
+   contradictions and literals that reach patients through an
+   equi-join. IN-list members are part of a shape, so they are drawn
+   once per shape. *)
+let gen_scope_shape =
+  QCheck.Gen.(
+    let* members = list_size (int_range 1 3) (int_range 0 9) in
+    let* op = oneofl [ "="; "<"; ">"; "<>"; "<="; ">=" ] in
+    let* family = int_range 0 9 in
+    let in_list = String.concat ", " (List.map string_of_int members) in
+    let sql (a, b, c) =
+      match family with
+      | 0 ->
+        Printf.sprintf "SELECT p.pid FROM patients p WHERE p.age = %d OR p.age %s %d"
+          a op b
+      | 1 ->
+        Printf.sprintf "SELECT p.pid FROM patients p WHERE p.age %s %d OR p.zip = %d"
+          op a c
+      | 2 ->
+        Printf.sprintf "SELECT p.pid, p.zip FROM patients p WHERE NOT (p.age %s %d)"
+          op a
+      | 3 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE NOT (p.age = %d OR p.zip %s %d)" a
+          op c
+      | 4 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE p.age IN (%s) AND p.zip %s %d"
+          in_list op c
+      | 5 ->
+        Printf.sprintf "SELECT p.pid FROM patients p WHERE p.age + %d %sIN (%s)" a
+          (if b mod 2 = 0 then "NOT " else "")
+          in_list
+      | 6 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE p.age = %d AND p.age %s %d" a op b
+      | 7 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p WHERE p.zip %s %d AND p.age > %d AND \
+           p.age < %d"
+          op c a b
+      | 8 ->
+        Printf.sprintf
+          "SELECT p.pid FROM patients p, visits v WHERE p.age = v.cost AND \
+           v.cost %s %d"
+          op a
+      | _ ->
+        Printf.sprintf
+          "SELECT p.pid, v.vid FROM patients p, visits v WHERE p.pid = v.pid \
+           AND v.pid = %d AND p.pid %s %d"
+          a op b
+    in
+    let lits = triple (int_range 0 9) (int_range 0 9) (int_range 0 2) in
+    frequency [ (1, gen_shape); (2, return (sql, lits)) ])
+
+(* What the audit expression requires of patients. *)
+let gen_audit_where =
+  QCheck.Gen.(
+    oneof
+      [
+        return "";
+        map (Printf.sprintf " WHERE age > %d") (int_range 0 9);
+        map (Printf.sprintf " WHERE zip = %d") (int_range 0 2);
+        map2 (Printf.sprintf " WHERE age = %d OR age = %d") (int_range 0 9)
+          (int_range 0 9);
+      ])
+
+let recreate_audit db where =
+  List.iter
+    (fun sql -> ignore (Db.Database.exec db sql))
+    [
+      "DROP TRIGGER w";
+      "DROP AUDIT EXPRESSION audit_pat";
+      "CREATE AUDIT EXPRESSION audit_pat AS SELECT * FROM patients" ^ where
+      ^ " FOR SENSITIVE TABLE patients, PARTITION BY pid";
+      "CREATE TRIGGER w ON ACCESS TO audit_pat AS NOTIFY 'hit'";
+    ]
+
+(* The first statement builds its shape and the next one classifies it
+   on the first hit. Every statement served by a shape classified as
+   one verdict for all its literals (its decisions were never analysed)
+   must be what the statement's own analysis makes of it: nothing
+   certified, the same decisions once forced, the probes kept. *)
+let prop_shape_scope =
+  QCheck.Test.make ~count:300
+    ~name:"a shape's one verdict = every filling's analysis"
+    (QCheck.make
+       ~print:(fun ((d, sqls, c), where) ->
+         Printf.sprintf "audit_pat: patients%s\n%s" where
+           (print_case
+              ( d,
+                String.concat "\n" sqls,
+                { c with elision = Db.Config.Elide_certified } )))
+       ~shrink:(fun ((d, sqls, c), where) yield ->
+         shrink_config c (fun c -> yield ((d, sqls, c), where)))
+       QCheck.Gen.(
+         pair
+           (triple gen_dataset
+              (let* sql, lits = gen_scope_shape in
+               map (List.map sql) (list_repeat 5 lits))
+              gen_config)
+           gen_audit_where))
+    (fun ((d, sqls, c), where) ->
+      let module D = Db.Database in
+      let db = build_db { c with elision = Db.Config.Elide_certified } d in
+      recreate_audit db where;
+      ignore (D.prepare_sql db (List.hd sqls));
+      List.for_all
+        (fun sql ->
+          let p = D.prepare_sql db sql in
+          Lazy.is_val p.decisions
+          ||
+          let oracle = D.prepare_plan db (D.plan_sql db sql) in
+          oracle.certificates = [] && p.certificates = []
+          && p.phys = oracle.phys
+          && Lazy.force p.decisions = Lazy.force oracle.decisions)
+        sqls)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -847,4 +976,5 @@ let suite =
       prop_compiled_fault_fallback;
       prop_compiled_fault_plans;
       prop_shape_cache;
+      prop_shape_scope;
     ]

@@ -555,6 +555,36 @@ let test_drop_table_under_audit () =
         [] (read db))
     [ db; replayed ]
 
+(* Trigger actions bind [new], [old] and [accessed] over any table of
+   that name, so a user table of that name was shadowed inside them and
+   its audits probed the trigger relation: an UPDATE whose trigger read
+   [new] logged an ACCESSED record for a user table [new] it never read.
+   The names are reserved, in any case; the relations still bind. *)
+let test_trigger_relation_names_reserved () =
+  let db = Fixtures.create () in
+  List.iter
+    (fun name ->
+      (match
+         Db.Database.exec db
+           (Printf.sprintf "CREATE TABLE %s (id INT PRIMARY KEY, v INT)" name)
+       with
+      | exception
+          Engine_core.Engine_error.Error (Engine_core.Engine_error.Reserved n)
+        ->
+        check Alcotest.string "the refused name" name n
+      | _ -> Alcotest.failf "CREATE TABLE %s succeeded" name);
+      check Alcotest.bool (name ^ " is not in the catalog") false
+        (Catalog.mem (Db.Database.catalog db) name))
+    [ "new"; "OLD"; "Accessed" ];
+  let e sql = ignore (Db.Database.exec db sql) in
+  e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
+  e "INSERT INTO t VALUES (1, 1)";
+  e "CREATE TRIGGER d ON t AFTER UPDATE AS INSERT INTO t SELECT id + 10, v FROM new";
+  e "UPDATE t SET v = 5 WHERE id = 1";
+  check Fixtures.tuples "the trigger read its new rows"
+    [ [| vi 1; vi 5 |]; [| vi 11; vi 5 |] ]
+    (Fixtures.rows_sorted db "SELECT * FROM t")
+
 let suite =
   [
     Alcotest.test_case "SELECT trigger fires and logs" `Quick
@@ -603,4 +633,6 @@ let suite =
       `Quick test_drop_table_with_dependent_trigger;
     Alcotest.test_case "DROP TABLE refused while an audit expression reads it"
       `Quick test_drop_table_under_audit;
+    Alcotest.test_case "trigger relation names are reserved" `Quick
+      test_trigger_relation_names_reserved;
   ]
