@@ -201,17 +201,31 @@ let repl db =
     done
   with Exit -> print_endline "bye"
 
-let run_file db path =
+(* A script's meta-commands and statements ({!Server.Session.script}),
+   for both [-f] modes. *)
+let script_pieces path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let content = really_input_string ic n in
   close_in ic;
-  match Db.Database.exec_script db content with
-  | results ->
-    List.iter (fun r -> print_endline (Db.Database.result_to_string r)) results
-  | exception e ->
-    report_error e;
-    exit 1
+  Server.Session.script content
+
+(* Run each piece as the REPL would; the first error exits 1, \q ends
+   the script. *)
+let run_file db path =
+  let session = Server.Session.of_db db in
+  List.iter
+    (fun piece ->
+      match
+        if piece.[0] = '\\' then handle_command session piece
+        else print_endline (Server.Session.dispatch session piece)
+      with
+      | () -> ()
+      | exception Exit -> exit 0
+      | exception e ->
+        report_error e;
+        exit 1)
+    (script_pieces path)
 
 (* ------------------------------------------------------------------ *)
 (* Client mode: the same REPL surface over a serverd connection        *)
@@ -288,31 +302,28 @@ let client_repl conn =
     conn.finish ();
     print_endline "bye"
 
-(* Script mode over a connection: the server executes one statement per
-   request, so split the script on ';' client-side. Statement errors
-   print the server's error line and exit nonzero, like local -f. *)
+(* Script mode over a connection: the server executes one statement or
+   meta-command per request, split as local -f splits them. The first
+   error prints the server's error line and exits 1, like local -f. *)
 let client_run_file conn path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
-  let failed = ref false in
-  String.split_on_char ';' content
-  |> List.iter (fun stmt ->
-         if String.trim stmt <> "" then
-           match conn.send (stmt ^ ";") with
-           | Ok text -> if text <> "" then print_endline text
-           | Error m ->
-             print_endline m;
-             failed := true
-           | exception Server.Client.Protocol_error m ->
-             Printf.printf "connection error: %s\n" m;
-             failed := true
-           | exception Server.Client.Retry.Gave_up m ->
-             Printf.printf "connection error: %s\n" m;
-             failed := true);
-  conn.finish ();
-  if !failed then exit 1
+  let stop code =
+    conn.finish ();
+    exit code
+  in
+  List.iter
+    (fun piece ->
+      if piece = "\\q" then stop 0;
+      match conn.send piece with
+      | Ok text -> if text <> "" then print_endline text
+      | Error m ->
+        print_endline m;
+        stop 1
+      | exception
+          (Server.Client.Protocol_error m | Server.Client.Retry.Gave_up m) ->
+        Printf.printf "connection error: %s\n" m;
+        exit 1)
+    (script_pieces path);
+  stop 0
 
 let client_main connect user file retry =
   let user = Option.value user ~default:"admin" in

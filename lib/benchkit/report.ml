@@ -46,4 +46,3 @@ let print_table ~headers rows =
 let pct f = Printf.sprintf "%.2f%%" f
 let secs f = Printf.sprintf "%.4fs" f
 let int i = string_of_int i
-let flt f = Printf.sprintf "%.3f" f

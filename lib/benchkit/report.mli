@@ -9,4 +9,3 @@ val print_table : headers:string list -> string list list -> unit
 val pct : float -> string
 val secs : float -> string
 val int : int -> string
-val flt : float -> string

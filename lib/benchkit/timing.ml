@@ -36,15 +36,6 @@ let median xs =
     let b = List.nth sorted (n / 2) in
     (a +. b) /. 2.0
 
-let stddev xs =
-  let m = mean xs in
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    sqrt
-      (List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-      /. float_of_int (List.length xs - 1))
-
 (** Median-of-runs for a thunk. *)
 let median_time ?(warmup = 1) ?(repeats = 5) f =
   median (measure ~warmup ~repeats f)

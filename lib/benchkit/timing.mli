@@ -12,7 +12,6 @@ val measure : ?warmup:int -> repeats:int -> (unit -> unit) -> float list
 
 val mean : float list -> float
 val median : float list -> float
-val stddev : float list -> float
 
 (** Median of repeated runs. *)
 val median_time : ?warmup:int -> ?repeats:int -> (unit -> unit) -> float

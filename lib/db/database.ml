@@ -14,6 +14,9 @@
     - DML triggers run after INSERT/UPDATE/DELETE statements with the
       affected rows exposed as relations [new] and [old] (SQL Server's
       statement-level inserted/deleted).
+    - These relations are bound in the session's catalog scope for the
+      action's extent, never added to the shared catalog, so the action's
+      reads are ordinary cached shapes.
     - Triggers cascade; a depth limit guards against loops.
     - [now()] is a logical clock (statement counter), [user_id()] the
       session user, [sql_text()] the outermost statement's text. *)
@@ -60,11 +63,11 @@ type stamp = {
   settings :
     Audit_core.Placement.heuristic * elision_mode * verify_mode * bool;
       (** the session's heuristic, elision, verify and instrumentation *)
-  epoch : int;  (** of the audit expressions and triggers *)
-  tables : (string * int * int * int list) list;
-      (** per scanned table: name, [Table.id], row count, indexed
-          columns (what lowering and cardinality estimates read); id -1
-          for a name the catalog lacks (the FROM-less SELECT's dual) *)
+  epoch : int;  (** the catalog epoch: schemas, keys, indexes, audits *)
+  rows : (string * int) list;
+      (** per scanned name, its row count (what cardinality estimates
+          read); 0 for a name the catalog lacks (the FROM-less SELECT's
+          dual) *)
 }
 
 type built = {
@@ -151,8 +154,9 @@ type t = {
       (** per audit expression, the IDs the current statement has passed
           to its AFTER triggers *)
   epoch : int ref;
-      (** shared by every session: bumped by each CREATE or DROP of an
-          audit expression or trigger *)
+      (** the catalog epoch, shared by every session: bumped by each DDL
+          statement (CREATE or DROP of a table, index, audit expression or
+          trigger) *)
   shapes : shape Shapes.t;  (** this session's statement shapes *)
   mutable clock : int;  (** prepares through [shapes], for eviction *)
 }
@@ -185,19 +189,21 @@ let create ?(config = Config.default) () =
     clock = 0;
   }
 
-(** A further session over the same engine: the catalog, audit
+(** A further session over the same engine: the catalog's tables, audit
     expressions and triggers are shared by reference (DDL from any
     session is visible to all), while everything per-session is fresh —
-    the execution context (user, logical clock, budgets, temp-table
-    lifecycle, fault kit), trigger depth, notifications, alarms, metrics
-    and pending evidence. Statement execution is {e not} internally
-    synchronized: concurrent sessions must serialize [exec] externally
-    (the server layer holds one statement lock); evidence commit can then
-    overlap across sessions via the deferred sink + group commit. *)
+    the catalog scope that binds trigger relations, the execution context
+    (user, logical clock, budgets, fault kit), trigger depth,
+    notifications, alarms, metrics and pending evidence. Statement
+    execution is {e not} internally synchronized: concurrent sessions
+    must serialize [exec] externally (the server layer holds one
+    statement lock); evidence commit can then overlap across sessions
+    via the deferred sink + group commit. *)
 let create_session ?(session_id = 0) parent =
+  let catalog = Catalog.session parent.catalog in
   {
-    catalog = parent.catalog;
-    ctx = Exec.Exec_ctx.create ~session_id parent.catalog;
+    catalog;
+    ctx = Exec.Exec_ctx.create ~session_id catalog;
     audits = parent.audits;
     triggers = parent.triggers;
     heuristic = parent.heuristic;
@@ -584,21 +590,18 @@ let prepare_plan (db : t) ?heuristic ?audits plan =
 let settings (db : t) =
   (db.heuristic, db.config.elision, db.config.verify, db.instrument)
 
+let rows_of (db : t) name =
+  match Catalog.find_opt db.catalog name with
+  | Some t -> Table.cardinality t
+  | None -> 0
+
 (* Why [b] no longer describes the session, if it does not. *)
 let stale (db : t) b =
-  if b.stamp.epoch <> !(db.epoch) then Some "audit/trigger epoch"
+  if b.stamp.epoch <> !(db.epoch) then Some "catalog epoch"
   else if b.stamp.settings <> settings db then Some "session setting"
-  else
-    List.find_map
-      (fun (name, id, rows, indexed) ->
-        match Catalog.find_opt db.catalog name with
-        | Some t when Table.id t = id ->
-          if Table.cardinality t <> rows then Some "row count"
-          else if Table.indexed_columns t <> indexed then Some "index set"
-          else None
-        | None when id < 0 -> None
-        | _ -> Some "table replaced")
-      b.stamp.tables
+  else if List.exists (fun (name, rows) -> rows_of db name <> rows) b.stamp.rows
+  then Some "row count"
+  else None
 
 let build (db : t) (k : Shape_key.t) =
   let heuristic = Option.value k.heuristic ~default:db.heuristic in
@@ -606,18 +609,14 @@ let build (db : t) (k : Shape_key.t) =
   let specs = specs_of entries in
   let placed = place ~heuristic ~entries ~prune:k.prune k.plan in
   let slotted = physical db placed in
-  let tables =
+  let rows =
     Plan.Logical.scan_tables placed
     |> List.map fst
     |> List.sort_uniq String.compare
-    |> List.map (fun name ->
-           match Catalog.find_opt db.catalog name with
-           | Some t ->
-             (name, Table.id t, Table.cardinality t, Table.indexed_columns t)
-           | None -> (name, -1, 0, []))
+    |> List.map (fun name -> (name, rows_of db name))
   in
   {
-    stamp = { settings = settings db; epoch = !(db.epoch); tables };
+    stamp = { settings = settings db; epoch = !(db.epoch); rows };
     placed;
     slotted;
     entries;
@@ -672,9 +671,10 @@ let shape (db : t) (k : Shape_key.t) =
     Shapes.replace db.shapes k s;
     (s.built, false)
 
-(* Lift the literals of an optimized plan (constant folding and literal
+(* Lift the literals of the optimized plan (constant folding and literal
    coercion happened there) and fill its shape's plans with them. *)
-let prepare_shape (db : t) ?heuristic ?audits ~prune optimized =
+let prepare (db : t) ?heuristic ?audits ?(prune = true) q =
+  let optimized = optimize db q in
   let lits = ref [] and n = ref 0 in
   let next v =
     lits := v :: !lits;
@@ -705,26 +705,6 @@ let prepare_shape (db : t) ?heuristic ?audits ~prune optimized =
   let per_shape = hit && Lazy.force b.scope = Analysis.Independence.Shape in
   finish db ~heuristic:b.heuristic ~entries:b.entries ~specs:b.specs
     ~verdict:(Some b.verdict) ~per_shape plan lowered
-
-(* The relations a trigger action sees, bound afresh for each firing. *)
-let trigger_relations = [ "accessed"; "new"; "old" ]
-
-(* A read of a trigger relation could never hit its shape (each firing
-   binds a new table), and keeping its plans would only promote them to
-   the major heap, so it is prepared without the cache. *)
-let prepare (db : t) ?heuristic ?audits ?(prune = true) q =
-  let optimized = optimize db q in
-  if
-    List.exists
-      (fun (table, _) -> List.mem table trigger_relations)
-      (Plan.Logical.scan_tables optimized)
-  then
-    prepare_plan db ?heuristic ?audits
-      (place
-         ~heuristic:(Option.value heuristic ~default:db.heuristic)
-         ~entries:(selected_audits db ?audits ())
-         ~prune optimized)
-  else prepare_shape db ?heuristic ?audits ~prune optimized
 
 let prepare_sql db ?heuristic ?audits ?prune sql =
   prepare db ?heuristic ?audits ?prune (Sql.Parser.query sql)
@@ -957,26 +937,8 @@ let fga_verdict db ~audit (q : Sql.Ast.query) : fga_verdict =
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let drop_temp db name =
-  if Catalog.mem db.catalog name then Catalog.remove db.catalog name
-
-(* Bind the temp pseudo-relation [name] for the dynamic extent of [f],
-   saving any same-named binding of an enclosing trigger scope and
-   restoring it on the way out — exceptional or not. A cascaded trigger
-   thus sees its own [new]/[old]/[accessed], and the outer body resumes
-   with its own binding after the inner one unwinds, instead of finding
-   the relation clobbered (or dropped entirely). *)
-let with_temp db ~name ~schema rows f =
-  let saved = Catalog.find_opt db.catalog name in
-  let t = Table.create ~storage:db.config.storage ~name schema in
-  List.iter (Table.insert t) rows;
-  Catalog.put db.catalog t;
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with
-      | Some prev -> Catalog.put db.catalog prev
-      | None -> drop_temp db name)
-    f
+(* The relations a trigger action reads. *)
+let trigger_relations = [ "accessed"; "new"; "old" ]
 
 let find_table db table =
   match Catalog.find_opt db.catalog table with
@@ -989,6 +951,12 @@ let prepare_read db ?heuristic ?audits q =
   let p = prepare db ?heuristic ?audits q in
   enforce db p;
   p
+
+(* A DDL statement's result; it moves the catalog epoch, so every
+   session's shapes are rebuilt. *)
+let ddl db msg =
+  incr db.epoch;
+  Done msg
 
 (* DDL refuses to drop [obj] while [dependents] name it: they would
    outlive it in the dump, which could not replay them, and a re-created
@@ -1024,7 +992,9 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
         Rows { schema = Plan.Logical.schema p.plan; rows = run db p })
   | Sql.Ast.S_create_table { table; columns } ->
     (* A user table named like a trigger relation would be shadowed
-       inside trigger actions, and its audits would probe the relation. *)
+       inside trigger actions, and placement, [hide], the verifier and
+       the independence analysis, which match scans by table name, would
+       take the relation for it. *)
     if List.mem (norm table) trigger_relations then
       Engine_core.Engine_error.raise_ (Engine_core.Engine_error.Reserved table);
     if Catalog.mem db.catalog table then err "table %s already exists" table;
@@ -1040,13 +1010,13 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     in
     Catalog.add db.catalog
       (Table.create ?key ~storage:db.config.storage ~name:table schema);
-    Done (Printf.sprintf "table %s created" table)
+    ddl db (Printf.sprintf "table %s created" table)
   | Sql.Ast.S_drop_table name ->
     refuse_drop ("table " ^ name)
       (trigger_names (Audit_core.Trigger.on_dml db.triggers ~table:name)
       @ audits_reading db name);
     Catalog.remove db.catalog name;
-    Done (Printf.sprintf "table %s dropped" name)
+    ddl db (Printf.sprintf "table %s dropped" name)
   | Sql.Ast.S_insert { table; columns; source } -> exec_insert db table columns source
   | Sql.Ast.S_update { table; sets; where } -> exec_update db table sets where
   | Sql.Ast.S_delete { table; where } -> exec_delete db table where
@@ -1068,8 +1038,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       }
     in
     Hashtbl.replace db.audits (norm audit_name) { expr; view; info };
-    incr db.epoch;
-    Done
+    ddl db
       (Printf.sprintf "audit expression %s created (%d sensitive IDs)"
          audit_name
          (Audit_core.Sensitive_view.cardinality view))
@@ -1079,8 +1048,7 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
       (trigger_names (Audit_core.Trigger.on_access db.triggers ~audit_name:name));
     Audit_core.Sensitive_view.detach view;
     Hashtbl.remove db.audits (norm name);
-    incr db.epoch;
-    Done (Printf.sprintf "audit expression %s dropped" name)
+    ddl db (Printf.sprintf "audit expression %s dropped" name)
   | Sql.Ast.S_create_trigger { trigger_name; event; timing; body } ->
     (match event with
     | Sql.Ast.On_access a ->
@@ -1094,12 +1062,10 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
           trigger_name);
     Audit_core.Trigger.add db.triggers
       { Audit_core.Trigger.name = trigger_name; event; timing; body };
-    incr db.epoch;
-    Done (Printf.sprintf "trigger %s created" trigger_name)
+    ddl db (Printf.sprintf "trigger %s created" trigger_name)
   | Sql.Ast.S_drop_trigger name ->
     Audit_core.Trigger.remove db.triggers name;
-    incr db.epoch;
-    Done (Printf.sprintf "trigger %s dropped" name)
+    ddl db (Printf.sprintf "trigger %s dropped" name)
   | Sql.Ast.S_if (cond, body) ->
     (* The condition is a FROM-less SELECT (so scalar subqueries work),
        audited like any other read. *)
@@ -1130,11 +1096,11 @@ let rec exec_statement db (stmt : Sql.Ast.statement) : result =
     in
     (try Table.create_index t ~name:index_name ~col
      with Table.Index_exists n -> err "index %s already exists" n);
-    Done (Printf.sprintf "index %s created on %s(%s)" index_name table column)
+    ddl db (Printf.sprintf "index %s created on %s(%s)" index_name table column)
   | Sql.Ast.S_drop_index { index_name; table } ->
     (try Table.drop_index (find_table db table) index_name
      with Table.Unknown_index n -> err "unknown index %s" n);
-    Done (Printf.sprintf "index %s dropped" index_name)
+    ddl db (Printf.sprintf "index %s dropped" index_name)
   | Sql.Ast.S_explain { verify = true; query; _ } ->
     (* EXPLAIN VERIFY: the plan (with per-probe verdicts when elision
        ran), the verifier's rule-by-rule report on what would execute,
@@ -1293,49 +1259,49 @@ and fire_select_triggers db ~timing read : string option =
     message when a BEFORE RETURN action denied the query. *)
 and run_trigger db (tr : Audit_core.Trigger.t) ~accessed:(schema, rows) :
     string option =
-  if db.trigger_depth >= max_trigger_depth then
-    err "trigger cascade depth limit (%d) exceeded at trigger %s"
-      max_trigger_depth tr.Audit_core.Trigger.name;
-  db.trigger_depth <- db.trigger_depth + 1;
   let saved_before = db.in_before_trigger in
   db.in_before_trigger <- tr.Audit_core.Trigger.timing = Sql.Ast.Before_return;
   Fun.protect
-    ~finally:(fun () ->
-      db.in_before_trigger <- saved_before;
-      db.trigger_depth <- db.trigger_depth - 1)
+    ~finally:(fun () -> db.in_before_trigger <- saved_before)
     (fun () ->
-      with_temp db ~name:"accessed" ~schema rows (fun () ->
-          Engine_core.Faultkit.on_trigger db.ctx.Exec.Exec_ctx.faults
-            ~name:tr.Audit_core.Trigger.name;
-          match
-            List.iter
-              (fun s -> ignore (exec_statement db s))
-              tr.Audit_core.Trigger.body
-          with
-          | () -> None
-          | exception Deny_signal msg -> Some msg))
+      match
+        run_actions db ("at trigger " ^ tr.Audit_core.Trigger.name)
+          [ ("accessed", schema, rows) ] [ tr ]
+      with
+      | () -> None
+      | exception Deny_signal msg -> Some msg)
 
 and run_dml_triggers db ~table ~event ~new_rows ~old_rows ~row_schema =
-  let ts = Audit_core.Trigger.on_dml db.triggers ~table ~event in
-  if ts <> [] then begin
-    if db.trigger_depth >= max_trigger_depth then
-      err "trigger cascade depth limit (%d) exceeded on table %s"
-        max_trigger_depth table;
-    db.trigger_depth <- db.trigger_depth + 1;
-    Fun.protect
-      ~finally:(fun () -> db.trigger_depth <- db.trigger_depth - 1)
-      (fun () ->
-        with_temp db ~name:"new" ~schema:row_schema new_rows (fun () ->
-            with_temp db ~name:"old" ~schema:row_schema old_rows (fun () ->
-                List.iter
-                  (fun tr ->
-                    Engine_core.Faultkit.on_trigger db.ctx.Exec.Exec_ctx.faults
-                      ~name:tr.Audit_core.Trigger.name;
-                    List.iter
-                      (fun s -> ignore (exec_statement db s))
-                      tr.Audit_core.Trigger.body)
-                  ts)))
-  end
+  match Audit_core.Trigger.on_dml db.triggers ~table ~event with
+  | [] -> ()
+  | ts ->
+    run_actions db ("on table " ^ table)
+      [ ("new", row_schema, new_rows); ("old", row_schema, old_rows) ]
+      ts
+
+(* Run the bodies of [ts] one cascade level deeper, with [relations]
+   bound in the session's scope for their extent. A cascaded action
+   shadows the outer [new]/[old]/[accessed] with its own, and the outer
+   body resumes with its own after the inner one unwinds. *)
+and run_actions db where relations ts =
+  if db.trigger_depth >= max_trigger_depth then
+    err "trigger cascade depth limit (%d) exceeded %s" max_trigger_depth where;
+  db.trigger_depth <- db.trigger_depth + 1;
+  Fun.protect
+    ~finally:(fun () -> db.trigger_depth <- db.trigger_depth - 1)
+    (List.fold_right
+       (fun (name, schema, rows) f () ->
+         let t = Table.create ~storage:db.config.storage ~name schema in
+         List.iter (Table.insert t) rows;
+         Catalog.bind db.catalog t f)
+       relations
+       (fun () ->
+         List.iter
+           (fun (tr : Audit_core.Trigger.t) ->
+             Engine_core.Faultkit.on_trigger db.ctx.Exec.Exec_ctx.faults
+               ~name:tr.name;
+             List.iter (fun s -> ignore (exec_statement db s)) tr.body)
+           ts))
 
 (* --------------------------------------------------------------- *)
 (* DML                                                              *)
@@ -1511,13 +1477,13 @@ let repair_session db =
   if db.trigger_depth <> 0 || db.in_before_trigger then begin
     alarm db
       (Printf.sprintf
-         "session invariants repaired (trigger_depth=%d%s); dropping leaked \
+         "session invariants repaired (trigger_depth=%d%s); clearing leaked \
           trigger relations"
          db.trigger_depth
          (if db.in_before_trigger then ", in_before_trigger" else ""));
     db.trigger_depth <- 0;
     db.in_before_trigger <- false;
-    List.iter (drop_temp db) trigger_relations
+    Catalog.clear_scope db.catalog
   end
 
 (* Run one top-level statement with the failure-atomic audit pipeline:
@@ -1559,23 +1525,19 @@ let exec_logged db stmt_sql (stmt : Sql.Ast.statement) : result =
     repair_session db;
     raise e
 
+let exec_top db sql stmt =
+  if db.trigger_depth = 0 then exec_logged db sql stmt else exec_statement db stmt
+
 (** Execute one SQL statement. *)
 let exec db sql : result =
-  wrap_errors (fun () ->
-      let stmt = Sql.Parser.statement sql in
-      if db.trigger_depth = 0 then exec_logged db (String.trim sql) stmt
-      else exec_statement db stmt)
+  wrap_errors (fun () -> exec_top db (String.trim sql) (Sql.Parser.statement sql))
 
 (** Execute a ';'-separated script; returns the results in order. *)
 let exec_script db sql : result list =
   wrap_errors (fun () ->
-      let stmts = Sql.Parser.script sql in
       List.map
-        (fun stmt ->
-          if db.trigger_depth = 0 then
-            exec_logged db (Sql.Ast.statement_to_string stmt) stmt
-          else exec_statement db stmt)
-        stmts)
+        (fun stmt -> exec_top db (Sql.Ast.statement_to_string stmt) stmt)
+        (Sql.Parser.script sql))
 
 (** Run a SELECT and return its rows (convenience). *)
 let query db sql : Tuple.t list =

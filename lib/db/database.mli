@@ -27,10 +27,11 @@ type t
     verification). Nothing is read from the environment. *)
 val create : ?config:Config.t -> unit -> t
 
-(** A further session over the same engine: the catalog, audit
+(** A further session over the same engine: the catalog's tables, audit
     expressions and triggers are shared by reference (DDL from any
-    session is visible to all); the execution context (user, logical
-    clock, budgets, fault kit), trigger depth, notifications, alarms and
+    session is visible to all); the catalog scope that binds trigger
+    relations, the execution context (user, logical clock, budgets, fault
+    kit), trigger depth, notifications, alarms and
     pending evidence are fresh and private. Statement execution is not
     internally synchronized — concurrent sessions must serialize [exec]
     externally (the server layer holds one statement lock); evidence
@@ -70,7 +71,7 @@ val set_exec_mode : t -> Config.exec -> unit
 val exec_mode : t -> Config.exec
 
 (** Physical representation used for tables created from now on (CREATE
-    TABLE and temp tables): heap tuples or typed columnar vectors
+    TABLE and trigger relations): heap tuples or typed columnar vectors
     ({!Storage.Table.storage}). Already-created tables keep their
     representation. *)
 val set_storage_mode : t -> Storage.Table.storage -> unit
@@ -305,11 +306,12 @@ val prepare_plan :
     lowered plan; from then on, when no literal can certify a probe of
     the shape, its statements skip the analysis and elision. A shape is
     rebuilt when the session's heuristic, elision, verification or
-    instrumentation setting, the audit expressions or triggers, or a
-    scanned table's identity, row count or index set changed since it
-    was built. The session keeps a bounded number of shapes, dropping
-    the least recently used. A read of a trigger relation ([new], [old],
-    [accessed]) bypasses the shapes: each firing binds a fresh table. *)
+    instrumentation setting, the catalog epoch (any DDL statement in any
+    session) or the row count of a scanned name changed since it was
+    built. The session keeps a bounded number of shapes, dropping the
+    least recently used. A trigger action's reads of [new], [old] and
+    [accessed] are shapes like any other: each firing binds its rows in
+    the session's scope, and a firing with another row count rebuilds. *)
 val prepare :
   t ->
   ?heuristic:Audit_core.Placement.heuristic ->
@@ -329,8 +331,8 @@ val prepare_sql :
 (** The statement shapes {!prepare} keeps for this session, most
     recently used first: the placed plan on one line, with [$1…$n] for
     the literals; the executions served without building it; how many
-    times it was rebuilt, and why the last time ("audit/trigger epoch",
-    "session setting", "table replaced", "row count", "index set"); and
+    times it was rebuilt, and why the last time ("catalog epoch",
+    "session setting", "row count"); and
     where its independence verdicts come from: "shape" (no literal can
     certify a probe, so no statement is analysed), "statement
     (<audit>.<column>)" (a literal may certify that audit's probe on

@@ -2,8 +2,8 @@
 
     Carries everything a running plan needs besides its own operators:
 
-    - the catalog (scans resolve tables at open time, so the transient
-      [ACCESSED] relation can be registered just before a trigger action);
+    - the session's catalog (scans resolve tables at open time, so a
+      trigger action reads the [accessed]/[new]/[old] its firing bound);
     - session state backing [now()], [user_id()] and [sql_text()] — the
       clock is logical (statement counter) so runs are deterministic;
     - the audit machinery: per-audit-expression sensitive-ID sets probed by

@@ -788,10 +788,6 @@ and bind_grouped_projection env plan q : Logical.t =
 let query catalog (q : Sql.Ast.query) : Logical.t =
   bind_query { catalog; outer = None } q
 
-(** Bind a query that may reference an outer schema (correlated contexts). *)
-let query_with_outer catalog outer (q : Sql.Ast.query) : Logical.t =
-  bind_query { catalog; outer = Some outer } q
-
 (** Bind a standalone expression over a schema (UPDATE/DELETE predicates,
     audit-expression predicates). No subqueries. *)
 let scalar catalog schema (e : Sql.Ast.expr) : Scalar.t =

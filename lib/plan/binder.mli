@@ -17,11 +17,6 @@ val infer_type : Schema.t -> Scalar.t -> Datatype.t
 (** Bind a full query against a catalog. Raises {!Bind_error}. *)
 val query : Catalog.t -> Sql.Ast.query -> Logical.t
 
-(** Bind a query that may reference an outer schema through correlation
-    parameters (used for subqueries). *)
-val query_with_outer :
-  Catalog.t -> Schema.t -> Sql.Ast.query -> Logical.t
-
 (** Bind a standalone expression over a schema — UPDATE/DELETE predicates
     and audit-expression predicates. No subqueries allowed. *)
 val scalar : Catalog.t -> Schema.t -> Sql.Ast.expr -> Scalar.t

@@ -8,7 +8,8 @@
    the server loop to render.
 
    [command] is the one meta-command interpreter: the local shell runs
-   it too, and adds only its process-local commands on top.
+   it too, and adds only its process-local commands on top; [script]
+   splits a [-f] script for it and for a client of the server.
      \tables \audits \triggers     list the catalog
      \notifications \alarms        show (and clear) NOTIFY output / alarms
      \accessed                     ACCESSED state of the last SELECT
@@ -253,6 +254,54 @@ let dispatch ?seq t line =
   with e ->
     t.errors <- t.errors + 1;
     raise e
+
+(* Split a [-f] script into its meta-commands and SQL statements, in
+   order. A line that starts with a backslash where a statement may
+   begin is a meta-command; SQL is cut after each ';' the lexer reads
+   outside a BEGIN or CASE ... END, so a line may hold several
+   statements and a literal or comment may hold a ';'. Text the lexer
+   cannot read yet (an open literal) waits for more lines; what is left
+   at the end runs as one statement and reports its own error. *)
+let script text =
+  let pieces = ref [] and pending = ref "" in
+  let tokens () =
+    try Sql.Lexer.tokenize !pending with Sql.Lexer.Lex_error _ -> []
+  in
+  let cut () =
+    let depth = ref 0 and start = ref 0 in
+    List.iter
+      (fun (l : Sql.Lexer.lexed) ->
+        match l.token with
+        | Sql.Token.Ident w -> (
+          match String.uppercase_ascii w with
+          | "BEGIN" | "CASE" -> incr depth
+          | "END" -> decr depth
+          | _ -> ())
+        | Sql.Token.Semicolon when !depth <= 0 ->
+          let stmt = String.sub !pending !start (l.pos + 1 - !start) in
+          pieces := String.trim stmt :: !pieces;
+          start := l.pos + 1
+        | _ -> ())
+      (tokens ());
+    pending := String.sub !pending !start (String.length !pending - !start)
+  in
+  List.iter
+    (fun line ->
+      let line' = String.trim line in
+      (* one token, Eof: nothing but blanks and comments is pending *)
+      if line' <> "" && line'.[0] = '\\' && List.length (tokens ()) = 1
+      then begin
+        pending := "";
+        pieces := line' :: !pieces
+      end
+      else begin
+        pending := !pending ^ line ^ "\n";
+        cut ()
+      end)
+    (String.split_on_char '\n' text);
+  if List.length (tokens ()) <> 1 then
+    pieces := String.trim !pending :: !pieces;
+  List.rev !pieces
 
 (* Render any engine exception as the structured error line the shell
    prints — this is what travels in a [Failed] frame. *)

@@ -53,7 +53,6 @@ type column_cache = {
 }
 
 type t = {
-  id : int;  (** unique per created table, never reused *)
   name : string;
   schema : Schema.t;
   key : int option;  (** primary-key column index, if any *)
@@ -71,15 +70,12 @@ type t = {
 exception Duplicate_key of string
 exception Schema_mismatch of string
 
-let next_id = Atomic.make 0
-
 let create ?key ?(storage = Heap) ~name schema =
   (match key with
   | Some k when k < 0 || k >= Schema.arity schema ->
     invalid_arg "Table.create: key index out of range"
   | _ -> ());
   {
-    id = Atomic.fetch_and_add next_id 1;
     name;
     schema;
     key;
@@ -96,7 +92,6 @@ let create ?key ?(storage = Heap) ~name schema =
     shared = [||];
   }
 
-let id t = t.id
 let name t = t.name
 let schema t = t.schema
 let key t = t.key

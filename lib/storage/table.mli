@@ -32,10 +32,6 @@ exception Schema_mismatch of string
     [storage] defaults to [Heap]. *)
 val create : ?key:int -> ?storage:storage -> name:string -> Schema.t -> t
 
-(** A number no other table created in this process has: a plan cache
-    can recognise a dropped and re-created table without holding it. *)
-val id : t -> int
-
 val name : t -> string
 val schema : t -> Schema.t
 val key : t -> int option

@@ -197,10 +197,6 @@ let to_int_exn = function
   | Float f -> int_of_float f
   | v -> type_error "expected an integer, got %s" (to_string v)
 
-let to_bool_exn = function
-  | Bool b -> b
-  | v -> type_error "expected a boolean, got %s" (to_string v)
-
 let to_str_exn = function
   | Str s -> s
   | v -> type_error "expected a string, got %s" (to_string v)

@@ -85,7 +85,6 @@ module Map_v : Map.S with type key = t
 
 val to_float_exn : t -> float
 val to_int_exn : t -> int
-val to_bool_exn : t -> bool
 val to_str_exn : t -> string
 
 (** Accepts a [Date] or a date-formatted string. *)

@@ -674,6 +674,10 @@ let prop_compiled_fault_plans =
 type between =
   | Nothing
   | Index  (** CREATE INDEX on a scanned table *)
+  | Drop_index  (** DROP INDEX of every index on visits *)
+  | Recreate of bool
+      (** DROP and CREATE visits with the same schema and rows, with its
+          pid index or without *)
   | Insert  (** one row more in patients *)
   | Audit of int  (** DROP and CREATE the trigger and audit expression *)
   | Elide  (** flip certified elision *)
@@ -686,6 +690,8 @@ let gen_between =
       [
         return Nothing;
         return Index;
+        return Drop_index;
+        map (fun index -> Recreate index) bool;
         return Insert;
         map (fun k -> Audit k) (int_range 0 9);
         return Elide;
@@ -697,21 +703,41 @@ let gen_between =
 let string_of_between = function
   | Nothing -> "nothing"
   | Index -> "CREATE INDEX"
+  | Drop_index -> "DROP INDEX"
+  | Recreate index ->
+    "re-create visits" ^ if index then " with its index" else " without an index"
   | Insert -> "INSERT"
   | Audit k -> Printf.sprintf "re-create audit_pat (age > %d)" k
   | Elide -> "\\elide flip"
   | Verify v -> "\\verify mode " ^ Db.Config.verify_to_string v
   | Heuristic h -> "\\heuristic " ^ Audit_core.Placement.heuristic_name h
 
-let apply_between db = function
+let apply_between db between =
+  let e sql = ignore (Db.Database.exec db sql) in
+  let visits () = Catalog.find (Db.Database.catalog db) "visits" in
+  match between with
   | Nothing -> ()
-  | Index ->
-    ignore (Db.Database.exec db "CREATE INDEX visits_cost ON visits (cost)")
-  | Insert ->
-    ignore (Db.Database.exec db "INSERT INTO patients VALUES (100, 5, 1)")
-  | Audit k ->
+  | Index -> e "CREATE INDEX visits_cost ON visits (cost)"
+  | Drop_index ->
     List.iter
-      (fun sql -> ignore (Db.Database.exec db sql))
+      (fun (name, _) -> e (Printf.sprintf "DROP INDEX %s ON visits" name))
+      (Table.index_names (visits ()))
+  | Recreate index ->
+    let rows = Table.to_list (visits ()) in
+    e "DROP TABLE visits";
+    e "CREATE TABLE visits (vid INT PRIMARY KEY, pid INT, cost INT)";
+    List.iter
+      (fun row ->
+        e
+          (Printf.sprintf "INSERT INTO visits VALUES (%s)"
+             (String.concat ", "
+                (List.map Value.to_sql_literal (Array.to_list row)))))
+      rows;
+    if index then e "CREATE INDEX visits_pid ON visits (pid)"
+  | Insert ->
+    e "INSERT INTO patients VALUES (100, 5, 1)"
+  | Audit k ->
+    List.iter e
       [
         "DROP TRIGGER w";
         "DROP AUDIT EXPRESSION audit_pat";

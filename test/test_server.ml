@@ -424,6 +424,56 @@ let test_e2e_elide_over_wire () =
       Alcotest.(check string) "mode unchanged" "certified" (exec "\\elide");
       Server.Client.quit c)
 
+(* A [-f] script is split once for both modes: meta-command lines at a
+   statement boundary, statements cut where the lexer ends them (not at
+   a ';' inside a literal or a comment), several to a line. Run through
+   a local session and over the wire, it gives the same replies. *)
+let script_text =
+  "\\elide certified\n\
+   CREATE TABLE s (id INT PRIMARY KEY, v TEXT); INSERT INTO s VALUES (1, 'a;b');\n\
+   /* a comment; not a boundary */ NOTIFY 'x;y';\n\
+   SELECT v FROM s WHERE id = 1;\n\
+   SELECT v\n  FROM s WHERE id = 2;\n\
+   \\plans\n"
+
+let test_script_pieces () =
+  let open Server.Session in
+  let pieces = script script_text in
+  Alcotest.(check int) "pieces" 7 (List.length pieces);
+  (match pieces with
+  | "\\elide certified" :: create :: insert :: notify :: _ ->
+    Alcotest.(check bool) "two statements on one line" true
+      (Fixtures.contains create "CREATE TABLE s"
+      && insert = "INSERT INTO s VALUES (1, 'a;b');");
+    Alcotest.(check bool) "comment kept with its statement" true
+      (Fixtures.contains notify "NOTIFY 'x;y';")
+  | _ -> Alcotest.fail "unexpected split");
+  Alcotest.(check bool) "last is \\plans" true
+    (List.nth pieces 6 = "\\plans");
+  let replies send = List.map (fun p -> String.trim (send p)) pieces in
+  let local =
+    let session = of_db (init_root ()) in
+    replies (dispatch session)
+  in
+  let remote =
+    with_server (fun _t addr _wal ->
+        let c = Server.Client.connect addr in
+        ignore (Server.Client.hello c ~user:"fay");
+        let r =
+          replies (fun line ->
+              match Server.Client.exec c line with
+              | Ok text -> text
+              | Error m -> Alcotest.failf "%s failed: %s" line m)
+        in
+        Server.Client.quit c;
+        r)
+  in
+  Alcotest.(check (list string)) "same replies over the wire" local remote;
+  Alcotest.(check string) "\\elide ran" "elision mode certified" (List.hd local);
+  Alcotest.(check string) "the literal kept its ';'" "notify: x;y" (List.nth local 3);
+  Alcotest.(check bool) "a shape, hit once" true
+    (Fixtures.contains (List.nth local 6) "hits=1 rebuilds=0")
+
 (* ------------------------------------------------------------------ *)
 (* Exactly-once: resumable sessions and reply replay                    *)
 (* ------------------------------------------------------------------ *)
@@ -817,6 +867,8 @@ let suite =
       test_e2e_exec_batch_refused;
     Alcotest.test_case "e2e: \\elide over the wire" `Quick
       test_e2e_elide_over_wire;
+    Alcotest.test_case "script: meta-commands, literals, statements" `Quick
+      test_script_pieces;
     Alcotest.test_case "retry: lost reply is replayed, not re-executed" `Quick
       test_resume_replays_lost_reply;
     Alcotest.test_case "overload: typed shed, no execution, no evidence"
